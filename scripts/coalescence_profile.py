@@ -2,10 +2,11 @@
 """Profile perfect-sampling cost as the reference intensity grows.
 
 For each intensity the script draws a batch of exact samples and tallies the
-lookback depth the doubling scheme needed, the total sweep count, and the
-resulting population. The point of the exercise: coalescence depth grows
-roughly logarithmically until the interaction gets strong, after which the
-sandwich bracket stays open much longer.
+lookback depth the doubling scheme needed, the number of lookbacks it tried
+(one sandwich pass each), and the resulting population. The point of the
+exercise: coalescence depth grows roughly logarithmically until the
+interaction gets strong, after which the sandwich bracket stays open much
+longer.
 
 Usage:
     python3 scripts/coalescence_profile.py --intensities 1 2 4 8 --replicates 200
@@ -30,7 +31,7 @@ MAX_LOOKBACK = 4096.0
 def profile_intensity(intensity, replicates, seed):
     model = PairwiseRate(theta=THETA, interaction_range=RANGE)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
-    lookbacks, sweeps, counts, failures = [], [], [], 0
+    lookbacks, tried, counts, failures = [], [], [], 0
     for i in range(replicates):
         res = perfect_sample(model, space, replicate_seed(seed, i),
                              max_lookback=MAX_LOOKBACK)
@@ -38,7 +39,7 @@ def profile_intensity(intensity, replicates, seed):
             failures += 1
             continue
         lookbacks.append(res.lookback_used)
-        sweeps.append(res.sweeps_total)
+        tried.append(res.lookbacks_tried)
         counts.append(res.count)
     return {
         "intensity": intensity,
@@ -47,7 +48,7 @@ def profile_intensity(intensity, replicates, seed):
         "mean_lookback": float(np.mean(lookbacks)),
         "p90_lookback": float(np.percentile(lookbacks, 90)),
         "max_lookback": float(np.max(lookbacks)),
-        "mean_sweeps": float(np.mean(sweeps)),
+        "mean_lookbacks_tried": float(np.mean(tried)),
         "mean_count": float(np.mean(counts)),
     }
 
@@ -67,8 +68,8 @@ def main(argv=None):
         rows.append(row)
         print(f"intensity {intensity:6.2f}: mean lookback {row['mean_lookback']:6.2f} "
               f"(p90 {row['p90_lookback']:5.1f}, max {row['max_lookback']:5.1f}), "
-              f"mean sweeps {row['mean_sweeps']:5.2f}, mean count {row['mean_count']:6.2f}, "
-              f"failures {row['failures']}")
+              f"mean lookbacks tried {row['mean_lookbacks_tried']:5.2f}, "
+              f"mean count {row['mean_count']:6.2f}, failures {row['failures']}")
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -7,13 +7,16 @@ The package is organized in dependency order:
   rate sandwiches, detailed balance and contraction diagnostics.
 - noise: the slab-structured driving randomness; regenerable, seedable,
   bit-identical across runs.
-- engine: the event-driven thinning simulator and the common-noise coupled run.
+- engine: the event-driven thinning loop, shared by forward runs, the
+  common-noise coupled run and the CFTP bracket.
 - cftp: sandwich coupling from the past (exact stationary draws), extremal
   forward runs, coupling decay measurements.
 - analysis: the finite-state oracle, closed-form occupancy law, and the
   statistical validation toolkit.
 - cli: JSON-configured command line front end.
 """
+
+__version__ = "0.1.0"
 
 from .geometry import (
     Configuration,
@@ -43,7 +46,6 @@ from .models import (
     UnitDeath,
     UnsupportedModelError,
     contraction_constant,
-    death_rate,
     detailed_balance_residual,
     envelope_total,
     model_from_config,
@@ -62,7 +64,6 @@ from .engine import Event, Trajectory, coupled_simulate, simulate, snapshot, tim
 from .cftp import (
     CouplingDecay,
     PerfectSample,
-    SandwichConvergenceError,
     SandwichState,
     ancient_survivors,
     coupling_decay_curve,
@@ -96,5 +97,3 @@ from .analysis import (
     tv_distance,
     two_sample_count_test,
 )
-
-__version__ = "0.1.0"

@@ -2,22 +2,23 @@
 
 The stationary dynamics are bracketed on a lookback window [-T, 0] between a
 lower process started empty and an upper process started from the stationary
-law of the envelope-driven (dominating) process. Both are built from the same
-noise by iterating a pair of coupled thinnings: at each proposal the lower
-process accepts below the infimum of the rate over all configurations between
-the current pair, the upper below the supremum. The iteration is monotone
-(lower grows, upper shrinks) and reaches a fixed point after finitely many
-sweeps; if the fixed-point pair agrees at time 0 the common value is an exact
-draw from the stationary law, because every stationary path driven by the same
-noise is trapped between the pair.
+law of the envelope-driven (dominating) process. Both run forward in time on
+the same noise in one pass: at each proposal the lower process accepts below
+the infimum of the rate over all configurations between the current pair, the
+upper below the supremum. Each decision depends only on the pair just before
+the proposal, so a single time-ordered pass settles every decision; if the
+pair agrees at time 0 the common value is an exact draw from the stationary
+law, because every stationary path driven by the same noise is trapped
+between the pair.
 
 The dominating process must be one consistent trajectory across lookbacks,
 not redrawn per restart: its state at -T is realized as the survivors of the
 noise's own slabs older than -T (their count is Poisson with the envelope's
 stationary mean, their residual clocks exponential). Extending the lookback
 then only prepends noise, which is what makes the doubling schedule exact.
-The survivor scan is truncated once the expected mass of older survivors
-drops below 1e-16, far under double-precision decision granularity.
+The survivor scan is truncated once the expected number of older survivors
+drops below ANCIENT_TAIL_MASS = 1e-16, far under double-precision decision
+granularity; this truncation is the sampler's only approximation.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ from . import engine
 ANCIENT_TAIL_MASS = 1e-16
 
 
-class SandwichConvergenceError(RuntimeError):
-    """Sweep iteration failed to reach its fixed point within the budget."""
-
-    def __init__(self, trace):
-        super().__init__(f"sandwich iteration did not stabilize; sweep trace {trace}")
-        self.trace = trace
-
-
 # ---------------------------------------------------------------------------
 # dominating-process state at the lookback boundary
 # ---------------------------------------------------------------------------
@@ -62,7 +55,9 @@ def ancient_survivors(stream: NoiseStream, boundary_time: float,
 
     Scans older slabs until the expected mass of yet older survivors falls
     below ANCIENT_TAIL_MASS. The same noise always yields the same survivors,
-    so lookback extensions see one consistent dominating trajectory.
+    so lookback extensions see one consistent dominating trajectory. A point
+    whose death time rounds to the boundary itself is dead there, by the
+    engine's rule that a death at t is applied at t.
     """
     out = TimedConfiguration()
     rate = stream.envelope_total
@@ -76,7 +71,8 @@ def ancient_survivors(stream: NoiseStream, boundary_time: float,
             if atom.s >= boundary_time:
                 continue
             residual = atom.r - death_rate * (boundary_time - atom.s)
-            if residual > 0:
+            if residual > 0 and engine._death_time(boundary_time, residual,
+                                                   death_rate) > boundary_time:
                 out.add(atom.atom_id, TimedPoint(coords=np.array(atom.x, dtype=float),
                                                  clock=residual, birth_time=boundary_time))
         k -= 1
@@ -87,7 +83,7 @@ def ancient_survivors(stream: NoiseStream, boundary_time: float,
 
 
 # ---------------------------------------------------------------------------
-# sandwich iteration on a fixed lookback
+# sandwich pass on a fixed lookback
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -96,169 +92,86 @@ class SandwichDetail:
 
     atoms: list[NoisePoint]
     ancient: TimedConfiguration
-    accept_lower: frozenset
-    accept_upper: frozenset
-    sweep_trace: list[tuple[int, int]]
     start_time: float
+    lower_path: engine.Trajectory
+    upper_path: engine.Trajectory
 
 
 @dataclass
 class SandwichState:
-    """Bracketing pair at time 0 after the sweep iteration stabilized."""
+    """Bracketing pair at time 0 after the sandwich pass."""
 
     lower: Configuration
     upper: Configuration
     lookback: float
     coalesced: bool
-    sweeps: int
     detail: SandwichDetail | None = None
 
 
-class _Walker:
-    """Replays a fixed event timeline, exposing the state at left limits."""
-
-    def __init__(self, initial: list[tuple[str, np.ndarray]],
-                 events: list[tuple[float, int, str, np.ndarray]]):
-        self.state = Configuration()
-        for pid, x in initial:
-            self.state.add(pid, x)
-        self.events = events  # (time, +1 birth / -1 death, pid, coords)
-        self.pos = 0
-
-    def advance_before(self, t: float) -> Configuration:
-        while self.pos < len(self.events) and self.events[self.pos][0] < t:
-            _, kind, pid, x = self.events[self.pos]
-            if kind > 0:
-                self.state.add(pid, x)
-            else:
-                self.state.remove(pid)
-            self.pos += 1
-        return self.state
-
-
-def _timeline(atoms, accept, delta0):
-    """Birth/death event list for the process accepting the given atom ids."""
-    ev = []
-    for a in atoms:
-        if a.atom_id in accept:
-            ev.append((a.s, 1, a.atom_id, a.x))
-            ev.append((a.s + a.r / delta0, -1, a.atom_id, a.x))
-    ev.sort(key=lambda e: (e[0], -e[1]))
-    return ev
-
-
-def _ancient_initial(ancient: TimedConfiguration, delta0, start):
-    initial = [(pid, e.coords) for pid, e in sorted(ancient.items())]
-    deaths = [(start + e.clock / delta0, -1, pid, e.coords)
-              for pid, e in sorted(ancient.items())]
-    return initial, deaths
-
-
-def _state_at_zero(atoms, accept, ancient, delta0, start) -> Configuration:
-    cfg = Configuration()
-    if ancient is not None:
-        for pid, e in ancient.items():
-            if start + e.clock / delta0 > 0.0:
-                cfg.add(pid, e.coords)
-    for a in atoms:
-        if a.atom_id in accept and a.s + a.r / delta0 > 0.0:
-            cfg.add(a.atom_id, a.x)
-    return cfg
+def _bracket_rates(model: RateModel, space: SpaceSpec):
+    """Rate rule of run_paths for a bracket: paths 0 and 1 are the lower and
+    upper process, any further path runs at the plain birth rate."""
+    def rates(x, states):
+        lam_low, lam_up = sandwich_rates(model, space, x, states[0], states[1])
+        return [lam_low, lam_up] + [model.birth_rate(space, x, s) for s in states[2:]]
+    return rates
 
 
 def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
-                 stream: NoiseStream, max_sweeps: int = 256,
-                 keep_detail: bool = False) -> SandwichState:
-    """Iterate the coupled bracketing pair on [-T, 0] to its fixed point.
+                 stream: NoiseStream, keep_detail: bool = False) -> SandwichState:
+    """Run the coupled bracketing pair on [-T, 0] in one time-ordered pass.
 
-    T is the requested lookback rounded up to whole slabs. The iteration is
-    monotone (the lower accept set only grows, the upper only shrinks), so it
-    always stabilizes after finitely many sweeps; SandwichConvergenceError
-    with the sweep trace means the budget was genuinely too small for this
-    window, or the rate model violated its declared monotonicity.
+    T is the requested lookback rounded up to whole slabs. The lower process
+    starts empty, the upper from the dominating state at -T
+    (ancient_survivors); sandwich_rates checks at every proposal that the
+    pair is still nested.
     """
     if not (lookback > 0):
         raise SimulationConfigError(f"lookback must be > 0, got {lookback}")
     if not math.isfinite(model.envelope_sup(space)):
         raise SimulationConfigError("model envelope must be finite for sandwich runs")
-    n_slabs = max(1, math.ceil(lookback / stream.slab_length - 1e-12))
-    start = -n_slabs * stream.slab_length
-    delta0 = model.death.rate
-
-    atoms = list(stream.atoms_between(start, 0.0))
-    ancient = ancient_survivors(stream, start, delta0)
-    anc_initial, anc_deaths = _ancient_initial(ancient, delta0, start)
-
-    accept_low: frozenset = frozenset()
-    accept_up: frozenset = frozenset(a.atom_id for a in atoms)
-    trace: list[tuple[int, int]] = []
-
-    for sweep in range(1, max_sweeps + 1):
-        low_walker = _Walker([], _timeline(atoms, accept_low, delta0))
-        up_events = sorted(_timeline(atoms, accept_up, delta0) + anc_deaths,
-                           key=lambda e: (e[0], -e[1]))
-        up_walker = _Walker(anc_initial, up_events)
-        new_low, new_up = set(), set()
-        for a in atoms:
-            low_state = low_walker.advance_before(a.s)
-            up_state = up_walker.advance_before(a.s)
-            lam_low, lam_up = sandwich_rates(model, space, a.x, low_state, up_state)
-            if a.u <= lam_low:
-                new_low.add(a.atom_id)
-            if a.u <= lam_up:
-                new_up.add(a.atom_id)
-        new_low, new_up = frozenset(new_low), frozenset(new_up)
-        trace.append((len(new_low), len(new_up)))
-        if not (accept_low <= new_low and new_up <= accept_up and new_low <= new_up):
-            raise RuntimeError("sandwich sweeps lost monotonicity (internal bug)")
-        if new_low == accept_low and new_up == accept_up:
-            lower0 = _state_at_zero(atoms, accept_low, None, delta0, start)
-            upper0 = _state_at_zero(atoms, accept_up, ancient, delta0, start)
-            detail = None
-            if keep_detail:
-                detail = SandwichDetail(atoms=atoms, ancient=ancient,
-                                        accept_lower=accept_low, accept_upper=accept_up,
-                                        sweep_trace=trace, start_time=start)
-            return SandwichState(lower=lower0, upper=upper0, lookback=-start,
-                                 coalesced=(lower0 == upper0), sweeps=sweep, detail=detail)
-        accept_low, accept_up = new_low, new_up
-    raise SandwichConvergenceError(trace)
+    start = -max(1, math.ceil(lookback / stream.slab_length - 1e-12)) * stream.slab_length
+    ancient = ancient_survivors(stream, start, model.death.rate)
+    low, up = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start,
+                               stream, start, rates=_bracket_rates(model, space))
+    lower0, upper0 = low.final.projection(), up.final.projection()
+    detail = None
+    if keep_detail:
+        detail = SandwichDetail(atoms=list(stream.atoms_between(start, 0.0)), ancient=ancient,
+                                start_time=start, lower_path=low, upper_path=up)
+    return SandwichState(lower=lower0, upper=upper0, lookback=-start,
+                         coalesced=(lower0 == upper0), detail=detail)
 
 
 def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
                       stream: NoiseStream, n_intermediate: int = 5, seed: int = 0) -> int:
     """Run forward paths from random initial states between empty and the
-    dominating state at -T on the same noise; count containment violations
-    against the fixed-point bracket at every proposal time and at 0."""
+    dominating state at -T on the same noise, alongside the bracket; count
+    containment violations lower <= path <= upper after every proposal and
+    at 0."""
     if state.detail is None:
         raise SimulationConfigError("funnel check needs a sandwich run with keep_detail=True")
     det = state.detail
-    delta0 = model.death.rate
     rng = np.random.default_rng(seed)
+    ids = sorted(det.ancient.ids())
+    mids = [det.ancient.restrict([pid for pid in ids if rng.random() < 0.5])
+            for _ in range(n_intermediate)]
+
+    def count(states) -> int:
+        low, up = states[0], states[1]
+        return sum(not (configuration_contains(mid, low) and configuration_contains(up, mid))
+                   for mid in states[2:])
+
     violations = 0
-    check_times = [a.s for a in det.atoms] + [0.0]
-    for _ in range(n_intermediate):
-        chosen = [pid for pid in sorted(det.ancient.ids()) if rng.random() < 0.5]
-        initial = det.ancient.restrict(chosen)
-        traj = engine.simulate(model, space, initial, -det.start_time, stream,
-                               start_time=det.start_time)
-        mid_events = [(ev.time, 1 if ev.kind == "birth" else -1, ev.point_id, ev.x)
-                      for ev in traj.events]
-        mid = _Walker([(pid, initial.entry(pid).coords) for pid in sorted(initial.ids())],
-                      mid_events)
-        low = _Walker([], _timeline(det.atoms, det.accept_lower, delta0))
-        anc_initial, anc_deaths = _ancient_initial(det.ancient, delta0, det.start_time)
-        up = _Walker(anc_initial, sorted(_timeline(det.atoms, det.accept_upper, delta0)
-                                         + anc_deaths, key=lambda e: (e[0], -e[1])))
-        for t in check_times:
-            t_probe = math.nextafter(t, math.inf)
-            low_s = low.advance_before(t_probe)
-            mid_s = mid.advance_before(t_probe)
-            up_s = up.advance_before(t_probe)
-            if not (configuration_contains(mid_s, low_s)
-                    and configuration_contains(up_s, mid_s)):
-                violations += 1
-    return violations
+
+    def observe(atom, lams, accepted, states) -> None:
+        nonlocal violations
+        violations += count(states)
+
+    paths = engine.run_paths(model, space, [TimedConfiguration(), det.ancient] + mids,
+                             -det.start_time, stream, det.start_time,
+                             rates=_bracket_rates(model, space), observe=observe)
+    return violations + count([p.final.projection() for p in paths])
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +186,6 @@ class PerfectSample:
     lookback_used: float
     status: str  # "Coalesced" | "NotCoalesced"
     lookbacks_tried: int
-    sweeps_total: int
 
     @property
     def count(self) -> int | None:
@@ -282,29 +194,30 @@ class PerfectSample:
 
 def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
                    initial_lookback: float = 1.0, max_lookback: float = 1024.0,
-                   slab_length: float = 1.0, max_sweeps: int = 256) -> PerfectSample:
+                   slab_length: float = 1.0) -> PerfectSample:
     """Draw one exact stationary sample by doubling the lookback on fixed noise.
 
     The slabs in [-T, 0) are identical across doublings, only older noise is
     added, so the first coalesced bracket reads off the stationary state at 0.
     Returns status NotCoalesced (with configuration None) once the lookback
     would exceed max_lookback.
+
+    The draw is exact up to one named truncation: the dominating state at -T
+    ignores proposals so old that the expected number of their survivors is
+    below ANCIENT_TAIL_MASS = 1e-16.
     """
     stream = NoiseStream.for_model(model, space, master_seed, slab_length)
     lookback = max(initial_lookback, slab_length)
     tried = 0
-    sweeps = 0
     while lookback <= max_lookback * (1 + 1e-12):
-        state = sandwich_run(model, space, lookback, stream, max_sweeps=max_sweeps)
+        state = sandwich_run(model, space, lookback, stream)
         tried += 1
-        sweeps += state.sweeps
         if state.coalesced:
             return PerfectSample(configuration=state.lower, lookback_used=state.lookback,
-                                 status="Coalesced", lookbacks_tried=tried,
-                                 sweeps_total=sweeps)
+                                 status="Coalesced", lookbacks_tried=tried)
         lookback = state.lookback * 2
     return PerfectSample(configuration=None, lookback_used=lookback / 2 if tried else 0.0,
-                         status="NotCoalesced", lookbacks_tried=tried, sweeps_total=sweeps)
+                         status="NotCoalesced", lookbacks_tried=tried)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +306,8 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec,
                          times=None, slab_length: float = 1.0) -> CouplingDecay:
     """Decay of the distance between coupled runs started from nested states.
 
-    The distance at time t is sup_x c(x) sum over the symmetric difference of
-    a(x, y) / c(y), estimated on an anchor grid; for models whose increment
+    The distance at time t is sup_x of the sum over the symmetric difference
+    of a(x, y), estimated on an anchor grid; for models whose increment
     kernel vanishes identically the raw symmetric-difference count is used.
     The fitted rate is a least-squares slope of log mean distance, weighted
     toward the better-resolved early part of the curve.
@@ -409,8 +322,6 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec,
     anchors = space.grid(anchor_per_axis)
     probe = model.increment_kernel(space, anchors[len(anchors) // 2], anchors)
     kernel_weighted = bool(np.max(probe) > 0)
-    weight = getattr(model, "weight_c", None)
-    c_anchor = np.array([weight(x) for x in anchors]) if weight else None
 
     acc = np.zeros((len(times), len(anchors))) if kernel_weighted else np.zeros(len(times))
     for rep in range(replicates):
@@ -427,14 +338,8 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec,
             delta = symmetric_difference(c1, c2, space.dimension)
             if kernel_weighted:
                 if len(delta):
-                    vals = np.stack([model.increment_kernel(space, x, delta)
-                                     for x in anchors]).sum(axis=1)
-                    if weight:
-                        cy = np.array([weight(y) for y in delta])
-                        vals = c_anchor * np.stack(
-                            [model.increment_kernel(space, x, delta) / cy
-                             for x in anchors]).sum(axis=1)
-                    acc[i] += vals
+                    acc[i] += np.stack([model.increment_kernel(space, x, delta)
+                                        for x in anchors]).sum(axis=1)
             else:
                 acc[i] += len(delta)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, cftp, engine
+from . import __version__, analysis, cftp, engine
 from .geometry import (
     Configuration,
     SimulationConfigError,
@@ -45,8 +45,6 @@ from .models import (
     model_from_config,
 )
 from .noise import NoiseStream, initial_clocks, poisson_configuration, replicate_seed
-
-_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +83,7 @@ class RunConfig:
 
     def provenance(self) -> dict:
         """Pre-run report: envelope mass and the contraction estimate."""
-        report = {"version": _VERSION,
+        report = {"version": __version__,
                   "envelope_total": envelope_total(self.model, self.space)}
         try:
             est = contraction_constant(self.model, self.space)

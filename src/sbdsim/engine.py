@@ -7,13 +7,18 @@ applied). An accepted point carries its death mark r and dies when the
 accumulated death hazard reaches it; with a constant death rate delta0 that is
 at time s + r / delta0. The construction is exact: no time discretization
 enters anywhere.
+
+One loop, run_paths, solves these equations forward in time for any number of
+paths on the same proposals: the plain forward run, the coupled pair, and the
+lower/upper bracket of coupling from the past differ only in the rule that
+turns the states before s into one rate per path.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,7 +36,7 @@ class Event:
     kind: str  # "birth" | "death"
     point_id: str
     x: NDArray[np.float64]
-    mark: float | None = None  # residual death mark at birth, births only
+    mark: float | None = None  # death mark at birth, births only
 
 
 @dataclass
@@ -93,13 +98,11 @@ def snapshot(trajectory: Trajectory, t: float) -> Configuration:
 
 
 def timed_snapshot(trajectory: Trajectory, t: float) -> TimedConfiguration:
-    """State at time t with residual clocks advanced by the elapsed hazard."""
+    """State at time t; every point keeps its death mark and birth time, so a
+    restart from it computes the same death times as the uninterrupted run."""
     if not (trajectory.start_time <= t <= trajectory.end_time):
         raise SimulationConfigError("snapshot time outside the trajectory range")
-    delta0 = trajectory.death_rate
-    timed = TimedConfiguration()
-    for pid, e in trajectory.initial.items():
-        timed.add(pid, TimedPoint(e.coords.copy(), e.clock, trajectory.start_time))
+    timed = trajectory.initial.copy()
     for ev in trajectory.events:
         if ev.time > t:
             break
@@ -107,13 +110,7 @@ def timed_snapshot(trajectory: Trajectory, t: float) -> TimedConfiguration:
             timed.add(ev.point_id, TimedPoint(np.array(ev.x, dtype=float), ev.mark, ev.time))
         else:
             timed.remove(ev.point_id)
-    out = TimedConfiguration()
-    for pid, e in timed.items():
-        residual = e.clock - delta0 * (t - e.birth_time)
-        if residual <= 0:
-            raise RuntimeError("replay produced a nonpositive residual clock")
-        out.add(pid, TimedPoint(e.coords.copy(), residual, e.birth_time))
-    return out
+    return timed
 
 
 @dataclass
@@ -126,8 +123,99 @@ class CandidateRecord:
     accepted: bool
 
 
-def _death_time(birth_time: float, mark: float, delta0: float) -> float:
-    return birth_time + mark / delta0
+def _death_time(birth_time: float, clock: float, delta0: float) -> float:
+    """Death time of a point holding death mark `clock` at `birth_time`. Every
+    death time, initial points included, is computed here."""
+    return birth_time + clock / delta0
+
+
+class _Path:
+    """One path of run_paths: live state, death-time heap, event log."""
+
+    __slots__ = ("live", "marks", "deaths", "seq", "events")
+
+    def __init__(self, initial: TimedConfiguration, start_time: float, delta0: float):
+        self.live = Configuration()
+        self.marks: dict[str, tuple[float, float]] = {}  # pid -> (mark, birth_time)
+        self.deaths: list[tuple[float, int, str]] = []
+        self.seq = 0
+        self.events: list[Event] = []
+        for pid in sorted(initial.ids()):
+            e = initial.entry(pid)
+            dt = _death_time(e.birth_time, e.clock, delta0)
+            if dt <= start_time:
+                raise SimulationConfigError(
+                    f"initial point {pid!r} dies at {dt}, not after the start time {start_time}")
+            self._add(pid, e.coords, e.clock, e.birth_time, dt)
+
+    def _add(self, pid: str, x, mark: float, born: float, dt: float) -> None:
+        self.live.add(pid, x)
+        self.marks[pid] = (mark, born)
+        heapq.heappush(self.deaths, (dt, self.seq, pid))
+        self.seq += 1
+
+    def birth(self, atom, delta0: float) -> None:
+        self._add(atom.atom_id, atom.x, atom.r, atom.s, _death_time(atom.s, atom.r, delta0))
+        self.events.append(Event(time=atom.s, kind="birth", point_id=atom.atom_id,
+                                 x=np.array(atom.x, dtype=float), mark=atom.r))
+
+    def flush_deaths(self, up_to: float, inclusive: bool) -> None:
+        """Apply the deaths before up_to (at up_to too when inclusive)."""
+        deaths = self.deaths
+        while deaths and (deaths[0][0] < up_to or (inclusive and deaths[0][0] == up_to)):
+            dt, _, pid = heapq.heappop(deaths)
+            self.events.append(Event(time=dt, kind="death", point_id=pid,
+                                     x=self.live.remove(pid)))
+
+    def final(self) -> TimedConfiguration:
+        out = TimedConfiguration()
+        for pid, x in self.live.items():
+            mark, born = self.marks[pid]
+            out.add(pid, TimedPoint(x.copy(), mark, born))
+        return out
+
+
+def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfiguration],
+              horizon: float, stream: NoiseStream, start_time: float = 0.0,
+              rates=None, observe=None) -> list[Trajectory]:
+    """Drive one path per initial state through the same proposals on
+    [start_time, start_time + horizon].
+
+    Before a proposal (x, s, r, u) every path applies its deaths strictly
+    before s; then rates(x, states) gives every path's birth rate from those
+    states, all computed before any path accepts, and path i accepts when
+    u <= rate i. The default rule is model.birth_rate on each path's own
+    state. observe(atom, rates, accepted, states), when given, runs after every
+    proposal; it is where callers assert or count invariants between paths.
+    Deaths at exactly the end of the horizon are recorded as events and
+    excluded from the final states.
+    """
+    if horizon < 0:
+        raise SimulationConfigError(f"horizon must be >= 0, got {horizon}")
+    delta0 = model.death.rate
+    t_end = start_time + horizon
+    if rates is None:
+        def rates(x, states):
+            return [model.birth_rate(space, x, live) for live in states]
+    paths = [_Path(initial, start_time, delta0) for initial in initials]
+    states = [path.live for path in paths]
+
+    for atom in stream.atoms_between(start_time, t_end):
+        for path in paths:
+            path.flush_deaths(atom.s, inclusive=False)
+        lams = rates(atom.x, states)
+        accepted = [atom.u <= lam for lam in lams]
+        for path, acc in zip(paths, accepted):
+            if acc:
+                path.birth(atom, delta0)
+        if observe is not None:
+            observe(atom, lams, accepted, states)
+    for path in paths:
+        path.flush_deaths(t_end, inclusive=True)
+
+    return [Trajectory(initial=initial.copy(), events=path.events, start_time=start_time,
+                       horizon=horizon, final=path.final(), death_rate=delta0)
+            for initial, path in zip(initials, paths)]
 
 
 def simulate(model: RateModel, space: SpaceSpec, initial: TimedConfiguration,
@@ -139,63 +227,13 @@ def simulate(model: RateModel, space: SpaceSpec, initial: TimedConfiguration,
     every event strictly before s applied. Deaths occurring at exactly the end
     of the horizon are recorded as events and excluded from the final state.
     """
-    if horizon < 0:
-        raise SimulationConfigError(f"horizon must be >= 0, got {horizon}")
-    delta0 = model.death.rate
-    t_end = start_time + horizon
-
-    live = Configuration()
-    marks: dict[str, tuple[float, float]] = {}  # pid -> (mark, birth_time)
-    deaths: list[tuple[float, int, str]] = []
-    seq = 0
-    for pid in sorted(initial.ids()):
-        e = initial.entry(pid)
-        live.add(pid, e.coords)
-        marks[pid] = (e.clock, start_time)
-        heapq.heappush(deaths, (_death_time(start_time, e.clock, delta0), seq, pid))
-        seq += 1
-
-    events: list[Event] = []
     audit: list[CandidateRecord] = []
 
-    def flush_deaths(up_to: float, inclusive: bool) -> None:
-        nonlocal seq
-        while deaths:
-            dt, _, pid = deaths[0]
-            if pid not in live:
-                heapq.heappop(deaths)
-                continue
-            if dt < up_to or (inclusive and dt == up_to):
-                heapq.heappop(deaths)
-                x = live.remove(pid)
-                events.append(Event(time=dt, kind="death", point_id=pid, x=x))
-            else:
-                break
+    def record(atom, lams, accepted, states) -> None:
+        audit.append(CandidateRecord(atom.atom_id, atom.s, lams[0], accepted[0]))
 
-    for atom in stream.atoms_between(start_time, t_end):
-        flush_deaths(atom.s, inclusive=False)
-        rate = model.birth_rate(space, atom.x, live)
-        accepted = atom.u <= rate
-        if collect_audit:
-            audit.append(CandidateRecord(atom.atom_id, atom.s, rate, accepted))
-        if accepted:
-            pid = atom.atom_id
-            live.add(pid, atom.x)
-            marks[pid] = (atom.r, atom.s)
-            heapq.heappush(deaths, (_death_time(atom.s, atom.r, delta0), seq, pid))
-            seq += 1
-            events.append(Event(time=atom.s, kind="birth", point_id=pid,
-                                x=np.array(atom.x, dtype=float), mark=atom.r))
-    flush_deaths(t_end, inclusive=True)
-
-    final = TimedConfiguration()
-    for pid in live.ids():
-        mark, born = marks[pid]
-        residual = mark - delta0 * (t_end - born)
-        final.add(pid, TimedPoint(live.coords(pid).copy(), residual, born))
-
-    traj = Trajectory(initial=initial.copy(), events=events, start_time=start_time,
-                      horizon=horizon, final=final, death_rate=delta0)
+    traj = run_paths(model, space, [initial], horizon, stream, start_time,
+                     observe=record if collect_audit else None)[0]
     if collect_audit:
         traj.audit = audit  # type: ignore[attr-defined]
     return traj
@@ -203,16 +241,15 @@ def simulate(model: RateModel, space: SpaceSpec, initial: TimedConfiguration,
 
 def coupled_simulate(model: RateModel, space: SpaceSpec,
                      initial_low: TimedConfiguration, initial_up: TimedConfiguration,
-                     horizon: float, stream: NoiseStream, start_time: float = 0.0,
-                     check_containment: bool | None = None) -> tuple[Trajectory, Trajectory]:
+                     horizon: float, stream: NoiseStream,
+                     start_time: float = 0.0) -> tuple[Trajectory, Trajectory]:
     """Run two coupled copies on identical noise.
 
     The initial states must be nested as timed configurations: every id of
     initial_low appears in initial_up with the same coordinates and clock.
     For models flagged attractive (nondecreasing rates) the lower path stays
     inside the upper path for all time; that containment is asserted at every
-    decision when check_containment is enabled (the default for such models),
-    and a violation is reported as a bug, not a statistics failure.
+    decision, and a violation is reported as a bug, not a statistics failure.
     """
     for pid in initial_low.ids():
         if pid not in initial_up:
@@ -220,70 +257,13 @@ def coupled_simulate(model: RateModel, space: SpaceSpec,
         a, b = initial_low.entry(pid), initial_up.entry(pid)
         if not np.array_equal(a.coords, b.coords) or a.clock != b.clock:
             raise SimulationConfigError("coupled_simulate: shared initial points must share clocks")
-    if check_containment is None:
-        check_containment = model.monotone in ("nondecreasing", "constant")
-    delta0 = model.death.rate
-    t_end = start_time + horizon
 
-    sides = []
-    for initial in (initial_low, initial_up):
-        live = Configuration()
-        marks = {}
-        deaths: list[tuple[float, int, str]] = []
-        seq = 0
-        for pid in sorted(initial.ids()):
-            e = initial.entry(pid)
-            live.add(pid, e.coords)
-            marks[pid] = (e.clock, start_time)
-            heapq.heappush(deaths, (_death_time(start_time, e.clock, delta0), seq, pid))
-            seq += 1
-        sides.append({"live": live, "marks": marks, "deaths": deaths,
-                      "seq": seq, "events": []})
-
-    def flush(side, up_to: float, inclusive: bool) -> None:
-        deaths, live, events = side["deaths"], side["live"], side["events"]
-        while deaths:
-            dt, _, pid = deaths[0]
-            if pid not in live:
-                heapq.heappop(deaths)
-                continue
-            if dt < up_to or (inclusive and dt == up_to):
-                heapq.heappop(deaths)
-                x = live.remove(pid)
-                events.append(Event(time=dt, kind="death", point_id=pid, x=x))
-            else:
-                break
-
-    for atom in stream.atoms_between(start_time, t_end):
-        accepted_flags = []
-        for side in sides:
-            flush(side, atom.s, inclusive=False)
-        for side in sides:
-            rate = model.birth_rate(space, atom.x, side["live"])
-            accepted = atom.u <= rate
-            accepted_flags.append(accepted)
-            if accepted:
-                side["live"].add(atom.atom_id, atom.x)
-                side["marks"][atom.atom_id] = (atom.r, atom.s)
-                heapq.heappush(side["deaths"],
-                               (_death_time(atom.s, atom.r, delta0), side["seq"], atom.atom_id))
-                side["seq"] += 1
-                side["events"].append(Event(time=atom.s, kind="birth", point_id=atom.atom_id,
-                                            x=np.array(atom.x, dtype=float), mark=atom.r))
-        if check_containment and accepted_flags[0] and not accepted_flags[1]:
+    def contained(atom, lams, accepted, states) -> None:
+        if accepted[0] and not accepted[1]:
             raise RuntimeError(
                 "containment violated in a coupled run of a monotone model (internal bug)")
-    for side in sides:
-        flush(side, t_end, inclusive=True)
 
-    out = []
-    for initial, side in zip((initial_low, initial_up), sides):
-        final = TimedConfiguration()
-        for pid in side["live"].ids():
-            mark, born = side["marks"][pid]
-            final.add(pid, TimedPoint(side["live"].coords(pid).copy(),
-                                      mark - delta0 * (t_end - born), born))
-        out.append(Trajectory(initial=initial.copy(), events=side["events"],
-                              start_time=start_time, horizon=horizon, final=final,
-                              death_rate=delta0))
-    return out[0], out[1]
+    attractive = model.monotone in ("nondecreasing", "constant")
+    low, up = run_paths(model, space, [initial_low, initial_up], horizon, stream, start_time,
+                        observe=contained if attractive else None)
+    return low, up

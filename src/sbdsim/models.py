@@ -62,14 +62,6 @@ class ConstantDeath:
             raise SimulationConfigError(f"death rate must be finite and > 0, got {self.rate}")
 
 
-def death_rate(model, space: SpaceSpec, x, eta: Configuration) -> float:
-    """Death rate of the point x inside eta. x must be a point of eta."""
-    key = np.asarray(x, dtype=float).tobytes()
-    if eta.multiset().get(key, 0) == 0:
-        raise SimulationConfigError("death_rate: x is not a point of the configuration")
-    return model.death.rate
-
-
 # ---------------------------------------------------------------------------
 # grain overlap volumes (area-interaction support)
 # ---------------------------------------------------------------------------
@@ -262,7 +254,6 @@ class ConstantRate(RateModel):
 
     rate: float = 1.0
     death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
-    weight_c = None
     monotone = "constant"
     translation_invariant = True
 
@@ -293,7 +284,6 @@ class PairwiseRate(RateModel):
     theta: float
     interaction_range: float
     death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
-    weight_c = None
     monotone = "nonincreasing"
     translation_invariant = True
 
@@ -368,7 +358,6 @@ class AreaInteractionRate(RateModel):
     death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
     overlap_method: str = "auto"
     overlap_resolution: int = 4096
-    weight_c = None
     translation_invariant = True
 
     def __post_init__(self):
@@ -454,7 +443,6 @@ class NearestNeighborRate(RateModel):
     values: tuple[float, ...]
     value_at_infinity: float
     death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
-    weight_c = None
     translation_invariant = True
 
     def __post_init__(self):
@@ -514,7 +502,6 @@ class CellOccupancyRate(RateModel):
     theta: NDArray[np.float64]
     base_rate: float = 1.0
     death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
-    weight_c = None
     monotone = "nonincreasing"
     translation_invariant = False
 
@@ -697,7 +684,8 @@ class ContractionEstimate:
 
 def contraction_constant(model: RateModel, space: SpaceSpec,
                          resolution: int | None = None) -> ContractionEstimate:
-    """sup_x integral of c(x) a(x, y) / c(y) against the reference measure.
+    """sup_x integral of a(x, y) against the reference measure (the paper's
+    weight c is 1 for every model here).
 
     Below 1 this certifies a unique stationary law and exponential decay of
     the coupling distance at rate at least (1 - value). Quadrature is a
@@ -711,16 +699,13 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
         return ContractionEstimate(value=value, error=0.0, resolution=model.n_cells)
 
     n = int(resolution or space.quadrature_resolution)
-    weight = getattr(model, "weight_c", None)
 
     def integral_at(x0, res: int) -> float:
         grid = space.grid(res)
         a = np.asarray(model.increment_kernel(space, x0, grid), dtype=float)
-        if weight is not None:
-            a = a * (weight(x0) / np.array([weight(y) for y in grid]))
         return float(np.sum(a)) * space.intensity * space.cell_volume(res)
 
-    if weight is None and model.translation_invariant:
+    if model.translation_invariant:
         x0 = space.lengths_array() / 2.0
         coarse = integral_at(x0, n)
         fine = integral_at(x0, 2 * n)

@@ -6,7 +6,6 @@ from scipy import stats
 
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
-    SandwichConvergenceError,
     ancient_survivors,
     coupling_decay_curve,
     extremal_lookback_counts,
@@ -23,6 +22,7 @@ from sbdsim.models import (
     ConstantRate,
     PairwiseRate,
     UnsupportedModelError,
+    sandwich_rates,
 )
 from sbdsim.noise import NoiseStream, replicate_seed
 
@@ -77,22 +77,71 @@ def test_ancient_survivors_consistent_across_boundaries():
 
 
 # ---------------------------------------------------------------------------
-# sandwich iteration
+# sandwich pass
 # ---------------------------------------------------------------------------
 
-def test_sandwich_trace_is_monotone_and_bracket_nested():
-    model = PairwiseRate(theta=0.7, interaction_range=0.2)
-    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=5.0)
-    stream = NoiseStream.for_model(model, space, SEED)
-    state = sandwich_run(model, space, 6.0, stream, keep_detail=True)
-    lows = [n for n, _ in state.detail.sweep_trace]
-    ups = [n for _, n in state.detail.sweep_trace]
-    assert lows == sorted(lows)
-    assert ups == sorted(ups, reverse=True)
-    assert all(a <= b for a, b in state.detail.sweep_trace)
-    assert not (state.lower.multiset() - state.upper.multiset())
-    if state.coalesced:
-        assert state.lower == state.upper
+def reference_sweep_bracket(model, space, lookback, stream):
+    """Jacobi reference for the sandwich pass: re-decide every proposal in
+    [-T, 0) against the pair replayed from the previous sweep's accept sets
+    until no decision changes. Returns the fixed-point accept sets and the
+    pair at 0."""
+    delta0 = model.death.rate
+    start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
+    atoms = list(stream.atoms_between(start, 0.0))
+    ancient = ancient_survivors(stream, start, delta0)
+
+    def state(accept, from_ancient, alive):
+        cfg = Configuration()
+        if from_ancient:
+            for pid in sorted(ancient.ids()):
+                e = ancient.entry(pid)
+                if alive(start, start + e.clock / delta0):
+                    cfg.add(pid, e.coords)
+        for a in atoms:
+            if a.atom_id in accept and alive(a.s, a.s + a.r / delta0):
+                cfg.add(a.atom_id, a.x)
+        return cfg
+
+    low, up = frozenset(), frozenset(a.atom_id for a in atoms)
+    while True:
+        new_low, new_up = set(), set()
+        for a in atoms:
+            def before(born, dies, t=a.s):
+                return born < t <= dies
+            lam_low, lam_up = sandwich_rates(model, space, a.x, state(low, False, before),
+                                             state(up, True, before))
+            if a.u <= lam_low:
+                new_low.add(a.atom_id)
+            if a.u <= lam_up:
+                new_up.add(a.atom_id)
+        assert low <= new_low and new_up <= up  # the sweeps are monotone
+        if new_low == low and new_up == up:
+            break
+        low, up = frozenset(new_low), frozenset(new_up)
+
+    def at_zero(born, dies):
+        return dies > 0.0
+    return low, up, state(low, False, at_zero), state(up, True, at_zero)
+
+
+@pytest.mark.parametrize("model,intensity", [
+    (PairwiseRate(theta=0.7, interaction_range=0.2), 5.0),
+    (AreaInteractionRate(rho=3.0, gamma=1.5, grain_radius=0.08, overlap_method="exact"), 2.0),
+], ids=["pairwise", "area-attractive"])
+def test_sandwich_pass_equals_sweep_fixed_point(model, intensity):
+    # one time-ordered pass must reach the fixed point of the Jacobi sweeps:
+    # the same births on both bracket paths and the same pair at 0
+    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
+    for i in range(6):
+        stream = NoiseStream.for_model(model, space, replicate_seed(SEED, i))
+        for lookback in (1.0, 4.0):
+            low, up, low0, up0 = reference_sweep_bracket(model, space, lookback, stream)
+            state = sandwich_run(model, space, lookback, stream, keep_detail=True)
+            births = [{ev.point_id for ev in path.events if ev.kind == "birth"}
+                      for path in (state.detail.lower_path, state.detail.upper_path)]
+            assert births == [low, up]
+            assert state.lower == low0 and state.upper == up0
+            assert state.coalesced == (low0 == up0)
 
 
 def test_sandwich_rounds_lookback_to_whole_slabs():
@@ -102,15 +151,6 @@ def test_sandwich_rounds_lookback_to_whole_slabs():
     assert state.lookback == 3.0
     with pytest.raises(SimulationConfigError):
         sandwich_run(model, SPACE, 0.0, stream)
-
-
-def test_sandwich_sweep_budget_error_carries_trace():
-    model = PairwiseRate(theta=0.8, interaction_range=0.2)
-    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=6.0)
-    stream = NoiseStream.for_model(model, space, SEED + 3)
-    with pytest.raises(SandwichConvergenceError) as err:
-        sandwich_run(model, space, 6.0, stream, max_sweeps=1)
-    assert len(err.value.trace) == 1
 
 
 @pytest.mark.parametrize("model", [

@@ -150,30 +150,49 @@ def test_snapshot_interpolates_event_log():
 
 
 def test_timed_snapshot_advances_clocks_by_hazard():
+    # a snapshot keeps each point's death mark together with the time it is
+    # held at; the mark left at time t is clock - delta0 * (t - birth_time)
     model = ConstantRate(rate=0.0, death=ConstantDeath(2.0))
     init = timed_from([("a", 0.2, 3.0)])
     traj = simulate(model, SPACE, init, 1.0, make_stream(model))
     mid = timed_snapshot(traj, 0.75)
-    assert mid.entry("a").clock == pytest.approx(3.0 - 2.0 * 0.75)
-    assert mid.entry("a").birth_time == 0.0
+    e = mid.entry("a")
+    assert (e.clock, e.birth_time) == (3.0, 0.0)
+    assert (traj.final.entry("a").clock, traj.final.entry("a").birth_time) == (3.0, 0.0)
 
 
-def test_restart_from_timed_snapshot_continues_exactly():
-    # run 0..30 in one go, and as 0..12 then a restart from the timed state;
-    # the second leg must reproduce the tail of the one-shot event log
-    model = PairwiseRate(theta=0.6, interaction_range=0.2)
-    stream = make_stream(model)
-    whole = simulate(model, SPACE, TimedConfiguration(), 30.0, stream)
-    head = simulate(model, SPACE, TimedConfiguration(), 12.0, stream)
-    mid = timed_snapshot(whole, 12.0)
-    tail = simulate(model, SPACE, mid, 18.0, stream, start_time=12.0)
-    assert snapshot(tail, 30.0) == snapshot(whole, 30.0)
-    whole_tail_events = [(ev.time, ev.kind, tuple(map(float, ev.x)))
-                         for ev in whole.events if ev.time > 12.0]
-    restart_events = [(ev.time, ev.kind, tuple(map(float, ev.x)))
-                      for ev in tail.events]
-    assert restart_events == whole_tail_events
-    assert snapshot(head, 12.0) == mid.projection()
+@pytest.mark.parametrize("delta0", [1.0, 1.7])
+def test_restart_from_timed_snapshot_continues_exactly(delta0):
+    # run 0..30 in one go, and restart at 12.3 from the timed state; the
+    # restart must reproduce the tail of the one-shot event log bit for bit,
+    # for every seed and also when the death rate is not 1
+    model = PairwiseRate(theta=0.6, interaction_range=0.2, death=ConstantDeath(delta0))
+    t_restart = 12.3
+    broken = []
+    for seed in range(200):
+        stream = make_stream(model, seed=seed)
+        whole = simulate(model, SPACE, TimedConfiguration(), 30.0, stream)
+        head = simulate(model, SPACE, TimedConfiguration(), t_restart, stream)
+        mid = timed_snapshot(whole, t_restart)
+        assert snapshot(head, t_restart) == mid.projection()
+        tail = simulate(model, SPACE, mid, 30.0 - t_restart, stream, start_time=t_restart)
+        whole_tail = [(ev.time, ev.kind, ev.point_id, tuple(map(float, ev.x)))
+                      for ev in whole.events if t_restart < ev.time <= tail.end_time]
+        restart = [(ev.time, ev.kind, ev.point_id, tuple(map(float, ev.x)))
+                   for ev in tail.events]
+        if restart != whole_tail or snapshot(tail, 30.0) != snapshot(whole, 30.0):
+            broken.append(seed)
+    assert broken == []
+
+
+def test_initial_point_dead_at_start_rejected():
+    model = ConstantRate(rate=0.0, death=ConstantDeath(2.0))
+    dead = timed_from([("a", 0.2, 1.0)], birth_time=-0.5)  # dies at exactly 0
+    with pytest.raises(SimulationConfigError):
+        simulate(model, SPACE, dead, 1.0, make_stream(model))
+    alive = timed_from([("a", 0.2, 1.0)], birth_time=-0.25)  # dies at 0.25
+    traj = simulate(model, SPACE, alive, 1.0, make_stream(model))
+    assert [(ev.kind, ev.time) for ev in traj.events] == [("death", 0.25)]
 
 
 # ---------------------------------------------------------------------------

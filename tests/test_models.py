@@ -17,7 +17,6 @@ from sbdsim.models import (
     UnitDeath,
     UnsupportedModelError,
     contraction_constant,
-    death_rate,
     detailed_balance_residual,
     envelope_total,
     model_from_config,
@@ -48,12 +47,6 @@ def test_death_rates():
     assert ConstantDeath(2.5).rate == 2.5
     with pytest.raises(SimulationConfigError):
         ConstantDeath(0.0)
-    eta = cfg(0.3)
-    x = eta.coords(next(iter(eta.ids())))
-    model = ConstantRate(rate=1.0, death=ConstantDeath(2.0))
-    assert death_rate(model, SPACE, x, eta) == 2.0
-    with pytest.raises(SimulationConfigError):
-        death_rate(model, SPACE, np.array([0.9]), eta)  # not a member
 
 
 # ---------------------------------------------------------------------------
