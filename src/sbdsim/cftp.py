@@ -37,7 +37,7 @@ from .geometry import (
     configuration_contains,
     symmetric_difference,
 )
-from .models import RateModel, UnsupportedModelError, envelope_total, sandwich_rates
+from .models import RateModel, UnsupportedModelError, _sandwich_rates, envelope_total
 from .noise import NoisePoint, NoiseStream, initial_clocks, poisson_configuration, replicate_seed
 from . import engine
 
@@ -110,9 +110,11 @@ class SandwichState:
 
 def _bracket_rates(model: RateModel, space: SpaceSpec):
     """Rate rule of run_paths for a bracket: paths 0 and 1 are the lower and
-    upper process, any further path runs at the plain birth rate."""
+    upper process, any further path runs at the plain birth rate. The pair is
+    not checked for nesting here; the engine's _contained observer keeps it
+    nested at O(1) per proposal."""
     def rates(x, states):
-        lam_low, lam_up = sandwich_rates(model, space, x, states[0], states[1])
+        lam_low, lam_up = _sandwich_rates(model, space, x, states[0], states[1])
         return [lam_low, lam_up] + [model.birth_rate(space, x, s) for s in states[2:]]
     return rates
 
@@ -123,8 +125,9 @@ def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
 
     T is the requested lookback rounded up to whole slabs. The lower process
     starts empty, the upper from the dominating state at -T
-    (ancient_survivors); sandwich_rates checks at every proposal that the
-    pair is still nested.
+    (ancient_survivors); after every proposal the pass raises RuntimeError if
+    the lower process accepted a birth that the upper one rejected, the only
+    way the pair could stop being nested.
     """
     if not (lookback > 0):
         raise SimulationConfigError(f"lookback must be > 0, got {lookback}")
@@ -133,7 +136,8 @@ def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
     start = -max(1, math.ceil(lookback / stream.slab_length - 1e-12)) * stream.slab_length
     ancient = ancient_survivors(stream, start, model.death.rate)
     low, up = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start,
-                               stream, start, rates=_bracket_rates(model, space))
+                               stream, start, rates=_bracket_rates(model, space),
+                               observe=engine._contained)
     lower0, upper0 = low.final.projection(), up.final.projection()
     detail = None
     if keep_detail:
@@ -166,6 +170,7 @@ def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
 
     def observe(atom, lams, accepted, states) -> None:
         nonlocal violations
+        engine._contained(atom, lams, accepted, states)
         violations += count(states)
 
     paths = engine.run_paths(model, space, [TimedConfiguration(), det.ancient] + mids,

@@ -171,8 +171,22 @@ class _Path:
         out = TimedConfiguration()
         for pid, x in self.live.items():
             mark, born = self.marks[pid]
-            out.add(pid, TimedPoint(x.copy(), mark, born))
+            out.add(pid, TimedPoint(x, mark, born))
         return out
+
+
+def _contained(atom, lams, accepted, states) -> None:
+    """run_paths observer for a nested pair: path 0 must stay inside path 1.
+
+    For a pair started nested, shared points die at the same _death_time on
+    both paths, so the pair stays nested exactly when path 0 never accepts a
+    proposal that path 1 rejects; a violation is an internal bug, not a
+    statistics failure.
+    """
+    if accepted[0] and not accepted[1]:
+        raise RuntimeError(
+            f"containment violated at s={atom.s!r}: path 0 accepted {atom.atom_id} at rate "
+            f"{lams[0]!r}, path 1 rejected it at rate {lams[1]!r} (internal bug)")
 
 
 def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfiguration],
@@ -258,12 +272,7 @@ def coupled_simulate(model: RateModel, space: SpaceSpec,
         if not np.array_equal(a.coords, b.coords) or a.clock != b.clock:
             raise SimulationConfigError("coupled_simulate: shared initial points must share clocks")
 
-    def contained(atom, lams, accepted, states) -> None:
-        if accepted[0] and not accepted[1]:
-            raise RuntimeError(
-                "containment violated in a coupled run of a monotone model (internal bug)")
-
     attractive = model.monotone in ("nondecreasing", "constant")
     low, up = run_paths(model, space, [initial_low, initial_up], horizon, stream, start_time,
-                        observe=contained if attractive else None)
+                        observe=_contained if attractive else None)
     return low, up

@@ -142,17 +142,32 @@ def distances_to(space: SpaceSpec, x: NDArray, pts: NDArray) -> NDArray[np.float
 # configurations
 # ---------------------------------------------------------------------------
 
+_MIN_CAPACITY = 8
+_EMPTY = np.zeros((0, 0))
+_EMPTY.flags.writeable = False
+
+
 class Configuration:
     """Finite multiset of points with opaque ids.
 
     Two configurations are equal when they carry the same multiset of
     coordinates; ids never enter comparisons.
+
+    The coordinates live in one contiguous (capacity, d) array whose capacity
+    doubles when it is full; a dict maps each id to its row (in insertion
+    order, which ids() and items() follow) and a list maps each row back to
+    its id. Removing a point moves the last row into the freed slot, so the
+    rows are the live points in no particular order. points_array() is a
+    read-only view of those rows, valid until the next add or remove;
+    coords(), items() and remove() return copies.
     """
 
-    __slots__ = ("_pts",)
+    __slots__ = ("_xs", "_row", "_ids")
 
     def __init__(self, points: dict[str, NDArray[np.float64]] | None = None):
-        self._pts: dict[str, NDArray[np.float64]] = {}
+        self._xs: NDArray[np.float64] = _EMPTY
+        self._row: dict[str, int] = {}
+        self._ids: list[str] = []
         if points:
             for pid, x in points.items():
                 self.add(pid, x)
@@ -168,53 +183,86 @@ class Configuration:
         return cfg
 
     def add(self, pid: str, x) -> None:
-        if pid in self._pts:
+        if pid in self._row:
             raise SimulationConfigError(f"duplicate point id {pid!r}")
-        self._pts[pid] = np.array(x, dtype=float, copy=True)
+        x = np.asarray(x, dtype=float)
+        n = len(self._ids)
+        xs = self._xs
+        if x.shape != xs.shape[1:]:
+            if x.ndim != 1 or n:
+                raise SimulationConfigError(
+                    f"point of shape {x.shape} does not fit a configuration of shape {xs.shape[1:]}")
+            xs = self._xs = np.empty((_MIN_CAPACITY, len(x)))
+        elif n == len(xs):
+            grown = np.empty((max(2 * n, _MIN_CAPACITY), len(x)))
+            grown[:n] = xs
+            xs = self._xs = grown
+        xs[n] = x
+        self._row[pid] = n
+        self._ids.append(pid)
 
     def remove(self, pid: str) -> NDArray[np.float64]:
         try:
-            return self._pts.pop(pid)
+            row = self._row.pop(pid)
         except KeyError:
             raise SimulationConfigError(f"unknown point id {pid!r}") from None
+        xs, ids = self._xs, self._ids
+        x = xs[row].copy()
+        last = ids.pop()
+        if last != pid:
+            xs[row] = xs[len(ids)]
+            ids[row] = last
+            self._row[last] = row
+        return x
 
     def coords(self, pid: str) -> NDArray[np.float64]:
-        return self._pts[pid]
+        return self._xs[self._row[pid]].copy()
 
     def ids(self):
-        return self._pts.keys()
+        return self._row.keys()
 
-    def items(self):
-        return self._pts.items()
+    def items(self) -> list[tuple[str, NDArray[np.float64]]]:
+        xs = self._xs
+        return [(pid, xs[row].copy()) for pid, row in self._row.items()]
 
     def __len__(self) -> int:
-        return len(self._pts)
+        return len(self._ids)
 
     def __contains__(self, pid: str) -> bool:
-        return pid in self._pts
+        return pid in self._row
 
     def points_array(self) -> NDArray[np.float64]:
-        """All coordinates stacked, shape (n, d); shape (0, 0) when empty."""
-        if not self._pts:
-            return np.zeros((0, 0))
-        return np.stack(list(self._pts.values()))
+        """The live rows, shape (n, d); shape (0, 0) when empty. A read-only
+        view of the store, valid until the next add or remove: removal moves
+        rows and growth reallocates, so copy it to keep it."""
+        n = len(self._ids)
+        if not n:
+            return _EMPTY
+        view = self._xs[:n]
+        view.flags.writeable = False
+        return view
 
     def copy(self) -> "Configuration":
         out = Configuration()
-        out._pts = {pid: x.copy() for pid, x in self._pts.items()}
+        out._xs = self._xs[:len(self._ids)].copy()
+        out._row = dict(self._row)
+        out._ids = list(self._ids)
         return out
 
     def multiset(self) -> Counter:
-        return Counter(x.tobytes() for x in self._pts.values())
+        # Counted in insertion order, so iteration over the result does not
+        # depend on where removals left the rows.
+        xs = self._xs
+        return Counter(xs[row].tobytes() for row in self._row.values())
 
     def multiset_key(self):
         """Canonical hashable value: sorted tuple of coordinate tuples."""
-        return tuple(sorted(tuple(x) for x in self._pts.values()))
+        return tuple(sorted(map(tuple, self.points_array())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented
-        return self.multiset() == other.multiset()
+        return len(self) == len(other) and self.multiset() == other.multiset()
 
     def __repr__(self) -> str:
         return f"Configuration(n={len(self)})"

@@ -3,13 +3,14 @@
 A model bundles a birth-rate function lambda(x, eta) with a death-rate spec
 and exposes the quantities the solver and the coupling layer need:
 
-* envelope: a bound Lambda(x) >= lambda(x, eta) uniform over configurations,
-  used to drive the thinning construction;
+* envelope: a constant bound Lambda >= lambda(x, eta) uniform over locations
+  and configurations, used to drive the thinning construction;
 * increment kernel a(x, y): a bound on how much adding a single point y can
-  move the birth rate at x, used for Lipschitz brackets and the contraction
-  constant;
+  move the birth rate at x, used for the contraction constant and the
+  coupling distance;
 * monotonicity flag: whether lambda is nondecreasing or nonincreasing under
-  adding points, used to pick exact sandwich rates;
+  adding points, used to pick exact sandwich rates (only monotone models
+  have them);
 * energy: for Gibbs models, the potential whose Boltzmann weight the process
   leaves invariant (checked through the detailed-balance residual).
 """
@@ -30,7 +31,6 @@ from .geometry import (
     configuration_contains,
     distances_to,
     nearest_distance,
-    symmetric_difference,
 )
 
 
@@ -220,7 +220,6 @@ class RateModel:
 
     monotone: str = "none"  # nondecreasing | nonincreasing | constant | none
     translation_invariant: bool = False
-    envelope_is_constant: bool = True
 
     def birth_rate(self, space: SpaceSpec, x, eta: Configuration) -> float:
         raise NotImplementedError
@@ -229,9 +228,6 @@ class RateModel:
         """Birth rate at each row of X against a fixed configuration."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.array([self.birth_rate(space, x, eta) for x in X])
-
-    def envelope(self, space: SpaceSpec, x) -> float:
-        return self.envelope_sup(space)
 
     def envelope_sup(self, space: SpaceSpec) -> float:
         raise NotImplementedError
@@ -588,11 +584,7 @@ class CellOccupancyRate(RateModel):
 
 def envelope_total(model: RateModel, space: SpaceSpec) -> float:
     """Total envelope mass over the window: integral of Lambda d(beta)."""
-    if model.envelope_is_constant:
-        return model.envelope_sup(space) * space.beta_total
-    grid = space.grid()
-    vals = np.array([model.envelope(space, x) for x in grid])
-    return float(np.mean(vals)) * space.beta_total
+    return model.envelope_sup(space) * space.beta_total
 
 
 def sandwich_rates(model: RateModel, space: SpaceSpec, x,
@@ -600,25 +592,29 @@ def sandwich_rates(model: RateModel, space: SpaceSpec, x,
     """Infimum and supremum of the birth rate at x over all configurations
     sandwiched between eta_low and eta_up.
 
-    Exact endpoint evaluation for monotone models; otherwise a conservative
-    Lipschitz bracket built from the increment kernel, clipped to the
-    envelope.
+    Exact endpoint evaluation; only monotone models have a bracket, any other
+    raises UnsupportedModelError. The states must be nested; the sandwich
+    pass keeps its pair nested by construction and calls _sandwich_rates
+    directly.
     """
     if not configuration_contains(eta_up, eta_low):
         raise SimulationConfigError("sandwich_rates: eta_low is not contained in eta_up")
+    return _sandwich_rates(model, space, x, eta_low, eta_up)
+
+
+def _sandwich_rates(model: RateModel, space: SpaceSpec, x,
+                    eta_low: Configuration, eta_up: Configuration) -> tuple[float, float]:
+    """sandwich_rates without the nesting check."""
     mono = model.monotone
+    if mono == "nonincreasing":
+        return (model.birth_rate(space, x, eta_up), model.birth_rate(space, x, eta_low))
+    if mono == "nondecreasing":
+        return (model.birth_rate(space, x, eta_low), model.birth_rate(space, x, eta_up))
     if mono == "constant":
         lam = model.birth_rate(space, x, eta_low)
         return lam, lam
-    if mono == "nondecreasing":
-        return (model.birth_rate(space, x, eta_low), model.birth_rate(space, x, eta_up))
-    if mono == "nonincreasing":
-        return (model.birth_rate(space, x, eta_up), model.birth_rate(space, x, eta_low))
-    lam0 = model.birth_rate(space, x, eta_low)
-    gap = symmetric_difference(eta_up, eta_low, space.dimension)
-    mass = float(np.sum(model.increment_kernel(space, x, gap))) if len(gap) else 0.0
-    env = model.envelope(space, x)
-    return (max(0.0, lam0 - mass), min(env, lam0 + mass))
+    raise UnsupportedModelError(
+        f"sandwich rates need a monotone rate model; {type(model).__name__} is {mono}")
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,15 @@
 
 The driving randomness of a run is a marked Poisson ensemble of birth
 proposals: atoms (x, s, r, u) where s is the proposal time, x the location
-(density proportional to the envelope against the reference measure), u the
-thinning level drawn uniformly on [0, Lambda(x)], and r a unit-exponential
-death mark. Time is split into slabs [k L, (k+1) L); the atoms of slab k are a
+(uniform under the reference measure), u the thinning level drawn uniformly
+on [0, Lambda] for the model's constant envelope Lambda, and r a
+unit-exponential death mark. Time is split into slabs [k L, (k+1) L); the atoms of slab k are a
 pure function of (master_seed, k), generated by a counter-based Philox stream
 keyed on that pair. Any slab, including slabs at negative indices used by
 lookback samplers, can be regenerated on demand and hashes identically every
-time. Restricting u to [0, Lambda(x)] at generation time is an exact
+time. Restricting u to [0, Lambda] at generation time is an exact
 reformulation of thinning from a larger envelope: proposals with u above
-Lambda(x) would be rejected by every configuration, so they are never
+Lambda would be rejected by every configuration, so they are never
 materialized.
 """
 
@@ -72,26 +72,20 @@ class NoiseStream:
 
     envelope_total is the integral of the envelope against the reference
     measure; the per-slab proposal count is Poisson(envelope_total * slab
-    length). envelope_fn / envelope_sup describe a location-dependent
-    envelope; when envelope_fn is None the envelope is constant and locations
-    are uniform under the reference measure.
+    length). The envelope is constant, so locations are uniform under the
+    reference measure and thinning levels uniform below envelope_sup_value().
     """
 
     def __init__(self, master_seed: int, space: SpaceSpec, envelope_total: float,
-                 slab_length: float = 1.0, envelope_fn=None, envelope_sup: float | None = None,
-                 cache_slabs: int = 256):
+                 slab_length: float = 1.0, cache_slabs: int = 256):
         if not (slab_length > 0):
             raise SimulationConfigError(f"slab length must be > 0, got {slab_length}")
         if not (envelope_total >= 0) or not math.isfinite(envelope_total):
             raise SimulationConfigError(f"envelope_total must be finite and >= 0, got {envelope_total}")
-        if envelope_fn is not None and envelope_sup is None:
-            raise SimulationConfigError("envelope_sup is required with a non-constant envelope")
         self.master_seed = int(master_seed)
         self.space = space
         self.envelope_total = float(envelope_total)
         self.slab_length = float(slab_length)
-        self.envelope_fn = envelope_fn
-        self.envelope_sup = envelope_sup
         self._cache: OrderedDict[int, list[NoisePoint]] = OrderedDict()
         self._cache_slabs = cache_slabs
 
@@ -102,11 +96,7 @@ class NoiseStream:
         total = _env_total(model, space)
         if not math.isfinite(total):
             raise SimulationConfigError("model envelope is not integrable over the window")
-        if model.envelope_is_constant:
-            return cls(master_seed, space, total, slab_length)
-        return cls(master_seed, space, total, slab_length,
-                   envelope_fn=lambda x: model.envelope(space, x),
-                   envelope_sup=model.envelope_sup(space))
+        return cls(master_seed, space, total, slab_length)
 
     # -- slab generation ----------------------------------------------------
 
@@ -133,18 +123,9 @@ class NoiseStream:
         t0 = k * self.slab_length
         s_local = rng.uniform(0.0, self.slab_length, size=n)
         order = np.argsort(s_local, kind="stable")
-        if self.envelope_fn is None:
-            xs = rng.uniform(0.0, L, size=(n, self.space.dimension))
-            rs = rng.exponential(1.0, size=n)
-            us = rng.uniform(0.0, self.envelope_sup_value(), size=n)
-        else:
-            xs = np.empty((n, self.space.dimension))
-            rs = np.empty(n)
-            us = np.empty(n)
-            for i in range(n):
-                xs[i] = self._rejection_location(rng)
-                rs[i] = rng.exponential(1.0)
-                us[i] = rng.uniform(0.0, self.envelope_fn(xs[i]))
+        xs = rng.uniform(0.0, L, size=(n, self.space.dimension))
+        rs = rng.exponential(1.0, size=n)
+        us = rng.uniform(0.0, self.envelope_sup_value(), size=n)
         atoms = []
         for rank, i in enumerate(order):
             atoms.append(NoisePoint(x=xs[i].copy(), s=t0 + float(s_local[i]),
@@ -153,19 +134,8 @@ class NoiseStream:
         return atoms
 
     def envelope_sup_value(self) -> float:
-        if self.envelope_sup is not None:
-            return self.envelope_sup
         vol = self.space.beta_total
         return self.envelope_total / vol if vol > 0 else 0.0
-
-    def _rejection_location(self, rng: np.random.Generator) -> NDArray[np.float64]:
-        L = self.space.lengths_array()
-        sup = self.envelope_sup
-        for _ in range(100_000):
-            x = rng.uniform(0.0, L)
-            if rng.uniform(0.0, sup) <= self.envelope_fn(x):
-                return x
-        raise RuntimeError("envelope rejection sampling failed to accept")
 
     # -- derived views ------------------------------------------------------
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sbdsim import cftp
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
     ancient_survivors,
@@ -163,6 +164,24 @@ def test_funnel_every_intermediate_path_stays_bracketed(model):
     stream = NoiseStream.for_model(model, space, SEED + 11)
     state = sandwich_run(model, space, 5.0, stream, keep_detail=True)
     assert funnel_violations(model, space, state, stream, n_intermediate=6) == 0
+
+
+def test_bracket_rule_with_crossed_rates_raises(monkeypatch):
+    # a bracket rule that lets the lower path accept where the upper path
+    # rejects must stop the pass, in the sandwich run and in the funnel check
+    model = PairwiseRate(theta=0.7, interaction_range=0.2)
+    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
+    stream = NoiseStream.for_model(model, space, SEED + 11)
+    state = sandwich_run(model, space, 5.0, stream, keep_detail=True)
+
+    def crossed(model, space, x, eta_low, eta_up):
+        return 1.0, 0.0
+
+    monkeypatch.setattr(cftp, "_sandwich_rates", crossed)
+    with pytest.raises(RuntimeError, match="containment violated"):
+        sandwich_run(model, space, 5.0, stream)
+    with pytest.raises(RuntimeError, match="containment violated"):
+        funnel_violations(model, space, state, stream)
 
 
 def test_funnel_requires_detail():

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -130,6 +131,9 @@ def test_configuration_add_remove():
     assert x[0] == 0.5 and len(cfg) == 0
     with pytest.raises(SimulationConfigError):
         cfg.remove("a")
+    cfg.add("b", np.array([0.1]))
+    with pytest.raises(SimulationConfigError):
+        cfg.add("c", np.array([0.1, 0.2]))  # every point has the same dimension
 
 
 def test_configuration_is_a_multiset_not_a_labeling():
@@ -149,6 +153,68 @@ def test_points_array_empty_shape():
     cfg = Configuration.from_points(np.array([[0.1], [0.2]]))
     assert cfg.points_array().shape == (2, 1)
     assert len(Configuration.from_points(np.empty((0, 1)))) == 0
+
+
+# a few shared values repeat locations, so the store is checked as a multiset
+store_coord = st.sampled_from([0.0, 0.25, 0.5]) | coords
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), data=st.data())
+def test_configuration_store_matches_dict_reference(dim, data):
+    # random add/remove/copy sequences, growing past several capacity
+    # doublings, against an id -> coordinates dict kept in insertion order
+    cfg, ref = Configuration(), {}
+    held = []  # (array handed out by the store, its value then)
+    copied = []  # (store that was copied, its reference at that moment)
+    next_id = 0
+
+    def check(store, expect):
+        pts = store.points_array()
+        assert not pts.flags.writeable
+        assert pts.shape == ((len(expect), dim) if expect else (0, 0))
+        assert sorted(map(tuple, pts.tolist())) == sorted(expect.values())
+        assert list(store.ids()) == list(expect)
+        items = store.items()
+        assert [(pid, tuple(x)) for pid, x in items] == list(expect.items())
+        held.extend((x, tuple(x)) for _, x in items)
+
+    for _ in range(data.draw(st.integers(0, 20))):
+        op = data.draw(st.sampled_from(["add", "add", "remove", "copy"]))
+        if op == "add":
+            for x in data.draw(st.lists(st.tuples(*[store_coord] * dim), min_size=1,
+                                        max_size=24)):
+                pid = f"q{next_id}"
+                next_id += 1
+                cfg.add(pid, np.array(x))
+                ref[pid] = x
+        elif op == "remove" and ref:
+            pid = data.draw(st.sampled_from(list(ref)))
+            x = cfg.remove(pid)
+            assert tuple(x) == ref.pop(pid)
+            held.append((x, tuple(x)))
+        elif op == "copy":
+            copied.append((cfg, dict(ref)))
+            cfg = cfg.copy()
+        if ref:
+            pid = data.draw(st.sampled_from(list(ref)))
+            held.append((cfg.coords(pid), ref[pid]))
+
+        check(cfg, ref)
+        for old, old_ref in copied:
+            check(old, old_ref)
+        for x, value in held:
+            assert tuple(x) == value
+
+        # equality and containment read the multiset, not ids or row order
+        same = Configuration({f"r{i}": np.array(x) for i, x in enumerate(reversed(ref.values()))})
+        assert cfg == same
+        half = dict(list(ref.items())[::2])
+        sub = Configuration({pid: np.array(x) for pid, x in half.items()})
+        assert configuration_contains(cfg, sub)
+        assert (sub == cfg) == (len(half) == len(ref))
+        covered = not (Counter(ref.values()) - Counter(half.values()))
+        assert configuration_contains(sub, cfg) == covered
 
 
 def test_containment_and_symmetric_difference():

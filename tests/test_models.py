@@ -14,6 +14,7 @@ from sbdsim.models import (
     GrainOverlap,
     NearestNeighborRate,
     PairwiseRate,
+    RateModel,
     UnitDeath,
     UnsupportedModelError,
     contraction_constant,
@@ -344,6 +345,16 @@ def test_sandwich_requires_nested_states():
     m = ConstantRate(rate=1.0)
     with pytest.raises(SimulationConfigError):
         sandwich_rates(m, SPACE, np.array([0.5]), cfg(0.1), cfg(0.9))
+
+
+def test_sandwich_rejects_non_monotone_model():
+    class Unordered(RateModel):  # monotone stays "none"
+        def birth_rate(self, space, x, eta):
+            return 1.0
+
+    eta = cfg(0.2, 0.6)
+    with pytest.raises(UnsupportedModelError):
+        sandwich_rates(Unordered(), SPACE, np.array([0.5]), eta, eta)
 
 
 def test_sandwich_collapses_when_states_equal():

@@ -115,22 +115,6 @@ def test_envelope_sup_value_constant_case():
     assert s.envelope_sup_value() == pytest.approx(2.0)
 
 
-def test_nonconstant_envelope_thins_locations():
-    env_fn = lambda x: 2.0 if x[0] < 0.5 else 0.5
-    total = SPACE.intensity * (0.5 * 2.0 + 0.5 * 0.5)
-    s = NoiseStream(SEED, SPACE, total, envelope_fn=env_fn, envelope_sup=2.0)
-    left = 0
-    n = 0
-    for k in range(200):
-        for p in s.slab_points(k):
-            assert p.u <= env_fn(p.x) + 1e-12
-            left += p.x[0] < 0.5
-            n += 1
-    # locations follow the envelope profile: 2/(2 + 0.5) mass on the left
-    frac = left / n
-    assert abs(frac - 0.8) < 4 * math.sqrt(0.16 / n)
-
-
 def test_for_model_matches_manual_stream():
     model = PairwiseRate(theta=0.5, interaction_range=0.2)
     via_model = NoiseStream.for_model(model, SPACE, SEED)
@@ -144,8 +128,6 @@ def test_stream_validation():
         NoiseStream(SEED, SPACE, envelope_total=1.0, slab_length=0.0)
     with pytest.raises(SimulationConfigError):
         NoiseStream(SEED, SPACE, envelope_total=-1.0)
-    with pytest.raises(SimulationConfigError):
-        NoiseStream(SEED, SPACE, envelope_total=1.0, envelope_fn=lambda x: 1.0)
 
 
 # ---------------------------------------------------------------------------
