@@ -16,9 +16,10 @@ not redrawn per restart: its state at -T is realized as the survivors of the
 noise's own slabs older than -T (their count is Poisson with the envelope's
 stationary mean, their residual clocks exponential). Extending the lookback
 then only prepends noise, which is what makes the doubling schedule exact.
-The survivor scan is truncated once the expected number of older survivors
-drops below ANCIENT_TAIL_MASS = 1e-16, far under double-precision decision
-granularity; this truncation is the sampler's only approximation.
+The survivor scan stops at the first slab whose survivors, together with
+those of all older slabs, have expected number at most ANCIENT_TAIL_MASS =
+1e-16, far under double-precision decision granularity; this truncation is
+the sampler's only approximation.
 """
 
 from __future__ import annotations
@@ -53,11 +54,18 @@ def ancient_survivors(stream: NoiseStream, boundary_time: float,
     """State of the envelope-driven process at boundary_time contributed by
     proposals older than the boundary, with residual clocks.
 
-    Scans older slabs until the expected mass of yet older survivors falls
-    below ANCIENT_TAIL_MASS. The same noise always yields the same survivors,
-    so lookback extensions see one consistent dominating trajectory. A point
-    whose death time rounds to the boundary itself is dead there, by the
-    engine's rule that a death at t is applied at t.
+    Scans slabs backwards from the one holding the boundary and stops before
+    the first slab k whose upper edge (k + 1) L lies so far back that the
+    expected number of survivors of slab k and everything older,
+    (rate / delta) exp(-delta (B - (k + 1) L)), is at most ANCIENT_TAIL_MASS:
+    every proposal left out belongs to that tail. A scanned slab is skipped
+    without looking at its atoms when rmax <= delta (B - smax), its largest
+    death mark against the shortest time to the boundary: rounding is
+    monotone, so no atom of such a slab has a positive residual. The same
+    noise always yields the same survivors, so lookback extensions see one
+    consistent dominating trajectory. A point whose death time rounds to the
+    boundary itself is dead there, by the engine's rule that a death at t is
+    applied at t.
     """
     out = TimedConfiguration()
     rate = stream.envelope_total
@@ -66,15 +74,16 @@ def ancient_survivors(stream: NoiseStream, boundary_time: float,
     L = stream.slab_length
     k = math.ceil(boundary_time / L) - 1
     guard = 0
-    while (rate / death_rate) * math.exp(-death_rate * (boundary_time - k * L)) > ANCIENT_TAIL_MASS:
-        for atom in stream.slab_points(k):
-            if atom.s >= boundary_time:
-                continue
-            residual = atom.r - death_rate * (boundary_time - atom.s)
-            if residual > 0 and engine._death_time(boundary_time, residual,
-                                                   death_rate) > boundary_time:
-                out.add(atom.atom_id, TimedPoint(coords=np.array(atom.x, dtype=float),
-                                                 clock=residual, birth_time=boundary_time))
+    while (rate / death_rate) * math.exp(-death_rate * (boundary_time - (k + 1) * L)) \
+            > ANCIENT_TAIL_MASS:
+        slab = stream.slab_points(k)
+        if slab.rmax > death_rate * (boundary_time - slab.smax):  # -inf if empty
+            residuals = slab.r - death_rate * (boundary_time - slab.s)
+            for i in np.flatnonzero((slab.s < boundary_time) & (residuals > 0)):
+                residual = float(residuals[i])
+                if engine._death_time(boundary_time, residual, death_rate) > boundary_time:
+                    out.add(slab.atom_id(i), TimedPoint(coords=slab.x[i].copy(), clock=residual,
+                                                        birth_time=boundary_time))
         k -= 1
         guard += 1
         if guard > 10_000_000:
@@ -209,7 +218,7 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
 
     The draw is exact up to one named truncation: the dominating state at -T
     ignores proposals so old that the expected number of their survivors is
-    below ANCIENT_TAIL_MASS = 1e-16.
+    at most ANCIENT_TAIL_MASS = 1e-16.
     """
     stream = NoiseStream.for_model(model, space, master_seed, slab_length)
     lookback = max(initial_lookback, slab_length)

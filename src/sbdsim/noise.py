@@ -12,6 +12,14 @@ time. Restricting u to [0, Lambda] at generation time is an exact
 reformulation of thinning from a larger envelope: proposals with u above
 Lambda would be rejected by every configuration, so they are never
 materialized.
+
+A slab is stored as arrays (NoiseSlab: s, x, r, u sorted by s, plus the
+largest death mark and the latest proposal time), not as one object per
+atom. A stream owns a single Philox generator and re-keys it for each slab,
+setting key (mix64(seed ^ TAG_SLAB), mix64(k)) with counter 0; that is the
+same state a freshly keyed generator starts from, so the bits are those of
+keyed_generator(seed, TAG_SLAB, k). NoisePoint objects are made only for the
+atoms a caller iterates over, such as those inside an engine pass window.
 """
 
 from __future__ import annotations
@@ -43,12 +51,15 @@ def mix64(v: int) -> int:
     return (v ^ (v >> 31)) & _MASK64
 
 
+def _philox_key(master_seed: int, tag: int, index: int) -> NDArray[np.uint64]:
+    return np.array([mix64((master_seed ^ tag) & _MASK64), mix64(index & _MASK64)],
+                    dtype=np.uint64)
+
+
 def keyed_generator(master_seed: int, tag: int, index: int = 0) -> np.random.Generator:
     """Philox generator keyed on (master_seed, tag, index); counter-based, so
     streams for distinct keys are independent and regenerable."""
-    key = np.array([mix64((master_seed ^ tag) & _MASK64), mix64(index & _MASK64)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(master_seed, tag, index)))
 
 
 def replicate_seed(master_seed: int, index: int) -> int:
@@ -67,6 +78,45 @@ class NoisePoint:
     atom_id: str
 
 
+class NoiseSlab:
+    """The atoms of slab k as read-only arrays, sorted by proposal time.
+
+    s has shape (n,), x shape (n, d), r and u shape (n,); len() is n. rmax is
+    the largest death mark and smax the latest proposal time (both -inf for
+    an empty slab). Atom i has id "n{k}:{i}".
+    """
+
+    __slots__ = ("k", "s", "x", "r", "u", "rmax", "smax")
+
+    def __init__(self, k: int, s, x, r, u):
+        for a in (s, x, r, u):
+            a.setflags(write=False)
+        self.k, self.s, self.x, self.r, self.u = k, s, x, r, u
+        self.rmax = max(r.tolist(), default=-math.inf)
+        self.smax = float(s[-1]) if len(s) else -math.inf
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def atom_id(self, i: int) -> str:
+        return f"n{self.k}:{i}"
+
+    def atom(self, i: int) -> NoisePoint:
+        """Atom i as a NoisePoint; its x is a read-only view into the slab."""
+        return NoisePoint(x=self.x[i], s=float(self.s[i]), r=float(self.r[i]),
+                          u=float(self.u[i]), atom_id=self.atom_id(i))
+
+    def __iter__(self):
+        return map(self.atom, range(len(self.s)))
+
+    def rows(self) -> NDArray[np.float64]:
+        """One row (s, x..., r, u) per atom, in time order."""
+        return np.column_stack((self.s, self.x, self.r, self.u))
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
 class NoiseStream:
     """Deterministic slab-indexed proposal stream for one master seed.
 
@@ -74,6 +124,8 @@ class NoiseStream:
     measure; the per-slab proposal count is Poisson(envelope_total * slab
     length). The envelope is constant, so locations are uniform under the
     reference measure and thinning levels uniform below envelope_sup_value().
+    A stream re-keys one generator per slab, so it must not be shared
+    between threads.
     """
 
     def __init__(self, master_seed: int, space: SpaceSpec, envelope_total: float,
@@ -86,8 +138,20 @@ class NoiseStream:
         self.space = space
         self.envelope_total = float(envelope_total)
         self.slab_length = float(slab_length)
-        self._cache: OrderedDict[int, list[NoisePoint]] = OrderedDict()
+        self._cache: OrderedDict[int, NoiseSlab] = OrderedDict()
         self._cache_slabs = cache_slabs
+        self._mean = self.envelope_total * self.slab_length
+        self._lengths = space.lengths_array()
+        vol = space.beta_total
+        self._sup = self.envelope_total / vol if vol > 0 else 0.0
+        self._key = _philox_key(self.master_seed, TAG_SLAB, 0)
+        self._bitgen = np.random.Philox(key=self._key)
+        self._rng = np.random.Generator(self._bitgen)
+        # the state of a freshly keyed Philox; _slab_generator sets _key[1]
+        self._fresh_state = {"bit_generator": "Philox",
+                             "state": {"counter": _ZERO4, "key": self._key},
+                             "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._empty = (np.empty(0), np.empty((0, space.dimension)), np.empty(0), np.empty(0))
 
     @classmethod
     def for_model(cls, model, space: SpaceSpec, master_seed: int,
@@ -100,42 +164,46 @@ class NoiseStream:
 
     # -- slab generation ----------------------------------------------------
 
-    def slab_points(self, k: int) -> list[NoisePoint]:
+    def slab_points(self, k: int) -> NoiseSlab:
         """Atoms of slab k, ordered by proposal time. Pure in (master_seed, k)."""
         k = int(k)
         cached = self._cache.get(k)
         if cached is not None:
             self._cache.move_to_end(k)
             return cached
-        atoms = self._generate_slab(k)
-        self._cache[k] = atoms
+        slab = self._generate_slab(k)
+        self._cache[k] = slab
         if len(self._cache) > self._cache_slabs:
             self._cache.popitem(last=False)
-        return atoms
+        return slab
 
-    def _generate_slab(self, k: int) -> list[NoisePoint]:
-        rng = keyed_generator(self.master_seed, TAG_SLAB, k)
-        mean = self.envelope_total * self.slab_length
-        n = int(rng.poisson(mean)) if mean > 0 else 0
+    def _slab_generator(self, k: int) -> np.random.Generator:
+        """The stream's generator in the state keyed_generator(seed, TAG_SLAB, k)
+        starts from."""
+        self._key[1] = mix64(k & _MASK64)
+        self._bitgen.state = self._fresh_state
+        return self._rng
+
+    def _generate_slab(self, k: int) -> NoiseSlab:
+        # Draw order: count, n time uniforms then n*d location uniforms (one
+        # call), exponential marks, thinning levels. uniform(0, h) is
+        # 0.0 + h * random(), so scaling random() draws gives the same bits.
+        rng = self._slab_generator(k)
+        n = int(rng.poisson(self._mean)) if self._mean > 0 else 0
         if n == 0:
-            return []
-        L = self.space.lengths_array()
-        t0 = k * self.slab_length
-        s_local = rng.uniform(0.0, self.slab_length, size=n)
-        order = np.argsort(s_local, kind="stable")
-        xs = rng.uniform(0.0, L, size=(n, self.space.dimension))
+            return NoiseSlab(k, *self._empty)
+        d = self.space.dimension
+        draws = rng.random(n * (1 + d))
+        s_local = self.slab_length * draws[:n]
+        xs = self._lengths * draws[n:].reshape(n, d)
         rs = rng.exponential(1.0, size=n)
-        us = rng.uniform(0.0, self.envelope_sup_value(), size=n)
-        atoms = []
-        for rank, i in enumerate(order):
-            atoms.append(NoisePoint(x=xs[i].copy(), s=t0 + float(s_local[i]),
-                                    r=float(rs[i]), u=float(us[i]),
-                                    atom_id=f"n{k}:{rank}"))
-        return atoms
+        us = self._sup * rng.random(n)
+        order = s_local.argsort(kind="stable")
+        return NoiseSlab(k, k * self.slab_length + s_local[order], xs[order], rs[order],
+                         us[order])
 
     def envelope_sup_value(self) -> float:
-        vol = self.space.beta_total
-        return self.envelope_total / vol if vol > 0 else 0.0
+        return self._sup
 
     # -- derived views ------------------------------------------------------
 
@@ -148,19 +216,14 @@ class NoiseStream:
     def atoms_between(self, t0: float, t1: float):
         """All atoms with t0 <= s < t1, in time order."""
         for k in self.slabs_covering(t0, t1):
-            for atom in self.slab_points(k):
-                if t0 <= atom.s < t1:
-                    yield atom
+            slab = self.slab_points(k)
+            lo, hi = np.searchsorted(slab.s, (t0, t1))
+            for i in range(lo, hi):
+                yield slab.atom(i)
 
     def slab_hash(self, k: int) -> str:
         """Stable digest of slab k's atoms; equal runs hash equal."""
-        h = hashlib.sha256()
-        for atom in self.slab_points(k):
-            h.update(np.float64(atom.s).tobytes())
-            h.update(atom.x.astype(np.float64).tobytes())
-            h.update(np.float64(atom.r).tobytes())
-            h.update(np.float64(atom.u).tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.slab_points(k).rows().tobytes()).hexdigest()
 
     def dump_csv(self, path, k_first: int, k_last: int) -> None:
         """Write atoms of slabs k_first..k_last to CSV: k, s, x..., r, u."""
@@ -168,9 +231,8 @@ class NoiseStream:
         with open(path, "w") as fh:
             fh.write(f"k,s,{cols},r,u\n")
             for k in range(k_first, k_last + 1):
-                for atom in self.slab_points(k):
-                    xs = ",".join(repr(float(v)) for v in atom.x)
-                    fh.write(f"{k},{atom.s!r},{xs},{atom.r!r},{atom.u!r}\n")
+                for row in self.slab_points(k).rows().tolist():
+                    fh.write(f"{k}," + ",".join(map(repr, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

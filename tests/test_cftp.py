@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sbdsim import cftp
@@ -28,6 +30,7 @@ from sbdsim.models import (
 from sbdsim.noise import NoiseStream, replicate_seed
 
 SPACE = SpaceSpec(dimension=1, lengths=(1.0,), intensity=1.0)
+SPACE2 = SpaceSpec(dimension=2, lengths=(2.0, 0.5), intensity=3.0)
 SEED = 31415926
 
 
@@ -75,6 +78,75 @@ def test_ancient_survivors_consistent_across_boundaries():
     assert sorted(expect) == sorted(shallow.ids())
     for pid, e in shallow.items():
         assert e.clock == pytest.approx(expect[pid], abs=1e-9)
+
+
+class _ScanRecorder(NoiseStream):
+    """NoiseStream that records which slabs were asked for."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.asked = []
+
+    def slab_points(self, k):
+        self.asked.append(k)
+        return super().slab_points(k)
+
+
+@pytest.mark.parametrize("rate,delta0,slab", [
+    (5.0, 1.0, 1.0), (5.0, 1.7, 0.37), (40.0, 0.6, 1.0), (0.3, 2.5, 0.37), (12.0, 1.0, 2.5),
+])
+@pytest.mark.parametrize("boundary", [-3.0, -2.96, -7.4, -0.05])
+def test_ancient_scan_leaves_only_the_tail_mass(rate, delta0, slab, boundary):
+    # the scan covers every slab from the one holding the boundary back to
+    # the oldest one it needs: the first unscanned slab and everything older
+    # hold at most ANCIENT_TAIL_MASS expected survivors, and the oldest
+    # scanned slab was not already inside that tail
+    stream = _ScanRecorder(SEED, SPACE, envelope_total=rate, slab_length=slab)
+    ancient_survivors(stream, boundary, delta0)
+    newest = math.ceil(boundary / slab) - 1
+    oldest = min(stream.asked)
+    assert stream.asked == list(range(newest, oldest - 1, -1))
+
+    def tail_mass(k):  # expected survivors at the boundary of slabs <= k
+        return rate / delta0 * math.exp(-delta0 * (boundary - (k + 1) * slab))
+
+    assert tail_mass(oldest - 1) <= cftp.ANCIENT_TAIL_MASS
+    assert tail_mass(oldest) > cftp.ANCIENT_TAIL_MASS
+
+
+def reference_ancient_survivors(stream, boundary_time, death_rate):
+    """Per-atom scan of the same slabs as ancient_survivors, with no skip."""
+    out = {}
+    rate, L = stream.envelope_total, stream.slab_length
+    k = math.ceil(boundary_time / L) - 1
+    while rate / death_rate * math.exp(-death_rate * (boundary_time - (k + 1) * L)) \
+            > cftp.ANCIENT_TAIL_MASS:
+        for atom in stream.slab_points(k):
+            if atom.s >= boundary_time:
+                continue
+            residual = atom.r - death_rate * (boundary_time - atom.s)
+            if residual > 0 and boundary_time + residual / death_rate > boundary_time:
+                out[atom.atom_id] = (atom.x.tobytes(), residual)
+        k -= 1
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.sampled_from([1.0, 1.7]), st.sampled_from([1.0, 0.37]),
+       st.sampled_from([3.0, 8.0]), st.sampled_from([SPACE, SPACE2]),
+       st.integers(0, 12), st.floats(0.02, 0.98))
+def test_ancient_survivors_match_unskipped_reference(seed, delta0, slab, rate, space,
+                                                     whole, frac):
+    # skipping slabs whose largest mark cannot outlast the boundary must
+    # not change a single survivor, coordinate or clock
+    boundary = -(whole + frac) * slab
+    stream = NoiseStream(seed, space, envelope_total=rate, slab_length=slab)
+    got = ancient_survivors(stream, boundary, delta0)
+    want = reference_ancient_survivors(stream, boundary, delta0)
+    assert sorted(got.ids()) == sorted(want)
+    for pid, e in got.items():
+        assert (e.coords.tobytes(), e.clock) == want[pid]
+        assert e.birth_time == boundary
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -175,6 +176,131 @@ def test_dump_csv_round_trips(tmp_path):
     assert float(row[1]) == first.s
     assert float(row[2]) == first.x[0] and float(row[3]) == first.x[1]
     assert float(row[4]) == first.r and float(row[5]) == first.u
+
+
+# ---------------------------------------------------------------------------
+# pinned draws
+# ---------------------------------------------------------------------------
+
+GOLDEN_SPACES = {
+    1: SPACE,
+    2: SPACE2,
+    3: SpaceSpec(dimension=3, lengths=(1.0, 2.0, 0.5), intensity=2.0),
+}
+
+# (dimension, envelope_total, slab_length, seed, k, atom count, slab_hash):
+# slab hashes recorded from the per-atom generator (a fresh keyed Philox per
+# slab). Covers both Poisson samplers (mean below and above 10), negative k,
+# slab length 0.37 and empty slabs, including a zero envelope.
+GOLDEN_SLABS = [
+    (1, 4.0, 1.0, 123456789, -45, 6,
+     "1bc5e86e99bbd18bd78b36211d0fc4fcf2d387b852f16473f5e2cf5184a856cb"),
+    (1, 4.0, 1.0, 123456789, -7, 6,
+     "1744814b5aeb00147b3038602e469a72cff6bbe09caf21812ada513902f9cc2c"),
+    (1, 4.0, 1.0, 123456789, -1, 6,
+     "006b283c0515e06801b8bfdde9d2b4beb44d58ad92224e3bde68c85288c8b9ae"),
+    (1, 4.0, 1.0, 123456789, 0, 2,
+     "d3f25426b9d3e51431f823858f5fcfeb18ead67c9ba961961602ede07a46c0f6"),
+    (1, 4.0, 1.0, 123456789, 5, 4,
+     "f99254bbc43d7ee7f7edead60d30fc5de43eef24ba7077c1e3062e1de117d5bb"),
+    (1, 12.0, 0.37, 987654321, -30, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 12.0, 0.37, 987654321, -2, 4,
+     "924f6174aa47210adad0f833d9fe296c62fa551a0f4ea9dacd01d2cfe99eadb6"),
+    (1, 12.0, 0.37, 987654321, 0, 1,
+     "97759ac2c1b2bb0909f60bc92787862a2b7cf225fc2627618d117b517a7dde31"),
+    (1, 12.0, 0.37, 987654321, 4, 6,
+     "37b6994e47ea21c2fb6c7214f7cc227664e9ac42323ce15d6cf38dd1559d8646"),
+    (1, 30.0, 1.0, 55555, -3, 27,
+     "24119fa2dd984084dda5e20412b9f52f1fd93b1cba5e136643f7031f08f50d7f"),
+    (1, 30.0, 1.0, 55555, 0, 29,
+     "bba5e005f744784e4a31ff02d30f277b396e08d5514eb336dd37479170e85c08"),
+    (2, 3.0, 1.0, 31415926, -20, 3,
+     "3ee0ec2bd77e3cdec2a0f08a0566ff28f07ee5aa9549ac894571e448b5295c92"),
+    (2, 3.0, 1.0, 31415926, -1, 4,
+     "59b9d3da3f521431c86c453cf874f45e433f8f8da13bc983155f909a2e3fb2e7"),
+    (2, 3.0, 1.0, 31415926, 0, 4,
+     "231545fa90c2f1b277966438debcd2ab2ae95ae5503974326a906bff830435be"),
+    (2, 3.0, 1.0, 31415926, 2, 3,
+     "4d0ad0757e8996b4e387e8201066d5ee958f604eb0e708f17436e5919fc8016a"),
+    (2, 9.0, 0.37, 27182818, -13, 2,
+     "5dd8878c6b8acd1b415f9968a7c801ddeed7f9c031467b12fde55499aa5ef801"),
+    (2, 9.0, 0.37, 27182818, -1, 2,
+     "00b2c0b7c74504750df2bb359aef782dada18feb352c2b24ea56284cb09f3b8a"),
+    (2, 9.0, 0.37, 27182818, 0, 5,
+     "05529e95008c0fea9afddb9b40350a93390d5843abb132b75616894bca518d02"),
+    (2, 9.0, 0.37, 27182818, 3, 2,
+     "181c3094c19914925f0c9568d20c1ab923b3ddd89a37148dd753efebab0713c7"),
+    (3, 2.5, 1.0, 161803398, -9, 2,
+     "f9230c62176bfbbad5fa882ebd2bdf8755a8c2c5437970afd3281be1fac7cdfd"),
+    (3, 2.5, 1.0, 161803398, -1, 2,
+     "7cfb3718a84359f33846d38c2d6b152a3ea4b5fbe40ad7e2d0748759a851e595"),
+    (3, 2.5, 1.0, 161803398, 0, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (3, 2.5, 1.0, 161803398, 1, 2,
+     "2b5ba172a25f4bcd43a69302ec111feebd71e7023e02b50f7aa3dd763bfa2863"),
+    (3, 10.0, 0.37, 141421356, -40, 2,
+     "e88d5a82691fe3ef67c515e3f8715a242a3c2a59f8c8c05f415d425d56322ce9"),
+    (3, 10.0, 0.37, 141421356, -3, 2,
+     "d772b70a7b4d082454864bce60c1cb49db3a07c5d634d6cd15c05067931e5ac2"),
+    (3, 10.0, 0.37, 141421356, 0, 5,
+     "780fb821e828c1a97d63479fbfd05235c3405825351398624fc6f8ee9d78fa32"),
+    (3, 10.0, 0.37, 141421356, 5, 3,
+     "dcedafdd2be17300715c887c32051e8aaef0ff2d19505a1065bb92c2d9450dfb"),
+    (1, 0.6, 0.37, 11, -6, 1,
+     "574e6c7d21511d8b54f2d17b4d285e1a862c46fa63cdb1c60c7ef377c93a1029"),
+    (1, 0.6, 0.37, 11, -5, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0.6, 0.37, 11, -4, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0.6, 0.37, 11, -3, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0.6, 0.37, 11, -2, 1,
+     "072c5db4d55b98c0d2a70feb06c2ef418e6729f68e5cf81a393bec7f07671ba0"),
+    (1, 0.6, 0.37, 11, -1, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0.6, 0.37, 11, 0, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0.6, 0.37, 11, 1, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0.6, 0.37, 11, 2, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 0.0, 1.0, 11, -1, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 0.0, 1.0, 11, 0, 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+GOLDEN_CSV_SHA256 = "509a293740e9686d6107cb28cf522a4dbfab8181a7067a2e878258f7f96b9659"
+
+
+@pytest.mark.parametrize("dim,env,slab,seed,k,n,digest", GOLDEN_SLABS)
+def test_slab_hashes_and_ids_match_pinned_draws(dim, env, slab, seed, k, n, digest):
+    # any change to the draw order, the key derivation or the byte layout
+    # of a slab changes these hashes
+    s = NoiseStream(seed, GOLDEN_SPACES[dim], env, slab_length=slab)
+    assert s.slab_hash(k) == digest
+    pts = s.slab_points(k)
+    assert len(pts) == n
+    assert [p.atom_id for p in pts] == [f"n{k}:{i}" for i in range(n)]
+
+
+def test_dump_csv_matches_pinned_digest(tmp_path):
+    s = NoiseStream(27182818, SPACE2, 9.0, slab_length=0.37)
+    path = tmp_path / "atoms.csv"
+    s.dump_csv(path, -3, 2)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256
+
+
+def test_slab_arrays_are_read_only():
+    # atoms handed out are views into the cached slab; writing through one
+    # must fail rather than change the slab for every later reader
+    s = stream(env=6.0, space=SPACE2)
+    slab = s.slab_points(0)
+    atom = next(iter(s.atoms_between(0.0, 1.0)))
+    for arr in (slab.s, slab.x, slab.r, slab.u, atom.x):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
