@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Time one birth-rate query per model as the configuration grows.
+
+Each model is queried against n uniform points on a 2-D torus whose side
+grows with n, so the density stays at DENSITY points per unit area and the
+number of points within a model's interaction range stays fixed. A rate
+query that scans every point grows linearly in n; one that visits only the
+neighbours of the query point stays flat. Points and query locations come
+from a fixed seed and are the same for every model.
+
+For every (model, n) the script reports:
+  first_query_us  one query on a fresh configuration (it pays for any index
+                  the model builds on first use);
+  us_per_call     the median over REPEATS batches of the mean time per query
+                  of QUERIES queries at fresh locations, after that first one;
+  rate_checksum   the sum of the rates of one batch, which must not depend on
+                  how the rate is computed.
+
+The result is written as BENCH_rate_scaling_<date>_<commit>.json, with the
+machine facts (CPU count, Python and numpy versions, commit). The commit is
+`git describe --always --dirty`: a run on uncommitted changes says so.
+
+Usage:
+    PYTHONPATH=src python3 scripts/rate_scaling.py [--out DIR]
+"""
+
+import argparse
+import datetime
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
+import time
+
+import numpy as np
+
+from sbdsim.geometry import Configuration, SpaceSpec
+from sbdsim.models import AreaInteractionRate, CellOccupancyRate, NearestNeighborRate, PairwiseRate
+
+SEED = 20060516
+DENSITY = 1000.0  # points per unit area
+SIZES = (10, 100, 1000, 10000)
+QUERIES = 200
+REPEATS = 5
+
+MODELS = {
+    "pairwise": PairwiseRate(theta=0.5, interaction_range=0.02),
+    "area_interaction": AreaInteractionRate(rho=1.0, gamma=1.5, grain_radius=0.01),
+    "nearest_neighbor": NearestNeighborRate(breakpoints=(0.01, 0.02), values=(0.2, 0.6),
+                                            value_at_infinity=1.0),
+    "cell_occupancy": CellOccupancyRate(cell_counts=(3, 3), theta=0.1 * np.eye(9) + 0.02),
+}
+
+
+def commit() -> str:
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=here,
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "nogit"
+    return out.stdout.strip()
+
+
+def measure(model, n: int) -> dict:
+    rng = np.random.default_rng([SEED, n])  # every model sees the same points
+    side = math.sqrt(n / DENSITY)
+    space = SpaceSpec(dimension=2, lengths=(side, side), intensity=DENSITY)
+    eta = Configuration.from_points(rng.uniform(0.0, side, size=(n, 2)))
+    queries = rng.uniform(0.0, side, size=(REPEATS, QUERIES, 2))
+
+    t0 = time.perf_counter()
+    model.birth_rate(space, queries[0, 0], eta)
+    first = time.perf_counter() - t0
+
+    per_call = []
+    checksum = 0.0
+    for batch in queries:
+        t0 = time.perf_counter()
+        total = 0.0
+        for x in batch:
+            total += model.birth_rate(space, x, eta)
+        per_call.append((time.perf_counter() - t0) / QUERIES)
+        checksum = total
+    return {"n": n, "side": side, "first_query_us": first * 1e6,
+            "us_per_call": float(np.median(per_call)) * 1e6,
+            "rate_checksum": checksum}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", default=".", help="directory for the JSON file")
+    args = parser.parse_args(argv)
+
+    results = {}
+    for name, model in MODELS.items():
+        results[name] = [measure(model, n) for n in SIZES]
+        for row in results[name]:
+            print(f"{name:18s} n={row['n']:6d}  {row['us_per_call']:9.2f} us/call  "
+                  f"first {row['first_query_us']:9.1f} us")
+
+    rev = commit()
+    record = {
+        "benchmark": "rate_scaling",
+        "seed": SEED,
+        "density": DENSITY,
+        "queries": QUERIES,
+        "repeats": REPEATS,
+        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "platform": platform.platform(),
+                    "commit": rev},
+        "models": results,
+    }
+    date = datetime.date.today().strftime("%Y%m%d")
+    path = os.path.join(args.out, f"BENCH_rate_scaling_{date}_{rev}.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

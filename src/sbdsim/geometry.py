@@ -8,6 +8,7 @@ deaths can be tracked without imposing an order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -45,6 +46,7 @@ class SpaceSpec:
     quadrature_resolution: int = 256
 
     def __post_init__(self):
+        object.__setattr__(self, "lengths", tuple(self.lengths))  # hashable index keys
         if self.dimension < 1:
             raise SimulationConfigError(f"dimension must be >= 1, got {self.dimension}")
         if len(self.lengths) != self.dimension:
@@ -160,14 +162,20 @@ class Configuration:
     rows are the live points in no particular order. points_array() is a
     read-only view of those rows, valid until the next add or remove;
     coords(), items() and remove() return copies.
+
+    Derived indexes (a rate model's occupancy counts, a neighbour grid) are
+    built from the live points the first time index() is asked for one, and
+    every later add and remove updates them. copy() and every new
+    configuration start with none.
     """
 
-    __slots__ = ("_xs", "_row", "_ids")
+    __slots__ = ("_xs", "_row", "_ids", "_indexes")
 
     def __init__(self, points: dict[str, NDArray[np.float64]] | None = None):
         self._xs: NDArray[np.float64] = _EMPTY
         self._row: dict[str, int] = {}
         self._ids: list[str] = []
+        self._indexes: dict = {}
         if points:
             for pid, x in points.items():
                 self.add(pid, x)
@@ -200,6 +208,10 @@ class Configuration:
         xs[n] = x
         self._row[pid] = n
         self._ids.append(pid)
+        if self._indexes:
+            p = x.tolist()
+            for index in self._indexes.values():
+                index.add(pid, p)
 
     def remove(self, pid: str) -> NDArray[np.float64]:
         try:
@@ -213,7 +225,25 @@ class Configuration:
             xs[row] = xs[len(ids)]
             ids[row] = last
             self._row[last] = row
+        if self._indexes:
+            p = x.tolist()
+            for index in self._indexes.values():
+                index.remove(pid, p)
         return x
+
+    def index(self, key, make):
+        """The derived index stored under the hashable key. On first use make()
+        returns an empty index, which is filled with index.add(pid, p) for
+        every live point (p a list of floats); from then on add and remove
+        call the same index.add and index.remove(pid, p)."""
+        index = self._indexes.get(key)
+        if index is None:
+            index = make()
+            xs = self._xs
+            for pid, row in self._row.items():
+                index.add(pid, xs[row].tolist())
+            self._indexes[key] = index
+        return index
 
     def coords(self, pid: str) -> NDArray[np.float64]:
         return self._xs[self._row[pid]].copy()
@@ -304,6 +334,92 @@ def nearest_distance(space: SpaceSpec, x, eta: Configuration) -> float:
     if len(eta) == 0:
         return math.inf
     return float(np.min(distances_to(space, np.asarray(x, dtype=float), eta.points_array())))
+
+
+# Cells per axis are capped, so that a cell coordinate x / L * c keeps about
+# 30 bits below the binary point, and sized with a relative slack, so that the
+# rounding of cell coordinates and of distances can never put a point within
+# the radius outside the block of cells next to the query's cell.
+_MAX_CELLS_PER_AXIS = 1 << 20
+_CELL_SLACK = 1.0 + 1e-6
+
+
+class NeighbourGrid:
+    """Sparse cell list over the points of a configuration (the linked-cell
+    method of molecular simulation), for queries within a fixed radius.
+
+    Each axis of the window is cut into c equal cells with side L / c at least
+    the radius (one cell when the radius is as long as the axis); a dict maps
+    the integer tuple of each occupied cell to its points, so a tiny radius
+    costs no memory beyond the points. A query visits the 3^d cells around
+    the query's cell, each cell at most once (an axis with three cells or
+    fewer is visited whole), which holds every point within the radius. Its
+    distances repeat the float operations of distances_to, so a model that
+    compares them with its radius counts exactly the points a full scan
+    counts. Points must lie in the window; a point on the upper face of a
+    free window falls in the last cell. Built by Configuration.index through
+    neighbour_grid.
+    """
+
+    __slots__ = ("_lengths", "_counts", "_periodic", "_cells")
+
+    def __init__(self, space: SpaceSpec, radius: float):
+        self._lengths = space.lengths
+        self._counts = tuple(max(1, int(min(L / (radius * _CELL_SLACK), _MAX_CELLS_PER_AXIS)))
+                             for L in self._lengths)
+        self._periodic = space.periodic
+        self._cells: dict[tuple[int, ...], dict[str, list[float]]] = {}
+
+    def _cell(self, p) -> tuple[int, ...]:
+        return tuple(min(math.floor(v / L * c), c - 1)
+                     for v, L, c in zip(p, self._lengths, self._counts))
+
+    def add(self, pid: str, p: list[float]) -> None:
+        cell = self._cell(p)
+        members = self._cells.get(cell)
+        if members is None:
+            members = self._cells[cell] = {}
+        members[pid] = p
+
+    def remove(self, pid: str, p: list[float]) -> None:
+        cell = self._cell(p)
+        members = self._cells[cell]
+        del members[pid]
+        if not members:
+            del self._cells[cell]
+
+    def near(self, x):
+        """Yield (distance, point) for every point in the cells around x: every
+        point within the radius of x, and possibly some farther ones."""
+        x = np.asarray(x, dtype=float).tolist()
+        axes = []
+        for i, c in zip(self._cell(x), self._counts):
+            if c <= 3:
+                axes.append(range(c))
+            elif self._periodic:
+                axes.append((i - 1 if i else c - 1, i, i + 1 if i + 1 < c else 0))
+            else:
+                axes.append(range(max(i - 1, 0), min(i + 2, c)))
+        cells, lengths, periodic = self._cells, self._lengths, self._periodic
+        for key in itertools.product(*axes):
+            members = cells.get(key)
+            if members is None:
+                continue
+            for p in members.values():
+                s = 0.0
+                for pv, xv, L in zip(p, x, lengths):
+                    d = abs(pv - xv)
+                    if periodic and L - d < d:
+                        d = L - d
+                    s += d * d
+                yield math.sqrt(s), p
+
+
+def neighbour_grid(space: SpaceSpec, eta: Configuration, radius: float) -> NeighbourGrid:
+    """eta's neighbour grid for queries within radius under the metric of
+    space, built on first use and kept up to date by eta's add and remove."""
+    return eta.index((NeighbourGrid, space.lengths, space.boundary, radius),
+                     lambda: NeighbourGrid(space, radius))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ and exposes the quantities the solver and the coupling layer need:
   have them);
 * energy: for Gibbs models, the potential whose Boltzmann weight the process
   leaves invariant (checked through the detailed-balance residual).
+
+A rate query reads indexes that the configuration keeps up to date across
+births and deaths (Configuration.index) in place of scanning every point: the
+cell-occupancy model keeps its occupancy counts, so its rate is O(1), and the
+pairwise, area-interaction and nearest-neighbour models read a neighbour grid
+(geometry.neighbour_grid) whose cells are at least as wide as their reach, so
+a query costs the points nearby. Both give exactly the rate of a full scan.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .geometry import (
     SpaceSpec,
     configuration_contains,
     distances_to,
-    nearest_distance,
+    neighbour_grid,
 )
 
 
@@ -289,15 +296,10 @@ class PairwiseRate(RateModel):
         if not (self.interaction_range > 0):
             raise SimulationConfigError("interaction range must be > 0")
 
-    def _n_close(self, space, x, eta: Configuration) -> int:
-        pts = eta.points_array()
-        if pts.size == 0:
-            return 0
-        return int(np.count_nonzero(
-            distances_to(space, np.asarray(x, dtype=float), pts) <= self.interaction_range))
-
     def birth_rate(self, space, x, eta) -> float:
-        return math.exp(-self.theta * self._n_close(space, x, eta))
+        r = self.interaction_range
+        close = sum(t <= r for t, _ in neighbour_grid(space, eta, r).near(x))
+        return math.exp(-self.theta * close)
 
     def birth_rates(self, space, X, eta):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -381,16 +383,11 @@ class AreaInteractionRate(RateModel):
         self._overlap._check_space(space)
         return self._overlap
 
-    def _near(self, space, x, eta: Configuration) -> NDArray[np.float64]:
-        pts = eta.points_array()
-        if pts.size == 0:
-            return np.zeros((0, space.dimension))
-        keep = distances_to(space, np.asarray(x, dtype=float), pts) < 2.0 * self.grain_radius
-        return pts[keep]
-
     def birth_rate(self, space, x, eta) -> float:
         ov = self.overlap(space)
-        exposed = ov.exposed_volume(space, x, self._near(space, x, eta))
+        reach = 2.0 * self.grain_radius  # grains further apart do not overlap
+        near = [p for t, p in neighbour_grid(space, eta, reach).near(x) if t < reach]
+        exposed = ov.exposed_volume(space, x, near)
         return self.rho * math.exp(-exposed * math.log(self.gamma))
 
     def envelope_sup(self, space) -> float:
@@ -457,6 +454,8 @@ class NearestNeighborRate(RateModel):
             self._direction = "decreasing"
         else:
             raise SimulationConfigError("nearest-neighbor profile must be monotone")
+        self._breaks = b
+        self._table = full
 
     @property
     def monotone(self) -> str:  # type: ignore[override]
@@ -464,13 +463,15 @@ class NearestNeighborRate(RateModel):
         return "nonincreasing" if self._direction == "increasing" else "nondecreasing"
 
     def profile(self, t) -> NDArray[np.float64]:
-        t = np.asarray(t, dtype=float)
-        table = np.append(np.asarray(self.values, dtype=float), self.value_at_infinity)
-        idx = np.searchsorted(np.asarray(self.breakpoints, dtype=float), t, side="right")
-        return table[idx]
+        return self._table[np.searchsorted(self._breaks, t, side="right")]
 
     def birth_rate(self, space, x, eta) -> float:
-        return float(self.profile(nearest_distance(space, x, eta)))
+        # A point at or beyond the last breakpoint gives value_at_infinity,
+        # like no point at all, so the grid only needs to reach that far.
+        reach = self.breakpoints[-1]
+        nearest = min((t for t, _ in neighbour_grid(space, eta, reach).near(x)),
+                      default=math.inf)
+        return float(self.profile(nearest))
 
     def envelope_sup(self, space) -> float:
         return float(max(max(self.values), self.value_at_infinity))
@@ -502,10 +503,11 @@ class CellOccupancyRate(RateModel):
     translation_invariant = False
 
     def __post_init__(self):
+        self.cell_counts = tuple(self.cell_counts)  # hashable index keys
         if any(c < 1 for c in self.cell_counts):
             raise SimulationConfigError("cell counts must be >= 1 per axis")
         th = np.asarray(self.theta, dtype=float)
-        n = self.n_cells
+        n = self._n_cells = math.prod(self.cell_counts)
         if th.shape != (n, n):
             raise SimulationConfigError(f"theta must be {n}x{n} for {n} cells")
         if not np.allclose(th, th.T):
@@ -518,14 +520,10 @@ class CellOccupancyRate(RateModel):
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.cell_counts))
+        return self._n_cells
 
     def cell_index(self, space: SpaceSpec, x) -> int:
-        x = np.asarray(x, dtype=float)
-        counts = np.asarray(self.cell_counts)
-        idx = np.floor(x / space.lengths_array() * counts).astype(int)
-        idx = np.minimum(idx, counts - 1)  # boundary points fall in the last cell
-        return int(np.ravel_multi_index(idx, counts))
+        return _cell_index(self.cell_counts, space.lengths, np.asarray(x, dtype=float).tolist())
 
     def cell_indices(self, space: SpaceSpec, X) -> NDArray[np.int_]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -534,12 +532,12 @@ class CellOccupancyRate(RateModel):
         idx = np.minimum(idx, counts - 1)
         return np.ravel_multi_index(idx.T, counts)
 
+    def _occupancy(self, space: SpaceSpec, eta: Configuration) -> "_Occupancy":
+        counts, lengths = self.cell_counts, space.lengths
+        return eta.index((_Occupancy, counts, lengths), lambda: _Occupancy(counts, lengths))
+
     def occupancy(self, space: SpaceSpec, eta: Configuration) -> NDArray[np.int_]:
-        k = np.zeros(self.n_cells, dtype=int)
-        pts = eta.points_array()
-        if pts.size:
-            np.add.at(k, self.cell_indices(space, pts), 1)
-        return k
+        return self._occupancy(space, eta).k.astype(int)
 
     def rate_for_occupancy(self, cell: int, k: NDArray) -> float:
         return self.base_rate * math.exp(-float(self.theta[cell] @ np.asarray(k, dtype=float)))
@@ -549,10 +547,10 @@ class CellOccupancyRate(RateModel):
         return np.full(self.n_cells, space.beta_total / self.n_cells)
 
     def birth_rate(self, space, x, eta) -> float:
-        return self.rate_for_occupancy(self.cell_index(space, x), self.occupancy(space, eta))
+        return self.rate_for_occupancy(self.cell_index(space, x), self._occupancy(space, eta).k)
 
     def birth_rates(self, space, X, eta):
-        k = self.occupancy(space, eta).astype(float)
+        k = self._occupancy(space, eta).k
         cells = self.cell_indices(space, X)
         return self.base_rate * np.exp(-(self.theta @ k))[cells]
 
@@ -576,6 +574,37 @@ class CellOccupancyRate(RateModel):
     @property
     def has_energy(self) -> bool:
         return True
+
+
+def _cell_index(counts: tuple[int, ...], lengths: tuple[float, ...], x: list[float]) -> int:
+    """Flat (C-order) index of the cell holding x, by the float operations of
+    cell_indices (x / L * c, floor, then the clamp that puts a point on the
+    upper face in the last cell) in scalar arithmetic."""
+    cell = 0
+    for v, L, c in zip(x, lengths, counts):
+        i = math.floor(v / L * c)
+        if i < 0:
+            raise SimulationConfigError(f"point {x} lies below the window")
+        cell = cell * c + min(i, c - 1)
+    return cell
+
+
+class _Occupancy:
+    """Points per cell of one configuration, as floats (exact integers), kept
+    by Configuration.index for CellOccupancyRate."""
+
+    __slots__ = ("k", "_counts", "_lengths")
+
+    def __init__(self, counts: tuple[int, ...], lengths: tuple[float, ...]):
+        self.k = np.zeros(math.prod(counts))
+        self._counts = counts
+        self._lengths = lengths
+
+    def add(self, pid: str, p: list[float]) -> None:
+        self.k[_cell_index(self._counts, self._lengths, p)] += 1.0
+
+    def remove(self, pid: str, p: list[float]) -> None:
+        self.k[_cell_index(self._counts, self._lengths, p)] -= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,229 @@
+"""Rates read through a configuration's derived indexes (occupancy counts and
+the neighbour grid) against full scans of every point.
+
+The references below are the full-scan formulas: every point's distance by
+distances_to (nearest_distance for the nearest point), the occupancy vector by
+np.add.at. The indexed rates must equal
+them bit for bit, not to rounding, after any sequence of additions, removals
+and copies.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sbdsim.geometry import Configuration, SpaceSpec, distances_to, nearest_distance
+from sbdsim.models import AreaInteractionRate, CellOccupancyRate, NearestNeighborRate, PairwiseRate
+
+
+# ---------------------------------------------------------------------------
+# full-scan references
+# ---------------------------------------------------------------------------
+
+def scan(space, x, eta):
+    pts = eta.points_array()
+    if pts.size == 0:
+        return np.zeros(0)
+    return distances_to(space, np.asarray(x, dtype=float), pts)
+
+
+def ref_pairwise(m, space, x, eta):
+    close = int(np.count_nonzero(scan(space, x, eta) <= m.interaction_range))
+    return math.exp(-m.theta * close)
+
+
+def ref_area(m, space, x, eta):
+    pts = eta.points_array()
+    near = pts[scan(space, x, eta) < 2.0 * m.grain_radius] if pts.size else pts
+    exposed = m.overlap(space).exposed_volume(space, x, near)
+    return m.rho * math.exp(-exposed * math.log(m.gamma))
+
+
+def ref_nearest(m, space, x, eta):
+    t = nearest_distance(space, x, eta)
+    table = np.append(np.asarray(m.values, dtype=float), m.value_at_infinity)
+    return float(table[np.searchsorted(np.asarray(m.breakpoints, dtype=float), t, side="right")])
+
+
+def ref_cells(m, space, x, eta):
+    counts = np.asarray(m.cell_counts)
+    k = np.zeros(int(np.prod(counts)), dtype=int)
+    pts = eta.points_array()
+    if pts.size:
+        np.add.at(k, m.cell_indices(space, pts), 1)
+    idx = np.minimum(np.floor(np.asarray(x, dtype=float) / space.lengths_array() * counts)
+                     .astype(int), counts - 1)
+    cell = int(np.ravel_multi_index(idx, counts))
+    return m.base_rate * math.exp(-float(m.theta[cell] @ k.astype(float)))
+
+
+REFERENCE = {PairwiseRate: ref_pairwise, AreaInteractionRate: ref_area,
+             NearestNeighborRate: ref_nearest, CellOccupancyRate: ref_cells}
+
+
+def models_for(space, radius, cell_counts):
+    """One model of each indexed kind whose interaction reaches `radius`."""
+    models = [
+        PairwiseRate(theta=0.4, interaction_range=radius),
+        NearestNeighborRate(breakpoints=(radius / 2 if math.isfinite(radius)
+                                         else min(space.lengths) / 4, radius),
+                            values=(0.3, 0.9), value_at_infinity=1.4),
+        CellOccupancyRate(cell_counts=cell_counts,
+                          theta=0.2 * np.eye(math.prod(cell_counts)) + 0.05, base_rate=1.3),
+    ]
+    if math.isfinite(radius) and (not space.periodic or radius < min(space.lengths)):
+        models.append(AreaInteractionRate(rho=1.2, gamma=1.8, grain_radius=radius / 2,
+                                          overlap_resolution=256))
+    return models
+
+
+def assert_rates_match(models, space, xs, eta):
+    for m in models:
+        for x in xs:
+            got = m.birth_rate(space, x, eta)
+            want = REFERENCE[type(m)](m, space, x, eta)
+            assert got == want, (type(m).__name__, x, got, want)
+
+
+# ---------------------------------------------------------------------------
+# property: random add / remove / copy sequences
+# ---------------------------------------------------------------------------
+
+RADIUS_FRACTIONS = (1e-12, 0.01, 0.1, 0.2, 1 / 3, 0.49, 0.5, 0.75, 1.0, 3.0, math.inf)
+
+
+@st.composite
+def window_point(draw, space, radius, anchors):
+    """A point of the window: uniform, on a cell face, on the window's faces,
+    or a copy of an earlier point, optionally moved by the radius along one
+    axis (so that distances land on the radius)."""
+    kind = draw(st.sampled_from(["uniform", "uniform", "face", "anchor", "anchor"]))
+    out = []
+    for L in space.lengths:
+        top = L if not space.periodic else math.nextafter(L, 0.0)
+        if kind == "face":
+            v = draw(st.sampled_from([0.0, L / 3, L / 2, 2 * L / 3, top]))
+        else:
+            v = draw(st.floats(0.0, top, allow_nan=False))
+        out.append(v)
+    if kind == "anchor" and anchors:
+        out = list(draw(st.sampled_from(anchors)))
+        if math.isfinite(radius) and draw(st.booleans()):
+            axis = draw(st.integers(0, space.dimension - 1))
+            L = space.lengths[axis]
+            v = out[axis] + draw(st.sampled_from([radius, -radius]))
+            if space.periodic:
+                v %= L
+                if v >= L:
+                    v = 0.0
+            out[axis] = min(max(v, 0.0), L)
+    return np.array(out)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), boundary=st.sampled_from(["periodic", "free"]),
+       data=st.data())
+def test_indexed_rates_equal_full_scan(dim, boundary, data):
+    lengths = tuple(data.draw(st.sampled_from([1.0, 0.7, 2.5])) for _ in range(dim))
+    space = SpaceSpec(dimension=dim, lengths=lengths, boundary=boundary)
+    radius = min(lengths) * data.draw(st.sampled_from(RADIUS_FRACTIONS))
+    cell_counts = tuple(data.draw(st.sampled_from([1, 2, 3, 5])) for _ in range(dim))
+    models = models_for(space, radius, cell_counts)
+
+    eta = Configuration()
+    anchors: list[tuple] = []
+    kept = []  # (configuration left behind by a copy, its points then)
+    next_id = 0
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["add", "add", "remove", "copy"]))
+        if op == "add":
+            for _ in range(data.draw(st.integers(1, 10))):
+                x = data.draw(window_point(space, radius, anchors))
+                eta.add(f"q{next_id}", x)
+                anchors.append(tuple(x))
+                next_id += 1
+        elif op == "remove" and len(eta):
+            for _ in range(data.draw(st.integers(1, len(eta)))):
+                eta.remove(data.draw(st.sampled_from(sorted(eta.ids()))))
+        elif op == "copy":
+            kept.append((eta, sorted(map(tuple, eta.points_array().tolist()))))
+            eta = eta.copy()
+        xs = [data.draw(window_point(space, radius, anchors)) for _ in range(3)]
+        assert_rates_match(models, space, xs, eta)
+    for old, pts in kept:
+        assert sorted(map(tuple, old.points_array().tolist())) == pts
+        assert_rates_match(models, space, [np.array(p) for p in pts[:2]], old)
+
+
+# ---------------------------------------------------------------------------
+# edges
+# ---------------------------------------------------------------------------
+
+FREE_1D = SpaceSpec(dimension=1, lengths=(1.0,), boundary="free")
+TORUS_1D = SpaceSpec(dimension=1, lengths=(1.0,))
+
+
+def test_free_window_point_on_the_upper_face():
+    space = SpaceSpec(dimension=2, lengths=(1.0, 2.0), boundary="free")
+    eta = Configuration.from_points(np.array([[1.0, 2.0], [0.95, 1.9], [0.0, 0.0]]))
+    models = models_for(space, 0.15, (3, 2))
+    xs = [np.array([1.0, 2.0]), np.array([0.9, 2.0]), np.array([1.0, 0.1])]
+    assert_rates_match(models, space, xs, eta)
+    eta.remove("p0")
+    assert_rates_match(models, space, xs, eta)
+    # the face point sits in the last cell, not one past it
+    cells = CellOccupancyRate(cell_counts=(3, 2), theta=np.eye(6))
+    assert cells.cell_index(space, np.array([1.0, 2.0])) == 5
+
+
+@pytest.mark.parametrize("space", [TORUS_1D, FREE_1D], ids=["periodic", "free"])
+@pytest.mark.parametrize("radius", [0.45, 0.7], ids=["two_cells", "one_cell"])
+def test_grids_with_one_or_two_cells_per_axis(space, radius):
+    eta = Configuration.from_points(np.array([[0.1], [0.6], [0.95]]))
+    models = models_for(space, radius, (2,))
+    xs = [np.array([v]) for v in (0.0, 0.3, 0.5, 0.9, 0.999)]
+    assert_rates_match(models, space, xs, eta)
+    pairwise = models[0]
+    # on the torus the cell across the wrap is the other cell, counted once
+    want = 3 if space.periodic else 2
+    assert pairwise.birth_rate(space, np.array([0.9]), eta) == math.exp(-0.4 * want)
+
+
+def test_two_cells_per_axis_in_two_dimensions_count_each_point_once():
+    space = SpaceSpec(dimension=2, lengths=(1.0, 1.0))
+    eta = Configuration.from_points(np.array([[0.05, 0.05], [0.55, 0.95]]))
+    m = PairwiseRate(theta=1.0, interaction_range=0.49)  # two cells per axis
+    assert m.birth_rate(space, np.array([0.9, 0.9]), eta) == math.exp(-2.0)
+    assert_rates_match([m], space, [np.array([0.9, 0.9]), np.array([0.3, 0.5])], eta)
+
+
+def test_mutating_a_copy_leaves_the_original_rates():
+    eta = Configuration.from_points(np.array([[0.1], [0.2], [0.55]]))
+    models = models_for(TORUS_1D, 0.15, (3,))
+    xs = [np.array([v]) for v in (0.15, 0.5, 0.95)]
+    before = [m.birth_rate(TORUS_1D, x, eta) for m in models for x in xs]
+    twin = eta.copy()
+    twin.add("extra", np.array([0.5]))
+    twin.remove("p0")
+    assert_rates_match(models, TORUS_1D, xs, twin)
+    assert [m.birth_rate(TORUS_1D, x, eta) for m in models for x in xs] == before
+    assert_rates_match(models, TORUS_1D, xs, eta)
+
+
+def test_two_spaces_or_two_radii_keep_separate_indexes():
+    eta = Configuration.from_points(np.array([[0.1], [0.3], [0.8]]))
+    wide = SpaceSpec(dimension=1, lengths=(2.0,))
+    near = PairwiseRate(theta=0.5, interaction_range=0.1)
+    far = PairwiseRate(theta=0.5, interaction_range=0.3)
+    cells = CellOccupancyRate(cell_counts=(2,), theta=np.array([[0.5, 0.2], [0.2, 0.5]]))
+    xs = [np.array([v]) for v in (0.2, 0.9)]
+    for step in range(3):
+        for space in (TORUS_1D, wide):
+            assert_rates_match([near, far, cells], space, xs, eta)
+        eta.add(f"n{step}", np.array([0.25 + 0.3 * step]))
+        eta.remove(sorted(eta.ids())[-1])
+    # the same point counts under one window's cells and not another's
+    assert cells.occupancy(TORUS_1D, eta).tolist() != cells.occupancy(wide, eta).tolist()
