@@ -3,7 +3,9 @@
 
 For each intensity the script draws a batch of exact samples and tallies the
 lookback depth the doubling scheme needed, the number of lookbacks it tried
-(one sandwich pass each), and the resulting population. The point of the
+(one sandwich pass each), the bracket proposals per draw over all its passes
+and the share of them run after the pair merged (one path, one rate call),
+and the resulting population. The point of the
 exercise: coalescence depth grows roughly logarithmically until the
 interaction gets strong, after which the sandwich bracket stays open much
 longer.
@@ -32,6 +34,7 @@ def profile_intensity(intensity, replicates, seed):
     model = PairwiseRate(theta=THETA, interaction_range=RANGE)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
     lookbacks, tried, counts, failures = [], [], [], 0
+    proposals, merged = [], []
     for i in range(replicates):
         res = perfect_sample(model, space, replicate_seed(seed, i),
                              max_lookback=MAX_LOOKBACK)
@@ -40,6 +43,8 @@ def profile_intensity(intensity, replicates, seed):
             continue
         lookbacks.append(res.lookback_used)
         tried.append(res.lookbacks_tried)
+        proposals.append(res.proposals)
+        merged.append(res.merged)
         counts.append(res.count)
     return {
         "intensity": intensity,
@@ -49,6 +54,9 @@ def profile_intensity(intensity, replicates, seed):
         "p90_lookback": float(np.percentile(lookbacks, 90)),
         "max_lookback": float(np.max(lookbacks)),
         "mean_lookbacks_tried": float(np.mean(tried)),
+        "mean_proposals": float(np.mean(proposals)),
+        "mean_merged": float(np.mean(merged)),
+        "merged_share": float(np.sum(merged) / max(1, np.sum(proposals))),
         "mean_count": float(np.mean(counts)),
     }
 
@@ -69,6 +77,8 @@ def main(argv=None):
         print(f"intensity {intensity:6.2f}: mean lookback {row['mean_lookback']:6.2f} "
               f"(p90 {row['p90_lookback']:5.1f}, max {row['max_lookback']:5.1f}), "
               f"mean lookbacks tried {row['mean_lookbacks_tried']:5.2f}, "
+              f"proposals per draw {row['mean_proposals']:7.1f} "
+              f"({row['mean_merged']:6.1f} merged, {row['merged_share']:4.0%}), "
               f"mean count {row['mean_count']:6.2f}, failures {row['failures']}")
 
     with open(args.out, "w", newline="") as fh:

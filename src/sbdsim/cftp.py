@@ -9,7 +9,10 @@ upper below the supremum. Each decision depends only on the pair just before
 the proposal, so a single time-ordered pass settles every decision; if the
 pair agrees at time 0 the common value is an exact draw from the stationary
 law, because every stationary path driven by the same noise is trapped
-between the pair.
+between the pair. The pair stays nested, so it agrees as soon as its sizes
+do, and from then on both processes take the same decisions (Garcia & Kurtz:
+one proposal stream drives every path): the rest of the pass runs them as one
+path at the plain birth rate. Only keep_detail keeps the event logs.
 
 The dominating process must be one consistent trajectory across lookbacks,
 not redrawn per restart: its state at -T is realized as the survivors of the
@@ -108,20 +111,24 @@ class SandwichDetail:
 
 @dataclass
 class SandwichState:
-    """Bracketing pair at time 0 after the sandwich pass."""
+    """Bracketing pair at time 0 after the sandwich pass: the pass's own live
+    states, the same object once the pair has merged. proposals counts the
+    proposals of the pass, merged those it ran as one path."""
 
     lower: Configuration
     upper: Configuration
     lookback: float
     coalesced: bool
+    proposals: int
+    merged: int
     detail: SandwichDetail | None = None
 
 
 def _bracket_rates(model: RateModel, space: SpaceSpec):
-    """Rate rule of run_paths for a bracket: paths 0 and 1 are the lower and
-    upper process, any further path runs at the plain birth rate. The pair is
-    not checked for nesting here; the engine's _contained observer keeps it
-    nested at O(1) per proposal."""
+    """Rate rule of run_paths for a bracket before it merges: paths 0 and 1
+    are the lower and upper process, any further path runs at the plain birth
+    rate. The pair is not checked for nesting here; run_paths(nested=True)
+    checks it at O(1) per proposal."""
     def rates(x, states):
         lam_low, lam_up = _sandwich_rates(model, space, x, states[0], states[1])
         return [lam_low, lam_up] + [model.birth_rate(space, x, s) for s in states[2:]]
@@ -136,7 +143,9 @@ def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
     starts empty, the upper from the dominating state at -T
     (ancient_survivors); after every proposal the pass raises RuntimeError if
     the lower process accepted a birth that the upper one rejected, the only
-    way the pair could stop being nested.
+    way the pair could stop being nested. Once the pair has equal sizes it is
+    equal, and the rest of the pass runs it as one path at the plain birth
+    rate (engine.run_paths, nested=True). Only keep_detail keeps event logs.
     """
     if not (lookback > 0):
         raise SimulationConfigError(f"lookback must be > 0, got {lookback}")
@@ -144,16 +153,19 @@ def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
         raise SimulationConfigError("model envelope must be finite for sandwich runs")
     start = -max(1, math.ceil(lookback / stream.slab_length - 1e-12)) * stream.slab_length
     ancient = ancient_survivors(stream, start, model.death.rate)
-    low, up = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start,
-                               stream, start, rates=_bracket_rates(model, space),
-                               observe=engine._contained)
-    lower0, upper0 = low.final.projection(), up.final.projection()
+    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, stream,
+                           start, rates=_bracket_rates(model, space), log=keep_detail,
+                           nested=True)
+    lower0, upper0 = run.finals
     detail = None
     if keep_detail:
+        low, up = run.trajectories()
         detail = SandwichDetail(atoms=list(stream.atoms_between(start, 0.0)), ancient=ancient,
                                 start_time=start, lower_path=low, upper_path=up)
+    # nested, so equal sizes are equal states
     return SandwichState(lower=lower0, upper=upper0, lookback=-start,
-                         coalesced=(lower0 == upper0), detail=detail)
+                         coalesced=len(lower0) == len(upper0), proposals=run.proposals,
+                         merged=run.merged, detail=detail)
 
 
 def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
@@ -179,13 +191,13 @@ def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
 
     def observe(atom, lams, accepted, states) -> None:
         nonlocal violations
-        engine._contained(atom, lams, accepted, states)
         violations += count(states)
 
-    paths = engine.run_paths(model, space, [TimedConfiguration(), det.ancient] + mids,
-                             -det.start_time, stream, det.start_time,
-                             rates=_bracket_rates(model, space), observe=observe)
-    return violations + count([p.final.projection() for p in paths])
+    run = engine.run_paths(model, space, [TimedConfiguration(), det.ancient] + mids,
+                           -det.start_time, stream, det.start_time,
+                           rates=_bracket_rates(model, space), observe=observe, log=False,
+                           nested=True)
+    return violations + count(run.finals)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +206,15 @@ def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
 
 @dataclass
 class PerfectSample:
-    """Result of a coupling-from-the-past draw."""
+    """Result of a coupling-from-the-past draw. proposals and merged are the
+    totals of SandwichState.proposals and .merged over the lookbacks tried."""
 
     configuration: Configuration | None
     lookback_used: float
     status: str  # "Coalesced" | "NotCoalesced"
     lookbacks_tried: int
+    proposals: int
+    merged: int
 
     @property
     def count(self) -> int | None:
@@ -222,16 +237,23 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
     """
     stream = NoiseStream.for_model(model, space, master_seed, slab_length)
     lookback = max(initial_lookback, slab_length)
-    tried = 0
+    tried = proposals = merged = 0
     while lookback <= max_lookback * (1 + 1e-12):
         state = sandwich_run(model, space, lookback, stream)
         tried += 1
+        proposals += state.proposals
+        merged += state.merged
         if state.coalesced:
-            return PerfectSample(configuration=state.lower, lookback_used=state.lookback,
-                                 status="Coalesced", lookbacks_tried=tried)
+            # a fresh copy with its rows in the order the live ids were born,
+            # so that sums over points_array() do not depend on the pass
+            draw = Configuration(dict(state.lower.items()))
+            return PerfectSample(configuration=draw, lookback_used=state.lookback,
+                                 status="Coalesced", lookbacks_tried=tried,
+                                 proposals=proposals, merged=merged)
         lookback = state.lookback * 2
     return PerfectSample(configuration=None, lookback_used=lookback / 2 if tried else 0.0,
-                         status="NotCoalesced", lookbacks_tried=tried)
+                         status="NotCoalesced", lookbacks_tried=tried,
+                         proposals=proposals, merged=merged)
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +305,17 @@ def extremal_lookback_counts(model: RateModel, space: SpaceSpec, horizons,
     """
     _require_attractive(model, "extremal_lookback_counts")
     hs = [max(1, math.ceil(h / slab_length - 1e-12)) * slab_length for h in horizons]
-    delta0 = model.death.rate
     min_counts = np.zeros((replicates, len(hs)), dtype=int)
     max_counts = np.zeros((replicates, len(hs)), dtype=int)
     for rep in range(replicates):
         stream = NoiseStream.for_model(model, space, replicate_seed(master_seed, rep),
                                        slab_length)
         for j, h in enumerate(hs):
-            tmin = engine.simulate(model, space, TimedConfiguration(), h, stream,
-                                   start_time=-h)
-            min_counts[rep, j] = len(tmin.final)
-            anc = ancient_survivors(stream, -h, delta0)
-            tmax = engine.simulate(model, space, anc, h, stream, start_time=-h)
-            max_counts[rep, j] = len(tmax.final)
+            # for an attractive model the bracket's rates are the plain rates
+            # of its two paths, so the sandwich pass on [-h, 0] is that pair
+            state = sandwich_run(model, space, h, stream)
+            min_counts[rep, j] = len(state.lower)
+            max_counts[rep, j] = len(state.upper)
     return np.asarray(hs), min_counts, max_counts
 
 

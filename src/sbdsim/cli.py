@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,18 +154,11 @@ def _initial_state(cfg: RunConfig, seed: int):
     raise SimulationConfigError(f"unknown initial state type {kind!r}")
 
 
-def _map_replicates(fn, indices, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, indices))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     horizon = float(cfg.run.get("horizon", 10.0))
     if horizon < 0:
         raise SimulationConfigError("horizon must be nonnegative")
@@ -194,7 +186,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, threads: int) -> int:
     return 0
 
 
-def cmd_perfect_sample(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_perfect_sample(cfg: RunConfig, out_dir: str) -> int:
     replicates = int(cfg.run.get("replicates", 100))
     t0 = float(cfg.run.get("initial_lookback", 1.0))
     t_max = float(cfg.run.get("max_lookback", 1024.0))
@@ -210,7 +202,7 @@ def cmd_perfect_sample(cfg: RunConfig, out_dir: str, threads: int) -> int:
                                   cfg.slab_length)
         return i, seed_i, res
 
-    results = _map_replicates(one, range(replicates), threads)
+    results = [one(i) for i in range(replicates)]
     n_coalesced = 0
     with open(os.path.join(out_dir, "coalescence.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -232,7 +224,7 @@ def cmd_perfect_sample(cfg: RunConfig, out_dir: str, threads: int) -> int:
     return 0
 
 
-def cmd_oracle(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_oracle(cfg: RunConfig, out_dir: str) -> int:
     if not isinstance(cfg.model, CellOccupancyRate):
         raise SimulationConfigError("the oracle command needs a cell_occupancy model")
     block = cfg.run.get("oracle", {})
@@ -259,7 +251,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: str, threads: int) -> int:
     return 0
 
 
-def cmd_contraction(cfg: RunConfig, out_dir: str | None, threads: int) -> int:
+def cmd_contraction(cfg: RunConfig, out_dir: str | None) -> int:
     block = cfg.run.get("contraction", {})
     resolution = block.get("resolution")
     if resolution is None and cfg.space.dimension == 1:
@@ -280,7 +272,7 @@ def cmd_contraction(cfg: RunConfig, out_dir: str | None, threads: int) -> int:
     return 0
 
 
-def cmd_stats(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_stats(cfg: RunConfig, out_dir: str) -> int:
     replicates = int(cfg.run.get("replicates", 200))
     horizon = float(cfg.run.get("horizon", 20.0))
     _write_outputs(out_dir, cfg)
@@ -291,7 +283,7 @@ def cmd_stats(cfg: RunConfig, out_dir: str, threads: int) -> int:
         return engine.simulate(cfg.model, cfg.space, _initial_state(cfg, seed_i),
                                horizon, stream)
 
-    trajectories = _map_replicates(one, range(replicates), threads)
+    trajectories = [one(i) for i in range(replicates)]
     samples = [t.final.projection() for t in trajectories]
 
     table = analysis.empirical_count_table(samples)
@@ -473,7 +465,7 @@ def run_validation_battery(seed: int = 20260816, fast: bool = False) -> dict:
             "seed": seed}
 
 
-def cmd_validate(cfg: RunConfig, out_dir: str, threads: int) -> int:
+def cmd_validate(cfg: RunConfig, out_dir: str) -> int:
     _write_outputs(out_dir, cfg)
     fast = bool(cfg.run.get("validate", {}).get("fast", False))
     report = run_validation_battery(seed=int(cfg.run.get("validate", {})
@@ -516,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility and ignored: replicates run "
+                            "one after another (must be at least 1)")
         p.add_argument("--horizon", type=float, default=None)
         p.add_argument("--snapshot-times", default=None,
                        help="comma-separated times, e.g. 0,2.5,10")
@@ -540,7 +534,7 @@ def main(argv=None) -> int:
             out_dir = None
         if args.threads < 1:
             raise SimulationConfigError("--threads must be at least 1")
-        return _COMMANDS[args.command](cfg, out_dir, args.threads)
+        return _COMMANDS[args.command](cfg, out_dir)
     except (SimulationConfigError, UnsupportedModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

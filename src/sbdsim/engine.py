@@ -11,7 +11,10 @@ enters anywhere.
 One loop, run_paths, solves these equations forward in time for any number of
 paths on the same proposals: the plain forward run, the coupled pair, and the
 lower/upper bracket of coupling from the past differ only in the rule that
-turns the states before s into one rate per path.
+turns the states before s into one rate per path. Since every path reads the
+same proposals, two paths that are equal stay equal: a bracket (a nested
+pair) runs as one path from the first proposal at which its two sizes agree.
+Passes whose callers read only the final states keep no event log.
 """
 
 from __future__ import annotations
@@ -130,16 +133,18 @@ def _death_time(birth_time: float, clock: float, delta0: float) -> float:
 
 
 class _Path:
-    """One path of run_paths: live state, death-time heap, event log."""
+    """One path of run_paths: live state, death-time heap and, when logged, the
+    event log and the death mark and birth time of every point (else None)."""
 
     __slots__ = ("live", "marks", "deaths", "seq", "events")
 
-    def __init__(self, initial: TimedConfiguration, start_time: float, delta0: float):
+    def __init__(self, initial: TimedConfiguration, start_time: float, delta0: float,
+                 log: bool):
         self.live = Configuration()
-        self.marks: dict[str, tuple[float, float]] = {}  # pid -> (mark, birth_time)
+        self.marks: dict[str, tuple[float, float]] | None = {} if log else None
         self.deaths: list[tuple[float, int, str]] = []
         self.seq = 0
-        self.events: list[Event] = []
+        self.events: list[Event] | None = [] if log else None
         for pid in sorted(initial.ids()):
             e = initial.entry(pid)
             dt = _death_time(e.birth_time, e.clock, delta0)
@@ -150,38 +155,68 @@ class _Path:
 
     def _add(self, pid: str, x, mark: float, born: float, dt: float) -> None:
         self.live.add(pid, x)
-        self.marks[pid] = (mark, born)
+        if self.marks is not None:
+            self.marks[pid] = (mark, born)
         heapq.heappush(self.deaths, (dt, self.seq, pid))
         self.seq += 1
 
     def birth(self, atom, delta0: float) -> None:
         self._add(atom.atom_id, atom.x, atom.r, atom.s, _death_time(atom.s, atom.r, delta0))
-        self.events.append(Event(time=atom.s, kind="birth", point_id=atom.atom_id,
-                                 x=np.array(atom.x, dtype=float), mark=atom.r))
+        if self.events is not None:
+            self.events.append(Event(time=atom.s, kind="birth", point_id=atom.atom_id,
+                                     x=np.array(atom.x, dtype=float), mark=atom.r))
 
     def flush_deaths(self, up_to: float, inclusive: bool) -> None:
         """Apply the deaths before up_to (at up_to too when inclusive)."""
-        deaths = self.deaths
+        deaths, live, events = self.deaths, self.live, self.events
         while deaths and (deaths[0][0] < up_to or (inclusive and deaths[0][0] == up_to)):
             dt, _, pid = heapq.heappop(deaths)
-            self.events.append(Event(time=dt, kind="death", point_id=pid,
-                                     x=self.live.remove(pid)))
+            x = live.remove(pid)
+            if events is not None:
+                events.append(Event(time=dt, kind="death", point_id=pid, x=x))
 
-    def final(self) -> TimedConfiguration:
-        out = TimedConfiguration()
-        for pid, x in self.live.items():
-            mark, born = self.marks[pid]
-            out.add(pid, TimedPoint(x, mark, born))
+
+@dataclass
+class PathRun:
+    """What run_paths leaves behind: the paths at the end of
+    [start_time, start_time + horizon], the number of proposals in that window
+    and how many of them a merged nested pair ran as one path."""
+
+    initials: list[TimedConfiguration]
+    start_time: float
+    horizon: float
+    death_rate: float
+    paths: list[_Path]
+    proposals: int
+    merged: int
+
+    @property
+    def finals(self) -> list[Configuration]:
+        """Each path's live state at the end (not a copy; path 1 of a merged
+        pair is path 0's)."""
+        return [path.live for path in self.paths]
+
+    def trajectories(self) -> list[Trajectory]:
+        """One Trajectory per path, from a logged run."""
+        out = []
+        for initial, path in zip(self.initials, self.paths):
+            final = TimedConfiguration()
+            for pid, x in path.live.items():
+                mark, born = path.marks[pid]
+                final.add(pid, TimedPoint(x, mark, born))
+            out.append(Trajectory(initial=initial.copy(), events=path.events,
+                                  start_time=self.start_time, horizon=self.horizon,
+                                  final=final, death_rate=self.death_rate))
         return out
 
 
 def _contained(atom, lams, accepted, states) -> None:
-    """run_paths observer for a nested pair: path 0 must stay inside path 1.
+    """Containment check for a nested pair: path 0 must stay inside path 1.
 
     For a pair started nested, shared points die at the same _death_time on
     both paths, so the pair stays nested exactly when path 0 never accepts a
     proposal that path 1 rejects; a violation is an internal bug, not a
-    statistics failure.
+    statistics failure. It has run_paths' observer signature.
     """
     if accepted[0] and not accepted[1]:
         raise RuntimeError(
@@ -191,7 +226,7 @@ def _contained(atom, lams, accepted, states) -> None:
 
 def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfiguration],
               horizon: float, stream: NoiseStream, start_time: float = 0.0,
-              rates=None, observe=None) -> list[Trajectory]:
+              rates=None, observe=None, log: bool = True, nested: bool = False) -> PathRun:
     """Drive one path per initial state through the same proposals on
     [start_time, start_time + horizon].
 
@@ -201,35 +236,71 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfigurat
     u <= rate i. The default rule is model.birth_rate on each path's own
     state. observe(atom, rates, accepted, states), when given, runs after every
     proposal; it is where callers assert or count invariants between paths.
-    Deaths at exactly the end of the horizon are recorded as events and
-    excluded from the final states.
+    Deaths at exactly the end of the horizon are logged and excluded from the
+    final states. With log=False the paths keep no event log and no death
+    marks, for callers that read only the final states.
+
+    nested=True declares paths 0 and 1 a nested pair, path 0 inside path 1
+    (the bracket of coupling from the past): every decision is checked by
+    _contained. Shared points die at the same time on both paths, so the ids
+    of path 0 stay a subset of those of path 1, and equal sizes mean equal
+    states, after which the two would take the same decisions to the end. So
+    once len(path 0) == len(path 1) before a proposal, the pair runs as one
+    path: path 0 alone applies deaths, makes one model.birth_rate call and
+    takes births, rates is no longer called (further paths go on at their own
+    model.birth_rate), and at the end path 1 takes path 0's state and, when
+    logged, path 0's later events. From the merge on, observe sees path 0's
+    state, rate and decision in place of path 1's.
     """
     if horizon < 0:
         raise SimulationConfigError(f"horizon must be >= 0, got {horizon}")
     delta0 = model.death.rate
     t_end = start_time + horizon
-    if rates is None:
-        def rates(x, states):
-            return [model.birth_rate(space, x, live) for live in states]
-    paths = [_Path(initial, start_time, delta0) for initial in initials]
-    states = [path.live for path in paths]
+    birth_rate = model.birth_rate
 
-    for atom in stream.atoms_between(start_time, t_end):
-        for path in paths:
+    def own_rates(x, states):
+        return [birth_rate(space, x, live) for live in states]
+
+    if rates is None:
+        rates = own_rates
+    paths = [_Path(initial, start_time, delta0, log) for initial in initials]
+    active, states = paths, [path.live for path in paths]
+    split = nested  # a nested pair not merged yet
+    merged_at = None  # (proposals before the merge, length of path 0's log then)
+    n = 0
+    for n, atom in enumerate(stream.atoms_between(start_time, t_end), 1):
+        for path in active:
             path.flush_deaths(atom.s, inclusive=False)
+        if split and len(states[0]) == len(states[1]):
+            split = False
+            merged_at = (n - 1, len(paths[0].events) if log else 0)
+            active = paths[:1] + paths[2:]
+            states = [path.live for path in active]
+            rates = own_rates
         lams = rates(atom.x, states)
         accepted = [atom.u <= lam for lam in lams]
-        for path, acc in zip(paths, accepted):
+        if split:
+            _contained(atom, lams, accepted, states)
+        for path, acc in zip(active, accepted):
             if acc:
                 path.birth(atom, delta0)
         if observe is not None:
-            observe(atom, lams, accepted, states)
-    for path in paths:
+            if active is paths:
+                observe(atom, lams, accepted, states)
+            else:
+                observe(atom, lams[:1] + lams, accepted[:1] + accepted, states[:1] + states)
+    for path in active:
         path.flush_deaths(t_end, inclusive=True)
 
-    return [Trajectory(initial=initial.copy(), events=path.events, start_time=start_time,
-                       horizon=horizon, final=path.final(), death_rate=delta0)
-            for initial, path in zip(initials, paths)]
+    merged = 0
+    if merged_at is not None:
+        merged = n - merged_at[0]
+        low, up = paths[0], paths[1]
+        if log:
+            up.events += low.events[merged_at[1]:]
+        up.live, up.marks, up.deaths = low.live, low.marks, low.deaths
+    return PathRun(initials=list(initials), start_time=start_time, horizon=horizon,
+                   death_rate=delta0, paths=paths, proposals=n, merged=merged)
 
 
 def simulate(model: RateModel, space: SpaceSpec, initial: TimedConfiguration,
@@ -247,7 +318,7 @@ def simulate(model: RateModel, space: SpaceSpec, initial: TimedConfiguration,
         audit.append(CandidateRecord(atom.atom_id, atom.s, lams[0], accepted[0]))
 
     traj = run_paths(model, space, [initial], horizon, stream, start_time,
-                     observe=record if collect_audit else None)[0]
+                     observe=record if collect_audit else None).trajectories()[0]
     if collect_audit:
         traj.audit = audit  # type: ignore[attr-defined]
     return traj
@@ -274,5 +345,5 @@ def coupled_simulate(model: RateModel, space: SpaceSpec,
 
     attractive = model.monotone in ("nondecreasing", "constant")
     low, up = run_paths(model, space, [initial_low, initial_up], horizon, stream, start_time,
-                        observe=_contained if attractive else None)
+                        observe=_contained if attractive else None).trajectories()
     return low, up

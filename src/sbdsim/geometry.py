@@ -285,10 +285,6 @@ class Configuration:
         xs = self._xs
         return Counter(xs[row].tobytes() for row in self._row.values())
 
-    def multiset_key(self):
-        """Canonical hashable value: sorted tuple of coordinate tuples."""
-        return tuple(sorted(map(tuple, self.points_array())))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
             return NotImplemented

@@ -161,6 +161,24 @@ class GrainOverlap:
     def exposed_volume(self, space: SpaceSpec, x, pts) -> float:
         """Volume of ball(x, r) not covered by the union of ball(p, r), p in pts."""
         self._check_space(space)
+        return self._exposed_volume(space, x, pts)
+
+    def overlap_volumes(self, space: SpaceSpec, x, pts) -> NDArray[np.float64]:
+        """Volume of ball(x, r) & ball(p, r) for each p, computed consistently
+        with exposed_volume so that increments are dominated node by node."""
+        self._check_space(space)
+        return self._overlap_volumes(space, x, pts)
+
+    def union_volume(self, space: SpaceSpec, pts) -> float:
+        """Volume of the union of grain balls, by sequential exposed volumes
+        in canonical (lexicographic) point order."""
+        self._check_space(space)
+        return self._union_volume(space, pts)
+
+    # The unchecked cores below serve AreaInteractionRate, whose overlap(space)
+    # has already checked the space once for the query.
+
+    def _exposed_volume(self, space: SpaceSpec, x, pts) -> float:
         pts = np.asarray(pts, dtype=float)
         if pts.size == 0:
             return self.ball_volume
@@ -185,10 +203,7 @@ class GrainOverlap:
         covered = np.any(np.sum(diff ** 2, axis=2) <= r * r, axis=1)
         return self.ball_volume * float(np.count_nonzero(~covered)) / len(nodes)
 
-    def overlap_volumes(self, space: SpaceSpec, x, pts) -> NDArray[np.float64]:
-        """Volume of ball(x, r) & ball(p, r) for each p, computed consistently
-        with exposed_volume so that increments are dominated node by node."""
-        self._check_space(space)
+    def _overlap_volumes(self, space: SpaceSpec, x, pts) -> NDArray[np.float64]:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.size == 0:
             return np.zeros(0)
@@ -204,9 +219,7 @@ class GrainOverlap:
         covered = np.sum(diff ** 2, axis=2) <= r * r
         return self.ball_volume * np.count_nonzero(covered, axis=0) / len(self._nodes)
 
-    def union_volume(self, space: SpaceSpec, pts) -> float:
-        """Volume of the union of grain balls, by sequential exposed volumes
-        in canonical (lexicographic) point order."""
+    def _union_volume(self, space: SpaceSpec, pts) -> float:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.size == 0:
             return 0.0
@@ -214,7 +227,7 @@ class GrainOverlap:
         total = 0.0
         for rank, i in enumerate(order):
             prev = pts[[order[j] for j in range(rank)], :] if rank else np.zeros((0, pts.shape[1]))
-            total += self.exposed_volume(space, pts[i], prev)
+            total += self._exposed_volume(space, pts[i], prev)
         return total
 
 
@@ -242,6 +255,10 @@ class RateModel:
     def increment_kernel(self, space: SpaceSpec, x, Y) -> NDArray[np.float64]:
         """Bound on |lambda(x, eta + y) - lambda(x, eta)|, one value per row of Y."""
         raise NotImplementedError
+
+    def support_radius(self) -> float:
+        """A distance beyond which increment_kernel is 0 (inf if none is known)."""
+        return math.inf
 
     def energy(self, space: SpaceSpec, eta: Configuration) -> float:
         raise UnsupportedModelError(f"{type(self).__name__} has no energy functional")
@@ -275,6 +292,9 @@ class ConstantRate(RateModel):
 
     def increment_kernel(self, space, x, Y):
         return np.zeros(len(np.atleast_2d(Y)))
+
+    def support_radius(self) -> float:
+        return 0.0
 
 
 @dataclass
@@ -322,6 +342,9 @@ class PairwiseRate(RateModel):
             return np.zeros(0)
         close = distances_to(space, np.asarray(x, dtype=float), Y) <= self.interaction_range
         return -np.expm1(-self.theta) * close.astype(float)
+
+    def support_radius(self) -> float:
+        return self.interaction_range
 
     def energy(self, space, eta) -> float:
         """theta times the number of unordered neighbor pairs."""
@@ -377,6 +400,7 @@ class AreaInteractionRate(RateModel):
         return "constant"
 
     def overlap(self, space: SpaceSpec) -> GrainOverlap:
+        """The grain integrator, after checking that it fits space."""
         if self._overlap is None or self._overlap.dimension != space.dimension:
             self._overlap = GrainOverlap(space.dimension, self.grain_radius,
                                          self.overlap_method, self.overlap_resolution)
@@ -385,9 +409,9 @@ class AreaInteractionRate(RateModel):
 
     def birth_rate(self, space, x, eta) -> float:
         ov = self.overlap(space)
-        reach = 2.0 * self.grain_radius  # grains further apart do not overlap
+        reach = self.support_radius()
         near = [p for t, p in neighbour_grid(space, eta, reach).near(x) if t < reach]
-        exposed = ov.exposed_volume(space, x, near)
+        exposed = ov._exposed_volume(space, x, near)
         return self.rho * math.exp(-exposed * math.log(self.gamma))
 
     def envelope_sup(self, space) -> float:
@@ -404,7 +428,7 @@ class AreaInteractionRate(RateModel):
         if Y.size == 0:
             return np.zeros(0)
         ov = self.overlap(space)
-        V = ov.overlap_volumes(space, np.asarray(x, dtype=float), Y)
+        V = ov._overlap_volumes(space, np.asarray(x, dtype=float), Y)
         lg = math.log(self.gamma)
         if self.gamma > 1:
             return self.rho * (-np.expm1(-V * lg))
@@ -412,10 +436,13 @@ class AreaInteractionRate(RateModel):
             return self.rho * self.gamma ** (-ov.ball_volume) * (-np.expm1(V * lg))
         return np.zeros(len(Y))
 
+    def support_radius(self) -> float:
+        return 2.0 * self.grain_radius  # grains further apart do not overlap
+
     def energy(self, space, eta) -> float:
         """-n log(rho) + log(gamma) * volume of the union of grains."""
         ov = self.overlap(space)
-        union = ov.union_volume(space, eta.points_array())
+        union = ov._union_volume(space, eta.points_array())
         return -len(eta) * math.log(self.rho) + math.log(self.gamma) * union
 
     @property
@@ -466,9 +493,9 @@ class NearestNeighborRate(RateModel):
         return self._table[np.searchsorted(self._breaks, t, side="right")]
 
     def birth_rate(self, space, x, eta) -> float:
-        # A point at or beyond the last breakpoint gives value_at_infinity,
-        # like no point at all, so the grid only needs to reach that far.
-        reach = self.breakpoints[-1]
+        # A point at or beyond support_radius() gives value_at_infinity, like
+        # no point at all, so the grid only needs to reach that far.
+        reach = self.support_radius()
         nearest = min((t for t, _ in neighbour_grid(space, eta, reach).near(x)),
                       default=math.inf)
         return float(self.profile(nearest))
@@ -482,6 +509,9 @@ class NearestNeighborRate(RateModel):
             return np.zeros(0)
         h = self.profile(distances_to(space, np.asarray(x, dtype=float), Y))
         return np.abs(self.value_at_infinity - h)
+
+    def support_radius(self) -> float:
+        return self.breakpoints[-1]  # from the last breakpoint on, h is value_at_infinity
 
 
 @dataclass
@@ -696,7 +726,8 @@ def detailed_balance_residual(model: RateModel, space: SpaceSpec, x,
 
 @dataclass(frozen=True)
 class ContractionEstimate:
-    """Numeric contraction constant with a quadrature error estimate."""
+    """Numeric contraction constant with a quadrature error estimate;
+    resolution is the fine grid's points per axis (0 for a closed form)."""
 
     value: float
     error: float
@@ -707,6 +738,17 @@ class ContractionEstimate:
         return self.value + self.error < 1.0
 
 
+# contraction_constant integrates on a midpoint grid of the whole window while
+# its fine grid, (2n)^d points, fits this budget: 1-D up to n = 2,097,152 and
+# 2-D up to n = 1024 (the default is 256). A 3-D window at the default would
+# take 512^3 points, about 3 GB; past the budget only the kernel's support is
+# integrated, on a box grid of at most _SUPPORT_GRID_BUDGET fine points, which
+# the kernel sees _KERNEL_ROWS rows at a time.
+_WINDOW_GRID_BUDGET = 1 << 22
+_SUPPORT_GRID_BUDGET = 1 << 15
+_KERNEL_ROWS = 1024
+
+
 def contraction_constant(model: RateModel, space: SpaceSpec,
                          resolution: int | None = None) -> ContractionEstimate:
     """sup_x integral of a(x, y) against the reference measure (the paper's
@@ -715,7 +757,9 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
     Below 1 this certifies a unique stationary law and exponential decay of
     the coupling distance at rate at least (1 - value). Quadrature is a
     midpoint grid, refined once to attach an error estimate; cell-occupancy
-    models are summed exactly.
+    models are summed exactly. A translation-invariant model whose window
+    grid would exceed _WINDOW_GRID_BUDGET points is integrated over the box
+    around its support instead (_support_contraction).
     """
     if isinstance(model, CellOccupancyRate):
         masses = model.cell_masses(space)
@@ -732,6 +776,8 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
 
     if model.translation_invariant:
         x0 = space.lengths_array() / 2.0
+        if (2 * n) ** space.dimension > _WINDOW_GRID_BUDGET:
+            return _support_contraction(model, space, x0)
         coarse = integral_at(x0, n)
         fine = integral_at(x0, 2 * n)
         return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * n)
@@ -743,6 +789,40 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
     coarse = max(integral_at(x0, n) for x0 in anchors)
     fine = max(integral_at(x0, 2 * n) for x0 in anchors)
     return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * n)
+
+
+def _support_contraction(model: RateModel, space: SpaceSpec, x0) -> ContractionEstimate:
+    """contraction_constant of a translation-invariant model at the window's
+    centre x0, from the kernel's support alone: memory and time do not grow
+    with the window.
+
+    For the pairwise model, whose kernel is 1 - e^{-theta} on the closed ball
+    of radius R, the value is the closed form (1 - e^{-theta}) intensity
+    |B_d(R)| while that ball fits the window (2R < every side). Otherwise the
+    midpoint rule runs on the box x0 +- R (the whole side where 2R does not
+    fit), at k and 2k points per axis with (2k)^d <= _SUPPORT_GRID_BUDGET.
+    """
+    d, lengths = space.dimension, space.lengths
+    x0 = [float(c) for c in x0]
+    R = model.support_radius()
+    if isinstance(model, PairwiseRate) and 2 * R < min(lengths):
+        value = -math.expm1(-model.theta) * space.intensity * unit_ball_volume(d) * R ** d
+        return ContractionEstimate(value=value, error=0.0, resolution=0)
+    fits = [2 * R < L for L in lengths]
+    lo = [c - R if f else 0.0 for c, f in zip(x0, fits)]
+    hi = [c + R if f else L for c, L, f in zip(x0, lengths, fits)]
+    k = max(1, math.floor(_SUPPORT_GRID_BUDGET ** (1.0 / d) * (1 + 1e-12)) // 2)
+
+    def integral(res: int) -> float:
+        axes = [a + (np.arange(res) + 0.5) * ((b - a) / res) for a, b in zip(lo, hi)]
+        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        total = sum(float(np.sum(model.increment_kernel(space, np.array(x0),
+                                                        grid[i:i + _KERNEL_ROWS])))
+                    for i in range(0, len(grid), _KERNEL_ROWS))
+        return total * space.intensity * math.prod((b - a) / res for a, b in zip(lo, hi))
+
+    coarse, fine = integral(k), integral(2 * k)
+    return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * k)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from sbdsim import cftp
+from sbdsim import cftp, engine
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
     ancient_survivors,
@@ -22,7 +22,9 @@ from sbdsim.engine import simulate
 from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec, TimedConfiguration
 from sbdsim.models import (
     AreaInteractionRate,
+    CellOccupancyRate,
     ConstantRate,
+    NearestNeighborRate,
     PairwiseRate,
     UnsupportedModelError,
     sandwich_rates,
@@ -197,10 +199,23 @@ def reference_sweep_bracket(model, space, lookback, stream):
     return low, up, state(low, False, at_zero), state(up, True, at_zero)
 
 
-@pytest.mark.parametrize("model,intensity", [
+# One model of each kind with a bracket, in 1-D: repulsive and attractive,
+# distance-based and cell-based.
+BRACKET_MODELS = [
     (PairwiseRate(theta=0.7, interaction_range=0.2), 5.0),
+    (PairwiseRate(theta=0.5, interaction_range=0.05), 10.0),
     (AreaInteractionRate(rho=3.0, gamma=1.5, grain_radius=0.08, overlap_method="exact"), 2.0),
-], ids=["pairwise", "area-attractive"])
+    (AreaInteractionRate(rho=3.0, gamma=0.6, grain_radius=0.08, overlap_method="exact"), 2.0),
+    (CellOccupancyRate(cell_counts=(3,), theta=np.array(
+        [[0.6, 0.3, 0.0], [0.3, 0.6, 0.3], [0.0, 0.3, 0.6]]), base_rate=1.0), 1.5),
+    (NearestNeighborRate(breakpoints=(0.05, 0.1), values=(0.3, 0.7), value_at_infinity=1.0),
+     4.0),
+]
+BRACKET_IDS = ["pairwise", "pairwise-short", "area-attractive", "area-repulsive", "cells",
+               "nearest"]
+
+
+@pytest.mark.parametrize("model,intensity", BRACKET_MODELS, ids=BRACKET_IDS)
 def test_sandwich_pass_equals_sweep_fixed_point(model, intensity):
     # one time-ordered pass must reach the fixed point of the Jacobi sweeps:
     # the same births on both bracket paths and the same pair at 0
@@ -215,6 +230,78 @@ def test_sandwich_pass_equals_sweep_fixed_point(model, intensity):
             assert births == [low, up]
             assert state.lower == low0 and state.upper == up0
             assert state.coalesced == (low0 == up0)
+
+
+def two_path_bracket(model, space, lookback, stream):
+    """The bracket run as two paths to the end: no merge, both paths logged."""
+    start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
+    ancient = ancient_survivors(stream, start, model.death.rate)
+    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, stream,
+                           start, rates=cftp._bracket_rates(model, space),
+                           observe=engine._contained)
+    assert run.merged == 0
+    return run.trajectories()
+
+
+@pytest.mark.parametrize("model,intensity", BRACKET_MODELS, ids=BRACKET_IDS)
+def test_merged_pass_keeps_the_two_path_trajectories(model, intensity):
+    # running a merged pair as one path must change nothing a caller can read:
+    # the pair at 0 and both event logs, with or without keep_detail
+    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
+    merged = 0
+    for i in range(8):
+        stream = NoiseStream.for_model(model, space, replicate_seed(SEED + 3, i))
+        for lookback in (1.0, 4.0):
+            low, up = two_path_bracket(model, space, lookback, stream)
+            state = sandwich_run(model, space, lookback, stream, keep_detail=True)
+            bare = sandwich_run(model, space, lookback, stream)
+            assert state.detail.lower_path.canonical_json() == low.canonical_json()
+            assert state.detail.upper_path.canonical_json() == up.canonical_json()
+            for s in (state, bare):
+                assert s.lower == low.final.projection()
+                assert s.upper == up.final.projection()
+                assert s.coalesced == (low.final.projection() == up.final.projection())
+                assert (s.proposals, s.merged) == (state.proposals, state.merged)
+            merged += state.merged
+    assert merged > 0  # the merge happened, so the comparison covers it
+
+
+def test_merged_pass_calls_the_rate_once_per_proposal(monkeypatch):
+    # before the merge every proposal costs one bracket rule (two birth-rate
+    # calls for a monotone model); after it, one birth-rate call and no rule
+    model = PairwiseRate(theta=0.7, interaction_range=0.2)
+    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=5.0)
+    calls = {"rule": 0, "rate": 0}
+    rule, rate = cftp._sandwich_rates, PairwiseRate.birth_rate
+
+    def counted_rule(*args):
+        calls["rule"] += 1
+        return rule(*args)
+
+    def counted_rate(self, *args):
+        calls["rate"] += 1
+        return rate(self, *args)
+
+    monkeypatch.setattr(cftp, "_sandwich_rates", counted_rule)
+    monkeypatch.setattr(PairwiseRate, "birth_rate", counted_rate)
+    merged = 0
+    for i in range(10):
+        stream = NoiseStream.for_model(model, space, replicate_seed(SEED + 5, i))
+        calls.update(rule=0, rate=0)
+        state = sandwich_run(model, space, 4.0, stream)
+        assert state.proposals == len(list(stream.atoms_between(-4.0, 0.0)))
+        assert 0 <= state.merged <= state.proposals
+        assert calls["rule"] == state.proposals - state.merged
+        assert calls["rate"] == 2 * calls["rule"] + state.merged
+        merged += state.merged
+    assert merged > 0
+
+    # a draw reports the totals over the lookbacks it tried
+    res = perfect_sample(model, space, SEED)
+    stream = NoiseStream.for_model(model, space, SEED)
+    states = [sandwich_run(model, space, 2.0 ** j, stream) for j in range(res.lookbacks_tried)]
+    assert res.proposals == sum(s.proposals for s in states)
+    assert res.merged == sum(s.merged for s in states)
 
 
 def test_sandwich_rounds_lookback_to_whole_slabs():
@@ -245,6 +332,8 @@ def test_bracket_rule_with_crossed_rates_raises(monkeypatch):
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
     stream = NoiseStream.for_model(model, space, SEED + 11)
     state = sandwich_run(model, space, 5.0, stream, keep_detail=True)
+    # the pair starts apart, so the pass begins on the bracket rule
+    assert len(state.detail.ancient) > 0
 
     def crossed(model, space, x, eta_low, eta_up):
         return 1.0, 0.0

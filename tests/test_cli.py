@@ -1,11 +1,16 @@
 import json
+import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from sbdsim.cli import load_config, main, run_validation_battery
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 CONSTANT = os.path.join(CONFIG_DIR, "constant_demo.json")
 PAIRWISE = os.path.join(CONFIG_DIR, "pairwise_demo.json")
 CELLS = os.path.join(CONFIG_DIR, "cells_demo.json")
@@ -186,6 +191,33 @@ def test_contraction_prints_constant_and_verdict(tmp_path, capsys):
     body = json.load(open(os.path.join(out, "contraction.json")))
     assert abs(body["M"] - 0.15738773611494664) < 1e-6
     assert body["certifies_uniqueness"] is True
+
+
+def test_three_dimensional_simulate_runs_in_bounded_memory(tmp_path):
+    # provenance.json's contraction constant must not need a grid of the
+    # whole 3-D window ((2 * 256)^3 points, about 3 GB): under a 1 GB
+    # address-space cap the run completes and reports the closed form
+    theta, reach, intensity = 0.5, 0.1, 20.0
+    cfg = write_config(tmp_path, {
+        "space": {"dimension": 3, "lengths": [1.0, 1.0, 1.0], "intensity": intensity},
+        "model": {"type": "pairwise", "theta": theta, "range": reach},
+        "seed": 5, "run": {"horizon": 1.0}})
+    out = str(tmp_path / "run3d")
+    code = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from sbdsim.cli import main
+        sys.exit(main(sys.argv[1:]))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC_DIR] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code, "simulate", "--config", cfg,
+                           "--out", out], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    contraction = json.load(open(os.path.join(out, "provenance.json")))["contraction"]
+    expected = intensity * (1 - math.exp(-theta)) * 4.0 / 3.0 * math.pi * reach ** 3
+    assert abs(contraction["value"] - expected) <= contraction["error"] + 1e-12 * expected
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,37 @@ def test_overlap_rejects_grain_wider_than_period():
                           np.empty((0, 1)))
 
 
+def test_every_grain_entry_checks_the_space_once(monkeypatch):
+    # a space the grains do not fit is refused at every public entry, and a
+    # rate query checks the space once
+    narrow = SpaceSpec(dimension=1, lengths=(0.5,))
+    ov = GrainOverlap(dimension=1, radius=0.3, method="exact")
+    m = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.3, overlap_method="exact")
+    x, pts, eta = np.array([0.1]), np.array([[0.2]]), cfg(0.2)
+    m.birth_rate(SPACE, x, eta)  # the integrator exists before the bad space comes
+    for call in (lambda: ov.exposed_volume(narrow, x, pts),
+                 lambda: ov.overlap_volumes(narrow, x, pts),
+                 lambda: ov.union_volume(narrow, pts),
+                 lambda: m.birth_rate(narrow, x, eta),
+                 lambda: m.envelope_sup(narrow),
+                 lambda: m.increment_kernel(narrow, x, pts),
+                 lambda: m.energy(narrow, eta)):
+        with pytest.raises(SimulationConfigError):
+            call()
+
+    checks = []
+    original = GrainOverlap._check_space
+    monkeypatch.setattr(GrainOverlap, "_check_space",
+                        lambda self, space: checks.append(space) or original(self, space))
+    fine = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.1, overlap_method="exact")
+    for call in (lambda: fine.birth_rate(SPACE, x, cfg(0.2, 0.25, 0.7)),
+                 lambda: fine.increment_kernel(SPACE, x, pts),
+                 lambda: fine.energy(SPACE, cfg(0.2, 0.25, 0.7))):
+        checks.clear()
+        call()
+        assert len(checks) == 1
+
+
 # ---------------------------------------------------------------------------
 # area interaction
 # ---------------------------------------------------------------------------
@@ -442,6 +473,32 @@ def test_contraction_constant_model_zero():
     est = contraction_constant(ConstantRate(rate=4.0), SPACE)
     assert est.value == 0.0
     assert est.certifies_uniqueness
+
+
+def test_contraction_past_the_grid_budget_integrates_the_support():
+    # a window grid of more than 2^22 points is not built: the pairwise
+    # model takes its closed form, the others a grid on their support's box
+    pair = PairwiseRate(theta=PAIR_THETA, interaction_range=PAIR_RANGE)
+    est = contraction_constant(pair, SPACE, 3_000_000)
+    assert (est.value, est.error, est.resolution) == (pytest.approx(PAIR_M, rel=1e-12), 0.0, 0)
+    cube = SpaceSpec(dimension=3, lengths=(1.0, 1.0, 1.0), intensity=20.0)
+    est = contraction_constant(pair, cube)
+    ball = 4.0 / 3.0 * math.pi * PAIR_RANGE ** 3
+    assert est.value == pytest.approx(20.0 * (1 - math.exp(-PAIR_THETA)) * ball, rel=1e-12)
+    # a range that does not fit the window falls back to the box grid
+    wide = PairwiseRate(theta=PAIR_THETA, interaction_range=0.6)
+    est = contraction_constant(wide, SPACE, 3_000_000)
+    assert est.value == pytest.approx(1 - math.exp(-PAIR_THETA), rel=1e-3)
+    assert est.resolution > 0
+
+    nn = NearestNeighborRate(breakpoints=(0.05, 0.1), values=(0.3, 0.7), value_at_infinity=1.0)
+    est = contraction_constant(nn, SPACE, 3_000_000)
+    assert est.value == pytest.approx(2 * 0.05 * 0.7 + 2 * 0.05 * 0.3, rel=1e-9)
+    plane = SpaceSpec(dimension=2, lengths=(1.0, 2.0), intensity=3.0)
+    exact = 3.0 * math.pi * (0.05 ** 2 * 0.7 + (0.1 ** 2 - 0.05 ** 2) * 0.3)
+    est = contraction_constant(nn, plane, 4096)
+    assert est.value == pytest.approx(exact, rel=1e-2)
+    assert contraction_constant(ConstantRate(rate=4.0), cube).value == 0.0
 
 
 # ---------------------------------------------------------------------------
