@@ -5,7 +5,9 @@ For each intensity the script draws a batch of exact samples and tallies the
 lookback depth the doubling scheme needed, the number of lookbacks it tried
 (one sandwich pass each), the bracket proposals per draw over all its passes
 and the share of them run after the pair merged (one path, one rate call),
-and the resulting population. The point of the
+the noise slabs a draw read (lookback / slab length + 1: the dominating
+process is built backward from time 0, so nothing older is read), and the
+resulting population. The point of the
 exercise: coalescence depth grows roughly logarithmically until the
 interaction gets strong, after which the sandwich bracket stays open much
 longer.
@@ -34,7 +36,7 @@ def profile_intensity(intensity, replicates, seed):
     model = PairwiseRate(theta=THETA, interaction_range=RANGE)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
     lookbacks, tried, counts, failures = [], [], [], 0
-    proposals, merged = [], []
+    proposals, merged, slabs = [], [], []
     for i in range(replicates):
         res = perfect_sample(model, space, replicate_seed(seed, i),
                              max_lookback=MAX_LOOKBACK)
@@ -45,6 +47,7 @@ def profile_intensity(intensity, replicates, seed):
         tried.append(res.lookbacks_tried)
         proposals.append(res.proposals)
         merged.append(res.merged)
+        slabs.append(res.slabs_read)
         counts.append(res.count)
     return {
         "intensity": intensity,
@@ -57,6 +60,7 @@ def profile_intensity(intensity, replicates, seed):
         "mean_proposals": float(np.mean(proposals)),
         "mean_merged": float(np.mean(merged)),
         "merged_share": float(np.sum(merged) / max(1, np.sum(proposals))),
+        "mean_slabs_read": float(np.mean(slabs)),
         "mean_count": float(np.mean(counts)),
     }
 
@@ -79,6 +83,7 @@ def main(argv=None):
               f"mean lookbacks tried {row['mean_lookbacks_tried']:5.2f}, "
               f"proposals per draw {row['mean_proposals']:7.1f} "
               f"({row['mean_merged']:6.1f} merged, {row['merged_share']:4.0%}), "
+              f"slabs read per draw {row['mean_slabs_read']:5.1f}, "
               f"mean count {row['mean_count']:6.2f}, failures {row['failures']}")
 
     with open(args.out, "w", newline="") as fh:

@@ -65,7 +65,6 @@ from .cftp import (
     CouplingDecay,
     PerfectSample,
     SandwichState,
-    ancient_survivors,
     coupling_decay_curve,
     extremal_lookback_counts,
     funnel_violations,

@@ -1,9 +1,9 @@
 """Perfect sampling by coupling from the past with a dominating process.
 
 The stationary dynamics are bracketed on a lookback window [-T, 0] between a
-lower process started empty and an upper process started from the stationary
-law of the envelope-driven (dominating) process. Both run forward in time on
-the same noise in one pass: at each proposal the lower process accepts below
+lower process started empty and an upper process started from the state of
+the dominating process at -T. Both run forward in time on the same noise in
+one pass: at each proposal the lower process accepts below
 the infimum of the rate over all configurations between the current pair, the
 upper below the supremum. Each decision depends only on the pair just before
 the proposal, so a single time-ordered pass settles every decision; if the
@@ -14,15 +14,16 @@ do, and from then on both processes take the same decisions (Garcia & Kurtz:
 one proposal stream drives every path): the rest of the pass runs them as one
 path at the plain birth rate. Only keep_detail keeps the event logs.
 
-The dominating process must be one consistent trajectory across lookbacks,
-not redrawn per restart: its state at -T is realized as the survivors of the
-noise's own slabs older than -T (their count is Poisson with the envelope's
-stationary mean, their residual clocks exponential). Extending the lookback
-then only prepends noise, which is what makes the doubling schedule exact.
-The survivor scan stops at the first slab whose survivors, together with
-those of all older slabs, have expected number at most ANCIENT_TAIL_MASS =
-1e-16, far under double-precision decision granularity; this truncation is
-the sampler's only approximation.
+The dominating process D (births at the envelope rate, Exp(delta) lives) must
+be one trajectory across lookbacks, not redrawn per restart. It is built from
+time 0 backwards (Kendall & Moller 2000): D(0) is the stream's present_points,
+and slab k < 0 holds the D-points that die in [kL, (k+1)L), read with s as
+the death time, so a point was born at s - r / delta. A pass on [-T, 0]
+reads D(0) and the slabs from -T/L - 1 up to -1 and nothing older: its
+proposals are the D-points born in [-T, 0), and D(-T) the D-points born
+before -T that are alive at -T. A doubling only adds older slabs, so the
+draw does not depend on the lookback schedule, and nothing is truncated:
+the sampler is exact.
 """
 
 from __future__ import annotations
@@ -45,53 +46,51 @@ from .models import RateModel, UnsupportedModelError, _sandwich_rates, envelope_
 from .noise import NoisePoint, NoiseStream, initial_clocks, poisson_configuration, replicate_seed
 from . import engine
 
-ANCIENT_TAIL_MASS = 1e-16
-
 
 # ---------------------------------------------------------------------------
-# dominating-process state at the lookback boundary
+# the dominating process on a window
 # ---------------------------------------------------------------------------
 
-def ancient_survivors(stream: NoiseStream, boundary_time: float,
-                      death_rate: float = 1.0) -> TimedConfiguration:
-    """State of the envelope-driven process at boundary_time contributed by
-    proposals older than the boundary, with residual clocks.
+def _window_slabs(stream: NoiseStream, start_time: float) -> range:
+    """The slabs a window [start_time, 0] reads: from the one below the slab
+    holding start_time up to -1. The extra slab is for rounding: a D-point
+    drawn with death time s just below the slab edge dies at a computed time
+    a few ulps of |s| + r / delta from s, which can lie across the edge."""
+    return range(math.floor(start_time / stream.slab_length) - 1, 0)
 
-    Scans slabs backwards from the one holding the boundary and stops before
-    the first slab k whose upper edge (k + 1) L lies so far back that the
-    expected number of survivors of slab k and everything older,
-    (rate / delta) exp(-delta (B - (k + 1) L)), is at most ANCIENT_TAIL_MASS:
-    every proposal left out belongs to that tail. A scanned slab is skipped
-    without looking at its atoms when rmax <= delta (B - smax), its largest
-    death mark against the shortest time to the boundary: rounding is
-    monotone, so no atom of such a slab has a positive residual. The same
-    noise always yields the same survivors, so lookback extensions see one
-    consistent dominating trajectory. A point whose death time rounds to the
-    boundary itself is dead there, by the engine's rule that a death at t is
-    applied at t.
+
+def dominating_window(stream: NoiseStream, start_time: float,
+                      death_rate: float) -> tuple[TimedConfiguration, list[NoisePoint]]:
+    """The dominating process D at start_time < 0, and its births in
+    [start_time, 0) as proposals.
+
+    Every D-point, from present_points or from a slab of _window_slabs read by
+    death time, has a birth time b and a mark r, and dies at
+    engine._death_time(b, r, death_rate). D(start_time) holds the points with
+    b < start_time < death, as TimedPoint(clock=r, birth_time=b), so the
+    engine computes the same death time whether a point starts a pass or is
+    a proposal of a longer one. The proposals are the points with
+    start_time <= b < 0 as NoisePoints with s = b, in birth order (ties in
+    slab order, then D(0)'s), so a window's D and proposals are bit-identical
+    whatever lookback reads them. A slab atom keeps its id "n{k}:{i}"; point i
+    of D(0) has id "d{i}".
     """
-    out = TimedConfiguration()
-    rate = stream.envelope_total
-    if rate <= 0:
-        return out
-    L = stream.slab_length
-    k = math.ceil(boundary_time / L) - 1
-    guard = 0
-    while (rate / death_rate) * math.exp(-death_rate * (boundary_time - (k + 1) * L)) \
-            > ANCIENT_TAIL_MASS:
-        slab = stream.slab_points(k)
-        if slab.rmax > death_rate * (boundary_time - slab.smax):  # -inf if empty
-            residuals = slab.r - death_rate * (boundary_time - slab.s)
-            for i in np.flatnonzero((slab.s < boundary_time) & (residuals > 0)):
-                residual = float(residuals[i])
-                if engine._death_time(boundary_time, residual, death_rate) > boundary_time:
-                    out.add(slab.atom_id(i), TimedPoint(coords=slab.x[i].copy(), clock=residual,
-                                                        birth_time=boundary_time))
-        k -= 1
-        guard += 1
-        if guard > 10_000_000:
-            raise RuntimeError("ancient survivor scan did not terminate")
-    return out
+    parts = [(f"n{slab.k}:", slab.s - slab.r / death_rate, slab.x, slab.r, slab.u)
+             for slab in map(stream.slab_points, _window_slabs(stream, start_time))]
+    parts.append(("d", *stream.present_points(death_rate)))
+    state = TimedConfiguration()
+    born = []
+    for prefix, b, x, r, u in parts:
+        dies = engine._death_time(b, r, death_rate)
+        for i in np.flatnonzero((b < start_time) & (dies > start_time)).tolist():
+            state.add(f"{prefix}{i}", TimedPoint(coords=x[i].copy(), clock=float(r[i]),
+                                                 birth_time=float(b[i])))
+        for i in np.flatnonzero((b >= start_time) & (b < 0.0)).tolist():
+            born.append((float(b[i]), len(born), prefix, i, x, r, u))
+    born.sort()
+    proposals = [NoisePoint(x=x[i], s=b, r=float(r[i]), u=float(u[i]), atom_id=f"{prefix}{i}")
+                 for b, _, prefix, i, x, r, u in born]
+    return state, proposals
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +99,8 @@ def ancient_survivors(stream: NoiseStream, boundary_time: float,
 
 @dataclass
 class SandwichDetail:
-    """Internals of a sandwich run, for audits and funnel checks."""
+    """Internals of a sandwich run, for audits and funnel checks: the pass's
+    proposals and D(start_time), the dominating state it started from."""
 
     atoms: list[NoisePoint]
     ancient: TimedConfiguration
@@ -113,7 +113,8 @@ class SandwichDetail:
 class SandwichState:
     """Bracketing pair at time 0 after the sandwich pass: the pass's own live
     states, the same object once the pair has merged. proposals counts the
-    proposals of the pass, merged those it ran as one path."""
+    proposals of the pass, merged those it ran as one path, slabs the slabs
+    its window read."""
 
     lower: Configuration
     upper: Configuration
@@ -121,6 +122,7 @@ class SandwichState:
     coalesced: bool
     proposals: int
     merged: int
+    slabs: int
     detail: SandwichDetail | None = None
 
 
@@ -140,8 +142,9 @@ def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
     """Run the coupled bracketing pair on [-T, 0] in one time-ordered pass.
 
     T is the requested lookback rounded up to whole slabs. The lower process
-    starts empty, the upper from the dominating state at -T
-    (ancient_survivors); after every proposal the pass raises RuntimeError if
+    starts empty, the upper from the dominating state D(-T), and the
+    proposals are D's births in [-T, 0) (dominating_window); after every
+    proposal the pass raises RuntimeError if
     the lower process accepted a birth that the upper one rejected, the only
     way the pair could stop being nested. Once the pair has equal sizes it is
     equal, and the rest of the pass runs it as one path at the plain birth
@@ -152,28 +155,29 @@ def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
     if not math.isfinite(model.envelope_sup(space)):
         raise SimulationConfigError("model envelope must be finite for sandwich runs")
     start = -max(1, math.ceil(lookback / stream.slab_length - 1e-12)) * stream.slab_length
-    ancient = ancient_survivors(stream, start, model.death.rate)
-    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, stream,
+    ancient, proposals = dominating_window(stream, start, model.death.rate)
+    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, proposals,
                            start, rates=_bracket_rates(model, space), log=keep_detail,
                            nested=True)
     lower0, upper0 = run.finals
     detail = None
     if keep_detail:
         low, up = run.trajectories()
-        detail = SandwichDetail(atoms=list(stream.atoms_between(start, 0.0)), ancient=ancient,
-                                start_time=start, lower_path=low, upper_path=up)
+        detail = SandwichDetail(atoms=proposals, ancient=ancient, start_time=start,
+                                lower_path=low, upper_path=up)
     # nested, so equal sizes are equal states
     return SandwichState(lower=lower0, upper=upper0, lookback=-start,
                          coalesced=len(lower0) == len(upper0), proposals=run.proposals,
-                         merged=run.merged, detail=detail)
+                         merged=run.merged, slabs=len(_window_slabs(stream, start)),
+                         detail=detail)
 
 
 def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
-                      stream: NoiseStream, n_intermediate: int = 5, seed: int = 0) -> int:
+                      n_intermediate: int = 5, seed: int = 0) -> int:
     """Run forward paths from random initial states between empty and the
-    dominating state at -T on the same noise, alongside the bracket; count
-    containment violations lower <= path <= upper after every proposal and
-    at 0."""
+    dominating state D(-T) on the pass's proposals, alongside the bracket;
+    count containment violations lower <= path <= upper after every proposal
+    and at 0."""
     if state.detail is None:
         raise SimulationConfigError("funnel check needs a sandwich run with keep_detail=True")
     det = state.detail
@@ -194,7 +198,7 @@ def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
         violations += count(states)
 
     run = engine.run_paths(model, space, [TimedConfiguration(), det.ancient] + mids,
-                           -det.start_time, stream, det.start_time,
+                           -det.start_time, det.atoms, det.start_time,
                            rates=_bracket_rates(model, space), observe=observe, log=False,
                            nested=True)
     return violations + count(run.finals)
@@ -207,7 +211,9 @@ def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
 @dataclass
 class PerfectSample:
     """Result of a coupling-from-the-past draw. proposals and merged are the
-    totals of SandwichState.proposals and .merged over the lookbacks tried."""
+    totals of SandwichState.proposals and .merged over the lookbacks tried;
+    slabs_read is the number of distinct noise slabs the draw read, those of
+    its deepest pass (lookback / slab length + 1)."""
 
     configuration: Configuration | None
     lookback_used: float
@@ -215,6 +221,7 @@ class PerfectSample:
     lookbacks_tried: int
     proposals: int
     merged: int
+    slabs_read: int
 
     @property
     def count(self) -> int | None:
@@ -226,34 +233,32 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
                    slab_length: float = 1.0) -> PerfectSample:
     """Draw one exact stationary sample by doubling the lookback on fixed noise.
 
-    The slabs in [-T, 0) are identical across doublings, only older noise is
-    added, so the first coalesced bracket reads off the stationary state at 0.
-    Returns status NotCoalesced (with configuration None) once the lookback
-    would exceed max_lookback.
-
-    The draw is exact up to one named truncation: the dominating state at -T
-    ignores proposals so old that the expected number of their survivors is
-    at most ANCIENT_TAIL_MASS = 1e-16.
+    The noise of [-T, 0] (D(0) and the slabs the window reads) is identical
+    across doublings, only older slabs are added, so the first coalesced
+    bracket reads off the stationary state at 0. The draw is exact, with no
+    truncation. Returns status NotCoalesced (with configuration None) once
+    the lookback would exceed max_lookback.
     """
     stream = NoiseStream.for_model(model, space, master_seed, slab_length)
     lookback = max(initial_lookback, slab_length)
-    tried = proposals = merged = 0
+    tried = proposals = merged = slabs = 0
     while lookback <= max_lookback * (1 + 1e-12):
         state = sandwich_run(model, space, lookback, stream)
         tried += 1
         proposals += state.proposals
         merged += state.merged
+        slabs = state.slabs
         if state.coalesced:
             # a fresh copy with its rows in the order the live ids were born,
             # so that sums over points_array() do not depend on the pass
             draw = Configuration(dict(state.lower.items()))
             return PerfectSample(configuration=draw, lookback_used=state.lookback,
                                  status="Coalesced", lookbacks_tried=tried,
-                                 proposals=proposals, merged=merged)
+                                 proposals=proposals, merged=merged, slabs_read=slabs)
         lookback = state.lookback * 2
     return PerfectSample(configuration=None, lookback_used=lookback / 2 if tried else 0.0,
                          status="NotCoalesced", lookbacks_tried=tried,
-                         proposals=proposals, merged=merged)
+                         proposals=proposals, merged=merged, slabs_read=slabs)
 
 
 # ---------------------------------------------------------------------------

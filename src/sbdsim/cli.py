@@ -446,8 +446,7 @@ def run_validation_battery(seed: int = 20260816, fast: bool = False) -> dict:
     h2 = [stream.slab_hash(k) for k in range(-4, 0)]
     cftp.sandwich_run(model, space, 8.0, stream)
     h3 = [stream.slab_hash(k) for k in range(-4, 0)]
-    funnel = cftp.funnel_violations(model, space, s1, stream, n_intermediate=3,
-                                    seed=seed)
+    funnel = cftp.funnel_violations(model, space, s1, n_intermediate=3, seed=seed)
     checks.append(_check("noise_reuse_and_funnel", h1 == h2 == h3 and funnel == 0,
                          hashes_stable=h1 == h2 == h3, funnel_violations=funnel))
 

@@ -116,16 +116,6 @@ def timed_snapshot(trajectory: Trajectory, t: float) -> TimedConfiguration:
     return timed
 
 
-@dataclass
-class CandidateRecord:
-    """Audit record of one thinning decision."""
-
-    atom_id: str
-    s: float
-    rate: float
-    accepted: bool
-
-
 def _death_time(birth_time: float, clock: float, delta0: float) -> float:
     """Death time of a point holding death mark `clock` at `birth_time`. Every
     death time, initial points included, is computed here."""
@@ -225,10 +215,15 @@ def _contained(atom, lams, accepted, states) -> None:
 
 
 def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfiguration],
-              horizon: float, stream: NoiseStream, start_time: float = 0.0,
+              horizon: float, proposals, start_time: float = 0.0,
               rates=None, observe=None, log: bool = True, nested: bool = False) -> PathRun:
     """Drive one path per initial state through the same proposals on
     [start_time, start_time + horizon].
+
+    proposals is an iterable of the window's proposals in time order, each
+    with x, s, r, u and atom_id like a NoisePoint: the forward runs pass
+    stream.atoms_between(start_time, start_time + horizon), coupling from
+    the past the births of its dominating process in the window.
 
     Before a proposal (x, s, r, u) every path applies its deaths strictly
     before s; then rates(x, states) gives every path's birth rate from those
@@ -268,7 +263,7 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfigurat
     split = nested  # a nested pair not merged yet
     merged_at = None  # (proposals before the merge, length of path 0's log then)
     n = 0
-    for n, atom in enumerate(stream.atoms_between(start_time, t_end), 1):
+    for n, atom in enumerate(proposals, 1):
         for path in active:
             path.flush_deaths(atom.s, inclusive=False)
         if split and len(states[0]) == len(states[1]):
@@ -304,24 +299,15 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfigurat
 
 
 def simulate(model: RateModel, space: SpaceSpec, initial: TimedConfiguration,
-             horizon: float, stream: NoiseStream, start_time: float = 0.0,
-             collect_audit: bool = False) -> Trajectory:
+             horizon: float, stream: NoiseStream, start_time: float = 0.0) -> Trajectory:
     """Run the thinning dynamics on [start_time, start_time + horizon].
 
     The rate for a proposal at time s is evaluated on the configuration with
     every event strictly before s applied. Deaths occurring at exactly the end
     of the horizon are recorded as events and excluded from the final state.
     """
-    audit: list[CandidateRecord] = []
-
-    def record(atom, lams, accepted, states) -> None:
-        audit.append(CandidateRecord(atom.atom_id, atom.s, lams[0], accepted[0]))
-
-    traj = run_paths(model, space, [initial], horizon, stream, start_time,
-                     observe=record if collect_audit else None).trajectories()[0]
-    if collect_audit:
-        traj.audit = audit  # type: ignore[attr-defined]
-    return traj
+    proposals = stream.atoms_between(start_time, start_time + horizon)
+    return run_paths(model, space, [initial], horizon, proposals, start_time).trajectories()[0]
 
 
 def coupled_simulate(model: RateModel, space: SpaceSpec,
@@ -344,6 +330,7 @@ def coupled_simulate(model: RateModel, space: SpaceSpec,
             raise SimulationConfigError("coupled_simulate: shared initial points must share clocks")
 
     attractive = model.monotone in ("nondecreasing", "constant")
-    low, up = run_paths(model, space, [initial_low, initial_up], horizon, stream, start_time,
+    low, up = run_paths(model, space, [initial_low, initial_up], horizon,
+                        stream.atoms_between(start_time, start_time + horizon), start_time,
                         observe=_contained if attractive else None).trajectories()
     return low, up

@@ -739,12 +739,17 @@ class ContractionEstimate:
 
 
 # contraction_constant integrates on a midpoint grid of the whole window while
-# its fine grid, (2n)^d points, fits this budget: 1-D up to n = 2,097,152 and
-# 2-D up to n = 1024 (the default is 256). A 3-D window at the default would
-# take 512^3 points, about 3 GB; past the budget only the kernel's support is
-# integrated, on a box grid of at most _SUPPORT_GRID_BUDGET fine points, which
-# the kernel sees _KERNEL_ROWS rows at a time.
+# its fine grid, (2n)^d points, fits _WINDOW_GRID_BUDGET (1-D up to
+# n = 2,097,152, 2-D up to n = 1024; the default is 256) and those points
+# times the quadrature nodes the kernel tests per point (_kernel_nodes) fit
+# _WINDOW_NODE_BUDGET. The kernel sees the grid _WINDOW_GRID_BUDGET node
+# tests at a time. A 3-D window at the default would take 512^3 points, and
+# a 2-D area-interaction kernel with ~3200 QMC grain nodes 512^2 x 3200 node
+# tests (as one array, 12.6 GiB); past either budget only the kernel's
+# support is integrated, on a box grid of at most _SUPPORT_GRID_BUDGET fine
+# points, which the kernel sees _KERNEL_ROWS rows at a time.
 _WINDOW_GRID_BUDGET = 1 << 22
+_WINDOW_NODE_BUDGET = 1 << 27
 _SUPPORT_GRID_BUDGET = 1 << 15
 _KERNEL_ROWS = 1024
 
@@ -758,8 +763,9 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
     the coupling distance at rate at least (1 - value). Quadrature is a
     midpoint grid, refined once to attach an error estimate; cell-occupancy
     models are summed exactly. A translation-invariant model whose window
-    grid would exceed _WINDOW_GRID_BUDGET points is integrated over the box
-    around its support instead (_support_contraction).
+    grid would exceed _WINDOW_GRID_BUDGET points, or _WINDOW_NODE_BUDGET
+    points times the kernel's quadrature nodes per point, is integrated over
+    the box around its support instead (_support_contraction).
     """
     if isinstance(model, CellOccupancyRate):
         masses = model.cell_masses(space)
@@ -768,15 +774,21 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
         return ContractionEstimate(value=value, error=0.0, resolution=model.n_cells)
 
     n = int(resolution or space.quadrature_resolution)
+    nodes = _kernel_nodes(model, space)
+    rows = max(1, _WINDOW_GRID_BUDGET // nodes)
 
     def integral_at(x0, res: int) -> float:
+        # the kernel is computed per point, so the chunks join to the values
+        # of one call on the whole grid, summed as one array
         grid = space.grid(res)
-        a = np.asarray(model.increment_kernel(space, x0, grid), dtype=float)
+        a = np.concatenate([np.asarray(model.increment_kernel(space, x0, grid[i:i + rows]),
+                                       dtype=float) for i in range(0, len(grid), rows)])
         return float(np.sum(a)) * space.intensity * space.cell_volume(res)
 
     if model.translation_invariant:
         x0 = space.lengths_array() / 2.0
-        if (2 * n) ** space.dimension > _WINDOW_GRID_BUDGET:
+        points = (2 * n) ** space.dimension
+        if points > _WINDOW_GRID_BUDGET or points * nodes > _WINDOW_NODE_BUDGET:
             return _support_contraction(model, space, x0)
         coarse = integral_at(x0, n)
         fine = integral_at(x0, 2 * n)
@@ -789,6 +801,16 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
     coarse = max(integral_at(x0, n) for x0 in anchors)
     fine = max(integral_at(x0, 2 * n) for x0 in anchors)
     return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * n)
+
+
+def _kernel_nodes(model: RateModel, space: SpaceSpec) -> int:
+    """Quadrature nodes increment_kernel tests per point of Y, each a row of
+    d floats: the QMC grain nodes of an area-interaction model, else 1."""
+    if isinstance(model, AreaInteractionRate):
+        ov = model.overlap(space)
+        if ov.method == "qmc":
+            return len(ov._nodes)
+    return 1
 
 
 def _support_contraction(model: RateModel, space: SpaceSpec, x0) -> ContractionEstimate:

@@ -6,20 +6,29 @@ proposals: atoms (x, s, r, u) where s is the proposal time, x the location
 on [0, Lambda] for the model's constant envelope Lambda, and r a
 unit-exponential death mark. Time is split into slabs [k L, (k+1) L); the atoms of slab k are a
 pure function of (master_seed, k), generated by a counter-based Philox stream
-keyed on that pair. Any slab, including slabs at negative indices used by
-lookback samplers, can be regenerated on demand and hashes identically every
-time. Restricting u to [0, Lambda] at generation time is an exact
+keyed on that pair. Any slab can be regenerated on demand and hashes
+identically every time. Restricting u to [0, Lambda] at generation time is an exact
 reformulation of thinning from a larger envelope: proposals with u above
 Lambda would be rejected by every configuration, so they are never
 materialized.
 
-A slab is stored as arrays (NoiseSlab: s, x, r, u sorted by s, plus the
-largest death mark and the latest proposal time), not as one object per
-atom. A stream owns a single Philox generator and re-keys it for each slab,
-setting key (mix64(seed ^ TAG_SLAB), mix64(k)) with counter 0; that is the
-same state a freshly keyed generator starts from, so the bits are those of
-keyed_generator(seed, TAG_SLAB, k). NoisePoint objects are made only for the
-atoms a caller iterates over, such as those inside an engine pass window.
+Coupling from the past reads the same slabs backwards in time. Its
+dominating process (births at rate envelope_total, a point with mark r lives
+r / delta) is a stationary M/M/infinity process, which is time-reversible:
+the (death time, lifetime) pairs of its points form a Poisson ensemble with
+the same law as the (proposal time, r / delta) pairs of the forward stream.
+So the slabs at negative k are read with s as a death time (the point was
+born at s - r / delta), and present_points draws the points alive at time 0
+under a tag of their own. It is the same Poisson random measure, indexed by
+death time instead of birth time: one proposal stream, in law.
+
+A slab is stored as arrays (NoiseSlab: s, x, r, u sorted by s), not as one
+object per atom. A stream owns a single Philox generator and re-keys it for
+each slab, setting key (mix64(seed ^ TAG_SLAB), mix64(k)) with counter 0;
+that is the same state a freshly keyed generator starts from, so the bits
+are those of keyed_generator(seed, TAG_SLAB, k). NoisePoint objects are made
+only for the atoms a caller iterates over, such as those inside an engine
+pass window.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ TAG_SLAB = 0x5B5B5B5B5B5B5B5B
 TAG_CLOCK = 0xC10C_C10C_C10C_C10C
 TAG_POISSON = 0x9019_9019_9019_9019
 TAG_GENERIC = 0x7E57_7E57_7E57_7E57
+TAG_PRESENT = 0xD0D0_D0D0_D0D0_D0D0
 
 
 def mix64(v: int) -> int:
@@ -81,19 +91,16 @@ class NoisePoint:
 class NoiseSlab:
     """The atoms of slab k as read-only arrays, sorted by proposal time.
 
-    s has shape (n,), x shape (n, d), r and u shape (n,); len() is n. rmax is
-    the largest death mark and smax the latest proposal time (both -inf for
-    an empty slab). Atom i has id "n{k}:{i}".
+    s has shape (n,), x shape (n, d), r and u shape (n,); len() is n. Atom i
+    has id "n{k}:{i}".
     """
 
-    __slots__ = ("k", "s", "x", "r", "u", "rmax", "smax")
+    __slots__ = ("k", "s", "x", "r", "u")
 
     def __init__(self, k: int, s, x, r, u):
         for a in (s, x, r, u):
             a.setflags(write=False)
         self.k, self.s, self.x, self.r, self.u = k, s, x, r, u
-        self.rmax = max(r.tolist(), default=-math.inf)
-        self.smax = float(s[-1]) if len(s) else -math.inf
 
     def __len__(self) -> int:
         return len(self.s)
@@ -152,6 +159,7 @@ class NoiseStream:
                              "state": {"counter": _ZERO4, "key": self._key},
                              "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self._empty = (np.empty(0), np.empty((0, space.dimension)), np.empty(0), np.empty(0))
+        self._present: dict[float, tuple] = {}
 
     @classmethod
     def for_model(cls, model, space: SpaceSpec, master_seed: int,
@@ -201,6 +209,36 @@ class NoiseStream:
         order = s_local.argsort(kind="stable")
         return NoiseSlab(k, k * self.slab_length + s_local[order], xs[order], rs[order],
                          us[order])
+
+    def present_points(self, death_rate: float) -> tuple:
+        """The dominating process at time 0 for death rate delta, as read-only
+        arrays (b, x, r, u): birth times, locations (n, d), death marks and
+        thinning levels of its points, in draw order.
+
+        The count is Poisson(envelope_total / delta), the stationary mean.
+        Each point has a uniform location, a thinning level uniform below
+        envelope_sup_value(), and unit-exponential age a and residual e: it
+        was born at b = -a / delta and holds mark r = a + e, so it dies at
+        b + r / delta = e / delta, after 0. Pure in (master_seed, delta):
+        drawn from keyed_generator(seed, TAG_PRESENT) in the order count,
+        n * d location uniforms, n thinning uniforms, n ages, n residuals.
+        """
+        cached = self._present.get(death_rate)
+        if cached is not None:
+            return cached
+        rng = keyed_generator(self.master_seed, TAG_PRESENT)
+        mean = self.envelope_total / death_rate
+        n = int(rng.poisson(mean)) if mean > 0 else 0
+        d = self.space.dimension
+        xs = self._lengths * rng.random(n * d).reshape(n, d)
+        us = self._sup * rng.random(n)
+        ages = rng.exponential(1.0, size=n)
+        residuals = rng.exponential(1.0, size=n)
+        arrays = (-ages / death_rate, xs, ages + residuals, us)
+        for a in arrays:
+            a.setflags(write=False)
+        self._present[death_rate] = arrays
+        return arrays
 
     def envelope_sup_value(self) -> float:
         return self._sup

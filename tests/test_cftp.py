@@ -9,8 +9,8 @@ from scipy import stats
 from sbdsim import cftp, engine
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
-    ancient_survivors,
     coupling_decay_curve,
+    dominating_window,
     extremal_lookback_counts,
     funnel_violations,
     maximal_stationary_sample,
@@ -18,7 +18,6 @@ from sbdsim.cftp import (
     perfect_sample,
     sandwich_run,
 )
-from sbdsim.engine import simulate
 from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec, TimedConfiguration
 from sbdsim.models import (
     AreaInteractionRate,
@@ -37,49 +36,104 @@ SEED = 31415926
 
 
 # ---------------------------------------------------------------------------
-# dominating state at the window boundary
+# the dominating process on a window
 # ---------------------------------------------------------------------------
 
-def test_ancient_survivors_deterministic_and_positive():
-    stream = NoiseStream(SEED, SPACE, envelope_total=5.0)
-    a = ancient_survivors(stream, -3.0)
-    b = ancient_survivors(stream, -3.0)
-    assert sorted(a.ids()) == sorted(b.ids())
-    for pid, e in a.items():
-        assert e.clock > 0
-        assert e.birth_time == -3.0
-        assert e.clock == b.entry(pid).clock
+def window_key(state, proposals):
+    """Every bit of a window: D at its start and its proposals, in order."""
+    return (sorted((pid, e.coords.tobytes(), e.clock, e.birth_time) for pid, e in state.items()),
+            [(a.atom_id, a.x.tobytes(), a.s, a.r, a.u) for a in proposals])
 
 
-def test_ancient_survivor_count_matches_stationary_mean():
-    counts = [len(ancient_survivors(
-        NoiseStream(replicate_seed(SEED, i), SPACE, envelope_total=5.0), -2.0))
-        for i in range(400)]
-    se = math.sqrt(5.0 / len(counts))
-    assert abs(np.mean(counts) - 5.0) < 4 * se
+def test_dominating_window_deterministic_and_alive():
+    # a window is a pure function of the seed; its state holds points born
+    # before the start and alive after it, its proposals the births in
+    # [start, 0), in birth order
+    for delta0 in (1.0, 1.7):
+        a = dominating_window(NoiseStream(SEED, SPACE, envelope_total=5.0), -3.0, delta0)
+        b = dominating_window(NoiseStream(SEED, SPACE, envelope_total=5.0), -3.0, delta0)
+        assert window_key(*a) == window_key(*b)
+        state, proposals = a
+        assert len(state) > 0 and len(proposals) > 0
+        for _, e in state.items():
+            assert e.clock > 0 and e.birth_time < -3.0
+            assert engine._death_time(e.birth_time, e.clock, delta0) > -3.0
+        births = [p.s for p in proposals]
+        assert births == sorted(births) and -3.0 <= births[0] and births[-1] < 0.0
+        assert all(p.r > 0 for p in proposals)
 
 
-def test_ancient_survivors_consistent_across_boundaries():
-    # the survivors at -T must be exactly the survivors at -2T carried
-    # forward, plus every atom born in [-2T, -T) that outlives -T: the
-    # dominating process is one fixed realization, not resampled per window
+@pytest.mark.parametrize("T", [1.0, 4.0, 16.0])
+def test_dominating_state_count_is_poisson(T):
+    # D(-T) is the stationary state of the dominating process: a Poisson
+    # count of mean envelope_total / delta, with Exp(delta) residual lives
+    rate, delta0 = 5.0, 1.3
+    counts, residuals = [], []
+    for i in range(600):
+        stream = NoiseStream(replicate_seed(SEED, i), SPACE, envelope_total=rate)
+        state, _ = dominating_window(stream, -T, delta0)
+        counts.append(len(state))
+        residuals += [delta0 * (engine._death_time(e.birth_time, e.clock, delta0) + T)
+                      for _, e in state.items()]
+    mean = rate / delta0
+    probs = {k: float(stats.poisson.pmf(k, mean)) for k in range(40)}
+    assert chi_square_gof(counts, probs).pvalue > 0.01
+    assert stats.kstest(residuals, "expon").pvalue > 0.01
+
+
+@pytest.mark.parametrize("slab", [1.0, 0.37])
+@pytest.mark.parametrize("space", [SPACE, SPACE2], ids=["1d", "2d"])
+def test_dominating_window_bit_identical_across_lookbacks(space, slab):
+    # the D-points and proposals on [-T, 0] read from a deeper window equal
+    # those of the window on [-T, 0] itself, bit for bit, for lookbacks 1, 2,
+    # 4 and 8, whether the slabs come fresh or from a stream's cache
+    delta0 = 1.7
+    for i in range(10):
+        seed = replicate_seed(SEED + 2, i)
+        shared = NoiseStream(seed, space, envelope_total=6.0, slab_length=slab)
+        windows = {}
+        for T in (8.0, 4.0, 2.0, 1.0):
+            start = -T * slab
+            fresh = dominating_window(NoiseStream(seed, space, envelope_total=6.0,
+                                                  slab_length=slab), start, delta0)
+            windows[T] = dominating_window(shared, start, delta0)
+            assert window_key(*fresh) == window_key(*windows[T])
+        for T in (1.0, 2.0, 4.0):
+            start = -T * slab
+            for deep in (2 * T, 4 * T, 8 * T):
+                if deep > 8:
+                    continue
+                state, proposals = windows[deep]
+                # D at the shallower start, from the deeper window alone
+                alive = [(pid, e.coords, e.clock, e.birth_time) for pid, e in state.items()
+                         if engine._death_time(e.birth_time, e.clock, delta0) > start]
+                alive += [(a.atom_id, a.x, a.r, a.s) for a in proposals if a.s < start
+                          and engine._death_time(a.s, a.r, delta0) > start]
+                want_state = sorted((pid, x.tobytes(), r, b) for pid, x, r, b in alive)
+                want_props = [(a.atom_id, a.x.tobytes(), a.s, a.r, a.u) for a in proposals
+                              if a.s >= start]
+                assert window_key(*windows[T]) == (want_state, want_props)
+
+
+def test_dominating_state_is_the_deeper_state_carried_forward():
+    # D(-T) must be exactly D(-2T) carried forward plus every proposal of
+    # [-2T, -T) that outlives -T: the dominating process is one fixed
+    # realization, not resampled per window
     T = 3.0
     delta0 = 1.5
-    stream = NoiseStream(SEED + 7, SPACE, envelope_total=6.0)
-    deep = ancient_survivors(stream, -2 * T, death_rate=delta0)
-    shallow = ancient_survivors(stream, -T, death_rate=delta0)
-    expect = {}
-    for pid, e in deep.items():
-        residual = e.clock - delta0 * T
-        if residual > 0:
-            expect[pid] = residual
-    for atom in stream.atoms_between(-2 * T, -T):
-        residual = atom.r - delta0 * (-T - atom.s)
-        if residual > 0:
-            expect[atom.atom_id] = residual
-    assert sorted(expect) == sorted(shallow.ids())
-    for pid, e in shallow.items():
-        assert e.clock == pytest.approx(expect[pid], abs=1e-9)
+    for i in range(20):
+        stream = NoiseStream(replicate_seed(SEED + 7, i), SPACE, envelope_total=6.0)
+        deep, deep_props = dominating_window(stream, -2 * T, delta0)
+        shallow, _ = dominating_window(stream, -T, delta0)
+        expect = {}
+        for pid, e in deep.items():
+            if engine._death_time(e.birth_time, e.clock, delta0) > -T:
+                expect[pid] = (e.coords.tobytes(), e.clock, e.birth_time)
+        for atom in deep_props:
+            if atom.s < -T and engine._death_time(atom.s, atom.r, delta0) > -T:
+                expect[atom.atom_id] = (atom.x.tobytes(), atom.r, atom.s)
+        assert {pid: (e.coords.tobytes(), e.clock, e.birth_time)
+                for pid, e in shallow.items()} == expect
 
 
 class _ScanRecorder(NoiseStream):
@@ -98,57 +152,19 @@ class _ScanRecorder(NoiseStream):
     (5.0, 1.0, 1.0), (5.0, 1.7, 0.37), (40.0, 0.6, 1.0), (0.3, 2.5, 0.37), (12.0, 1.0, 2.5),
 ])
 @pytest.mark.parametrize("boundary", [-3.0, -2.96, -7.4, -0.05])
-def test_ancient_scan_leaves_only_the_tail_mass(rate, delta0, slab, boundary):
-    # the scan covers every slab from the one holding the boundary back to
-    # the oldest one it needs: the first unscanned slab and everything older
-    # hold at most ANCIENT_TAIL_MASS expected survivors, and the oldest
-    # scanned slab was not already inside that tail
+def test_window_reads_no_slab_older_than_its_start(rate, delta0, slab, boundary):
+    # a window reads each slab from the one below the slab holding its start
+    # up to -1 once, and nothing older; no older slab holds a point born
+    # after the start or alive at it, so nothing is left out
     stream = _ScanRecorder(SEED, SPACE, envelope_total=rate, slab_length=slab)
-    ancient_survivors(stream, boundary, delta0)
-    newest = math.ceil(boundary / slab) - 1
-    oldest = min(stream.asked)
-    assert stream.asked == list(range(newest, oldest - 1, -1))
-
-    def tail_mass(k):  # expected survivors at the boundary of slabs <= k
-        return rate / delta0 * math.exp(-delta0 * (boundary - (k + 1) * slab))
-
-    assert tail_mass(oldest - 1) <= cftp.ANCIENT_TAIL_MASS
-    assert tail_mass(oldest) > cftp.ANCIENT_TAIL_MASS
-
-
-def reference_ancient_survivors(stream, boundary_time, death_rate):
-    """Per-atom scan of the same slabs as ancient_survivors, with no skip."""
-    out = {}
-    rate, L = stream.envelope_total, stream.slab_length
-    k = math.ceil(boundary_time / L) - 1
-    while rate / death_rate * math.exp(-death_rate * (boundary_time - (k + 1) * L)) \
-            > cftp.ANCIENT_TAIL_MASS:
-        for atom in stream.slab_points(k):
-            if atom.s >= boundary_time:
-                continue
-            residual = atom.r - death_rate * (boundary_time - atom.s)
-            if residual > 0 and boundary_time + residual / death_rate > boundary_time:
-                out[atom.atom_id] = (atom.x.tobytes(), residual)
-        k -= 1
-    return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**63 - 1), st.sampled_from([1.0, 1.7]), st.sampled_from([1.0, 0.37]),
-       st.sampled_from([3.0, 8.0]), st.sampled_from([SPACE, SPACE2]),
-       st.integers(0, 12), st.floats(0.02, 0.98))
-def test_ancient_survivors_match_unskipped_reference(seed, delta0, slab, rate, space,
-                                                     whole, frac):
-    # skipping slabs whose largest mark cannot outlast the boundary must
-    # not change a single survivor, coordinate or clock
-    boundary = -(whole + frac) * slab
-    stream = NoiseStream(seed, space, envelope_total=rate, slab_length=slab)
-    got = ancient_survivors(stream, boundary, delta0)
-    want = reference_ancient_survivors(stream, boundary, delta0)
-    assert sorted(got.ids()) == sorted(want)
-    for pid, e in got.items():
-        assert (e.coords.tobytes(), e.clock) == want[pid]
-        assert e.birth_time == boundary
+    dominating_window(stream, boundary, delta0)
+    oldest = math.floor(boundary / slab) - 1
+    assert stream.asked == list(range(oldest, 0))
+    for k in range(oldest - 40, oldest):
+        s = stream.slab_points(k)
+        born = s.s - s.r / delta0
+        assert np.all(born < boundary)
+        assert np.all(engine._death_time(born, s.r, delta0) <= boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +178,14 @@ def reference_sweep_bracket(model, space, lookback, stream):
     pair at 0."""
     delta0 = model.death.rate
     start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
-    atoms = list(stream.atoms_between(start, 0.0))
-    ancient = ancient_survivors(stream, start, delta0)
+    ancient, atoms = dominating_window(stream, start, delta0)
 
     def state(accept, from_ancient, alive):
         cfg = Configuration()
         if from_ancient:
             for pid in sorted(ancient.ids()):
                 e = ancient.entry(pid)
-                if alive(start, start + e.clock / delta0):
+                if alive(start, e.birth_time + e.clock / delta0):
                     cfg.add(pid, e.coords)
         for a in atoms:
             if a.atom_id in accept and alive(a.s, a.s + a.r / delta0):
@@ -235,8 +250,8 @@ def test_sandwich_pass_equals_sweep_fixed_point(model, intensity):
 def two_path_bracket(model, space, lookback, stream):
     """The bracket run as two paths to the end: no merge, both paths logged."""
     start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
-    ancient = ancient_survivors(stream, start, model.death.rate)
-    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, stream,
+    ancient, proposals = dominating_window(stream, start, model.death.rate)
+    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, proposals,
                            start, rates=cftp._bracket_rates(model, space),
                            observe=engine._contained)
     assert run.merged == 0
@@ -289,7 +304,7 @@ def test_merged_pass_calls_the_rate_once_per_proposal(monkeypatch):
         stream = NoiseStream.for_model(model, space, replicate_seed(SEED + 5, i))
         calls.update(rule=0, rate=0)
         state = sandwich_run(model, space, 4.0, stream)
-        assert state.proposals == len(list(stream.atoms_between(-4.0, 0.0)))
+        assert state.proposals == len(dominating_window(stream, -4.0, 1.0)[1])
         assert 0 <= state.merged <= state.proposals
         assert calls["rule"] == state.proposals - state.merged
         assert calls["rate"] == 2 * calls["rule"] + state.merged
@@ -302,6 +317,7 @@ def test_merged_pass_calls_the_rate_once_per_proposal(monkeypatch):
     states = [sandwich_run(model, space, 2.0 ** j, stream) for j in range(res.lookbacks_tried)]
     assert res.proposals == sum(s.proposals for s in states)
     assert res.merged == sum(s.merged for s in states)
+    assert res.slabs_read == states[-1].slabs == states[-1].lookback + 1
 
 
 def test_sandwich_rounds_lookback_to_whole_slabs():
@@ -322,7 +338,7 @@ def test_funnel_every_intermediate_path_stays_bracketed(model):
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
     stream = NoiseStream.for_model(model, space, SEED + 11)
     state = sandwich_run(model, space, 5.0, stream, keep_detail=True)
-    assert funnel_violations(model, space, state, stream, n_intermediate=6) == 0
+    assert funnel_violations(model, space, state, n_intermediate=6) == 0
 
 
 def test_bracket_rule_with_crossed_rates_raises(monkeypatch):
@@ -342,7 +358,7 @@ def test_bracket_rule_with_crossed_rates_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="containment violated"):
         sandwich_run(model, space, 5.0, stream)
     with pytest.raises(RuntimeError, match="containment violated"):
-        funnel_violations(model, space, state, stream)
+        funnel_violations(model, space, state)
 
 
 def test_funnel_requires_detail():
@@ -490,7 +506,8 @@ def test_coupling_decay_rejects_non_nested_initials():
 
 def test_coalesced_state_equals_forward_run_from_deep_past():
     # once coalesced at lookback T, the state at 0 equals a plain forward run
-    # on the same noise started from the dominating state at -T
+    # on the same proposals started from the dominating state at -T, or from
+    # the empty state, at -T or at any deeper start
     model = PairwiseRate(theta=0.6, interaction_range=0.15)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=3.0)
     for i in range(25):
@@ -498,12 +515,11 @@ def test_coalesced_state_equals_forward_run_from_deep_past():
         res = perfect_sample(model, space, seed)
         assert res.status == "Coalesced"
         stream = NoiseStream.for_model(model, space, seed)
-        T = res.lookback_used
-        anc = ancient_survivors(stream, -T)
-        traj = simulate(model, space, anc, T, stream, start_time=-T)
-        assert traj.final.projection() == res.configuration
-        empty = simulate(model, space, TimedConfiguration(), T, stream, start_time=-T)
-        assert empty.final.projection() == res.configuration
+        for T in (res.lookback_used, 4 * res.lookback_used):
+            anc, proposals = dominating_window(stream, -T, model.death.rate)
+            for initial in (anc, TimedConfiguration()):
+                run = engine.run_paths(model, space, [initial], T, proposals, -T, log=False)
+                assert run.finals[0] == res.configuration
 
 
 if __name__ == "__main__":

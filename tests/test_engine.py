@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sbdsim.engine import Trajectory, coupled_simulate, simulate, snapshot, timed_snapshot
+from sbdsim.engine import (
+    Trajectory,
+    coupled_simulate,
+    run_paths,
+    simulate,
+    snapshot,
+    timed_snapshot,
+)
 from sbdsim.geometry import (
     Configuration,
     SimulationConfigError,
@@ -40,29 +47,35 @@ def timed_from(pairs, birth_time=0.0):
 
 def test_every_thinning_decision_matches_replayed_state():
     # replay the event log independently and recompute each candidate's rate
-    # on the state just before its proposal time; the audit trail must agree
-    # bit for bit, including the acceptance indicator
+    # on the state just before its proposal time; the decisions a run_paths
+    # observer sees must agree bit for bit, including the acceptance
+    # indicator, and the run must be the one simulate gives
     model = PairwiseRate(theta=0.8, interaction_range=0.2,
                          death=ConstantDeath(1.5))
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=4.0)
     stream = NoiseStream.for_model(model, space, SEED)
-    traj = simulate(model, space, TimedConfiguration(), 30.0, stream,
-                    collect_audit=True)
-    audit = traj.audit
-    assert len(audit) > 50
-    atoms = {a.atom_id: a for a in stream.atoms_between(0.0, 30.0)}
-    for rec in audit:
+    decisions = []
+
+    def record(atom, lams, accepted, states):
+        decisions.append((atom, lams[0], accepted[0]))
+
+    traj = run_paths(model, space, [TimedConfiguration()], 30.0,
+                     stream.atoms_between(0.0, 30.0), observe=record).trajectories()[0]
+    assert traj.canonical_json() == simulate(model, space, TimedConfiguration(), 30.0,
+                                             stream).canonical_json()
+    assert len(decisions) == len(list(stream.atoms_between(0.0, 30.0))) > 50
+    for atom, lam, accepted in decisions:
         cfg = Configuration()
         for ev in traj.events:
-            if ev.time >= rec.s:
+            if ev.time >= atom.s:
                 break
             if ev.kind == "birth":
                 cfg.add(ev.point_id, ev.x)
             else:
                 cfg.remove(ev.point_id)
-        rate = model.birth_rate(space, atoms[rec.atom_id].x, cfg)
-        assert rate == rec.rate
-        assert rec.accepted == (atoms[rec.atom_id].u <= rate)
+        rate = model.birth_rate(space, atom.x, cfg)
+        assert rate == lam
+        assert accepted == (atom.u <= rate)
 
 
 def test_death_times_are_marks_over_rate():

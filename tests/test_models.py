@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbdsim import models
 from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec, kernel_mass
 from sbdsim.models import (
     AreaInteractionRate,
@@ -499,6 +500,33 @@ def test_contraction_past_the_grid_budget_integrates_the_support():
     est = contraction_constant(nn, plane, 4096)
     assert est.value == pytest.approx(exact, rel=1e-2)
     assert contraction_constant(ConstantRate(rate=4.0), cube).value == 0.0
+
+
+def test_contraction_counts_kernel_nodes_against_the_budget(monkeypatch):
+    # a 2-D area-interaction kernel tests every QMC grain node at every grid
+    # point: a window grid within the node budget is computed in chunks and
+    # equals one kernel call on the whole grid bit for bit; a grid past it is
+    # not built (the default one, 512^2 points x ~3200 nodes, goes to the
+    # support box: test_cli runs it under a 1 GB address-space cap)
+    area = AreaInteractionRate(rho=1.0, gamma=1.5, grain_radius=0.02)
+    plane = SpaceSpec(dimension=2, lengths=(1.0, 1.0), intensity=20.0)
+    nodes = len(area.overlap(plane)._nodes)
+    assert (2 * 24) ** 2 > models._WINDOW_GRID_BUDGET // nodes  # more than one chunk
+    x0 = plane.lengths_array() / 2.0
+
+    def whole_grid(res):
+        a = area.increment_kernel(plane, x0, plane.grid(res))
+        return float(np.sum(a)) * plane.intensity * plane.cell_volume(res)
+
+    est = contraction_constant(area, plane, 24)
+    assert (est.value, est.error, est.resolution) == (
+        whole_grid(48), abs(whole_grid(48) - whole_grid(24)), 48)
+    assert (2 * 103) ** 2 * nodes > models._WINDOW_NODE_BUDGET
+    built = []
+    monkeypatch.setattr(SpaceSpec, "grid", lambda self, res=None: built.append(res))
+    monkeypatch.setattr(models, "_support_contraction", lambda *args: "support")
+    assert contraction_constant(area, plane, 103) == "support"
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
