@@ -154,13 +154,27 @@ class _ScanRecorder(NoiseStream):
 @pytest.mark.parametrize("boundary", [-3.0, -2.96, -7.4, -0.05])
 def test_window_reads_no_slab_older_than_its_start(rate, delta0, slab, boundary):
     # a window reads each slab from the one below the slab holding its start
-    # up to -1 once, and nothing older; no older slab holds a point born
-    # after the start or alive at it, so nothing is left out
+    # up to -1 once, and nothing older
     stream = _ScanRecorder(SEED, SPACE, envelope_total=rate, slab_length=slab)
     dominating_window(stream, boundary, delta0)
     oldest = math.floor(boundary / slab) - 1
     assert stream.asked == list(range(oldest, 0))
-    for k in range(oldest - 40, oldest):
+
+
+@pytest.mark.parametrize("rate,delta0,slab", [
+    (5.0, 1.0, 1.0), (5.0, 1.7, 0.37), (40.0, 0.6, 1.0), (0.3, 2.5, 0.37), (12.0, 1.0, 2.5),
+])
+@pytest.mark.parametrize("boundary", [-3.0, -2.96, -7.4, -0.05])
+def test_ancient_scan_leaves_only_the_tail_mass(rate, delta0, slab, boundary):
+    # a scan of the slabs older than the window, back past the depth where
+    # the stationary mass alive at the start falls below 1e-16 (and at least
+    # 40 slabs), finds no point born after the start or alive at it: the
+    # window leaves no tail mass at all
+    stream = NoiseStream(SEED, SPACE, envelope_total=rate, slab_length=slab)
+    dominating_window(stream, boundary, delta0)
+    oldest = math.floor(boundary / slab) - 1
+    tail = math.floor((boundary - math.log(1e16) / delta0) / slab) - 1
+    for k in range(min(tail, oldest - 40), oldest):
         s = stream.slab_points(k)
         born = s.s - s.r / delta0
         assert np.all(born < boundary)
