@@ -62,11 +62,12 @@ class DistributionTable:
         return float(sum(self.probs.values()))
 
     def to_csv(self, path) -> None:
+        lines = ["state,probability\n"]
+        for s in self.states():
+            key = ";".join(map(str, s)) if isinstance(s, tuple) else str(s)
+            lines.append(f"{key},{self.probs[s]!r}\n")
         with open(path, "w") as fh:
-            fh.write("state,probability\n")
-            for s in self.states():
-                key = ";".join(str(v) for v in s) if isinstance(s, tuple) else str(s)
-                fh.write(f"{key},{self.probs[s]!r}\n")
+            fh.write("".join(lines))
 
 
 def tv_distance(p, q) -> float:
@@ -147,75 +148,90 @@ class OracleModel:
         return float(0.5 * (k @ self.theta @ k - np.diag(self.theta) @ k))
 
     def state_list(self):
-        return [tuple(int(v) for v in idx) for idx in np.ndindex(*(c + 1 for c in self.caps))]
+        return _state_keys(_occupancy_grid(self.caps))
+
+
+def _occupancy_grid(caps) -> np.ndarray:
+    """Every occupancy vector 0 <= k <= caps as one float row, in the C order
+    of np.ndindex (the last cell varies fastest). The array is C-contiguous:
+    the matrix products that read it give other bits on a transposed view."""
+    dims = tuple(c + 1 for c in caps)
+    return np.ascontiguousarray(
+        np.indices(dims, dtype=float).reshape(len(dims), math.prod(dims)).T)
+
+
+def _state_keys(karr: np.ndarray) -> list:
+    """The rows of an occupancy grid as tuples of ints, the table keys."""
+    return list(map(tuple, karr.astype(int).tolist()))
 
 
 def oracle_stationary(oracle: OracleModel) -> DistributionTable:
-    """Stationary law of the truncated chain by direct linear solve.
+    """Stationary law of the truncated chain by direct sparse linear solve.
 
-    Solves pi Q = 0 with a normalization row, never referencing the energy,
-    so it is an independent check of the closed-form table. The reported
-    residual is the sup norm of pi Q under the solved law; the defect is the
-    birth flow suppressed at capped states divided by the death rate, an
-    estimate of the expected occupancy lost to truncation.
+    pi Q = 0 fixes pi up to a factor, so the solve pins pi(0) = 1, drops the
+    balance equation of the empty state and factors the reduced generator:
+    Q^T[1:, 1:] x = -Q^T[1:, 0]. The law is (1, x), clamped at 0 and
+    normalized. The reduced matrix is nonsingular: every state reaches the
+    empty state through deaths (death_rate > 0), so the generator killed at
+    state 0 is a nonsingular M-matrix, and pi(0) > 0. It is as sparse as Q,
+    so its LU factors stay sparse.
+
+    The solve never references the energy, so it is an independent check of
+    the closed-form table. The reported residual is the sup norm of pi Q
+    under the solved law; the defect is the birth flow suppressed at capped
+    states divided by the death rate, an estimate of the expected occupancy
+    lost to truncation.
     """
     n_states = oracle.n_states
     if n_states > MAX_ORACLE_STATES:
         raise SimulationConfigError(f"oracle state space too large: {n_states}")
-    dims = tuple(c + 1 for c in oracle.caps)
-    n_cells = len(oracle.caps)
-    states = oracle.state_list()
-    karr = np.array(states, dtype=float)
+    caps = oracle.caps
+    karr = _occupancy_grid(caps)
+    kint = karr.astype(int)
 
-    rows, cols, data = [], [], []  # entries of Q transpose
-    diag = np.zeros(n_states)
     # vectorized over states: rate density per (state, cell)
     dens = oracle.base_rate * np.exp(-(karr @ oracle.theta.T))
-    for i in range(n_cells):
-        k_i = karr[:, i].astype(int)
-        # births i: allowed where k_i < cap
-        ok = k_i < oracle.caps[i]
-        src = np.nonzero(ok)[0]
-        dst = src + int(np.prod(dims[i + 1:]))  # increment coordinate i in C order
-        rate = dens[src, i] * oracle.masses[i]
-        rows.extend(dst); cols.extend(src); data.extend(rate)
-        np.add.at(diag, src, -rate)
-        # deaths from cell i
-        occupied = np.nonzero(k_i > 0)[0]
-        ddst = occupied - int(np.prod(dims[i + 1:]))
-        drate = k_i[occupied] * oracle.death_rate
-        rows.extend(ddst); cols.extend(occupied); data.extend(drate)
-        np.add.at(diag, occupied, -drate)
-    rows.extend(range(n_states)); cols.extend(range(n_states)); data.extend(diag)
-    qt = sparse.csr_matrix((data, (rows, cols)), shape=(n_states, n_states))
+    src, dst, rate = [], [], []  # the transitions src -> dst of Q
+    for i, cap in enumerate(caps):
+        stride = math.prod(c + 1 for c in caps[i + 1:])  # coordinate i in C order
+        born = np.flatnonzero(kint[:, i] < cap)
+        died = np.flatnonzero(kint[:, i] > 0)
+        src += [born, died]
+        dst += [born + stride, died - stride]
+        rate += [dens[born, i] * oracle.masses[i], kint[died, i] * oracle.death_rate]
+    src, dst, rate = (np.concatenate(v) for v in (src, dst, rate))
+    outflow = np.bincount(src, weights=rate, minlength=n_states)
+    every = np.arange(n_states)
+    qt = sparse.csc_matrix((np.concatenate((rate, -outflow)),
+                            (np.concatenate((dst, every)), np.concatenate((src, every)))),
+                           shape=(n_states, n_states))
 
-    # replace the first balance equation with the normalization constraint
-    keep = np.array(rows) != 0
-    a = sparse.csr_matrix((np.array(data)[keep], (np.array(rows)[keep], np.array(cols)[keep])),
-                          shape=(n_states, n_states))
-    a = a + sparse.csr_matrix((np.ones(n_states), (np.zeros(n_states, dtype=int),
-                                                   np.arange(n_states))),
-                              shape=(n_states, n_states))
-    b = np.zeros(n_states)
-    b[0] = 1.0
+    a = qt[1:, 1:]
+    b = -qt[1:, 0].toarray().ravel()
     try:
-        pi = spsolve(a.tocsc(), b)
-    except Exception as exc:  # singular factorization
+        x = spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
         raise OracleSolveError(f"stationary solve failed: {exc}") from exc
-    if not np.all(np.isfinite(pi)) or np.min(pi) < -1e-9 or abs(pi.sum() - 1) > 1e-6:
+    pi = np.concatenate(([1.0], x))
+    total = pi.sum()
+    slack = np.max(np.abs(a @ x - b), initial=0.0)
+    scale = np.max(np.abs(b), initial=0.0)
+    if (not np.all(np.isfinite(pi)) or not slack <= 1e-6 * scale
+            or np.min(pi) < -1e-9 * total):
         raise OracleSolveError(
-            f"stationary solve ill-conditioned: min {np.min(pi):.3e}, sum {pi.sum():.12f}")
+            f"stationary solve ill-conditioned: min {np.min(pi) / total:.3e}, "
+            f"residual {slack:.3e} against right-hand side {scale:.3e}")
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum()
     residual = float(np.max(np.abs(qt @ pi)))
 
     blocked = 0.0
-    for i in range(n_cells):
-        at_cap = karr[:, i].astype(int) == oracle.caps[i]
+    for i, cap in enumerate(caps):
+        at_cap = kint[:, i] == cap
         blocked += float(np.sum(pi[at_cap] * dens[at_cap, i] * oracle.masses[i]))
     defect = blocked / oracle.death_rate
 
-    return DistributionTable({states[j]: float(pi[j]) for j in range(n_states)},
+    return DistributionTable(dict(zip(_state_keys(karr), pi.tolist())),
                              residual=residual, defect=defect)
 
 
@@ -227,9 +243,7 @@ def gibbs_table(oracle: OracleModel, extension: int = 4) -> DistributionTable:
     The defect is the relative mass the normalizer gains when every cap is
     raised by `extension` (an upper-box proxy for the neglected tail).
     """
-    def log_z(caps):
-        states = [np.array(idx, dtype=float) for idx in np.ndindex(*(c + 1 for c in caps))]
-        karr = np.array(states)
+    def log_weights(karr):
         with np.errstate(divide="ignore", invalid="ignore"):
             logc = np.log(oracle.base_rate * oracle.masses / oracle.death_rate)
             h = 0.5 * (np.einsum("si,ij,sj->s", karr, oracle.theta, karr)
@@ -238,13 +252,14 @@ def gibbs_table(oracle: OracleModel, extension: int = 4) -> DistributionTable:
             mass_term = np.where(karr > 0, karr * logc, 0.0).sum(axis=1)
         logw = logw + mass_term
         logw[np.any((karr > 0) & (oracle.masses * oracle.base_rate == 0), axis=1)] = -np.inf
-        return logw, logsumexp(logw)
+        return logw
 
-    logw, lz = log_z(oracle.caps)
-    _, lz_ext = log_z(tuple(c + extension for c in oracle.caps))
+    karr = _occupancy_grid(oracle.caps)
+    logw = log_weights(karr)
+    lz = logsumexp(logw)
+    lz_ext = logsumexp(log_weights(_occupancy_grid(tuple(c + extension for c in oracle.caps))))
     probs = np.exp(logw - lz)
-    states = oracle.state_list()
-    return DistributionTable({states[j]: float(probs[j]) for j in range(len(states))},
+    return DistributionTable(dict(zip(_state_keys(karr), probs.tolist())),
                              defect=float(1.0 - math.exp(lz - lz_ext)))
 
 

@@ -143,6 +143,13 @@ def _write_outputs(out_dir: str, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
+def _count(value, name: str) -> int:
+    """A config value that must be an integer >= 0 (a JSON integer, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SimulationConfigError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _initial_state(cfg: RunConfig, seed: int):
     block = cfg.run.get("initial", {"type": "empty"})
     kind = block.get("type", "empty")
@@ -228,11 +235,16 @@ def cmd_oracle(cfg: RunConfig, out_dir: str) -> int:
     if not isinstance(cfg.model, CellOccupancyRate):
         raise SimulationConfigError("the oracle command needs a cell_occupancy model")
     block = cfg.run.get("oracle", {})
-    caps = block.get("caps", [12] * cfg.model.n_cells)
-    extension = int(block.get("extension", 4))
+    n_cells = cfg.model.n_cells
+    caps = block.get("caps", [12] * n_cells)
+    if not isinstance(caps, list) or len(caps) != n_cells:
+        raise SimulationConfigError(
+            f"run.oracle.caps must list one bound per cell ({n_cells} cells), got {caps!r}")
+    caps = [_count(c, "run.oracle.caps entry") for c in caps]
+    extension = _count(block.get("extension", 4), "run.oracle.extension")
+    oracle = analysis.OracleModel.from_model(cfg.model, cfg.space, caps)
     _write_outputs(out_dir, cfg)
 
-    oracle = analysis.OracleModel.from_model(cfg.model, cfg.space, caps)
     stationary = analysis.oracle_stationary(oracle)
     closed_form = analysis.gibbs_table(oracle, extension)
     stationary.to_csv(os.path.join(out_dir, "oracle_stationary.csv"))

@@ -124,6 +124,12 @@ class NoiseSlab:
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
+def _fresh_philox_state(key: NDArray[np.uint64]) -> dict:
+    """The state a Philox generator keyed on `key` starts from (counter 0)."""
+    return {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
+            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 class NoiseStream:
     """Deterministic slab-indexed proposal stream for one master seed.
 
@@ -155,9 +161,9 @@ class NoiseStream:
         self._bitgen = np.random.Philox(key=self._key)
         self._rng = np.random.Generator(self._bitgen)
         # the state of a freshly keyed Philox; _slab_generator sets _key[1]
-        self._fresh_state = {"bit_generator": "Philox",
-                             "state": {"counter": _ZERO4, "key": self._key},
-                             "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._fresh_state = _fresh_philox_state(self._key)
+        self._present_state = _fresh_philox_state(
+            _philox_key(self.master_seed, TAG_PRESENT, 0))
         self._empty = (np.empty(0), np.empty((0, space.dimension)), np.empty(0), np.empty(0))
         self._present: dict[float, tuple] = {}
 
@@ -222,11 +228,13 @@ class NoiseStream:
         b + r / delta = e / delta, after 0. Pure in (master_seed, delta):
         drawn from keyed_generator(seed, TAG_PRESENT) in the order count,
         n * d location uniforms, n thinning uniforms, n ages, n residuals.
+        The stream's own generator is re-keyed to that state, as for a slab.
         """
         cached = self._present.get(death_rate)
         if cached is not None:
             return cached
-        rng = keyed_generator(self.master_seed, TAG_PRESENT)
+        self._bitgen.state = self._present_state
+        rng = self._rng
         mean = self.envelope_total / death_rate
         n = int(rng.poisson(mean)) if mean > 0 else 0
         d = self.space.dimension

@@ -1,14 +1,19 @@
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from sbdsim import analysis
 from sbdsim.analysis import (
     DistributionTable,
     OracleModel,
+    OracleSolveError,
     block_average_diagnostic,
     chi_square_gof,
     default_bump,
@@ -24,6 +29,7 @@ from sbdsim.analysis import (
     tv_distance,
     two_sample_count_test,
 )
+from sbdsim.cli import load_config
 from sbdsim.engine import simulate
 from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec, TimedConfiguration
 from sbdsim.models import CellOccupancyRate, ConstantDeath, ConstantRate
@@ -31,6 +37,7 @@ from sbdsim.noise import NoiseStream, poisson_configuration, replicate_seed
 
 SPACE = SpaceSpec(dimension=1, lengths=(1.0,), intensity=1.0)
 SEED = 271828
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def truncated_poisson(mean, cap):
@@ -109,6 +116,90 @@ def test_oracle_state_budget_enforced():
     oracle = OracleModel(masses=(1.0, 1.0), caps=(1200, 1200), theta=np.zeros((2, 2)))
     with pytest.raises(SimulationConfigError):
         oracle_stationary(oracle)
+
+
+def dense_stationary(oracle):
+    """Independent reference: the null vector of the dense generator Q,
+    built state by state from the rates, normalized to sum 1."""
+    states = list(np.ndindex(*(c + 1 for c in oracle.caps)))
+    index = {s: j for j, s in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for s in states:
+        k = np.array(s, dtype=float)
+        for i, cap in enumerate(oracle.caps):
+            up, down = list(s), list(s)
+            up[i] += 1
+            down[i] -= 1
+            if s[i] < cap:
+                q[index[s], index[tuple(up)]] += (oracle.base_rate * oracle.masses[i]
+                                                  * math.exp(-float(oracle.theta[i] @ k)))
+            if s[i] > 0:
+                q[index[s], index[tuple(down)]] += s[i] * oracle.death_rate
+    q[np.diag_indices_from(q)] = -q.sum(axis=1)
+    v = scipy.linalg.null_space(q.T)[:, 0]
+    return dict(zip(states, v / v.sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+           st.lists(st.integers(0, 4), min_size=n, max_size=n),
+           st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.7]), min_size=n, max_size=n),
+           st.lists(st.floats(-0.5, 0.5), min_size=n * n, max_size=n * n))),
+       st.sampled_from([0.0, 0.4, 1.0, 2.5]),
+       st.sampled_from([0.5, 1.0, 3.0]))
+def test_oracle_matches_a_dense_null_vector(cells, base_rate, death_rate):
+    caps, masses, entries = cells
+    n = len(caps)
+    a = np.array(entries).reshape(n, n)
+    oracle = OracleModel(masses=masses, caps=caps, theta=(a + a.T) / 2,
+                         base_rate=base_rate, death_rate=death_rate)
+    table = oracle_stationary(oracle)
+    assert list(table.probs) == list(np.ndindex(*(c + 1 for c in caps)))
+    assert tv_distance(table, dense_stationary(oracle)) <= 1e-12
+    assert table.residual <= 1e-12
+    assert table.total() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_oracle_single_state():
+    oracle = OracleModel(masses=(1.0, 0.5), caps=(0, 0), theta=np.eye(2))
+    table = oracle_stationary(oracle)
+    assert table.probs == {(0, 0): 1.0}
+    assert table.residual == 0.0
+
+
+def test_oracle_zero_mass_cell_is_never_occupied():
+    oracle = OracleModel(masses=(1.0, 0.0, 0.5), caps=(3, 3, 3),
+                         theta=np.full((3, 3), 0.2))
+    table = oracle_stationary(oracle)
+    assert all(p == 0.0 for s, p in table.probs.items() if s[1] > 0)
+    assert tv_distance(table, gibbs_table(oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("bad_solution", [
+    lambda x: np.full_like(x, np.nan),  # a failed factorization
+    lambda x: np.append(x[:-1], -1e-8),  # a negative entry, residual still small
+    lambda x: 2.0 * x,  # a vector that does not solve the reduced system
+])
+def test_oracle_rejects_a_bad_solve(monkeypatch, bad_solution):
+    real = analysis.spsolve
+    monkeypatch.setattr(analysis, "spsolve",
+                        lambda a, b, **kw: bad_solution(real(a, b, **kw)))
+    oracle = OracleModel(masses=(1.0, 0.5), caps=(6, 6), theta=0.2 * np.eye(2))
+    with pytest.raises(OracleSolveError):
+        oracle_stationary(oracle)
+
+
+# sha256 of gibbs_table.csv written by `oracle` for configs/cells_demo.json,
+# recorded before the state enumeration and CSV writer were vectorized
+CELLS_DEMO_GIBBS_SHA256 = "65852212069018705c7fe1e4b4b3d2bf036cb74facd1e012f2493c7660b607e5"
+
+
+def test_gibbs_table_csv_is_pinned(tmp_path):
+    cfg = load_config(os.path.join(CONFIG_DIR, "cells_demo.json"))
+    oracle = OracleModel.from_model(cfg.model, cfg.space, cfg.run["oracle"]["caps"])
+    path = tmp_path / "gibbs_table.csv"
+    gibbs_table(oracle).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CELLS_DEMO_GIBBS_SHA256
 
 
 def test_oracle_validation():

@@ -177,6 +177,41 @@ def test_oracle_requires_a_cell_model(tmp_path, capsys):
     assert "cell" in capsys.readouterr().err.lower()
 
 
+def cells_oracle_config(tmp_path, oracle_block):
+    body = json.load(open(CELLS))
+    body["run"]["oracle"] = oracle_block
+    return write_config(tmp_path, body)
+
+
+@pytest.mark.parametrize("extension", [-10, -1, 2.5, "4", True, None])
+def test_oracle_rejects_a_bad_extension_before_writing(tmp_path, capsys, extension):
+    path = cells_oracle_config(tmp_path, {"caps": [4, 4, 4], "extension": extension})
+    out = str(tmp_path / "o")
+    assert main(["oracle", "--config", path, "--out", out]) == 2
+    assert "extension" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("caps", [[4, -1, 4], [4, 4], [4, 4, 4, 4], [4, 2.5, 4],
+                                  [4, "4", 4], [4, False, 4], 4, None])
+def test_oracle_rejects_bad_caps_before_writing(tmp_path, capsys, caps):
+    path = cells_oracle_config(tmp_path, {"caps": caps})
+    out = str(tmp_path / "o")
+    assert main(["oracle", "--config", path, "--out", out]) == 2
+    assert "caps" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_oracle_accepts_zero_caps_and_extension(tmp_path):
+    path = cells_oracle_config(tmp_path, {"caps": [0, 2, 0], "extension": 0})
+    out = str(tmp_path / "o")
+    assert main(["oracle", "--config", path, "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "oracle_report.json")))
+    assert report["caps"] == [0, 2, 0]
+    assert report["truncation_defect_gibbs"] == 0.0
+    assert open(os.path.join(out, "oracle_stationary.csv")).read().count("\n") == 4
+
+
 # ---------------------------------------------------------------------------
 # contraction
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from sbdsim.analysis import chi_square_gof
 from sbdsim.geometry import SimulationConfigError, SpaceSpec
 from sbdsim.models import ConstantRate, PairwiseRate
 from sbdsim.noise import (
+    TAG_PRESENT,
     NoiseStream,
     initial_clocks,
     keyed_generator,
@@ -334,6 +335,41 @@ def test_present_points_follow_the_stationary_law():
     for arr in s.present_points(delta0):
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+def reference_present_points(s, death_rate):
+    """present_points drawn from a freshly keyed generator, in the documented order."""
+    rng = keyed_generator(s.master_seed, TAG_PRESENT)
+    mean = s.envelope_total / death_rate
+    n = int(rng.poisson(mean)) if mean > 0 else 0
+    d = s.space.dimension
+    xs = s.space.lengths_array() * rng.random(n * d).reshape(n, d)
+    us = s.envelope_sup_value() * rng.random(n)
+    ages = rng.exponential(1.0, size=n)
+    residuals = rng.exponential(1.0, size=n)
+    return -ages / death_rate, xs, ages + residuals, us
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_present_points_match_a_freshly_keyed_generator(dimension):
+    # the stream re-keys its own Philox for D(0); the bits must be those of
+    # keyed_generator(seed, TAG_PRESENT), and the slabs drawn before and
+    # after from the same generator must not move
+    space = SpaceSpec(dimension=dimension, lengths=(1.0, 2.0, 0.5)[:dimension],
+                      intensity=2.0)
+    for i in range(12):
+        seed = replicate_seed(SEED, i)
+        s = stream(env=7.0, seed=seed, space=space)
+        before = [s.slab_hash(k) for k in (-2, -1)]
+        for delta0 in (1.0, 1.7):
+            got = s.present_points(delta0)
+            want = reference_present_points(s, delta0)
+            assert all(np.array_equal(p, q) for p, q in zip(got, want))
+            assert got[0].dtype == want[0].dtype and got[1].shape == want[1].shape
+        after = [s.slab_hash(k) for k in (-2, -1, 0, 3)]
+        fresh = stream(env=7.0, seed=seed, space=space)
+        assert after[:2] == before
+        assert after == [fresh.slab_hash(k) for k in (-2, -1, 0, 3)]
 
 
 # ---------------------------------------------------------------------------
