@@ -235,6 +235,8 @@ def cmd_oracle(cfg: RunConfig, out_dir: str) -> int:
     if not isinstance(cfg.model, CellOccupancyRate):
         raise SimulationConfigError("the oracle command needs a cell_occupancy model")
     block = cfg.run.get("oracle", {})
+    if not isinstance(block, dict):
+        raise SimulationConfigError(f"run.oracle must be an object, got {block!r}")
     n_cells = cfg.model.n_cells
     caps = block.get("caps", [12] * n_cells)
     if not isinstance(caps, list) or len(caps) != n_cells:

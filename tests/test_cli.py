@@ -202,6 +202,14 @@ def test_oracle_rejects_bad_caps_before_writing(tmp_path, capsys, caps):
     assert not os.path.exists(out)
 
 
+def test_oracle_rejects_a_block_that_is_not_an_object(tmp_path, capsys):
+    path = cells_oracle_config(tmp_path, [4, 4, 4])
+    out = str(tmp_path / "o")
+    assert main(["oracle", "--config", path, "--out", out]) == 2
+    assert "run.oracle" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_oracle_accepts_zero_caps_and_extension(tmp_path):
     path = cells_oracle_config(tmp_path, {"caps": [0, 2, 0], "extension": 0})
     out = str(tmp_path / "o")
