@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -338,6 +339,49 @@ def test_validate_command_writes_report(tmp_path, capsys):
     assert report["all_passed"] is True
     text = capsys.readouterr().out
     assert "[PASS]" in text and "[FAIL]" not in text
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: refactors that keep the algorithm keep every byte
+# ---------------------------------------------------------------------------
+
+# sha256 over the sorted "relative path, sha256 of the file" lines of the
+# output directory of each command on each demo config, plus a fast validate
+PINNED_TREE_DIGESTS = {
+    ("simulate", "constant_demo"): "6bce35c79599675ae3977ed28d69a1aa6b5ff40954aaaaff920b11984bd60785",
+    ("stats", "constant_demo"): "bb520f13b1b51d152ed18fdf59eeb75294368c7ec7d4748e67f6a7917b1432cd",
+    ("perfect-sample", "constant_demo"): "ad7569cfb348a60c8d70b6955aae9c615b2fe460ee297582691d6662c3b0364b",
+    ("simulate", "pairwise_demo"): "5d31e043b3f67843aa6a5f822dc6b74ef52e2d1a935865463e8e6d1a6b96a3d5",
+    ("stats", "pairwise_demo"): "e4423602c84c80089776da49c573c74cd49ef552e4eb138f6f9ac633db542496",
+    ("perfect-sample", "pairwise_demo"): "e1a631973eae1564eaf85786df50c970752868d7c906301b22e5f4eedbaa6cc9",
+    ("simulate", "cells_demo"): "218e59e825133e0d91735c6466be9345fd4e6422ffbd14ba8ef96394d203191c",
+    ("stats", "cells_demo"): "87e6b27f696b09ab91905f61705e25e0ab5a9fee6e2ded60f3a959df46e41309",
+    ("perfect-sample", "cells_demo"): "7349e7efa00d919429da5059729bd22fdbf9659ea4d97d36397d288697825b5b",
+    ("oracle", "cells_demo"): "2e3072e0f37fba158fc38c1eb25fa70acc529ddf06735566f4d5ca02afccec03",
+    ("validate", "fast"): "a4825b9ab6560094856c905f734e66c9f3a21cd7eb332d0e98a2c5e922c0bbef",
+}
+
+
+def tree_digest(root):
+    lines = "".join(f"{name} {hashlib.sha256(body).hexdigest()}\n"
+                    for name, body in sorted(tree_bytes(root).items()))
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
+    validate = write_config(tmp_path, {
+        "space": {"dimension": 1, "lengths": [1.0], "intensity": 1.0},
+        "model": {"type": "constant", "rate": 1.0},
+        "seed": 20260816,
+        "run": {"validate": {"fast": True}}})
+    changed = []
+    for (command, name), digest in PINNED_TREE_DIGESTS.items():
+        config = validate if name == "fast" else os.path.join(CONFIG_DIR, f"{name}.json")
+        out = str(tmp_path / f"{command}-{name}")
+        assert main([command, "--config", config, "--out", out]) == 0
+        if tree_digest(out) != digest:
+            changed.append(f"{command} {name}")
+    assert changed == []
 
 
 if __name__ == "__main__":
