@@ -25,7 +25,6 @@ from .geometry import (
     TimedConfiguration,
     TimedPoint,
     configuration_contains,
-    kernel_mass,
     nearest_distance,
     snapshot_from_json,
     snapshot_to_json,

@@ -151,10 +151,22 @@ class OracleModel:
         return _state_keys(_occupancy_grid(self.caps))
 
 
+def check_state_budget(caps, extension: int = 0) -> None:
+    """Raise SimulationConfigError when the box 0 <= k <= caps + extension
+    holds more than MAX_ORACLE_STATES occupancy vectors. Every enumeration
+    checks its box here first; the oracle command checks the largest box it
+    enumerates, gibbs_table's extended one, before it writes anything."""
+    n_states = math.prod(c + extension + 1 for c in caps)
+    if n_states > MAX_ORACLE_STATES:
+        raise SimulationConfigError(
+            f"oracle state space too large: {n_states} states, more than {MAX_ORACLE_STATES}")
+
+
 def _occupancy_grid(caps) -> np.ndarray:
     """Every occupancy vector 0 <= k <= caps as one float row, in the C order
     of np.ndindex (the last cell varies fastest). The array is C-contiguous:
     the matrix products that read it give other bits on a transposed view."""
+    check_state_budget(caps)
     dims = tuple(c + 1 for c in caps)
     return np.ascontiguousarray(
         np.indices(dims, dtype=float).reshape(len(dims), math.prod(dims)).T)
@@ -182,11 +194,9 @@ def oracle_stationary(oracle: OracleModel) -> DistributionTable:
     states divided by the death rate, an estimate of the expected occupancy
     lost to truncation.
     """
-    n_states = oracle.n_states
-    if n_states > MAX_ORACLE_STATES:
-        raise SimulationConfigError(f"oracle state space too large: {n_states}")
     caps = oracle.caps
     karr = _occupancy_grid(caps)
+    n_states = len(karr)
     kint = karr.astype(int)
 
     # vectorized over states: rate density per (state, cell)
@@ -241,8 +251,11 @@ def gibbs_table(oracle: OracleModel, extension: int = 4) -> DistributionTable:
     The weight of occupancy k is exp(-H(k)) prod_i c_i^{k_i}/k_i! with
     c_i = base_rate * masses[i] / death_rate, normalized over the capped box.
     The defect is the relative mass the normalizer gains when every cap is
-    raised by `extension` (an upper-box proxy for the neglected tail).
+    raised by `extension` (an upper-box proxy for the neglected tail). The
+    raised box counts against MAX_ORACLE_STATES too.
     """
+    check_state_budget(oracle.caps, extension)
+
     def log_weights(karr):
         with np.errstate(divide="ignore", invalid="ignore"):
             logc = np.log(oracle.base_rate * oracle.masses / oracle.death_rate)

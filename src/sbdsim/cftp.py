@@ -12,7 +12,8 @@ law, because every stationary path driven by the same noise is trapped
 between the pair. The pair stays nested, so it agrees as soon as its sizes
 do, and from then on both processes take the same decisions (Garcia & Kurtz:
 one proposal stream drives every path): the rest of the pass runs them as one
-path at the plain birth rate. Only keep_detail keeps the event logs.
+path at the plain birth rate. The pass is one mode of the event loop,
+engine.run_paths(bracket=True), and keeps no event log.
 
 The dominating process D (births at the envelope rate, Exp(delta) lives) must
 be one trajectory across lookbacks, not redrawn per restart. It is built from
@@ -42,7 +43,7 @@ from .geometry import (
     configuration_contains,
     symmetric_difference,
 )
-from .models import RateModel, UnsupportedModelError, _sandwich_rates, envelope_total
+from .models import RateModel, UnsupportedModelError, envelope_total
 from .noise import NoisePoint, NoiseStream, initial_clocks, poisson_configuration, replicate_seed
 from . import engine
 
@@ -98,18 +99,6 @@ def dominating_window(stream: NoiseStream, start_time: float,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SandwichDetail:
-    """Internals of a sandwich run, for audits and funnel checks: the pass's
-    proposals and D(start_time), the dominating state it started from."""
-
-    atoms: list[NoisePoint]
-    ancient: TimedConfiguration
-    start_time: float
-    lower_path: engine.Trajectory
-    upper_path: engine.Trajectory
-
-
-@dataclass
 class SandwichState:
     """Bracketing pair at time 0 after the sandwich pass: the pass's own live
     states, the same object once the pair has merged. proposals counts the
@@ -123,67 +112,53 @@ class SandwichState:
     proposals: int
     merged: int
     slabs: int
-    detail: SandwichDetail | None = None
 
 
-def _bracket_rates(model: RateModel, space: SpaceSpec):
-    """Rate rule of run_paths for a bracket before it merges: paths 0 and 1
-    are the lower and upper process, any further path runs at the plain birth
-    rate. The pair is not checked for nesting here; run_paths(nested=True)
-    checks it at O(1) per proposal."""
-    def rates(x, states):
-        lam_low, lam_up = _sandwich_rates(model, space, x, states[0], states[1])
-        return [lam_low, lam_up] + [model.birth_rate(space, x, s) for s in states[2:]]
-    return rates
+def _window_start(lookback: float, slab_length: float) -> float:
+    """-T for a requested lookback: T is the lookback rounded up to whole
+    slabs, at least one."""
+    if not (lookback > 0):
+        raise SimulationConfigError(f"lookback must be > 0, got {lookback}")
+    return -max(1, math.ceil(lookback / slab_length - 1e-12)) * slab_length
 
 
 def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
-                 stream: NoiseStream, keep_detail: bool = False) -> SandwichState:
+                 stream: NoiseStream) -> SandwichState:
     """Run the coupled bracketing pair on [-T, 0] in one time-ordered pass.
 
     T is the requested lookback rounded up to whole slabs. The lower process
     starts empty, the upper from the dominating state D(-T), and the
-    proposals are D's births in [-T, 0) (dominating_window); after every
-    proposal the pass raises RuntimeError if
-    the lower process accepted a birth that the upper one rejected, the only
-    way the pair could stop being nested. Once the pair has equal sizes it is
+    proposals are D's births in [-T, 0) (dominating_window). The pass is
+    engine.run_paths(bracket=True): it raises RuntimeError if the lower
+    process accepts a birth that the upper one rejects, the only way the
+    pair could stop being nested, and once the pair has equal sizes it is
     equal, and the rest of the pass runs it as one path at the plain birth
-    rate (engine.run_paths, nested=True). Only keep_detail keeps event logs.
+    rate.
     """
-    if not (lookback > 0):
-        raise SimulationConfigError(f"lookback must be > 0, got {lookback}")
+    start = _window_start(lookback, stream.slab_length)
     if not math.isfinite(model.envelope_sup(space)):
         raise SimulationConfigError("model envelope must be finite for sandwich runs")
-    start = -max(1, math.ceil(lookback / stream.slab_length - 1e-12)) * stream.slab_length
     ancient, proposals = dominating_window(stream, start, model.death.rate)
     run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, proposals,
-                           start, rates=_bracket_rates(model, space), log=keep_detail,
-                           nested=True)
+                           start, bracket=True)
     lower0, upper0 = run.finals
-    detail = None
-    if keep_detail:
-        low, up = run.trajectories()
-        detail = SandwichDetail(atoms=proposals, ancient=ancient, start_time=start,
-                                lower_path=low, upper_path=up)
     # nested, so equal sizes are equal states
     return SandwichState(lower=lower0, upper=upper0, lookback=-start,
                          coalesced=len(lower0) == len(upper0), proposals=run.proposals,
-                         merged=run.merged, slabs=len(_window_slabs(stream, start)),
-                         detail=detail)
+                         merged=run.merged, slabs=len(_window_slabs(stream, start)))
 
 
-def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
-                      n_intermediate: int = 5, seed: int = 0) -> int:
+def funnel_violations(model: RateModel, space: SpaceSpec, lookback: float,
+                      stream: NoiseStream, n_intermediate: int = 5, seed: int = 0) -> int:
     """Run forward paths from random initial states between empty and the
-    dominating state D(-T) on the pass's proposals, alongside the bracket;
-    count containment violations lower <= path <= upper after every proposal
-    and at 0."""
-    if state.detail is None:
-        raise SimulationConfigError("funnel check needs a sandwich run with keep_detail=True")
-    det = state.detail
+    dominating state D(-T) on the proposals of sandwich_run's window,
+    alongside the bracket; count containment violations
+    lower <= path <= upper after every proposal and at 0."""
+    start = _window_start(lookback, stream.slab_length)
+    ancient, proposals = dominating_window(stream, start, model.death.rate)
     rng = np.random.default_rng(seed)
-    ids = sorted(det.ancient.ids())
-    mids = [det.ancient.restrict([pid for pid in ids if rng.random() < 0.5])
+    ids = sorted(ancient.ids())
+    mids = [ancient.restrict([pid for pid in ids if rng.random() < 0.5])
             for _ in range(n_intermediate)]
 
     def count(states) -> int:
@@ -197,10 +172,8 @@ def funnel_violations(model: RateModel, space: SpaceSpec, state: SandwichState,
         nonlocal violations
         violations += count(states)
 
-    run = engine.run_paths(model, space, [TimedConfiguration(), det.ancient] + mids,
-                           -det.start_time, det.atoms, det.start_time,
-                           rates=_bracket_rates(model, space), observe=observe, log=False,
-                           nested=True)
+    run = engine.run_paths(model, space, [TimedConfiguration(), ancient] + mids, -start,
+                           proposals, start, observe=observe, bracket=True)
     return violations + count(run.finals)
 
 

@@ -11,10 +11,12 @@ enters anywhere.
 One loop, run_paths, solves these equations forward in time for any number of
 paths on the same proposals: the plain forward run, the coupled pair, and the
 lower/upper bracket of coupling from the past differ only in the rule that
-turns the states before s into one rate per path. Since every path reads the
-same proposals, two paths that are equal stay equal: a bracket (a nested
-pair) runs as one path from the first proposal at which its two sizes agree.
-Passes whose callers read only the final states keep no event log.
+turns the states before s into one rate per path. A path's own birth rate is
+the rule unless run_paths(bracket=True) makes paths 0 and 1 the bracket,
+whose rates are the infimum and supremum over the states between them. Since
+every path reads the same proposals, two paths that are equal stay equal: a
+bracket runs as one path from the first proposal at which its two sizes
+agree. A bracket run keeps no event log; every other run logs every event.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import Configuration, SimulationConfigError, SpaceSpec, TimedConfiguration, TimedPoint
-from .models import RateModel
+from .models import RateModel, _sandwich_rates
 from .noise import NoiseStream
 
 
@@ -84,36 +86,35 @@ class Trajectory:
         })
 
 
-def snapshot(trajectory: Trajectory, t: float) -> Configuration:
-    """State at time t, reconstructed by replaying the event log."""
+def _replay(trajectory: Trajectory, t: float, timed: bool):
+    """The state at time t from replaying the event log: a TimedConfiguration
+    whose points keep their death marks and birth times when timed, else a
+    Configuration (whose births need no mark)."""
     if not (trajectory.start_time <= t <= trajectory.end_time):
         raise SimulationConfigError(
             f"snapshot time {t} outside [{trajectory.start_time}, {trajectory.end_time}]")
-    cfg = trajectory.initial.projection()
+    state = trajectory.initial.copy() if timed else trajectory.initial.projection()
     for ev in trajectory.events:
         if ev.time > t:
             break
-        if ev.kind == "birth":
-            cfg.add(ev.point_id, ev.x)
+        if ev.kind != "birth":
+            state.remove(ev.point_id)
+        elif timed:
+            state.add(ev.point_id, TimedPoint(np.array(ev.x, dtype=float), ev.mark, ev.time))
         else:
-            cfg.remove(ev.point_id)
-    return cfg
+            state.add(ev.point_id, ev.x)
+    return state
+
+
+def snapshot(trajectory: Trajectory, t: float) -> Configuration:
+    """State at time t, reconstructed by replaying the event log."""
+    return _replay(trajectory, t, timed=False)
 
 
 def timed_snapshot(trajectory: Trajectory, t: float) -> TimedConfiguration:
     """State at time t; every point keeps its death mark and birth time, so a
     restart from it computes the same death times as the uninterrupted run."""
-    if not (trajectory.start_time <= t <= trajectory.end_time):
-        raise SimulationConfigError("snapshot time outside the trajectory range")
-    timed = trajectory.initial.copy()
-    for ev in trajectory.events:
-        if ev.time > t:
-            break
-        if ev.kind == "birth":
-            timed.add(ev.point_id, TimedPoint(np.array(ev.x, dtype=float), ev.mark, ev.time))
-        else:
-            timed.remove(ev.point_id)
-    return timed
+    return _replay(trajectory, t, timed=True)
 
 
 def _death_time(birth_time: float, clock: float, delta0: float) -> float:
@@ -170,7 +171,7 @@ class _Path:
 class PathRun:
     """What run_paths leaves behind: the paths at the end of
     [start_time, start_time + horizon], the number of proposals in that window
-    and how many of them a merged nested pair ran as one path."""
+    and how many of them a merged bracket ran as one path."""
 
     initials: list[TimedConfiguration]
     start_time: float
@@ -187,7 +188,7 @@ class PathRun:
         return [path.live for path in self.paths]
 
     def trajectories(self) -> list[Trajectory]:
-        """One Trajectory per path, from a logged run."""
+        """One Trajectory per path, from a run without bracket."""
         out = []
         for initial, path in zip(self.initials, self.paths):
             final = TimedConfiguration()
@@ -216,7 +217,7 @@ def _contained(atom, lams, accepted, states) -> None:
 
 def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfiguration],
               horizon: float, proposals, start_time: float = 0.0,
-              rates=None, observe=None, log: bool = True, nested: bool = False) -> PathRun:
+              observe=None, bracket: bool = False) -> PathRun:
     """Drive one path per initial state through the same proposals on
     [start_time, start_time + horizon].
 
@@ -226,53 +227,49 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfigurat
     the past the births of its dominating process in the window.
 
     Before a proposal (x, s, r, u) every path applies its deaths strictly
-    before s; then rates(x, states) gives every path's birth rate from those
-    states, all computed before any path accepts, and path i accepts when
-    u <= rate i. The default rule is model.birth_rate on each path's own
-    state. observe(atom, rates, accepted, states), when given, runs after every
-    proposal; it is where callers assert or count invariants between paths.
-    Deaths at exactly the end of the horizon are logged and excluded from the
-    final states. With log=False the paths keep no event log and no death
-    marks, for callers that read only the final states.
+    before s; then every path's birth rate at x is computed from those
+    states, all before any path accepts, and path i accepts when u <= rate i.
+    Path i's rate is model.birth_rate on its own state. observe(atom, rates,
+    accepted, states), when given, runs after every proposal; it is where
+    callers assert or count invariants between paths. Deaths at exactly the
+    end of the horizon are logged and excluded from the final states.
 
-    nested=True declares paths 0 and 1 a nested pair, path 0 inside path 1
-    (the bracket of coupling from the past): every decision is checked by
-    _contained. Shared points die at the same time on both paths, so the ids
-    of path 0 stay a subset of those of path 1, and equal sizes mean equal
-    states, after which the two would take the same decisions to the end. So
-    once len(path 0) == len(path 1) before a proposal, the pair runs as one
-    path: path 0 alone applies deaths, makes one model.birth_rate call and
-    takes births, rates is no longer called (further paths go on at their own
-    model.birth_rate), and at the end path 1 takes path 0's state and, when
-    logged, path 0's later events. From the merge on, observe sees path 0's
-    state, rate and decision in place of path 1's.
+    bracket=True runs paths 0 and 1 as the bracket of coupling from the past:
+    path 0 (lower) inside path 1 (upper), with the infimum and supremum of
+    the rate over the states between them (models._sandwich_rates); further
+    paths keep their own rate. Every decision of the pair is checked by
+    _contained. Shared points die at the same time on both paths, so the
+    ids of path 0 stay a subset of those of path 1, and equal sizes mean
+    equal states, after which the two take the same decisions to the end.
+    So once len(path 0) == len(path 1) before a proposal, the pair runs as
+    one path at model.birth_rate, and at the end path 1 takes path 0's live
+    state; from the merge on, observe sees path 0's state, rate and decision
+    in place of path 1's. A bracket run keeps no event log: its callers read
+    the final states.
     """
     if horizon < 0:
         raise SimulationConfigError(f"horizon must be >= 0, got {horizon}")
     delta0 = model.death.rate
     t_end = start_time + horizon
     birth_rate = model.birth_rate
-
-    def own_rates(x, states):
-        return [birth_rate(space, x, live) for live in states]
-
-    if rates is None:
-        rates = own_rates
-    paths = [_Path(initial, start_time, delta0, log) for initial in initials]
+    paths = [_Path(initial, start_time, delta0, not bracket) for initial in initials]
     active, states = paths, [path.live for path in paths]
-    split = nested  # a nested pair not merged yet
-    merged_at = None  # (proposals before the merge, length of path 0's log then)
+    split = bracket  # a bracket pair not merged yet
+    merged_at = None  # proposals before the merge
     n = 0
     for n, atom in enumerate(proposals, 1):
+        x = atom.x
         for path in active:
             path.flush_deaths(atom.s, inclusive=False)
         if split and len(states[0]) == len(states[1]):
-            split = False
-            merged_at = (n - 1, len(paths[0].events) if log else 0)
+            split, merged_at = False, n - 1
             active = paths[:1] + paths[2:]
             states = [path.live for path in active]
-            rates = own_rates
-        lams = rates(atom.x, states)
+        if split:
+            lams = [*_sandwich_rates(model, space, x, states[0], states[1]),
+                    *[birth_rate(space, x, live) for live in states[2:]]]
+        else:
+            lams = [birth_rate(space, x, live) for live in states]
         accepted = [atom.u <= lam for lam in lams]
         if split:
             _contained(atom, lams, accepted, states)
@@ -289,11 +286,8 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfigurat
 
     merged = 0
     if merged_at is not None:
-        merged = n - merged_at[0]
-        low, up = paths[0], paths[1]
-        if log:
-            up.events += low.events[merged_at[1]:]
-        up.live, up.marks, up.deaths = low.live, low.marks, low.deaths
+        merged = n - merged_at
+        paths[1].live = paths[0].live
     return PathRun(initials=list(initials), start_time=start_time, horizon=horizon,
                    death_rate=delta0, paths=paths, proposals=n, merged=merged)
 

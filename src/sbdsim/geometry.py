@@ -313,18 +313,6 @@ def symmetric_difference(eta1: Configuration, eta2: Configuration, dimension: in
     return np.stack(out)
 
 
-def kernel_mass(kernel, x, pts) -> float:
-    """Sum of kernel(x, y) over the rows y of pts.
-
-    kernel is vectorized: kernel(x, pts) returns one value per row. Used for
-    Lipschitz bounds on rate perturbations and for coupling metrics.
-    """
-    pts = np.asarray(pts, dtype=float)
-    if pts.size == 0:
-        return 0.0
-    return float(np.sum(kernel(x, pts)))
-
-
 def nearest_distance(space: SpaceSpec, x, eta: Configuration) -> float:
     """Distance from x to the nearest point of eta; +inf for an empty eta."""
     if len(eta) == 0:

@@ -202,6 +202,21 @@ def test_gibbs_table_csv_is_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CELLS_DEMO_GIBBS_SHA256
 
 
+def test_gibbs_table_extension_counts_against_the_state_budget(monkeypatch):
+    # caps 4 raised by 100 is a box of 105^3 = 1.16 M states, more than
+    # MAX_ORACLE_STATES: it is refused before any box is enumerated
+    cfg = load_config(os.path.join(CONFIG_DIR, "cells_demo.json"))
+    oracle = OracleModel.from_model(cfg.model, cfg.space, [4, 4, 4])
+    assert 105 ** 3 > analysis.MAX_ORACLE_STATES
+
+    def enumerate_box(caps):
+        raise AssertionError(f"box {caps} enumerated")
+
+    monkeypatch.setattr(analysis, "_occupancy_grid", enumerate_box)
+    with pytest.raises(SimulationConfigError, match="too large"):
+        gibbs_table(oracle, extension=100)
+
+
 def test_oracle_validation():
     with pytest.raises(SimulationConfigError):
         OracleModel(masses=(1.0,), caps=(5, 5), theta=np.zeros((1, 1)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from sbdsim import cftp, engine
+from sbdsim import engine
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
     coupling_decay_curve,
@@ -244,53 +244,41 @@ BRACKET_IDS = ["pairwise", "pairwise-short", "area-attractive", "area-repulsive"
                "nearest"]
 
 
+def bracket_pass(model, space, lookback, stream):
+    """sandwich_run's pass, with the births of both bracket paths collected
+    by an observer (after the merge it reports path 0's decision twice)."""
+    start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
+    ancient, proposals = dominating_window(stream, start, model.death.rate)
+    births = [set(), set()]
+
+    def observe(atom, lams, accepted, states):
+        for path_births, acc in zip(births, accepted):
+            if acc:
+                path_births.add(atom.atom_id)
+
+    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, proposals,
+                           start, observe=observe, bracket=True)
+    return births, run
+
+
 @pytest.mark.parametrize("model,intensity", BRACKET_MODELS, ids=BRACKET_IDS)
 def test_sandwich_pass_equals_sweep_fixed_point(model, intensity):
     # one time-ordered pass must reach the fixed point of the Jacobi sweeps:
-    # the same births on both bracket paths and the same pair at 0
+    # the same births on both bracket paths and the same pair at 0, also
+    # after the pair has merged and runs as one path
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
+    merged = 0
     for i in range(6):
         stream = NoiseStream.for_model(model, space, replicate_seed(SEED, i))
         for lookback in (1.0, 4.0):
             low, up, low0, up0 = reference_sweep_bracket(model, space, lookback, stream)
-            state = sandwich_run(model, space, lookback, stream, keep_detail=True)
-            births = [{ev.point_id for ev in path.events if ev.kind == "birth"}
-                      for path in (state.detail.lower_path, state.detail.upper_path)]
+            births, run = bracket_pass(model, space, lookback, stream)
             assert births == [low, up]
+            assert run.finals == [low0, up0]
+            state = sandwich_run(model, space, lookback, stream)
             assert state.lower == low0 and state.upper == up0
             assert state.coalesced == (low0 == up0)
-
-
-def two_path_bracket(model, space, lookback, stream):
-    """The bracket run as two paths to the end: no merge, both paths logged."""
-    start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
-    ancient, proposals = dominating_window(stream, start, model.death.rate)
-    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, proposals,
-                           start, rates=cftp._bracket_rates(model, space),
-                           observe=engine._contained)
-    assert run.merged == 0
-    return run.trajectories()
-
-
-@pytest.mark.parametrize("model,intensity", BRACKET_MODELS, ids=BRACKET_IDS)
-def test_merged_pass_keeps_the_two_path_trajectories(model, intensity):
-    # running a merged pair as one path must change nothing a caller can read:
-    # the pair at 0 and both event logs, with or without keep_detail
-    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
-    merged = 0
-    for i in range(8):
-        stream = NoiseStream.for_model(model, space, replicate_seed(SEED + 3, i))
-        for lookback in (1.0, 4.0):
-            low, up = two_path_bracket(model, space, lookback, stream)
-            state = sandwich_run(model, space, lookback, stream, keep_detail=True)
-            bare = sandwich_run(model, space, lookback, stream)
-            assert state.detail.lower_path.canonical_json() == low.canonical_json()
-            assert state.detail.upper_path.canonical_json() == up.canonical_json()
-            for s in (state, bare):
-                assert s.lower == low.final.projection()
-                assert s.upper == up.final.projection()
-                assert s.coalesced == (low.final.projection() == up.final.projection())
-                assert (s.proposals, s.merged) == (state.proposals, state.merged)
+            assert (state.proposals, state.merged) == (run.proposals, run.merged)
             merged += state.merged
     assert merged > 0  # the merge happened, so the comparison covers it
 
@@ -301,7 +289,7 @@ def test_merged_pass_calls_the_rate_once_per_proposal(monkeypatch):
     model = PairwiseRate(theta=0.7, interaction_range=0.2)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=5.0)
     calls = {"rule": 0, "rate": 0}
-    rule, rate = cftp._sandwich_rates, PairwiseRate.birth_rate
+    rule, rate = engine._sandwich_rates, PairwiseRate.birth_rate
 
     def counted_rule(*args):
         calls["rule"] += 1
@@ -311,7 +299,7 @@ def test_merged_pass_calls_the_rate_once_per_proposal(monkeypatch):
         calls["rate"] += 1
         return rate(self, *args)
 
-    monkeypatch.setattr(cftp, "_sandwich_rates", counted_rule)
+    monkeypatch.setattr(engine, "_sandwich_rates", counted_rule)
     monkeypatch.setattr(PairwiseRate, "birth_rate", counted_rate)
     merged = 0
     for i in range(10):
@@ -341,6 +329,8 @@ def test_sandwich_rounds_lookback_to_whole_slabs():
     assert state.lookback == 3.0
     with pytest.raises(SimulationConfigError):
         sandwich_run(model, SPACE, 0.0, stream)
+    with pytest.raises(SimulationConfigError):
+        funnel_violations(model, SPACE, 0.0, stream)
 
 
 @pytest.mark.parametrize("model", [
@@ -351,8 +341,7 @@ def test_sandwich_rounds_lookback_to_whole_slabs():
 def test_funnel_every_intermediate_path_stays_bracketed(model):
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
     stream = NoiseStream.for_model(model, space, SEED + 11)
-    state = sandwich_run(model, space, 5.0, stream, keep_detail=True)
-    assert funnel_violations(model, space, state, n_intermediate=6) == 0
+    assert funnel_violations(model, space, 5.0, stream, n_intermediate=6) == 0
 
 
 def test_bracket_rule_with_crossed_rates_raises(monkeypatch):
@@ -361,26 +350,17 @@ def test_bracket_rule_with_crossed_rates_raises(monkeypatch):
     model = PairwiseRate(theta=0.7, interaction_range=0.2)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
     stream = NoiseStream.for_model(model, space, SEED + 11)
-    state = sandwich_run(model, space, 5.0, stream, keep_detail=True)
     # the pair starts apart, so the pass begins on the bracket rule
-    assert len(state.detail.ancient) > 0
+    assert len(dominating_window(stream, -5.0, model.death.rate)[0]) > 0
 
     def crossed(model, space, x, eta_low, eta_up):
         return 1.0, 0.0
 
-    monkeypatch.setattr(cftp, "_sandwich_rates", crossed)
+    monkeypatch.setattr(engine, "_sandwich_rates", crossed)
     with pytest.raises(RuntimeError, match="containment violated"):
         sandwich_run(model, space, 5.0, stream)
     with pytest.raises(RuntimeError, match="containment violated"):
-        funnel_violations(model, space, state)
-
-
-def test_funnel_requires_detail():
-    model = ConstantRate(rate=2.0)
-    stream = NoiseStream.for_model(model, SPACE, SEED)
-    state = sandwich_run(model, SPACE, 2.0, stream)
-    with pytest.raises(SimulationConfigError):
-        funnel_violations(model, SPACE, state, stream)
+        funnel_violations(model, space, 5.0, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +413,10 @@ def test_noise_is_shared_across_doublings():
     model = PairwiseRate(theta=0.5, interaction_range=0.2)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=4.0)
     stream = NoiseStream.for_model(model, space, SEED)
-    short = sandwich_run(model, space, 2.0, stream, keep_detail=True)
-    long = sandwich_run(model, space, 4.0, stream, keep_detail=True)
-    short_ids = [a.atom_id for a in short.detail.atoms]
-    long_tail = [a.atom_id for a in long.detail.atoms if a.s >= -2.0]
+    short = dominating_window(stream, -2.0, model.death.rate)[1]
+    long = dominating_window(stream, -4.0, model.death.rate)[1]
+    short_ids = [a.atom_id for a in short]
+    long_tail = [a.atom_id for a in long if a.s >= -2.0]
     assert short_ids == long_tail
     assert stream.slab_hash(-1) == NoiseStream.for_model(model, space, SEED).slab_hash(-1)
 
@@ -532,7 +512,7 @@ def test_coalesced_state_equals_forward_run_from_deep_past():
         for T in (res.lookback_used, 4 * res.lookback_used):
             anc, proposals = dominating_window(stream, -T, model.death.rate)
             for initial in (anc, TimedConfiguration()):
-                run = engine.run_paths(model, space, [initial], T, proposals, -T, log=False)
+                run = engine.run_paths(model, space, [initial], T, proposals, -T)
                 assert run.finals[0] == res.configuration
 
 

@@ -211,6 +211,18 @@ def test_oracle_rejects_a_block_that_is_not_an_object(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("block", [{"caps": [100, 100, 100]},
+                                   {"caps": [4, 4, 4], "extension": 100}],
+                         ids=["caps", "extension"])
+def test_oracle_refuses_a_box_over_the_state_budget_before_writing(tmp_path, capsys, block):
+    # 101^3 states to solve, or 105^3 for the extended closed-form box
+    path = cells_oracle_config(tmp_path, block)
+    out = str(tmp_path / "o")
+    assert main(["oracle", "--config", path, "--out", out]) == 2
+    assert "too large" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_oracle_accepts_zero_caps_and_extension(tmp_path):
     path = cells_oracle_config(tmp_path, {"caps": [0, 2, 0], "extension": 0})
     out = str(tmp_path / "o")

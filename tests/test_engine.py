@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sbdsim.engine import (
+    Event,
     Trajectory,
     coupled_simulate,
     run_paths,
@@ -160,6 +161,22 @@ def test_snapshot_interpolates_event_log():
         snapshot(traj, 20.5)
     with pytest.raises(SimulationConfigError):
         snapshot(traj, -0.1)
+
+
+def test_snapshot_replays_a_log_without_death_marks():
+    # a log read back from events.csv has plain coordinate lists and no
+    # marks; snapshot needs neither, and both snapshots check the range alike
+    model = ConstantRate(rate=6.0)
+    traj = simulate(model, SPACE, TimedConfiguration(), 20.0, make_stream(model))
+    bare = [Event(time=ev.time, kind=ev.kind, point_id=ev.point_id,
+                  x=[float(v) for v in ev.x]) for ev in traj.events]
+    read = Trajectory(initial=traj.initial, events=bare, start_time=0.0, horizon=20.0,
+                      final=TimedConfiguration(), death_rate=1.0)
+    for t in (0.0, 3.7, 20.0):
+        assert snapshot(read, t) == snapshot(traj, t)
+    for replay in (snapshot, timed_snapshot):
+        with pytest.raises(SimulationConfigError, match=r"20.5 outside \[0.0, 20.0\]"):
+            replay(read, 20.5)
 
 
 def test_timed_snapshot_advances_clocks_by_hazard():

@@ -15,7 +15,6 @@ from sbdsim.geometry import (
     configuration_contains,
     displacement,
     distances_to,
-    kernel_mass,
     nearest_distance,
     snapshot_from_json,
     snapshot_to_json,
@@ -231,16 +230,6 @@ def test_symmetric_difference_counts_multiplicity():
     a = Configuration.from_points(np.array([[0.3], [0.3]]))
     b = Configuration.from_points(np.array([[0.3]]))
     assert symmetric_difference(a, b, dimension=1).shape == (1, 1)
-
-
-def test_kernel_mass_sums_kernel_over_points():
-    cfg = Configuration.from_points(np.array([[0.1], [0.2], [0.8]]))
-
-    def kern(x, pts):
-        return np.ones(len(pts)) * 0.5
-
-    assert kernel_mass(kern, np.array([0.0]), cfg.points_array()) == pytest.approx(1.5)
-    assert kernel_mass(kern, np.array([0.0]), np.empty((0, 1))) == 0.0
 
 
 def test_nearest_distance():
