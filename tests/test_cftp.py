@@ -283,6 +283,56 @@ def test_sandwich_pass_equals_sweep_fixed_point(model, intensity):
     assert merged > 0  # the merge happened, so the comparison covers it
 
 
+def two_path_bracket(model, space, lookback, stream):
+    """The bracket run as two logged paths to the end, never merged: the
+    reference the merged pass must reproduce."""
+    delta0 = model.death.rate
+    start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
+    ancient, proposals = dominating_window(stream, start, delta0)
+    initials = [TimedConfiguration(), ancient]
+    paths = [engine._Path(initial, start, delta0, True) for initial in initials]
+    states = [path.live for path in paths]
+    for atom in proposals:
+        for path in paths:
+            path.flush_deaths(atom.s, inclusive=False)
+        lams = engine._sandwich_rates(model, space, atom.x, *states)
+        accepted = [atom.u <= lam for lam in lams]
+        engine._contained(atom, lams, accepted, states)
+        for path, acc in zip(paths, accepted):
+            if acc:
+                path.birth(atom, delta0)
+    for path in paths:
+        path.flush_deaths(0.0, inclusive=True)
+    return engine.PathRun(initials=initials, start_time=start, horizon=-start,
+                          death_rate=delta0, paths=paths, proposals=len(proposals),
+                          merged=0).trajectories()
+
+
+@pytest.mark.parametrize("model,intensity", BRACKET_MODELS, ids=BRACKET_IDS)
+def test_merged_pass_keeps_the_two_path_trajectories(model, intensity):
+    # running a merged pair as one path must change nothing a caller can read:
+    # the births of both paths and the pair at 0, in run_paths and sandwich_run
+    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
+    merged = 0
+    for i in range(8):
+        stream = NoiseStream.for_model(model, space, replicate_seed(SEED + 3, i))
+        for lookback in (1.0, 4.0):
+            low, up = two_path_bracket(model, space, lookback, stream)
+            births, run = bracket_pass(model, space, lookback, stream)
+            state = sandwich_run(model, space, lookback, stream)
+            assert births == [{ev.point_id for ev in path.events if ev.kind == "birth"}
+                              for path in (low, up)]
+            assert run.finals == [low.final.projection(), up.final.projection()]
+            assert state.lower == low.final.projection()
+            assert state.upper == up.final.projection()
+            assert state.coalesced == (low.final.projection() == up.final.projection())
+            assert (state.proposals, state.merged) == (run.proposals, run.merged)
+            assert state.proposals == len(
+                dominating_window(stream, -state.lookback, model.death.rate)[1])
+            merged += state.merged
+    assert merged > 0  # the merge happened, so the comparison covers it
+
+
 def test_merged_pass_calls_the_rate_once_per_proposal(monkeypatch):
     # before the merge every proposal costs one bracket rule (two birth-rate
     # calls for a monotone model); after it, one birth-rate call and no rule
