@@ -359,6 +359,7 @@ def test_validate_command_writes_report(tmp_path, capsys):
 
 # sha256 over the sorted "relative path, sha256 of the file" lines of the
 # output directory of each command on each demo config, plus a fast validate
+# and a 2-D pairwise simulate and perfect-sample
 PINNED_TREE_DIGESTS = {
     ("simulate", "constant_demo"): "6bce35c79599675ae3977ed28d69a1aa6b5ff40954aaaaff920b11984bd60785",
     ("stats", "constant_demo"): "bb520f13b1b51d152ed18fdf59eeb75294368c7ec7d4748e67f6a7917b1432cd",
@@ -371,6 +372,27 @@ PINNED_TREE_DIGESTS = {
     ("perfect-sample", "cells_demo"): "7349e7efa00d919429da5059729bd22fdbf9659ea4d97d36397d288697825b5b",
     ("oracle", "cells_demo"): "2e3072e0f37fba158fc38c1eb25fa70acc529ddf06735566f4d5ca02afccec03",
     ("validate", "fast"): "a4825b9ab6560094856c905f734e66c9f3a21cd7eb332d0e98a2c5e922c0bbef",
+    ("simulate", "pairwise_2d"):
+        "702375cdfc476d6a933912b71e0ca58bf8e22c92a4c1ddbdcf5da68ca282727b",
+    ("perfect-sample", "pairwise_2d"):
+        "e2e8bf2e41e6a6f1eba942650069ec6e3b12c27f0353ea69da53d6caa931681d",
+}
+
+# configs the digest test writes itself: a fast validate, and a 2-D pairwise
+# model whose noise and states carry (n, 2) location arrays
+WRITTEN_CONFIGS = {
+    "fast": {
+        "space": {"dimension": 1, "lengths": [1.0], "intensity": 1.0},
+        "model": {"type": "constant", "rate": 1.0},
+        "seed": 20260816,
+        "run": {"validate": {"fast": True}}},
+    "pairwise_2d": {
+        "space": {"dimension": 2, "lengths": [1.0, 1.0], "boundary": "periodic",
+                  "intensity": 30.0},
+        "model": {"type": "pairwise", "theta": 0.5, "range": 0.08},
+        "death": {"type": "unit"},
+        "seed": 23,
+        "run": {"horizon": 3.0, "replicates": 20}},
 }
 
 
@@ -381,14 +403,11 @@ def tree_digest(root):
 
 
 def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
-    validate = write_config(tmp_path, {
-        "space": {"dimension": 1, "lengths": [1.0], "intensity": 1.0},
-        "model": {"type": "constant", "rate": 1.0},
-        "seed": 20260816,
-        "run": {"validate": {"fast": True}}})
+    written = {name: write_config(tmp_path, body, f"{name}.json")
+               for name, body in WRITTEN_CONFIGS.items()}
     changed = []
     for (command, name), digest in PINNED_TREE_DIGESTS.items():
-        config = validate if name == "fast" else os.path.join(CONFIG_DIR, f"{name}.json")
+        config = written.get(name) or os.path.join(CONFIG_DIR, f"{name}.json")
         out = str(tmp_path / f"{command}-{name}")
         assert main([command, "--config", config, "--out", out]) == 0
         if tree_digest(out) != digest:
