@@ -42,7 +42,6 @@ from .models import (
     NearestNeighborRate,
     PairwiseRate,
     RateModel,
-    UnitDeath,
     UnsupportedModelError,
     contraction_constant,
     detailed_balance_residual,
@@ -51,7 +50,7 @@ from .models import (
     sandwich_rates,
 )
 from .noise import (
-    NoisePoint,
+    NoiseSlab,
     NoiseStream,
     initial_clocks,
     keyed_generator,

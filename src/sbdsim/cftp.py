@@ -3,28 +3,29 @@
 The stationary dynamics are bracketed on a lookback window [-T, 0] between a
 lower process started empty and an upper process started from the state of
 the dominating process at -T. Both run forward in time on the same noise in
-one pass: at each proposal the lower process accepts below
-the infimum of the rate over all configurations between the current pair, the
-upper below the supremum. Each decision depends only on the pair just before
-the proposal, so a single time-ordered pass settles every decision; if the
-pair agrees at time 0 the common value is an exact draw from the stationary
-law, because every stationary path driven by the same noise is trapped
-between the pair. The pair stays nested, so it agrees as soon as its sizes
-do, and from then on both processes take the same decisions (Garcia & Kurtz:
-one proposal stream drives every path): the rest of the pass runs them as one
+one pass: at each proposal the lower process accepts below the infimum of
+the rate over all configurations between the current pair, the upper below
+the supremum. Each decision depends only on the pair just before the
+proposal, so a single time-ordered pass settles every decision; if the pair
+agrees at time 0 the common value is an exact draw from the stationary law,
+because every stationary path driven by the same noise is trapped between
+the pair. The pair stays nested, so it agrees as soon as its sizes do, and
+from then on both processes take the same decisions (Garcia & Kurtz: one
+proposal stream drives every path): the rest of the pass runs them as one
 path at the plain birth rate. The pass is one mode of the event loop,
 engine.run_paths(bracket=True), and keeps no event log.
 
-The dominating process D (births at the envelope rate, Exp(delta) lives) must
-be one trajectory across lookbacks, not redrawn per restart. It is built from
-time 0 backwards (Kendall & Moller 2000): D(0) is the stream's present_points,
-and slab k < 0 holds the D-points that die in [kL, (k+1)L), read with s as
-the death time, so a point was born at s - r / delta. A pass on [-T, 0]
-reads D(0) and the slabs from -T/L - 1 up to -1 and nothing older: its
-proposals are the D-points born in [-T, 0), and D(-T) the D-points born
-before -T that are alive at -T. A doubling only adds older slabs, so the
-draw does not depend on the lookback schedule, and nothing is truncated:
-the sampler is exact.
+The dominating process D (births at the envelope rate, Exp(delta) lives) is
+one trajectory across lookbacks, not redrawn per restart. It is built from
+time 0 backwards (Kendall & Moller 2000): D(0) is the stream's
+present_points, and slab k < 0 holds the D-points that die in [kL, (k+1)L),
+read with s as the death time, so a point was born at s - r / delta. A pass
+on [-T, 0] reads D(0) and the slabs from -T/L - 1 up to -1 and nothing
+older. dominating_window joins them into one NoiseSlab of birth times, and
+two masks split it: D(-T), the points born before -T and alive at it, and
+the proposals, the points born in [-T, 0), put in birth order by a stable
+argsort. A doubling only adds older slabs, so the draw does not depend on
+the lookback schedule, and nothing is truncated: the sampler is exact.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .geometry import (
     symmetric_difference,
 )
 from .models import RateModel, UnsupportedModelError, envelope_total
-from .noise import NoisePoint, NoiseStream, initial_clocks, poisson_configuration, replicate_seed
+from .noise import NoiseSlab, NoiseStream, initial_clocks, poisson_configuration, replicate_seed
 from . import engine
 
 
@@ -61,7 +62,7 @@ def _window_slabs(stream: NoiseStream, start_time: float) -> range:
 
 
 def dominating_window(stream: NoiseStream, start_time: float,
-                      death_rate: float) -> tuple[TimedConfiguration, list[NoisePoint]]:
+                      death_rate: float) -> tuple[TimedConfiguration, NoiseSlab]:
     """The dominating process D at start_time < 0, and its births in
     [start_time, 0) as proposals.
 
@@ -71,27 +72,26 @@ def dominating_window(stream: NoiseStream, start_time: float,
     b < start_time < death, as TimedPoint(clock=r, birth_time=b), so the
     engine computes the same death time whether a point starts a pass or is
     a proposal of a longer one. The proposals are the points with
-    start_time <= b < 0 as NoisePoints with s = b, in birth order (ties in
-    slab order, then D(0)'s), so a window's D and proposals are bit-identical
-    whatever lookback reads them. A slab atom keeps its id "n{k}:{i}"; point i
-    of D(0) has id "d{i}".
+    start_time <= b < 0, with s = b, in birth order (ties in slab order, then
+    D(0)'s), so a window's D and proposals are bit-identical whatever
+    lookback reads them. A slab atom keeps its id "n{k}:{i}"; point i of D(0)
+    has id "d{i}".
     """
-    parts = [(f"n{slab.k}:", slab.s - slab.r / death_rate, slab.x, slab.r, slab.u)
-             for slab in map(stream.slab_points, _window_slabs(stream, start_time))]
-    parts.append(("d", *stream.present_points(death_rate)))
+    present = stream.present_points(death_rate)
+    points = NoiseSlab.concat([stream.slab_points(k) for k in _window_slabs(stream, start_time)]
+                              + [present])
+    # a slab atom's s is its death time, D(0)'s already its birth time
+    n = len(points) - len(present)
+    b = points.s.copy()
+    b[:n] -= points.r[:n] / death_rate
+    points = NoiseSlab(b, points.x, points.r, points.u, points.ids)
+    dies = engine._death_time(b, points.r, death_rate)
     state = TimedConfiguration()
-    born = []
-    for prefix, b, x, r, u in parts:
-        dies = engine._death_time(b, r, death_rate)
-        for i in np.flatnonzero((b < start_time) & (dies > start_time)).tolist():
-            state.add(f"{prefix}{i}", TimedPoint(coords=x[i].copy(), clock=float(r[i]),
-                                                 birth_time=float(b[i])))
-        for i in np.flatnonzero((b >= start_time) & (b < 0.0)).tolist():
-            born.append((float(b[i]), len(born), prefix, i, x, r, u))
-    born.sort()
-    proposals = [NoisePoint(x=x[i], s=b, r=float(r[i]), u=float(u[i]), atom_id=f"{prefix}{i}")
-                 for b, _, prefix, i, x, r, u in born]
-    return state, proposals
+    for i in np.flatnonzero((b < start_time) & (dies > start_time)).tolist():
+        state.add(points.ids[i], TimedPoint(coords=points.x[i].copy(), clock=float(points.r[i]),
+                                            birth_time=float(b[i])))
+    born = np.flatnonzero((b >= start_time) & (b < 0.0))
+    return state, points[born[np.argsort(b[born], kind="stable")]]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def funnel_violations(model: RateModel, space: SpaceSpec, lookback: float,
 
     violations = 0
 
-    def observe(atom, lams, accepted, states) -> None:
+    def observe(s, pid, lams, accepted, states) -> None:
         nonlocal violations
         violations += count(states)
 
@@ -282,7 +282,7 @@ def extremal_lookback_counts(model: RateModel, space: SpaceSpec, horizons,
     count arrays of shape (replicates, len(horizons)).
     """
     _require_attractive(model, "extremal_lookback_counts")
-    hs = [max(1, math.ceil(h / slab_length - 1e-12)) * slab_length for h in horizons]
+    hs = [-_window_start(h, slab_length) for h in horizons]
     min_counts = np.zeros((replicates, len(hs)), dtype=int)
     max_counts = np.zeros((replicates, len(hs)), dtype=int)
     for rep in range(replicates):

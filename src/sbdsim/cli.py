@@ -289,6 +289,10 @@ def cmd_contraction(cfg: RunConfig, out_dir: str | None) -> int:
 def cmd_stats(cfg: RunConfig, out_dir: str) -> int:
     replicates = int(cfg.run.get("replicates", 200))
     horizon = float(cfg.run.get("horizon", 20.0))
+    if replicates < 1:
+        raise SimulationConfigError("replicates must be positive")
+    if horizon < 0:
+        raise SimulationConfigError("horizon must be nonnegative")
     _write_outputs(out_dir, cfg)
 
     samples, trajectories = [], []  # the lifetime test reads the first 50 runs

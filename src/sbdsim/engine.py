@@ -1,22 +1,22 @@
 """Event-driven exact simulation of spatial birth-and-death dynamics.
 
-Birth proposals come from the slab noise; a proposal (x, s, r, u) becomes a
-birth exactly when u lies below the birth rate evaluated on the configuration
-just before s (all earlier births applied, all deaths strictly before s
-applied). An accepted point carries its death mark r and dies when the
-accumulated death hazard reaches it; with a constant death rate delta0 that is
-at time s + r / delta0. The construction is exact: no time discretization
-enters anywhere.
+A proposal (x, s, r, u) becomes a birth exactly when u lies below the birth
+rate at x on the configuration just before s (all earlier births applied,
+all deaths strictly before s applied). An accepted point carries its death
+mark r and, at the constant death rate delta0, dies at s + r / delta0. No
+time discretization enters anywhere.
 
-One loop, run_paths, solves these equations forward in time for any number of
-paths on the same proposals: the plain forward run, the coupled pair, and the
-lower/upper bracket of coupling from the past differ only in the rule that
-turns the states before s into one rate per path. A path's own birth rate is
-the rule unless run_paths(bracket=True) makes paths 0 and 1 the bracket,
-whose rates are the infimum and supremum over the states between them. Since
-every path reads the same proposals, two paths that are equal stay equal: a
-bracket runs as one path from the first proposal at which its two sizes
-agree. A bracket run keeps no event log; every other run logs every event.
+One loop, run_paths, solves these equations forward in time for any number
+of paths on the same proposals, a NoiseSlab whose columns it reads in time
+order: the plain forward run (stream.atoms_between), the coupled pair, and
+the lower/upper bracket of coupling from the past (cftp.dominating_window)
+differ only in the rule that turns the states before s into one rate per
+path. A path's own birth rate is the rule unless run_paths(bracket=True)
+makes paths 0 and 1 the bracket, whose rates are the infimum and supremum
+over the states between them. Since every path reads the same proposals,
+two paths that are equal stay equal: a bracket runs as one path from the
+first proposal at which its two sizes agree. A bracket run keeps no event
+log; every other run logs every event.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 
 from .geometry import Configuration, SimulationConfigError, SpaceSpec, TimedConfiguration, TimedPoint
 from .models import RateModel, _sandwich_rates
-from .noise import NoiseStream
+from .noise import NoiseSlab, NoiseStream
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +151,11 @@ class _Path:
         heapq.heappush(self.deaths, (dt, self.seq, pid))
         self.seq += 1
 
-    def birth(self, atom, delta0: float) -> None:
-        self._add(atom.atom_id, atom.x, atom.r, atom.s, _death_time(atom.s, atom.r, delta0))
+    def birth(self, pid: str, x, s: float, r: float, delta0: float) -> None:
+        self._add(pid, x, r, s, _death_time(s, r, delta0))
         if self.events is not None:
-            self.events.append(Event(time=atom.s, kind="birth", point_id=atom.atom_id,
-                                     x=np.array(atom.x, dtype=float), mark=atom.r))
+            self.events.append(Event(time=s, kind="birth", point_id=pid,
+                                     x=np.array(x, dtype=float), mark=r))
 
     def flush_deaths(self, up_to: float, inclusive: bool) -> None:
         """Apply the deaths before up_to (at up_to too when inclusive)."""
@@ -201,7 +201,7 @@ class PathRun:
         return out
 
 
-def _contained(atom, lams, accepted, states) -> None:
+def _contained(s, pid, lams, accepted, states) -> None:
     """Containment check for a nested pair: path 0 must stay inside path 1.
 
     For a pair started nested, shared points die at the same _death_time on
@@ -211,28 +211,29 @@ def _contained(atom, lams, accepted, states) -> None:
     """
     if accepted[0] and not accepted[1]:
         raise RuntimeError(
-            f"containment violated at s={atom.s!r}: path 0 accepted {atom.atom_id} at rate "
+            f"containment violated at s={s!r}: path 0 accepted {pid} at rate "
             f"{lams[0]!r}, path 1 rejected it at rate {lams[1]!r} (internal bug)")
 
 
 def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfiguration],
-              horizon: float, proposals, start_time: float = 0.0,
+              horizon: float, proposals: NoiseSlab, start_time: float = 0.0,
               observe=None, bracket: bool = False) -> PathRun:
     """Drive one path per initial state through the same proposals on
     [start_time, start_time + horizon].
 
-    proposals is an iterable of the window's proposals in time order, each
-    with x, s, r, u and atom_id like a NoisePoint: the forward runs pass
-    stream.atoms_between(start_time, start_time + horizon), coupling from
-    the past the births of its dominating process in the window.
+    proposals are the window's proposals in time order: the forward runs
+    pass stream.atoms_between(start_time, start_time + horizon), coupling
+    from the past the births of its dominating process in the window
+    (cftp.dominating_window).
 
     Before a proposal (x, s, r, u) every path applies its deaths strictly
     before s; then every path's birth rate at x is computed from those
     states, all before any path accepts, and path i accepts when u <= rate i.
-    Path i's rate is model.birth_rate on its own state. observe(atom, rates,
-    accepted, states), when given, runs after every proposal; it is where
-    callers assert or count invariants between paths. Deaths at exactly the
-    end of the horizon are logged and excluded from the final states.
+    Path i's rate is model.birth_rate on its own state. observe(s, pid,
+    rates, accepted, states), when given, runs after every proposal with its
+    time and id; it is where callers assert or count invariants between
+    paths. Deaths at exactly the end of the horizon are logged and excluded
+    from the final states.
 
     bracket=True runs paths 0 and 1 as the bracket of coupling from the past:
     path 0 (lower) inside path 1 (upper), with the infimum and supremum of
@@ -256,13 +257,13 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfigurat
     active, states = paths, [path.live for path in paths]
     split = bracket  # a bracket pair not merged yet
     merged_at = None  # proposals before the merge
-    n = 0
-    for n, atom in enumerate(proposals, 1):
-        x = atom.x
+    columns = zip(proposals.s.tolist(), proposals.x, proposals.r.tolist(),
+                  proposals.u.tolist(), proposals.ids)
+    for i, (s, x, r, u, pid) in enumerate(columns):
         for path in active:
-            path.flush_deaths(atom.s, inclusive=False)
+            path.flush_deaths(s, inclusive=False)
         if split and len(states[0]) == len(states[1]):
-            split, merged_at = False, n - 1
+            split, merged_at = False, i
             active = paths[:1] + paths[2:]
             states = [path.live for path in active]
         if split:
@@ -270,20 +271,21 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfigurat
                     *[birth_rate(space, x, live) for live in states[2:]]]
         else:
             lams = [birth_rate(space, x, live) for live in states]
-        accepted = [atom.u <= lam for lam in lams]
+        accepted = [u <= lam for lam in lams]
         if split:
-            _contained(atom, lams, accepted, states)
+            _contained(s, pid, lams, accepted, states)
         for path, acc in zip(active, accepted):
             if acc:
-                path.birth(atom, delta0)
+                path.birth(pid, x, s, r, delta0)
         if observe is not None:
             if active is paths:
-                observe(atom, lams, accepted, states)
+                observe(s, pid, lams, accepted, states)
             else:
-                observe(atom, lams[:1] + lams, accepted[:1] + accepted, states[:1] + states)
+                observe(s, pid, lams[:1] + lams, accepted[:1] + accepted, states[:1] + states)
     for path in active:
         path.flush_deaths(t_end, inclusive=True)
 
+    n = len(proposals)
     merged = 0
     if merged_at is not None:
         merged = n - merged_at

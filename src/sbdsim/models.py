@@ -50,17 +50,9 @@ class UnsupportedModelError(TypeError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnitDeath:
-    """Every point dies at rate 1, so clocks are lifetimes directly."""
-
-    @property
-    def rate(self) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
 class ConstantDeath:
-    """Every point dies at a fixed positive rate."""
+    """Every point dies at a fixed positive rate; at the default rate 1 a
+    death mark is the point's lifetime."""
 
     rate: float = 1.0
 
@@ -273,7 +265,7 @@ class ConstantRate(RateModel):
     """Configuration-independent birth rate; stationary law is Poisson."""
 
     rate: float = 1.0
-    death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
+    death: ConstantDeath = field(default_factory=ConstantDeath)
     monotone = "constant"
     translation_invariant = True
 
@@ -306,7 +298,7 @@ class PairwiseRate(RateModel):
 
     theta: float
     interaction_range: float
-    death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
+    death: ConstantDeath = field(default_factory=ConstantDeath)
     monotone = "nonincreasing"
     translation_invariant = True
 
@@ -376,7 +368,7 @@ class AreaInteractionRate(RateModel):
     rho: float
     gamma: float
     grain_radius: float
-    death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
+    death: ConstantDeath = field(default_factory=ConstantDeath)
     overlap_method: str = "auto"
     overlap_resolution: int = 4096
     translation_invariant = True
@@ -462,7 +454,7 @@ class NearestNeighborRate(RateModel):
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
     value_at_infinity: float
-    death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
+    death: ConstantDeath = field(default_factory=ConstantDeath)
     translation_invariant = True
 
     def __post_init__(self):
@@ -528,7 +520,7 @@ class CellOccupancyRate(RateModel):
     cell_counts: tuple[int, ...]
     theta: NDArray[np.float64]
     base_rate: float = 1.0
-    death: UnitDeath | ConstantDeath = field(default_factory=UnitDeath)
+    death: ConstantDeath = field(default_factory=ConstantDeath)
     monotone = "nonincreasing"
     translation_invariant = False
 
@@ -760,24 +752,33 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
     weight c is 1 for every model here).
 
     Below 1 this certifies a unique stationary law and exponential decay of
-    the coupling distance at rate at least (1 - value). Quadrature is a
-    midpoint grid, refined once to attach an error estimate; cell-occupancy
-    models are summed exactly. A translation-invariant model whose window
-    grid would exceed _WINDOW_GRID_BUDGET points, or _WINDOW_NODE_BUDGET
-    points times the kernel's quadrature nodes per point, is integrated over
-    the box around its support instead (_support_contraction).
+    the coupling distance at rate at least (1 - value). Cell-occupancy models
+    are summed exactly. A translation-invariant model has the same integral
+    at every x; it is taken at the window's centre on a midpoint grid,
+    refined once to attach an error estimate. A model whose window grid
+    would exceed _WINDOW_GRID_BUDGET points, or _WINDOW_NODE_BUDGET points
+    times the kernel's quadrature nodes per point, is integrated over the box
+    around its support instead (_support_contraction). Any other model
+    raises UnsupportedModelError.
     """
     if isinstance(model, CellOccupancyRate):
         masses = model.cell_masses(space)
         rows = model.base_rate * (-np.expm1(-model.theta))
         value = float(np.max(rows @ masses))
         return ContractionEstimate(value=value, error=0.0, resolution=model.n_cells)
+    if not model.translation_invariant:
+        raise UnsupportedModelError(
+            "contraction_constant needs a cell-occupancy or a translation-invariant model")
 
     n = int(resolution or space.quadrature_resolution)
     nodes = _kernel_nodes(model, space)
+    x0 = space.lengths_array() / 2.0
+    points = (2 * n) ** space.dimension
+    if points > _WINDOW_GRID_BUDGET or points * nodes > _WINDOW_NODE_BUDGET:
+        return _support_contraction(model, space, x0)
     rows = max(1, _WINDOW_GRID_BUDGET // nodes)
 
-    def integral_at(x0, res: int) -> float:
+    def integral(res: int) -> float:
         # the kernel is computed per point, so the chunks join to the values
         # of one call on the whole grid, summed as one array
         grid = space.grid(res)
@@ -785,21 +786,8 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
                                        dtype=float) for i in range(0, len(grid), rows)])
         return float(np.sum(a)) * space.intensity * space.cell_volume(res)
 
-    if model.translation_invariant:
-        x0 = space.lengths_array() / 2.0
-        points = (2 * n) ** space.dimension
-        if points > _WINDOW_GRID_BUDGET or points * nodes > _WINDOW_NODE_BUDGET:
-            return _support_contraction(model, space, x0)
-        coarse = integral_at(x0, n)
-        fine = integral_at(x0, 2 * n)
-        return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * n)
-
-    # General path: sup over grid anchor points. Kept at modest resolution,
-    # the cost is quadratic in the grid size.
-    anchor_res = min(n, 64)
-    anchors = space.grid(anchor_res)
-    coarse = max(integral_at(x0, n) for x0 in anchors)
-    fine = max(integral_at(x0, 2 * n) for x0 in anchors)
+    coarse = integral(n)
+    fine = integral(2 * n)
     return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * n)
 
 
@@ -855,7 +843,7 @@ def death_from_config(block: dict | None):
     block = block or {"type": "unit"}
     kind = block.get("type")
     if kind == "unit":
-        return UnitDeath()
+        return ConstantDeath()
     if kind == "constant":
         return ConstantDeath(rate=float(block["rate"]))
     raise SimulationConfigError(f"unknown death type {kind!r}")

@@ -1,34 +1,30 @@
 """Slab-indexed driving noise with bit-identical regeneration.
 
-The driving randomness of a run is a marked Poisson ensemble of birth
-proposals: atoms (x, s, r, u) where s is the proposal time, x the location
-(uniform under the reference measure), u the thinning level drawn uniformly
-on [0, Lambda] for the model's constant envelope Lambda, and r a
-unit-exponential death mark. Time is split into slabs [k L, (k+1) L); the atoms of slab k are a
-pure function of (master_seed, k), generated by a counter-based Philox stream
-keyed on that pair. Any slab can be regenerated on demand and hashes
-identically every time. Restricting u to [0, Lambda] at generation time is an exact
-reformulation of thinning from a larger envelope: proposals with u above
-Lambda would be rejected by every configuration, so they are never
-materialized.
+The driving randomness of a run is one marked Poisson ensemble of birth
+proposals (x, s, r, u): a location x, uniform under the reference measure; a
+time s; a unit-exponential death mark r; and a thinning level u, uniform on
+[0, Lambda] for the model's constant envelope Lambda. Proposals with u above
+Lambda would be rejected by every configuration, so they are never drawn.
+Time is split into slabs [k L, (k+1) L). The atoms of slab k are a pure
+function of (master_seed, k): a stream owns one Philox generator and re-keys
+it to (mix64(seed ^ TAG_SLAB), mix64(k)) with counter 0 for each slab, the
+state keyed_generator(seed, TAG_SLAB, k) starts from, so any slab can be
+regenerated and hashes identically every time.
 
-Coupling from the past reads the same slabs backwards in time. Its
-dominating process (births at rate envelope_total, a point with mark r lives
-r / delta) is a stationary M/M/infinity process, which is time-reversible:
-the (death time, lifetime) pairs of its points form a Poisson ensemble with
-the same law as the (proposal time, r / delta) pairs of the forward stream.
-So the slabs at negative k are read with s as a death time (the point was
-born at s - r / delta), and present_points draws the points alive at time 0
-under a tag of their own. It is the same Poisson random measure, indexed by
-death time instead of birth time: one proposal stream, in law.
+Forward runs read s as the proposal time (atoms_between). Coupling from the
+past reads the slabs at negative k by death time: its dominating process
+(births at rate envelope_total, a point with mark r lives r / delta) is a
+stationary M/M/infinity process, which is time-reversible, so the (death
+time, lifetime) pairs of its points have the law of the (s, r / delta) pairs
+of the forward stream. A slab atom read that way was born at s - r / delta,
+and present_points draws the points alive at time 0 under a tag of their
+own. It is the same Poisson random measure indexed by death time: one
+proposal stream, in law.
 
-A slab is stored as arrays (NoiseSlab: s, x, r, u sorted by s), not as one
-object per atom. A stream owns a single Philox generator and re-keys it for
-each slab, setting key (mix64(seed ^ TAG_SLAB), mix64(k)) with counter 0;
-that is the same state a freshly keyed generator starts from, so the bits
-are those of keyed_generator(seed, TAG_SLAB, k). NoisePoint objects are made
-only for the atoms a caller iterates over, such as those inside an engine
-pass window.
+Every set of proposals is a NoiseSlab: read-only arrays s, x, r, u and ids
+in time order. A slab, a forward window, D(0) and a CFTP window
+(cftp.dominating_window) are all NoiseSlabs, and engine.run_paths reads
+their columns directly.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,6 +46,9 @@ TAG_CLOCK = 0xC10C_C10C_C10C_C10C
 TAG_POISSON = 0x9019_9019_9019_9019
 TAG_GENERIC = 0x7E57_7E57_7E57_7E57
 TAG_PRESENT = 0xD0D0_D0D0_D0D0_D0D0
+
+# slabs a stream keeps; a doubling CFTP draw rereads its newest slabs
+CACHE_SLABS = 256
 
 
 def mix64(v: int) -> int:
@@ -77,44 +75,32 @@ def replicate_seed(master_seed: int, index: int) -> int:
     return mix64((master_seed & _MASK64) ^ mix64((index + 0x51AB) & _MASK64))
 
 
-@dataclass(frozen=True)
-class NoisePoint:
-    """One birth proposal: location, proposal time, death mark, thinning level."""
-
-    x: NDArray[np.float64]
-    s: float
-    r: float
-    u: float
-    atom_id: str
-
-
 class NoiseSlab:
-    """The atoms of slab k as read-only arrays, sorted by proposal time.
+    """Birth proposals as read-only arrays: times s (n,), locations x (n, d),
+    death marks r (n,), thinning levels u (n,) and ids, an object array of
+    str; len() is n. Atom i of slab k has id "n{k}:{i}"."""
 
-    s has shape (n,), x shape (n, d), r and u shape (n,); len() is n. Atom i
-    has id "n{k}:{i}".
-    """
+    __slots__ = ("s", "x", "r", "u", "ids")
+    __iter__ = None  # read the columns; an int index is not a proposal
 
-    __slots__ = ("k", "s", "x", "r", "u")
-
-    def __init__(self, k: int, s, x, r, u):
-        for a in (s, x, r, u):
+    def __init__(self, s, x, r, u, ids):
+        for a in (s, x, r, u, ids):
             a.setflags(write=False)
-        self.k, self.s, self.x, self.r, self.u = k, s, x, r, u
+        self.s, self.x, self.r, self.u, self.ids = s, x, r, u, ids
+
+    @classmethod
+    def concat(cls, parts) -> "NoiseSlab":
+        """The proposals of parts (at least one), one after another."""
+        return cls(*(np.concatenate([getattr(p, name) for p in parts])
+                     for name in cls.__slots__))
 
     def __len__(self) -> int:
         return len(self.s)
 
-    def atom_id(self, i: int) -> str:
-        return f"n{self.k}:{i}"
-
-    def atom(self, i: int) -> NoisePoint:
-        """Atom i as a NoisePoint; its x is a read-only view into the slab."""
-        return NoisePoint(x=self.x[i], s=float(self.s[i]), r=float(self.r[i]),
-                          u=float(self.u[i]), atom_id=self.atom_id(i))
-
-    def __iter__(self):
-        return map(self.atom, range(len(self.s)))
+    def __getitem__(self, index) -> "NoiseSlab":
+        """The proposals at a slice or an index array."""
+        return NoiseSlab(self.s[index], self.x[index], self.r[index], self.u[index],
+                         self.ids[index])
 
     def rows(self) -> NDArray[np.float64]:
         """One row (s, x..., r, u) per atom, in time order."""
@@ -142,7 +128,7 @@ class NoiseStream:
     """
 
     def __init__(self, master_seed: int, space: SpaceSpec, envelope_total: float,
-                 slab_length: float = 1.0, cache_slabs: int = 256):
+                 slab_length: float = 1.0):
         if not (slab_length > 0):
             raise SimulationConfigError(f"slab length must be > 0, got {slab_length}")
         if not (envelope_total >= 0) or not math.isfinite(envelope_total):
@@ -152,7 +138,6 @@ class NoiseStream:
         self.envelope_total = float(envelope_total)
         self.slab_length = float(slab_length)
         self._cache: OrderedDict[int, NoiseSlab] = OrderedDict()
-        self._cache_slabs = cache_slabs
         self._mean = self.envelope_total * self.slab_length
         self._lengths = space.lengths_array()
         vol = space.beta_total
@@ -164,8 +149,9 @@ class NoiseStream:
         self._fresh_state = _fresh_philox_state(self._key)
         self._present_state = _fresh_philox_state(
             _philox_key(self.master_seed, TAG_PRESENT, 0))
-        self._empty = (np.empty(0), np.empty((0, space.dimension)), np.empty(0), np.empty(0))
-        self._present: dict[float, tuple] = {}
+        self._empty = NoiseSlab(np.empty(0), np.empty((0, space.dimension)), np.empty(0),
+                                np.empty(0), np.empty(0, dtype=object))
+        self._present: dict[float, NoiseSlab] = {}
 
     @classmethod
     def for_model(cls, model, space: SpaceSpec, master_seed: int,
@@ -187,7 +173,7 @@ class NoiseStream:
             return cached
         slab = self._generate_slab(k)
         self._cache[k] = slab
-        if len(self._cache) > self._cache_slabs:
+        if len(self._cache) > CACHE_SLABS:
             self._cache.popitem(last=False)
         return slab
 
@@ -205,7 +191,7 @@ class NoiseStream:
         rng = self._slab_generator(k)
         n = int(rng.poisson(self._mean)) if self._mean > 0 else 0
         if n == 0:
-            return NoiseSlab(k, *self._empty)
+            return self._empty
         d = self.space.dimension
         draws = rng.random(n * (1 + d))
         s_local = self.slab_length * draws[:n]
@@ -213,19 +199,18 @@ class NoiseStream:
         rs = rng.exponential(1.0, size=n)
         us = self._sup * rng.random(n)
         order = s_local.argsort(kind="stable")
-        return NoiseSlab(k, k * self.slab_length + s_local[order], xs[order], rs[order],
-                         us[order])
+        return NoiseSlab(k * self.slab_length + s_local[order], xs[order], rs[order],
+                         us[order], np.array([f"n{k}:{i}" for i in range(n)], dtype=object))
 
-    def present_points(self, death_rate: float) -> tuple:
-        """The dominating process at time 0 for death rate delta, as read-only
-        arrays (b, x, r, u): birth times, locations (n, d), death marks and
-        thinning levels of its points, in draw order.
+    def present_points(self, death_rate: float) -> NoiseSlab:
+        """The dominating process at time 0 for death rate delta, in draw
+        order, with s its birth times; point i has id "d{i}".
 
         The count is Poisson(envelope_total / delta), the stationary mean.
         Each point has a uniform location, a thinning level uniform below
         envelope_sup_value(), and unit-exponential age a and residual e: it
-        was born at b = -a / delta and holds mark r = a + e, so it dies at
-        b + r / delta = e / delta, after 0. Pure in (master_seed, delta):
+        was born at s = -a / delta and holds mark r = a + e, so it dies at
+        s + r / delta = e / delta, after 0. Pure in (master_seed, delta):
         drawn from keyed_generator(seed, TAG_PRESENT) in the order count,
         n * d location uniforms, n thinning uniforms, n ages, n residuals.
         The stream's own generator is re-keyed to that state, as for a slab.
@@ -242,30 +227,24 @@ class NoiseStream:
         us = self._sup * rng.random(n)
         ages = rng.exponential(1.0, size=n)
         residuals = rng.exponential(1.0, size=n)
-        arrays = (-ages / death_rate, xs, ages + residuals, us)
-        for a in arrays:
-            a.setflags(write=False)
-        self._present[death_rate] = arrays
-        return arrays
+        present = NoiseSlab(-ages / death_rate, xs, ages + residuals, us,
+                            np.array([f"d{i}" for i in range(n)], dtype=object))
+        self._present[death_rate] = present
+        return present
 
     def envelope_sup_value(self) -> float:
         return self._sup
 
     # -- derived views ------------------------------------------------------
 
-    def slabs_covering(self, t0: float, t1: float) -> range:
-        """Indices of the slabs intersecting [t0, t1)."""
-        first = math.floor(t0 / self.slab_length)
-        last = math.ceil(t1 / self.slab_length)
-        return range(first, last)
-
-    def atoms_between(self, t0: float, t1: float):
+    def atoms_between(self, t0: float, t1: float) -> NoiseSlab:
         """All atoms with t0 <= s < t1, in time order."""
-        for k in self.slabs_covering(t0, t1):
+        parts = [self._empty]  # so that an empty window has the stream's dimension
+        for k in range(math.floor(t0 / self.slab_length), math.ceil(t1 / self.slab_length)):
             slab = self.slab_points(k)
             lo, hi = np.searchsorted(slab.s, (t0, t1))
-            for i in range(lo, hi):
-                yield slab.atom(i)
+            parts.append(slab[lo:hi])
+        return NoiseSlab.concat(parts)
 
     def slab_hash(self, k: int) -> str:
         """Stable digest of slab k's atoms; equal runs hash equal."""

@@ -39,10 +39,16 @@ SEED = 31415926
 # the dominating process on a window
 # ---------------------------------------------------------------------------
 
+def rows(proposals):
+    """(id, x, s, r, u) of every proposal, in order."""
+    return list(zip(proposals.ids, proposals.x, proposals.s.tolist(), proposals.r.tolist(),
+                    proposals.u.tolist()))
+
+
 def window_key(state, proposals):
     """Every bit of a window: D at its start and its proposals, in order."""
     return (sorted((pid, e.coords.tobytes(), e.clock, e.birth_time) for pid, e in state.items()),
-            [(a.atom_id, a.x.tobytes(), a.s, a.r, a.u) for a in proposals])
+            [(pid, x.tobytes(), s, r, u) for pid, x, s, r, u in rows(proposals)])
 
 
 def test_dominating_window_deterministic_and_alive():
@@ -58,9 +64,9 @@ def test_dominating_window_deterministic_and_alive():
         for _, e in state.items():
             assert e.clock > 0 and e.birth_time < -3.0
             assert engine._death_time(e.birth_time, e.clock, delta0) > -3.0
-        births = [p.s for p in proposals]
+        births = proposals.s.tolist()
         assert births == sorted(births) and -3.0 <= births[0] and births[-1] < 0.0
-        assert all(p.r > 0 for p in proposals)
+        assert np.all(proposals.r > 0)
 
 
 @pytest.mark.parametrize("T", [1.0, 4.0, 16.0])
@@ -107,11 +113,11 @@ def test_dominating_window_bit_identical_across_lookbacks(space, slab):
                 # D at the shallower start, from the deeper window alone
                 alive = [(pid, e.coords, e.clock, e.birth_time) for pid, e in state.items()
                          if engine._death_time(e.birth_time, e.clock, delta0) > start]
-                alive += [(a.atom_id, a.x, a.r, a.s) for a in proposals if a.s < start
-                          and engine._death_time(a.s, a.r, delta0) > start]
+                alive += [(pid, x, r, s) for pid, x, s, r, _ in rows(proposals) if s < start
+                          and engine._death_time(s, r, delta0) > start]
                 want_state = sorted((pid, x.tobytes(), r, b) for pid, x, r, b in alive)
-                want_props = [(a.atom_id, a.x.tobytes(), a.s, a.r, a.u) for a in proposals
-                              if a.s >= start]
+                want_props = [(pid, x.tobytes(), s, r, u) for pid, x, s, r, u in rows(proposals)
+                              if s >= start]
                 assert window_key(*windows[T]) == (want_state, want_props)
 
 
@@ -129,9 +135,9 @@ def test_dominating_state_is_the_deeper_state_carried_forward():
         for pid, e in deep.items():
             if engine._death_time(e.birth_time, e.clock, delta0) > -T:
                 expect[pid] = (e.coords.tobytes(), e.clock, e.birth_time)
-        for atom in deep_props:
-            if atom.s < -T and engine._death_time(atom.s, atom.r, delta0) > -T:
-                expect[atom.atom_id] = (atom.x.tobytes(), atom.r, atom.s)
+        for pid, x, s, r, _ in rows(deep_props):
+            if s < -T and engine._death_time(s, r, delta0) > -T:
+                expect[pid] = (x.tobytes(), r, s)
         assert {pid: (e.coords.tobytes(), e.clock, e.birth_time)
                 for pid, e in shallow.items()} == expect
 
@@ -192,7 +198,8 @@ def reference_sweep_bracket(model, space, lookback, stream):
     pair at 0."""
     delta0 = model.death.rate
     start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
-    ancient, atoms = dominating_window(stream, start, delta0)
+    ancient, proposals = dominating_window(stream, start, delta0)
+    atoms = rows(proposals)
 
     def state(accept, from_ancient, alive):
         cfg = Configuration()
@@ -201,23 +208,23 @@ def reference_sweep_bracket(model, space, lookback, stream):
                 e = ancient.entry(pid)
                 if alive(start, e.birth_time + e.clock / delta0):
                     cfg.add(pid, e.coords)
-        for a in atoms:
-            if a.atom_id in accept and alive(a.s, a.s + a.r / delta0):
-                cfg.add(a.atom_id, a.x)
+        for pid, x, s, r, _ in atoms:
+            if pid in accept and alive(s, s + r / delta0):
+                cfg.add(pid, x)
         return cfg
 
-    low, up = frozenset(), frozenset(a.atom_id for a in atoms)
+    low, up = frozenset(), frozenset(pid for pid, *_ in atoms)
     while True:
         new_low, new_up = set(), set()
-        for a in atoms:
-            def before(born, dies, t=a.s):
+        for pid, x, s, _, u in atoms:
+            def before(born, dies, t=s):
                 return born < t <= dies
-            lam_low, lam_up = sandwich_rates(model, space, a.x, state(low, False, before),
+            lam_low, lam_up = sandwich_rates(model, space, x, state(low, False, before),
                                              state(up, True, before))
-            if a.u <= lam_low:
-                new_low.add(a.atom_id)
-            if a.u <= lam_up:
-                new_up.add(a.atom_id)
+            if u <= lam_low:
+                new_low.add(pid)
+            if u <= lam_up:
+                new_up.add(pid)
         assert low <= new_low and new_up <= up  # the sweeps are monotone
         if new_low == low and new_up == up:
             break
@@ -251,10 +258,10 @@ def bracket_pass(model, space, lookback, stream):
     ancient, proposals = dominating_window(stream, start, model.death.rate)
     births = [set(), set()]
 
-    def observe(atom, lams, accepted, states):
+    def observe(s, pid, lams, accepted, states):
         for path_births, acc in zip(births, accepted):
             if acc:
-                path_births.add(atom.atom_id)
+                path_births.add(pid)
 
     run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, proposals,
                            start, observe=observe, bracket=True)
@@ -292,15 +299,15 @@ def two_path_bracket(model, space, lookback, stream):
     initials = [TimedConfiguration(), ancient]
     paths = [engine._Path(initial, start, delta0, True) for initial in initials]
     states = [path.live for path in paths]
-    for atom in proposals:
+    for pid, x, s, r, u in rows(proposals):
         for path in paths:
-            path.flush_deaths(atom.s, inclusive=False)
-        lams = engine._sandwich_rates(model, space, atom.x, *states)
-        accepted = [atom.u <= lam for lam in lams]
-        engine._contained(atom, lams, accepted, states)
+            path.flush_deaths(s, inclusive=False)
+        lams = engine._sandwich_rates(model, space, x, *states)
+        accepted = [u <= lam for lam in lams]
+        engine._contained(s, pid, lams, accepted, states)
         for path, acc in zip(paths, accepted):
             if acc:
-                path.birth(atom, delta0)
+                path.birth(pid, x, s, r, delta0)
     for path in paths:
         path.flush_deaths(0.0, inclusive=True)
     return engine.PathRun(initials=initials, start_time=start, horizon=-start,
@@ -465,9 +472,7 @@ def test_noise_is_shared_across_doublings():
     stream = NoiseStream.for_model(model, space, SEED)
     short = dominating_window(stream, -2.0, model.death.rate)[1]
     long = dominating_window(stream, -4.0, model.death.rate)[1]
-    short_ids = [a.atom_id for a in short]
-    long_tail = [a.atom_id for a in long if a.s >= -2.0]
-    assert short_ids == long_tail
+    assert short.ids.tolist() == long.ids[long.s >= -2.0].tolist()
     assert stream.slab_hash(-1) == NoiseStream.for_model(model, space, SEED).slab_hash(-1)
 
 
@@ -483,6 +488,16 @@ def test_extremal_samplers_reject_repulsive_models():
         maximal_stationary_sample(model, SPACE, SEED, 5.0)
     with pytest.raises(UnsupportedModelError):
         extremal_lookback_counts(model, SPACE, [1.0], 2, SEED)
+
+
+@pytest.mark.parametrize("horizons", [[0.0], [2.0, -3.0]])
+def test_extremal_counts_reject_a_horizon_at_or_below_zero(horizons):
+    # rounded like a sandwich lookback, which must be > 0
+    model = ConstantRate(rate=1.0)
+    with pytest.raises(SimulationConfigError):
+        extremal_lookback_counts(model, SPACE, horizons, 2, SEED)
+    hs, _, _ = extremal_lookback_counts(model, SPACE, [0.3, 2.0, 2.5], 1, SEED, slab_length=0.5)
+    assert hs.tolist() == [0.5, 2.0, 2.5]
 
 
 def test_extremal_counts_squeeze_monotonically():

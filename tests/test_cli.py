@@ -328,6 +328,16 @@ def test_stats_outputs(tmp_path):
     assert sum(probs) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("flag,value,message", [("--replicates", "0", "replicates"),
+                                                ("--horizon", "-1", "horizon")],
+                         ids=["replicates", "horizon"])
+def test_stats_rejects_a_bad_run_before_writing(tmp_path, capsys, flag, value, message):
+    out = str(tmp_path / "s")
+    assert main(["stats", "--config", CONSTANT, "--out", out, flag, value]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # validation battery
 # ---------------------------------------------------------------------------

@@ -57,26 +57,29 @@ def test_every_thinning_decision_matches_replayed_state():
     stream = NoiseStream.for_model(model, space, SEED)
     decisions = []
 
-    def record(atom, lams, accepted, states):
-        decisions.append((atom, lams[0], accepted[0]))
+    def record(s, pid, lams, accepted, states):
+        decisions.append((s, pid, lams[0], accepted[0]))
 
-    traj = run_paths(model, space, [TimedConfiguration()], 30.0,
-                     stream.atoms_between(0.0, 30.0), observe=record).trajectories()[0]
+    proposals = stream.atoms_between(0.0, 30.0)
+    traj = run_paths(model, space, [TimedConfiguration()], 30.0, proposals,
+                     observe=record).trajectories()[0]
     assert traj.canonical_json() == simulate(model, space, TimedConfiguration(), 30.0,
                                              stream).canonical_json()
-    assert len(decisions) == len(list(stream.atoms_between(0.0, 30.0))) > 50
-    for atom, lam, accepted in decisions:
+    assert len(decisions) == len(proposals) > 50
+    assert [(s, pid) for s, pid, _, _ in decisions] == list(zip(proposals.s.tolist(),
+                                                                proposals.ids))
+    for (s, _, lam, accepted), x, u in zip(decisions, proposals.x, proposals.u.tolist()):
         cfg = Configuration()
         for ev in traj.events:
-            if ev.time >= atom.s:
+            if ev.time >= s:
                 break
             if ev.kind == "birth":
                 cfg.add(ev.point_id, ev.x)
             else:
                 cfg.remove(ev.point_id)
-        rate = model.birth_rate(space, atom.x, cfg)
+        rate = model.birth_rate(space, x, cfg)
         assert rate == lam
-        assert accepted == (atom.u <= rate)
+        assert accepted == (u <= rate)
 
 
 def test_death_times_are_marks_over_rate():

@@ -16,9 +16,9 @@ from sbdsim.models import (
     NearestNeighborRate,
     PairwiseRate,
     RateModel,
-    UnitDeath,
     UnsupportedModelError,
     contraction_constant,
+    death_from_config,
     detailed_balance_residual,
     envelope_total,
     model_from_config,
@@ -45,7 +45,9 @@ def cfg(*pts):
 # ---------------------------------------------------------------------------
 
 def test_death_rates():
-    assert UnitDeath().rate == 1.0
+    assert ConstantDeath().rate == 1.0
+    assert death_from_config({"type": "unit"}) == death_from_config(None) == ConstantDeath()
+    assert PairwiseRate(theta=0.5, interaction_range=0.2).death == ConstantDeath()
     assert ConstantDeath(2.5).rate == 2.5
     with pytest.raises(SimulationConfigError):
         ConstantDeath(0.0)
@@ -474,6 +476,16 @@ def test_contraction_constant_model_zero():
     est = contraction_constant(ConstantRate(rate=4.0), SPACE)
     assert est.value == 0.0
     assert est.certifies_uniqueness
+
+
+def test_contraction_constant_rejects_a_model_it_cannot_integrate():
+    # neither a cell-occupancy model nor translation invariant
+    class Anchored(RateModel):
+        def increment_kernel(self, space, x, Y):
+            return np.full(len(Y), float(x[0]))
+
+    with pytest.raises(UnsupportedModelError, match="translation-invariant"):
+        contraction_constant(Anchored(), SPACE)
 
 
 def test_contraction_past_the_grid_budget_integrates_the_support():

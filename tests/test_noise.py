@@ -9,7 +9,9 @@ from sbdsim.analysis import chi_square_gof
 from sbdsim.geometry import SimulationConfigError, SpaceSpec
 from sbdsim.models import ConstantRate, PairwiseRate
 from sbdsim.noise import (
+    CACHE_SLABS,
     TAG_PRESENT,
+    NoiseSlab,
     NoiseStream,
     initial_clocks,
     keyed_generator,
@@ -38,19 +40,19 @@ def test_slab_regeneration_is_bit_identical():
     for k in (-3, -1, 0, 5, 117):
         pa, pb = a.slab_points(k), b.slab_points(k)
         assert len(pa) == len(pb)
-        for u, v in zip(pa, pb):
-            assert u.s == v.s and u.r == v.r and u.u == v.u
-            assert np.array_equal(u.x, v.x)
-            assert u.atom_id == v.atom_id
+        for name in NoiseSlab.__slots__:
+            assert np.array_equal(getattr(pa, name), getattr(pb, name))
 
 
 def test_slab_survives_cache_eviction():
-    s = stream(cache_slabs=2)
-    before = [(p.s, p.r, p.u, tuple(p.x)) for p in s.slab_points(0)]
-    for k in range(1, 10):  # push slab 0 out of the cache
+    s = stream()
+    before = s.slab_points(0)
+    for k in range(1, CACHE_SLABS + 1):  # push slab 0 out of the cache
         s.slab_points(k)
-    after = [(p.s, p.r, p.u, tuple(p.x)) for p in s.slab_points(0)]
-    assert before == after
+    after = s.slab_points(0)
+    assert after is not before and len(after) > 0
+    for name in NoiseSlab.__slots__:
+        assert np.array_equal(getattr(before, name), getattr(after, name))
 
 
 def test_slab_hash_separates_seeds_and_slabs():
@@ -64,23 +66,43 @@ def test_atoms_ordered_within_slab_and_inside_bounds():
     s = stream(slab=2.5)
     for k in (-2, 0, 7):
         pts = s.slab_points(k)
-        times = [p.s for p in pts]
+        times = pts.s.tolist()
         assert times == sorted(times)
         assert all(k * 2.5 <= t < (k + 1) * 2.5 for t in times)
-        assert all(p.atom_id == f"n{k}:{i}" for i, p in enumerate(pts))
+        assert pts.ids.tolist() == [f"n{k}:{i}" for i in range(len(pts))]
 
 
 def test_atoms_between_half_open_window():
     s = stream()
     # stitch two adjacent whole-slab queries and compare against one big one
-    left = list(s.atoms_between(-2.0, 0.0))
-    right = list(s.atoms_between(0.0, 2.0))
-    both = list(s.atoms_between(-2.0, 2.0))
-    assert [a.atom_id for a in left] + [a.atom_id for a in right] == \
-        [a.atom_id for a in both]
-    times = [a.s for a in both]
+    left = s.atoms_between(-2.0, 0.0)
+    right = s.atoms_between(0.0, 2.0)
+    both = s.atoms_between(-2.0, 2.0)
+    assert left.ids.tolist() + right.ids.tolist() == both.ids.tolist()
+    times = both.s.tolist()
     assert times == sorted(times)
     assert all(-2.0 <= t < 2.0 for t in times)
+    # inside one slab too, and an empty window keeps the dimension
+    part = s.atoms_between(-1.7, -1.2)
+    assert part.ids.tolist() == [i for i, t in zip(both.ids, times) if -1.7 <= t < -1.2]
+    empty = s.atoms_between(0.5, 0.5)
+    assert len(empty) == 0 and empty.x.shape == (0, 1)
+
+
+def test_slab_concat_and_selection_keep_columns_aligned():
+    s = stream(space=SPACE2)
+    a, b = s.slab_points(0), s.slab_points(1)
+    both = NoiseSlab.concat([a, b])
+    assert len(both) == len(a) + len(b) > 2
+    pick = np.array([len(a) + 1, 0, len(a)])
+    for name in NoiseSlab.__slots__:
+        col = np.concatenate([getattr(a, name), getattr(b, name)])
+        assert np.array_equal(getattr(both, name), col)
+        assert np.array_equal(getattr(both[pick], name), col[pick])
+        assert np.array_equal(getattr(both[1:3], name), col[1:3])
+    assert both[pick].x.shape == (3, 2)
+    with pytest.raises(TypeError):
+        iter(both)
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +124,10 @@ def test_marks_have_the_right_marginals():
     s = stream(env=6.0)
     rs, us, xs = [], [], []
     for k in range(300):
-        for p in s.slab_points(k):
-            rs.append(p.r)
-            us.append(p.u)
-            xs.append(p.x[0])
+        slab = s.slab_points(k)
+        rs += slab.r.tolist()
+        us += slab.u.tolist()
+        xs += slab.x[:, 0].tolist()
     assert stats.kstest(rs, "expon").pvalue > 0.01
     assert stats.kstest(np.array(us) / 6.0, "uniform").pvalue > 0.01
     assert stats.kstest(xs, "uniform").pvalue > 0.01
@@ -170,14 +192,13 @@ def test_dump_csv_round_trips(tmp_path):
     s.dump_csv(path, 0, 2)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "k,s,x1,x2,r,u"
-    expect = [p for k in range(3) for p in s.slab_points(k)]
+    expect = NoiseSlab.concat([s.slab_points(k) for k in range(3)])
     assert len(lines) - 1 == len(expect)
     row = lines[1].split(",")
-    first = expect[0]
     assert int(row[0]) == 0
-    assert float(row[1]) == first.s
-    assert float(row[2]) == first.x[0] and float(row[3]) == first.x[1]
-    assert float(row[4]) == first.r and float(row[5]) == first.u
+    assert float(row[1]) == expect.s[0]
+    assert float(row[2]) == expect.x[0, 0] and float(row[3]) == expect.x[0, 1]
+    assert float(row[4]) == expect.r[0] and float(row[5]) == expect.u[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +305,7 @@ def test_slab_hashes_and_ids_match_pinned_draws(dim, env, slab, seed, k, n, dige
     assert s.slab_hash(k) == digest
     pts = s.slab_points(k)
     assert len(pts) == n
-    assert [p.atom_id for p in pts] == [f"n{k}:{i}" for i in range(n)]
+    assert pts.ids.tolist() == [f"n{k}:{i}" for i in range(n)]
 
 
 def test_dump_csv_matches_pinned_digest(tmp_path):
@@ -295,12 +316,13 @@ def test_dump_csv_matches_pinned_digest(tmp_path):
 
 
 def test_slab_arrays_are_read_only():
-    # atoms handed out are views into the cached slab; writing through one
-    # must fail rather than change the slab for every later reader
+    # a cached slab is shared by every later reader, and the run loop hands
+    # out rows of x as views; writing through any of them must fail
     s = stream(env=6.0, space=SPACE2)
     slab = s.slab_points(0)
-    atom = next(iter(s.atoms_between(0.0, 1.0)))
-    for arr in (slab.s, slab.x, slab.r, slab.u, atom.x):
+    window = s.atoms_between(0.0, 1.0)
+    for arr in (slab.s, slab.x, slab.r, slab.u, slab.ids, window.x, window.ids,
+                slab[1:].x[0], slab[np.array([0])].s):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -308,19 +330,22 @@ def test_slab_arrays_are_read_only():
 def test_present_points_follow_the_stationary_law():
     # the dominating process at time 0: a Poisson(envelope / delta) count,
     # uniform locations and thinning levels, unit-exponential ages a = -b delta
-    # and residuals e = r - a, every point alive at 0; pure in the seed and
-    # read-only, like a slab. (At 500 seeds the residual KS read p = 0.0024;
-    # at 5000, p = 0.22, and 0.09 and 0.31 on two other seed bases.)
+    # of the birth times b = s and residuals e = r - a, every point alive at
+    # 0; pure in the seed and read-only, like a slab. (At 500 seeds the
+    # residual KS read p = 0.0024; at 5000, p = 0.22, and 0.09 and 0.31 on
+    # two other seed bases.)
     env, delta0 = 6.0, 1.6
     counts, ages, residuals = [], [], []
     for i in range(5000):
         s = stream(env=env, seed=replicate_seed(SEED, i), space=SPACE2)
-        b, x, r, u = s.present_points(delta0)
+        present = s.present_points(delta0)
+        b, x, r, u = present.s, present.x, present.r, present.u
         if i < 20:
-            assert s.present_points(delta0)[0] is b
-            again = stream(env=env, seed=replicate_seed(SEED, i), space=SPACE2)
-            assert all(np.array_equal(p, q) for p, q in zip(again.present_points(delta0),
-                                                            (b, x, r, u)))
+            assert s.present_points(delta0) is present
+            assert present.ids.tolist() == [f"d{j}" for j in range(len(b))]
+            again = stream(env=env, seed=replicate_seed(SEED, i), space=SPACE2).present_points(delta0)
+            for name in NoiseSlab.__slots__:
+                assert np.array_equal(getattr(again, name), getattr(present, name))
         assert x.shape == (len(b), 2) and len(r) == len(u) == len(b)
         assert np.all((x >= 0) & (x < SPACE2.lengths_array()))
         assert np.all((u >= 0) & (u <= s.envelope_sup_value()))
@@ -332,9 +357,9 @@ def test_present_points_follow_the_stationary_law():
     assert chi_square_gof(counts, probs).pvalue > 0.01
     assert stats.kstest(np.concatenate(ages), "expon").pvalue > 0.01
     assert stats.kstest(np.concatenate(residuals), "expon").pvalue > 0.01
-    for arr in s.present_points(delta0):
+    for name in NoiseSlab.__slots__:
         with pytest.raises(ValueError):
-            arr[...] = 0.0
+            getattr(present, name)[...] = 0.0
 
 
 def reference_present_points(s, death_rate):
@@ -364,8 +389,8 @@ def test_present_points_match_a_freshly_keyed_generator(dimension):
         for delta0 in (1.0, 1.7):
             got = s.present_points(delta0)
             want = reference_present_points(s, delta0)
-            assert all(np.array_equal(p, q) for p, q in zip(got, want))
-            assert got[0].dtype == want[0].dtype and got[1].shape == want[1].shape
+            assert all(np.array_equal(p, q) for p, q in zip((got.s, got.x, got.r, got.u), want))
+            assert got.s.dtype == want[0].dtype and got.x.shape == want[1].shape
         after = [s.slab_hash(k) for k in (-2, -1, 0, 3)]
         fresh = stream(env=7.0, seed=seed, space=space)
         assert after[:2] == before
