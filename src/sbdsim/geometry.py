@@ -488,8 +488,7 @@ class TimedConfiguration:
 
 def snapshot_to_json(time: float, eta: Configuration) -> str:
     """Serialize a configuration snapshot: {"time": t, "points": [[...], ...]}."""
-    pts = sorted(tuple(x) for _, x in eta.items())
-    return json.dumps({"time": time, "points": [list(p) for p in pts]})
+    return json.dumps({"time": time, "points": sorted(eta.points_array().tolist())})
 
 
 def snapshot_from_json(text: str) -> tuple[float, Configuration]:

@@ -44,7 +44,6 @@ _MASK64 = (1 << 64) - 1
 TAG_SLAB = 0x5B5B5B5B5B5B5B5B
 TAG_CLOCK = 0xC10C_C10C_C10C_C10C
 TAG_POISSON = 0x9019_9019_9019_9019
-TAG_GENERIC = 0x7E57_7E57_7E57_7E57
 TAG_PRESENT = 0xD0D0_D0D0_D0D0_D0D0
 
 # slabs a stream keeps; a doubling CFTP draw rereads its newest slabs
@@ -266,11 +265,11 @@ class NoiseStream:
 
 def initial_clocks(eta0: Configuration, seed: int, birth_time: float = 0.0) -> TimedConfiguration:
     """Attach independent unit-exponential residual clocks to a configuration."""
-    rng = keyed_generator(seed, TAG_CLOCK)
+    ids = sorted(eta0.ids())
+    clocks = keyed_generator(seed, TAG_CLOCK).exponential(1.0, size=len(ids))
     timed = TimedConfiguration()
-    for pid in sorted(eta0.ids()):
-        timed.add(pid, TimedPoint(coords=eta0.coords(pid).copy(),
-                                  clock=float(rng.exponential(1.0)),
+    for pid, clock in zip(ids, clocks.tolist()):
+        timed.add(pid, TimedPoint(coords=eta0.coords(pid), clock=clock,
                                   birth_time=birth_time))
     return timed
 
@@ -285,8 +284,8 @@ def poisson_configuration(space: SpaceSpec, intensity, seed: int,
     """
     rng = keyed_generator(seed, TAG_POISSON)
     L = space.lengths_array()
-    cfg = Configuration()
     if callable(intensity):
+        cfg = Configuration()
         grid = space.grid()
         vals = np.array([float(intensity(x)) for x in grid])
         if np.any(vals < 0):
@@ -307,6 +306,4 @@ def poisson_configuration(space: SpaceSpec, intensity, seed: int,
     if lam < 0:
         raise SimulationConfigError("intensity must be nonnegative")
     n = int(rng.poisson(lam * space.volume)) if lam > 0 else 0
-    for i in range(n):
-        cfg.add(f"{prefix}{i}", rng.uniform(0.0, L))
-    return cfg
+    return Configuration.from_points(rng.uniform(0.0, L, size=(n, space.dimension)), prefix)

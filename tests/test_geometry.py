@@ -282,3 +282,18 @@ def test_snapshot_round_trip_property(pts):
                                     if pts else np.empty((0, 2)))
     t, back = snapshot_from_json(snapshot_to_json(0.0, cfg))
     assert back == cfg
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_snapshot_text_matches_the_sorted_tuple_form(dimension):
+    # sorting the rows as lists of floats gives the text that sorting
+    # tuples of per-row copies gave
+    rng = np.random.default_rng(dimension)
+    for n in [0, 1, 2, 50]:
+        for _ in range(10):
+            cfg = Configuration.from_points(rng.uniform(0.0, 1.0, size=(n, dimension)))
+            cfg.add("tie", cfg.coords("p0") if n else np.zeros(dimension))
+            pts = sorted(tuple(x) for _, x in cfg.items())
+            expect = json.dumps({"time": 0.5, "points": [list(p) for p in pts]})
+            assert snapshot_to_json(0.5, cfg) == expect
+    assert snapshot_to_json(1.0, Configuration()) == '{"time": 1.0, "points": []}'

@@ -6,10 +6,12 @@ import pytest
 from scipy import stats
 
 from sbdsim.analysis import chi_square_gof
-from sbdsim.geometry import SimulationConfigError, SpaceSpec
+from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec
 from sbdsim.models import ConstantRate, PairwiseRate
 from sbdsim.noise import (
     CACHE_SLABS,
+    TAG_CLOCK,
+    TAG_POISSON,
     TAG_PRESENT,
     NoiseSlab,
     NoiseStream,
@@ -429,6 +431,31 @@ def test_initial_clocks_exponential():
     assert set(timed.ids()) == set(eta.ids())
     redo = initial_clocks(eta, SEED + 1, birth_time=-2.0)
     assert [e.clock for _, e in redo.items()] == clocks
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_initial_state_draws_match_the_per_point_loops(dimension):
+    # one uniform draw of shape (n, d) and one exponential draw of size n
+    # consume the generator as the per-point calls did, bit for bit
+    space = SpaceSpec(dimension=dimension, lengths=(1.0, 0.5, 2.0)[:dimension])
+    L = space.lengths_array()
+    for i in range(50):
+        seed = replicate_seed(SEED, i)
+        rng = keyed_generator(seed, TAG_POISSON)
+        n = int(rng.poisson(40.0 * space.volume))
+        expect = Configuration()
+        for j in range(n):
+            expect.add(f"init{j}", rng.uniform(0.0, L))
+        eta = poisson_configuration(space, 40.0, seed)
+        assert list(eta.ids()) == list(expect.ids())
+        assert eta.points_array().tobytes() == expect.points_array().tobytes()
+
+        rng = keyed_generator(seed + 1, TAG_CLOCK)
+        clocks = {pid: float(rng.exponential(1.0)) for pid in sorted(eta.ids())}
+        timed = initial_clocks(eta, seed + 1)
+        assert list(timed.ids()) == list(clocks)
+        assert [e.clock for _, e in timed.items()] == list(clocks.values())
+        assert all(np.array_equal(e.coords, eta.coords(pid)) for pid, e in timed.items())
 
 
 if __name__ == "__main__":
