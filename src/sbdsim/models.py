@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.integrate import quad
+from scipy.special import betainc
 from scipy.stats import qmc
 
 from .geometry import (
@@ -411,22 +413,24 @@ class AreaInteractionRate(RateModel):
         return self.rho * max(1.0, self.gamma ** (-ov.ball_volume))
 
     def increment_kernel(self, space, x, Y):
-        """Exact supremum of the one-point birth-rate increment.
-
-        For gamma > 1 the worst case is a grain exposed exactly on the overlap
-        with y; for gamma < 1 it is a fully exposed grain.
-        """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.size == 0:
             return np.zeros(0)
         ov = self.overlap(space)
-        V = ov._overlap_volumes(space, np.asarray(x, dtype=float), Y)
+        return self._kernel_of_overlap(ov._overlap_volumes(space, np.asarray(x, dtype=float), Y),
+                                       ov.ball_volume)
+
+    def _kernel_of_overlap(self, V, ball_volume: float):
+        """Exact supremum of the one-point birth-rate increment where the new
+        grain overlaps the query grain by volume V (a float or an array).
+
+        For gamma > 1 the worst case is a grain exposed exactly on the overlap
+        with y; for gamma < 1 it is a fully exposed grain; gamma = 1 gives 0.
+        """
         lg = math.log(self.gamma)
-        if self.gamma > 1:
-            return self.rho * (-np.expm1(-V * lg))
         if self.gamma < 1:
-            return self.rho * self.gamma ** (-ov.ball_volume) * (-np.expm1(V * lg))
-        return np.zeros(len(Y))
+            return self.rho * self.gamma ** (-ball_volume) * (-np.expm1(V * lg))
+        return self.rho * (-np.expm1(-V * lg))
 
     def support_radius(self) -> float:
         return 2.0 * self.grain_radius  # grains further apart do not overlap
@@ -718,8 +722,8 @@ def detailed_balance_residual(model: RateModel, space: SpaceSpec, x,
 
 @dataclass(frozen=True)
 class ContractionEstimate:
-    """Numeric contraction constant with a quadrature error estimate;
-    resolution is the fine grid's points per axis (0 for a closed form)."""
+    """Numeric contraction constant with an error bound; resolution is the
+    fine grid's points per axis (0 for a radial integral)."""
 
     value: float
     error: float
@@ -730,19 +734,7 @@ class ContractionEstimate:
         return self.value + self.error < 1.0
 
 
-# contraction_constant integrates on a midpoint grid of the whole window while
-# its fine grid, (2n)^d points, fits _WINDOW_GRID_BUDGET (1-D up to
-# n = 2,097,152, 2-D up to n = 1024; the default is 256) and those points
-# times the quadrature nodes the kernel tests per point (_kernel_nodes) fit
-# _WINDOW_NODE_BUDGET. The kernel sees the grid _WINDOW_GRID_BUDGET node
-# tests at a time. A 3-D window at the default would take 512^3 points, and
-# a 2-D area-interaction kernel with ~3200 QMC grain nodes 512^2 x 3200 node
-# tests (as one array, 12.6 GiB); past either budget only the kernel's
-# support is integrated, on a box grid of at most _SUPPORT_GRID_BUDGET fine
-# points, which the kernel sees _KERNEL_ROWS rows at a time.
 _WINDOW_GRID_BUDGET = 1 << 22
-_WINDOW_NODE_BUDGET = 1 << 27
-_SUPPORT_GRID_BUDGET = 1 << 15
 _KERNEL_ROWS = 1024
 
 
@@ -753,13 +745,12 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
 
     Below 1 this certifies a unique stationary law and exponential decay of
     the coupling distance at rate at least (1 - value). Cell-occupancy models
-    are summed exactly. A translation-invariant model has the same integral
-    at every x; it is taken at the window's centre on a midpoint grid,
-    refined once to attach an error estimate. A model whose window grid
-    would exceed _WINDOW_GRID_BUDGET points, or _WINDOW_NODE_BUDGET points
-    times the kernel's quadrature nodes per point, is integrated over the box
-    around its support instead (_support_contraction). Any other model
-    raises UnsupportedModelError.
+    are summed exactly. The kernel of every other model here depends on
+    |x - y| alone, so while its support ball fits the window (2R < every
+    side) the value is intensity |S^{d-1}| int_0^R a(rho) rho^{d-1} d rho
+    (_radial_contraction). Any other translation-invariant model takes the
+    window grid at resolution points per axis (_window_contraction); any
+    other model raises UnsupportedModelError.
     """
     if isinstance(model, CellOccupancyRate):
         masses = model.cell_masses(space)
@@ -769,70 +760,78 @@ def contraction_constant(model: RateModel, space: SpaceSpec,
     if not model.translation_invariant:
         raise UnsupportedModelError(
             "contraction_constant needs a cell-occupancy or a translation-invariant model")
+    fits = 2 * model.support_radius() < min(space.lengths)
+    return ((fits and _radial_contraction(model, space))
+            or _window_contraction(model, space, int(resolution or space.quadrature_resolution)))
 
-    n = int(resolution or space.quadrature_resolution)
-    nodes = _kernel_nodes(model, space)
+
+def _radial_contraction(model: RateModel, space: SpaceSpec) -> ContractionEstimate | None:
+    """contraction_constant of a model whose support ball fits the window,
+    from its kernel's radial profile a(rho); None for a model with none here.
+    Pairwise: 1 - e^{-theta} on the closed ball, in closed form. Nearest
+    neighbour: |h(inf) - v_j| on the shell [b_{j-1}, b_j). Area interaction:
+    a of the exact overlap V(rho) of two grains of volume B, the lens
+    B I_{1 - (rho / 2r)^2}((d + 1) / 2, 1 / 2) (2r - rho in 1-D), integrated
+    by scipy.integrate.quad over [0, 2r].
+
+    The simulated area-interaction rate takes V from the QMC grain nodes
+    (GrainOverlap), not from the exact lens, so with QMC nodes the error
+    also bounds the gap between the two integrals. Both overlaps integrate
+    over y to B^2 exactly (each node is covered from a ball of y of volume
+    B), which cancels the linear part of a(V); |a''| is at most envelope_sup
+    log(gamma)^2, and each QMC overlap is within eps = error_bound() of the
+    lens, so the gap is at most intensity |B_d| (2r)^d envelope_sup
+    log(gamma)^2 B eps.
+    """
+    d = space.dimension
+    ball = unit_ball_volume(d)
+    error = 0.0
+    if isinstance(model, ConstantRate):
+        mass = 0.0
+    elif isinstance(model, PairwiseRate):
+        mass = -math.expm1(-model.theta) * ball * model.interaction_range ** d
+    elif isinstance(model, NearestNeighborRate):
+        shells = np.diff(np.concatenate(([0.0], model._breaks)) ** d)
+        mass = float(np.abs(model.value_at_infinity - model._table[:-1]) @ shells) * ball
+    elif isinstance(model, AreaInteractionRate):
+        ov, reach = model.overlap(space), model.support_radius()
+
+        def shell(rho: float) -> float:
+            lens = ov.ball_volume * betainc((d + 1) / 2, 0.5, 1.0 - (rho / reach) ** 2)
+            return float(model._kernel_of_overlap(lens, ov.ball_volume)) * rho ** (d - 1)
+
+        integral, error = quad(shell, 0.0, reach, epsabs=0.0, epsrel=1e-10)
+        mass, error = d * ball * integral, d * ball * error
+        if ov.method == "qmc":
+            error += (ball * reach ** d * model.envelope_sup(space) * math.log(model.gamma) ** 2
+                      * ov.ball_volume * ov.error_bound())
+    else:
+        return None
+    return ContractionEstimate(value=space.intensity * mass,
+                               error=space.intensity * error, resolution=0)
+
+
+def _window_contraction(model: RateModel, space: SpaceSpec, n: int) -> ContractionEstimate:
+    """contraction_constant at the window's centre x0 on midpoint grids of
+    the whole window at n and 2n points per axis (the difference is the
+    error estimate), n halved until (2n)^d fits _WINDOW_GRID_BUDGET. The
+    kernel sees _KERNEL_ROWS grid rows at a time: an area-interaction kernel
+    tests each row against every QMC grain node."""
+    while n > 1 and (2 * n) ** space.dimension > _WINDOW_GRID_BUDGET:
+        n //= 2
     x0 = space.lengths_array() / 2.0
-    points = (2 * n) ** space.dimension
-    if points > _WINDOW_GRID_BUDGET or points * nodes > _WINDOW_NODE_BUDGET:
-        return _support_contraction(model, space, x0)
-    rows = max(1, _WINDOW_GRID_BUDGET // nodes)
 
     def integral(res: int) -> float:
         # the kernel is computed per point, so the chunks join to the values
         # of one call on the whole grid, summed as one array
         grid = space.grid(res)
-        a = np.concatenate([np.asarray(model.increment_kernel(space, x0, grid[i:i + rows]),
-                                       dtype=float) for i in range(0, len(grid), rows)])
+        a = np.concatenate([np.asarray(model.increment_kernel(space, x0, grid[i:i + _KERNEL_ROWS]),
+                                       dtype=float) for i in range(0, len(grid), _KERNEL_ROWS)])
         return float(np.sum(a)) * space.intensity * space.cell_volume(res)
 
     coarse = integral(n)
     fine = integral(2 * n)
     return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * n)
-
-
-def _kernel_nodes(model: RateModel, space: SpaceSpec) -> int:
-    """Quadrature nodes increment_kernel tests per point of Y, each a row of
-    d floats: the QMC grain nodes of an area-interaction model, else 1."""
-    if isinstance(model, AreaInteractionRate):
-        ov = model.overlap(space)
-        if ov.method == "qmc":
-            return len(ov._nodes)
-    return 1
-
-
-def _support_contraction(model: RateModel, space: SpaceSpec, x0) -> ContractionEstimate:
-    """contraction_constant of a translation-invariant model at the window's
-    centre x0, from the kernel's support alone: memory and time do not grow
-    with the window.
-
-    For the pairwise model, whose kernel is 1 - e^{-theta} on the closed ball
-    of radius R, the value is the closed form (1 - e^{-theta}) intensity
-    |B_d(R)| while that ball fits the window (2R < every side). Otherwise the
-    midpoint rule runs on the box x0 +- R (the whole side where 2R does not
-    fit), at k and 2k points per axis with (2k)^d <= _SUPPORT_GRID_BUDGET.
-    """
-    d, lengths = space.dimension, space.lengths
-    x0 = [float(c) for c in x0]
-    R = model.support_radius()
-    if isinstance(model, PairwiseRate) and 2 * R < min(lengths):
-        value = -math.expm1(-model.theta) * space.intensity * unit_ball_volume(d) * R ** d
-        return ContractionEstimate(value=value, error=0.0, resolution=0)
-    fits = [2 * R < L for L in lengths]
-    lo = [c - R if f else 0.0 for c, f in zip(x0, fits)]
-    hi = [c + R if f else L for c, L, f in zip(x0, lengths, fits)]
-    k = max(1, math.floor(_SUPPORT_GRID_BUDGET ** (1.0 / d) * (1 + 1e-12)) // 2)
-
-    def integral(res: int) -> float:
-        axes = [a + (np.arange(res) + 0.5) * ((b - a) / res) for a, b in zip(lo, hi)]
-        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        total = sum(float(np.sum(model.increment_kernel(space, np.array(x0),
-                                                        grid[i:i + _KERNEL_ROWS])))
-                    for i in range(0, len(grid), _KERNEL_ROWS))
-        return total * space.intensity * math.prod((b - a) / res for a, b in zip(lo, hi))
-
-    coarse, fine = integral(k), integral(2 * k)
-    return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * k)
 
 
 # ---------------------------------------------------------------------------

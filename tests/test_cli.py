@@ -279,9 +279,10 @@ def test_three_dimensional_simulate_runs_in_bounded_memory(tmp_path):
 def test_two_dimensional_area_interaction_simulate_runs_in_bounded_memory(tmp_path):
     # the area-interaction kernel tests ~3200 QMC grain nodes per grid point,
     # so the default 2-D window grid would need a (3215, 65536, 2) float array
-    # (3.14 GiB) and its fine grid four times that; counted against the grid
-    # budget, it is integrated over the kernel's support instead, and under a
-    # 1 GB address-space cap provenance.json carries a value, not an error
+    # (3.14 GiB) and its fine grid four times that; the grain's support fits
+    # the window, so the kernel's radial profile is integrated instead, and
+    # under a 1 GB address-space cap provenance.json carries a value, not an
+    # error
     rho, gamma, radius, intensity = 1.0, 1.5, 0.02, 20.0
     cfg = write_config(tmp_path, {
         "space": {"dimension": 2, "lengths": [1.0, 1.0], "intensity": intensity},
@@ -374,18 +375,18 @@ PINNED_TREE_DIGESTS = {
     ("simulate", "constant_demo"): "6bce35c79599675ae3977ed28d69a1aa6b5ff40954aaaaff920b11984bd60785",
     ("stats", "constant_demo"): "bb520f13b1b51d152ed18fdf59eeb75294368c7ec7d4748e67f6a7917b1432cd",
     ("perfect-sample", "constant_demo"): "ad7569cfb348a60c8d70b6955aae9c615b2fe460ee297582691d6662c3b0364b",
-    ("simulate", "pairwise_demo"): "5d31e043b3f67843aa6a5f822dc6b74ef52e2d1a935865463e8e6d1a6b96a3d5",
-    ("stats", "pairwise_demo"): "e4423602c84c80089776da49c573c74cd49ef552e4eb138f6f9ac633db542496",
-    ("perfect-sample", "pairwise_demo"): "e1a631973eae1564eaf85786df50c970752868d7c906301b22e5f4eedbaa6cc9",
+    ("simulate", "pairwise_demo"): "1f817e2ed29e5b5150d2c9fe4269f197e327ff682bfd6135ed31bc16b6ecb25c",
+    ("stats", "pairwise_demo"): "8beb072d95007defe9d8ac4e9ca69fe8a2c52b78efde2c7a7b96608fee66a7ed",
+    ("perfect-sample", "pairwise_demo"): "5fa659bf95f6c3db1fa6293cdcfb521a167cbaa39f7400f74d7bcd0e992d42c9",
     ("simulate", "cells_demo"): "218e59e825133e0d91735c6466be9345fd4e6422ffbd14ba8ef96394d203191c",
     ("stats", "cells_demo"): "87e6b27f696b09ab91905f61705e25e0ab5a9fee6e2ded60f3a959df46e41309",
     ("perfect-sample", "cells_demo"): "7349e7efa00d919429da5059729bd22fdbf9659ea4d97d36397d288697825b5b",
     ("oracle", "cells_demo"): "2e3072e0f37fba158fc38c1eb25fa70acc529ddf06735566f4d5ca02afccec03",
-    ("validate", "fast"): "a4825b9ab6560094856c905f734e66c9f3a21cd7eb332d0e98a2c5e922c0bbef",
+    ("validate", "fast"): "c2dfee57386f17ce3259207e0e1381d5b4b860b1d47417195f147cdacadcbea9",
     ("simulate", "pairwise_2d"):
-        "702375cdfc476d6a933912b71e0ca58bf8e22c92a4c1ddbdcf5da68ca282727b",
+        "a9a06cf02d041492e5c19ccf580e16e22a45e3db2baa536a519de7c4dda026c0",
     ("perfect-sample", "pairwise_2d"):
-        "e2e8bf2e41e6a6f1eba942650069ec6e3b12c27f0353ea69da53d6caa931681d",
+        "d580565997286630d9bdc8acdf96a280b8d45d3fb8e30c7a0412035ed01e7943",
 }
 
 # configs the digest test writes itself: a fast validate, and a 2-D pairwise

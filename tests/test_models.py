@@ -488,9 +488,10 @@ def test_contraction_constant_rejects_a_model_it_cannot_integrate():
         contraction_constant(Anchored(), SPACE)
 
 
-def test_contraction_past_the_grid_budget_integrates_the_support():
-    # a window grid of more than 2^22 points is not built: the pairwise
-    # model takes its closed form, the others a grid on their support's box
+def test_contraction_closed_forms_and_the_wide_range_fallback():
+    # a support ball that fits the window (2R < every side) takes the radial
+    # integral, in closed form for the pairwise and nearest-neighbour kernels,
+    # whatever the resolution asked for
     pair = PairwiseRate(theta=PAIR_THETA, interaction_range=PAIR_RANGE)
     est = contraction_constant(pair, SPACE, 3_000_000)
     assert (est.value, est.error, est.resolution) == (pytest.approx(PAIR_M, rel=1e-12), 0.0, 0)
@@ -498,32 +499,31 @@ def test_contraction_past_the_grid_budget_integrates_the_support():
     est = contraction_constant(pair, cube)
     ball = 4.0 / 3.0 * math.pi * PAIR_RANGE ** 3
     assert est.value == pytest.approx(20.0 * (1 - math.exp(-PAIR_THETA)) * ball, rel=1e-12)
-    # a range that does not fit the window falls back to the box grid
+    # a range that does not fit the window falls back to the window grid,
+    # its resolution halved until the fine grid fits the grid budget
     wide = PairwiseRate(theta=PAIR_THETA, interaction_range=0.6)
     est = contraction_constant(wide, SPACE, 3_000_000)
     assert est.value == pytest.approx(1 - math.exp(-PAIR_THETA), rel=1e-3)
-    assert est.resolution > 0
+    assert est.resolution == 3_000_000 <= models._WINDOW_GRID_BUDGET
 
     nn = NearestNeighborRate(breakpoints=(0.05, 0.1), values=(0.3, 0.7), value_at_infinity=1.0)
     est = contraction_constant(nn, SPACE, 3_000_000)
-    assert est.value == pytest.approx(2 * 0.05 * 0.7 + 2 * 0.05 * 0.3, rel=1e-9)
+    assert est.value == pytest.approx(2 * 0.05 * 0.7 + 2 * 0.05 * 0.3, rel=1e-12)
     plane = SpaceSpec(dimension=2, lengths=(1.0, 2.0), intensity=3.0)
     exact = 3.0 * math.pi * (0.05 ** 2 * 0.7 + (0.1 ** 2 - 0.05 ** 2) * 0.3)
     est = contraction_constant(nn, plane, 4096)
-    assert est.value == pytest.approx(exact, rel=1e-2)
+    assert (est.value, est.error, est.resolution) == (pytest.approx(exact, rel=1e-12), 0.0, 0)
     assert contraction_constant(ConstantRate(rate=4.0), cube).value == 0.0
 
 
-def test_contraction_counts_kernel_nodes_against_the_budget(monkeypatch):
-    # a 2-D area-interaction kernel tests every QMC grain node at every grid
-    # point: a window grid within the node budget is computed in chunks and
-    # equals one kernel call on the whole grid bit for bit; a grid past it is
-    # not built (the default one, 512^2 points x ~3200 nodes, goes to the
-    # support box: test_cli runs it under a 1 GB address-space cap)
-    area = AreaInteractionRate(rho=1.0, gamma=1.5, grain_radius=0.02)
+def test_contraction_window_grid_in_chunks_equals_one_kernel_call():
+    # an area-interaction kernel tests every QMC grain node at every grid
+    # point, so the window grid, kept for a support that does not fit the
+    # window (here 2 * 2r = 1.2 > 1), sees the grid _KERNEL_ROWS rows at a
+    # time; the chunks give one kernel call on the whole grid bit for bit
+    area = AreaInteractionRate(rho=1.0, gamma=1.5, grain_radius=0.3, overlap_resolution=1024)
     plane = SpaceSpec(dimension=2, lengths=(1.0, 1.0), intensity=20.0)
-    nodes = len(area.overlap(plane)._nodes)
-    assert (2 * 24) ** 2 > models._WINDOW_GRID_BUDGET // nodes  # more than one chunk
+    assert (2 * 24) ** 2 > models._KERNEL_ROWS  # more than one chunk
     x0 = plane.lengths_array() / 2.0
 
     def whole_grid(res):
@@ -533,12 +533,65 @@ def test_contraction_counts_kernel_nodes_against_the_budget(monkeypatch):
     est = contraction_constant(area, plane, 24)
     assert (est.value, est.error, est.resolution) == (
         whole_grid(48), abs(whole_grid(48) - whole_grid(24)), 48)
-    assert (2 * 103) ** 2 * nodes > models._WINDOW_NODE_BUDGET
-    built = []
-    monkeypatch.setattr(SpaceSpec, "grid", lambda self, res=None: built.append(res))
-    monkeypatch.setattr(models, "_support_contraction", lambda *args: "support")
-    assert contraction_constant(area, plane, 103) == "support"
-    assert built == []
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "free"])
+def test_contraction_support_not_fitting_a_side_takes_the_window_grid(boundary):
+    # 2R = 0.4 fits the long side but not the short one (0.3); the window
+    # clips (free) or wraps (periodic) the ball, so the grid reads less than
+    # the radial closed form
+    pair = PairwiseRate(theta=PAIR_THETA, interaction_range=0.2)
+    strip = SpaceSpec(dimension=2, lengths=(1.0, 0.3), boundary=boundary, intensity=3.0)
+    est = contraction_constant(pair, strip, 64)
+    assert est == models._window_contraction(pair, strip, 64)
+    assert est.resolution == 128
+    fits = SpaceSpec(dimension=2, lengths=(1.0, 0.41), boundary=boundary, intensity=3.0)
+    radial = contraction_constant(pair, fits, 64)
+    assert radial.resolution == 0
+    assert est.value < radial.value - 10 * est.error
+
+
+def midpoint_step_error(space, res, jumps):
+    """Bound on the midpoint rule's error at res points per axis for a radial
+    step kernel with jump j at radius R for each (R, j) in jumps: a cell errs
+    only if a jump sphere cuts it, by at most the jump, and such a cell lies
+    within one cell diagonal h of that sphere."""
+    d = space.dimension
+    h = math.sqrt(sum((L / res) ** 2 for L in space.lengths))
+    ball = models.unit_ball_volume(d)
+    return space.intensity * sum(j * ball * ((R + h) ** d - max(R - h, 0.0) ** d)
+                                 for R, j in jumps)
+
+
+@pytest.mark.parametrize("d,n,n_area", [(1, 20000, 20000), (2, 256, 16), (3, 32, 6)])
+def test_radial_contraction_agrees_with_the_window_grid(d, n, n_area):
+    # the window grid integrates the kernel as simulated; the radial value
+    # must agree within the grid's stated error plus the radial error, which
+    # carries the QMC bound. The grid's |fine - coarse| is no bound for a
+    # step kernel, so the pairwise and nearest-neighbour comparisons add the
+    # midpoint rule's step bound. Area kernels run on a smaller window, where
+    # a coarser grid of QMC node tests still covers their support.
+    space = SpaceSpec(dimension=d, lengths=(1.0,) * d, intensity=5.0)
+    small = SpaceSpec(dimension=d, lengths=(0.5,) * d, intensity=5.0)
+    pair = PairwiseRate(theta=PAIR_THETA, interaction_range=PAIR_RANGE)
+    nn = NearestNeighborRate(breakpoints=(0.05, 0.1, 0.2), values=(0.3, 0.5, 0.7),
+                             value_at_infinity=1.0)
+    steps = [(pair, [(PAIR_RANGE, 1 - math.exp(-PAIR_THETA))]),
+             (nn, [(0.05, 0.2), (0.1, 0.2), (0.2, 0.3)])]
+    for model, jumps in steps:
+        radial = contraction_constant(model, space)
+        grid = models._window_contraction(model, space, n)
+        assert radial.resolution == 0 and grid.resolution == 2 * n
+        tolerance = grid.error + radial.error + midpoint_step_error(space, 2 * n, jumps)
+        assert abs(radial.value - grid.value) <= tolerance
+    for gamma in (1.5, 0.6):
+        area = AreaInteractionRate(rho=2.0, gamma=gamma, grain_radius=0.1)
+        radial = contraction_constant(area, small)
+        grid = models._window_contraction(area, small, n_area)
+        assert radial.resolution == 0
+        assert abs(radial.value - grid.value) <= grid.error + radial.error
+        qmc = area.overlap(small).method == "qmc"
+        assert (radial.error > 1e-6 * radial.value) == qmc  # the QMC bound, or quad's error
 
 
 # ---------------------------------------------------------------------------
