@@ -722,8 +722,8 @@ def detailed_balance_residual(model: RateModel, space: SpaceSpec, x,
 
 @dataclass(frozen=True)
 class ContractionEstimate:
-    """Numeric contraction constant with an error bound; resolution is the
-    fine grid's points per axis (0 for a radial integral)."""
+    """Contraction constant, its error (a bound, or a grid's |fine - coarse|)
+    and the fine grid's points per axis (0 without a grid)."""
 
     value: float
     error: float
