@@ -511,7 +511,7 @@ def observed_lifetimes(trajectories, margin_factor: float = 20.0) -> np.ndarray:
     for traj in trajectories:
         margin = margin_factor / traj.death_rate
         cutoff = traj.end_time - margin
-        births = {pid: e.birth_time for pid, e in traj.initial.items()}
+        births = {pid: traj.initial.entry(pid).birth_time for pid in traj.initial.ids()}
         deaths = {}
         for ev in traj.events:
             if ev.kind == "birth":

@@ -39,8 +39,6 @@ from .geometry import (
     Configuration,
     SimulationConfigError,
     SpaceSpec,
-    TimedConfiguration,
-    TimedPoint,
     configuration_contains,
     symmetric_difference,
 )
@@ -62,20 +60,20 @@ def _window_slabs(stream: NoiseStream, start_time: float) -> range:
 
 
 def dominating_window(stream: NoiseStream, start_time: float,
-                      death_rate: float) -> tuple[TimedConfiguration, NoiseSlab]:
+                      death_rate: float) -> tuple[Configuration, NoiseSlab]:
     """The dominating process D at start_time < 0, and its births in
     [start_time, 0) as proposals.
 
     Every D-point, from present_points or from a slab of _window_slabs read by
     death time, has a birth time b and a mark r, and dies at
-    engine._death_time(b, r, death_rate). D(start_time) holds the points with
-    b < start_time < death, as TimedPoint(clock=r, birth_time=b), so the
-    engine computes the same death time whether a point starts a pass or is
-    a proposal of a longer one. The proposals are the points with
-    start_time <= b < 0, with s = b, in birth order (ties in slab order, then
-    D(0)'s), so a window's D and proposals are bit-identical whatever
-    lookback reads them. A slab atom keeps its id "n{k}:{i}"; point i of D(0)
-    has id "d{i}".
+    engine._death_time(b, r, death_rate). D(start_time) is the configuration
+    of the points with b < start_time < death, with death mark r and birth
+    time b, in sorted-id order, so the engine computes the same death time
+    whether a point starts a pass or is a proposal of a longer one. The
+    proposals are the points with start_time <= b < 0, with s = b, in birth
+    order (ties in slab order, then D(0)'s), so a window's D and proposals
+    are bit-identical whatever lookback reads them. A slab atom keeps its id
+    "n{k}:{i}"; point i of D(0) has id "d{i}".
     """
     present = stream.present_points(death_rate)
     points = NoiseSlab.concat([stream.slab_points(k) for k in _window_slabs(stream, start_time)]
@@ -84,14 +82,14 @@ def dominating_window(stream: NoiseStream, start_time: float,
     n = len(points) - len(present)
     b = points.s.copy()
     b[:n] -= points.r[:n] / death_rate
-    points = NoiseSlab(b, points.x, points.r, points.u, points.ids)
-    dies = engine._death_time(b, points.r, death_rate)
-    state = TimedConfiguration()
-    for i in np.flatnonzero((b < start_time) & (dies > start_time)).tolist():
-        state.add(points.ids[i], TimedPoint(coords=points.x[i].copy(), clock=float(points.r[i]),
-                                            birth_time=float(b[i])))
+    x, r, u, ids = points.x, points.r, points.u, points.ids
+    dies = engine._death_time(b, r, death_rate)
+    alive = np.flatnonzero((b < start_time) & (dies > start_time))
+    alive = alive[ids[alive].argsort()]
     born = np.flatnonzero((b >= start_time) & (b < 0.0))
-    return state, points[born[np.argsort(b[born], kind="stable")]]
+    born = born[b[born].argsort(kind="stable")]
+    return (Configuration.from_columns(ids[alive], x[alive], r[alive], b[alive]),
+            NoiseSlab(b[born], x[born], r[born], u[born], ids[born]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ def sandwich_run(model: RateModel, space: SpaceSpec, lookback: float,
     if not math.isfinite(model.envelope_sup(space)):
         raise SimulationConfigError("model envelope must be finite for sandwich runs")
     ancient, proposals = dominating_window(stream, start, model.death.rate)
-    run = engine.run_paths(model, space, [TimedConfiguration(), ancient], -start, proposals,
+    run = engine.run_paths(model, space, [Configuration(), ancient], -start, proposals,
                            start, bracket=True)
     lower0, upper0 = run.finals
     # nested, so equal sizes are equal states
@@ -172,7 +170,7 @@ def funnel_violations(model: RateModel, space: SpaceSpec, lookback: float,
         nonlocal violations
         violations += count(states)
 
-    run = engine.run_paths(model, space, [TimedConfiguration(), ancient] + mids, -start,
+    run = engine.run_paths(model, space, [Configuration(), ancient] + mids, -start,
                            proposals, start, observe=observe, bracket=True)
     return violations + count(run.finals)
 
@@ -224,7 +222,7 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
         if state.coalesced:
             # a fresh copy with its rows in the order the live ids were born,
             # so that sums over points_array() do not depend on the pass
-            draw = Configuration(dict(state.lower.items()))
+            draw = state.lower.restrict(state.lower.ids())
             return PerfectSample(configuration=draw, lookback_used=state.lookback,
                                  status="Coalesced", lookbacks_tried=tried,
                                  proposals=proposals, merged=merged, slabs_read=slabs)
@@ -251,8 +249,7 @@ def minimal_stationary_sample(model: RateModel, space: SpaceSpec, seed: int,
     from below for attractive models."""
     _require_attractive(model, "minimal_stationary_sample")
     stream = NoiseStream.for_model(model, space, seed, slab_length)
-    traj = engine.simulate(model, space, TimedConfiguration(), horizon, stream)
-    return traj.final.projection()
+    return engine.simulate(model, space, Configuration(), horizon, stream).final
 
 
 def maximal_stationary_sample(model: RateModel, space: SpaceSpec, seed: int,
@@ -264,9 +261,7 @@ def maximal_stationary_sample(model: RateModel, space: SpaceSpec, seed: int,
     delta0 = model.death.rate
     density = envelope_total(model, space) / space.volume / delta0
     eta0 = poisson_configuration(space, density, seed)
-    initial = initial_clocks(eta0, seed)
-    traj = engine.simulate(model, space, initial, horizon, stream)
-    return traj.final.projection()
+    return engine.simulate(model, space, initial_clocks(eta0, seed), horizon, stream).final
 
 
 def extremal_lookback_counts(model: RateModel, space: SpaceSpec, horizons,
@@ -370,15 +365,17 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec,
                          kernel_weighted=kernel_weighted, replicates=replicates)
 
 
-def _match_subset_ids(eta_low: Configuration, timed_up: TimedConfiguration) -> list:
-    """Ids in timed_up realizing the multiset eta_low (coordinates must match)."""
-    remaining = {pid: timed_up.entry(pid).coords.tobytes() for pid in timed_up.ids()}
+def _match_subset_ids(eta_low: Configuration, timed_up: Configuration) -> list:
+    """Ids in timed_up realizing the multiset eta_low (coordinates must match):
+    for each point of eta_low in sorted-id order, the smallest id of
+    timed_up not chosen yet with the same coordinate bytes."""
+    free: dict[bytes, list[str]] = {}
+    for pid in sorted(timed_up.ids(), reverse=True):
+        free.setdefault(timed_up.coords(pid).tobytes(), []).append(pid)
     chosen = []
-    for _, x in sorted(eta_low.items()):
-        key = x.tobytes()
-        hit = next((pid for pid, k in sorted(remaining.items()) if k == key), None)
-        if hit is None:
+    for pid in sorted(eta_low.ids()):
+        ids = free.get(eta_low.coords(pid).tobytes())
+        if not ids:
             raise SimulationConfigError("lower initial state is not a sub-multiset of the upper")
-        chosen.append(hit)
-        del remaining[hit]
+        chosen.append(ids.pop())
     return chosen

@@ -183,7 +183,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         with open(os.path.join(out_dir, f"snapshot_{i:03d}.json"), "w") as fh:
             fh.write(snapshot_to_json(t, state) + "\n")
     with open(os.path.join(out_dir, "final_state.json"), "w") as fh:
-        fh.write(snapshot_to_json(horizon, traj.final.projection()) + "\n")
+        fh.write(snapshot_to_json(horizon, traj.final) + "\n")
     summary = {"events": traj.event_count(), "final_count": len(traj.final),
                "horizon": horizon, "seed": cfg.seed}
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -301,7 +301,7 @@ def cmd_stats(cfg: RunConfig, out_dir: str) -> int:
         stream = NoiseStream.for_model(cfg.model, cfg.space, seed_i, cfg.slab_length)
         traj = engine.simulate(cfg.model, cfg.space, _initial_state(cfg, seed_i),
                                horizon, stream)
-        samples.append(traj.final.projection())
+        samples.append(traj.final)
         if i < 50:
             trajectories.append(traj)
 
@@ -396,7 +396,7 @@ def run_validation_battery(seed: int = 20260816, fast: bool = False) -> dict:
         traj = engine.simulate(cell_model, cell_space,
                                initial_clocks(Configuration(), replicate_seed(seed + 1, i)),
                                15.0, stream)
-        sim_samples.append(traj.final.projection())
+        sim_samples.append(traj.final)
     emp = analysis.empirical_count_table(sim_samples, cell_model, cell_space)
     tv_emp = analysis.tv_distance(emp, stationary)
     tol_emp = 0.05 / math.sqrt(scale)

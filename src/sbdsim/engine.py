@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Configuration, SimulationConfigError, SpaceSpec, TimedConfiguration, TimedPoint
+from .geometry import Configuration, SimulationConfigError, SpaceSpec
 from .models import RateModel, _sandwich_rates
 from .noise import NoiseSlab, NoiseStream
 
@@ -48,11 +48,11 @@ class Event:
 class Trajectory:
     """A realized path: initial state, ordered events, final state."""
 
-    initial: TimedConfiguration
+    initial: Configuration
     events: list[Event]
     start_time: float
     horizon: float
-    final: TimedConfiguration
+    final: Configuration
     death_rate: float
 
     @property
@@ -80,41 +80,33 @@ class Trajectory:
         return json.dumps({
             "start": self.start_time,
             "horizon": self.horizon,
-            "initial": sorted((pid, list(e.coords), e.clock) for pid, e in self.initial.items()),
+            "initial": sorted((pid, x.tolist(), self.initial.entry(pid).clock)
+                              for pid, x in self.initial.items()),
             "events": [(ev.time, ev.kind, ev.point_id, list(map(float, ev.x)), ev.mark)
                        for ev in self.events],
         })
 
 
-def _replay(trajectory: Trajectory, t: float, timed: bool):
-    """The state at time t from replaying the event log: a TimedConfiguration
-    whose points keep their death marks and birth times when timed, else a
-    Configuration (whose births need no mark)."""
+def snapshot(trajectory: Trajectory, t: float) -> Configuration:
+    """State at time t, replayed from the event log. Each point keeps its death
+    mark and birth time, so a restart from it computes the same death times
+    as the uninterrupted run (a birth logged without a mark stays unmarked)."""
     if not (trajectory.start_time <= t <= trajectory.end_time):
         raise SimulationConfigError(
             f"snapshot time {t} outside [{trajectory.start_time}, {trajectory.end_time}]")
-    state = trajectory.initial.copy() if timed else trajectory.initial.projection()
+    state = trajectory.initial.restrict(trajectory.initial.ids())
     for ev in trajectory.events:
         if ev.time > t:
             break
-        if ev.kind != "birth":
-            state.remove(ev.point_id)
-        elif timed:
-            state.add(ev.point_id, TimedPoint(np.array(ev.x, dtype=float), ev.mark, ev.time))
+        if ev.kind == "birth":
+            state.add(ev.point_id, ev.x, ev.mark, ev.time)
         else:
-            state.add(ev.point_id, ev.x)
+            state.remove(ev.point_id)
     return state
 
 
-def snapshot(trajectory: Trajectory, t: float) -> Configuration:
-    """State at time t, reconstructed by replaying the event log."""
-    return _replay(trajectory, t, timed=False)
-
-
-def timed_snapshot(trajectory: Trajectory, t: float) -> TimedConfiguration:
-    """State at time t; every point keeps its death mark and birth time, so a
-    restart from it computes the same death times as the uninterrupted run."""
-    return _replay(trajectory, t, timed=True)
+# a snapshot keeps the marks, so it is the timed snapshot too
+timed_snapshot = snapshot
 
 
 def _death_time(birth_time: float, clock: float, delta0: float) -> float:
@@ -125,34 +117,32 @@ def _death_time(birth_time: float, clock: float, delta0: float) -> float:
 
 class _Path:
     """One path of run_paths: live state, death-time heap and, when logged, the
-    event log and the death mark and birth time of every point (else None)."""
+    event log (else None). Initial points take rows and heap seqs in sorted-id order."""
 
-    __slots__ = ("live", "marks", "deaths", "seq", "events")
+    __slots__ = ("live", "deaths", "seq", "events")
 
-    def __init__(self, initial: TimedConfiguration, start_time: float, delta0: float,
+    def __init__(self, initial: Configuration, start_time: float, delta0: float,
                  log: bool):
-        self.live = Configuration()
-        self.marks: dict[str, tuple[float, float]] | None = {} if log else None
+        live = self.live = initial.restrict(sorted(initial.ids()))
         self.deaths: list[tuple[float, int, str]] = []
-        self.seq = 0
-        self.events: list[Event] | None = [] if log else None
-        for pid in sorted(initial.ids()):
-            e = initial.entry(pid)
-            dt = _death_time(e.birth_time, e.clock, delta0)
-            if dt <= start_time:
+        self.seq = len(live)
+        if live:
+            mark, born = live.timing()
+            dies = _death_time(born, mark, delta0)
+            if not dies.min() > start_time:  # NaN for a point without a death mark
+                i = int(np.argmin(dies > start_time))
                 raise SimulationConfigError(
-                    f"initial point {pid!r} dies at {dt}, not after the start time {start_time}")
-            self._add(pid, e.coords, e.clock, e.birth_time, dt)
-
-    def _add(self, pid: str, x, mark: float, born: float, dt: float) -> None:
-        self.live.add(pid, x)
-        if self.marks is not None:
-            self.marks[pid] = (mark, born)
-        heapq.heappush(self.deaths, (dt, self.seq, pid))
-        self.seq += 1
+                    f"initial point {list(live.ids())[i]!r} with death mark {mark[i]} dies at "
+                    f"{dies[i]}, not after the start time {start_time}")
+            # keys are unique in seq, so the heap pops as one push per point would
+            self.deaths = list(zip(dies.tolist(), range(len(live)), live.ids()))
+            heapq.heapify(self.deaths)
+        self.events: list[Event] | None = [] if log else None
 
     def birth(self, pid: str, x, s: float, r: float, delta0: float) -> None:
-        self._add(pid, x, r, s, _death_time(s, r, delta0))
+        self.live.add(pid, x, r, s)
+        heapq.heappush(self.deaths, (_death_time(s, r, delta0), self.seq, pid))
+        self.seq += 1
         if self.events is not None:
             self.events.append(Event(time=s, kind="birth", point_id=pid,
                                      x=np.array(x, dtype=float), mark=r))
@@ -173,7 +163,7 @@ class PathRun:
     [start_time, start_time + horizon], the number of proposals in that window
     and how many of them a merged bracket ran as one path."""
 
-    initials: list[TimedConfiguration]
+    initials: list[Configuration]
     start_time: float
     horizon: float
     death_rate: float
@@ -188,17 +178,11 @@ class PathRun:
         return [path.live for path in self.paths]
 
     def trajectories(self) -> list[Trajectory]:
-        """One Trajectory per path, from a run without bracket."""
-        out = []
-        for initial, path in zip(self.initials, self.paths):
-            final = TimedConfiguration()
-            for pid, x in path.live.items():
-                mark, born = path.marks[pid]
-                final.add(pid, TimedPoint(x, mark, born))
-            out.append(Trajectory(initial=initial.copy(), events=path.events,
-                                  start_time=self.start_time, horizon=self.horizon,
-                                  final=final, death_rate=self.death_rate))
-        return out
+        """One Trajectory per path, from a run without bracket; final rows in id order of adding."""
+        return [Trajectory(initial=initial.copy(), events=path.events,
+                           start_time=self.start_time, horizon=self.horizon,
+                           final=path.live.restrict(path.live.ids()), death_rate=self.death_rate)
+                for initial, path in zip(self.initials, self.paths)]
 
 
 def _contained(s, pid, lams, accepted, states) -> None:
@@ -215,11 +199,12 @@ def _contained(s, pid, lams, accepted, states) -> None:
             f"{lams[0]!r}, path 1 rejected it at rate {lams[1]!r} (internal bug)")
 
 
-def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfiguration],
+def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
               horizon: float, proposals: NoiseSlab, start_time: float = 0.0,
               observe=None, bracket: bool = False) -> PathRun:
     """Drive one path per initial state through the same proposals on
-    [start_time, start_time + horizon].
+    [start_time, start_time + horizon]. Every initial point must hold a death
+    mark > 0 and die after start_time (SimulationConfigError otherwise).
 
     proposals are the window's proposals in time order: the forward runs
     pass stream.atoms_between(start_time, start_time + horizon), coupling
@@ -294,7 +279,7 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[TimedConfigurat
                    death_rate=delta0, paths=paths, proposals=n, merged=merged)
 
 
-def simulate(model: RateModel, space: SpaceSpec, initial: TimedConfiguration,
+def simulate(model: RateModel, space: SpaceSpec, initial: Configuration,
              horizon: float, stream: NoiseStream, start_time: float = 0.0) -> Trajectory:
     """Run the thinning dynamics on [start_time, start_time + horizon].
 
@@ -307,13 +292,14 @@ def simulate(model: RateModel, space: SpaceSpec, initial: TimedConfiguration,
 
 
 def coupled_simulate(model: RateModel, space: SpaceSpec,
-                     initial_low: TimedConfiguration, initial_up: TimedConfiguration,
+                     initial_low: Configuration, initial_up: Configuration,
                      horizon: float, stream: NoiseStream,
                      start_time: float = 0.0) -> tuple[Trajectory, Trajectory]:
     """Run two coupled copies on identical noise.
 
     The initial states must be nested as timed configurations: every id of
-    initial_low appears in initial_up with the same coordinates and clock.
+    initial_low appears in initial_up with the same coordinates, death mark
+    and birth time.
     For models flagged attractive (nondecreasing rates) the lower path stays
     inside the upper path for all time; that containment is asserted at every
     decision, and a violation is reported as a bug, not a statistics failure.
@@ -322,8 +308,9 @@ def coupled_simulate(model: RateModel, space: SpaceSpec,
         if pid not in initial_up:
             raise SimulationConfigError("coupled_simulate: initial states are not nested")
         a, b = initial_low.entry(pid), initial_up.entry(pid)
-        if not np.array_equal(a.coords, b.coords) or a.clock != b.clock:
-            raise SimulationConfigError("coupled_simulate: shared initial points must share clocks")
+        if not np.array_equal(a.coords, b.coords) or a[1:] != b[1:]:  # clock, birth time
+            raise SimulationConfigError(
+                "coupled_simulate: shared initial points must share clocks and birth times")
 
     attractive = model.monotone in ("nondecreasing", "constant")
     low, up = run_paths(model, space, [initial_low, initial_up], horizon,

@@ -3,7 +3,9 @@
 Points live in a bounded rectangular window, either with periodic boundary
 (torus metric) or free boundary (Euclidean metric). Configurations are finite
 counting measures: multisets of points carrying opaque ids so that births and
-deaths can be tracked without imposing an order.
+deaths can be tracked without imposing an order. A configuration is also a
+run's timed state: each point keeps the birth time s and death mark r of its
+proposal atom (x, s, r).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,7 +70,7 @@ class SpaceSpec:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.lengths))
+        return float(math.prod(self.lengths))  # np.prod's product, without its array set-up
 
     @property
     def beta_total(self) -> float:
@@ -147,32 +150,47 @@ def distances_to(space: SpaceSpec, x: NDArray, pts: NDArray) -> NDArray[np.float
 _MIN_CAPACITY = 8
 _EMPTY = np.zeros((0, 0))
 _EMPTY.flags.writeable = False
+_NO_TIMES = _EMPTY.reshape(0)
+
+
+class TimedPoint(NamedTuple):
+    """A point as Configuration.entry gives it. Under a constant death rate
+    delta0 it dies at birth_time + clock / delta0; clock is NaN for a point
+    added without a death mark."""
+
+    coords: NDArray[np.float64]
+    clock: float
+    birth_time: float
 
 
 class Configuration:
-    """Finite multiset of points with opaque ids.
+    """Finite multiset of points with opaque ids, each with a death mark and a
+    birth time.
 
     Two configurations are equal when they carry the same multiset of
-    coordinates; ids never enter comparisons.
+    coordinates; ids, marks and birth times never enter comparisons.
 
     The coordinates live in one contiguous (capacity, d) array whose capacity
-    doubles when it is full; a dict maps each id to its row (in insertion
-    order, which ids() and items() follow) and a list maps each row back to
-    its id. Removing a point moves the last row into the freed slot, so the
-    rows are the live points in no particular order. points_array() is a
-    read-only view of those rows, valid until the next add or remove;
-    coords(), items() and remove() return copies.
+    doubles when it is full, with the death marks (NaN for a point added
+    without one) and birth times in two float64 columns beside it. A dict
+    maps each id to its row (in insertion order, which ids() and items()
+    follow) and a list maps each row back to its id. Removing a point moves
+    the last row into the freed slot, so the rows are the live points in no
+    particular order. points_array() and timing() are read-only views of
+    those rows, valid until the next add or remove; coords(), entry(),
+    items() and remove() return copies.
 
     Derived indexes (a rate model's occupancy counts, a neighbour grid) are
     built from the live points the first time index() is asked for one, and
-    every later add and remove updates them. copy() and every new
-    configuration start with none.
+    every later add and remove updates them. copy(), restrict() and every
+    new configuration start with none.
     """
 
-    __slots__ = ("_xs", "_row", "_ids", "_indexes")
+    __slots__ = ("_xs", "_mark", "_born", "_row", "_ids", "_indexes")
 
     def __init__(self, points: dict[str, NDArray[np.float64]] | None = None):
         self._xs: NDArray[np.float64] = _EMPTY
+        self._mark = self._born = _NO_TIMES
         self._row: dict[str, int] = {}
         self._ids: list[str] = []
         self._indexes: dict = {}
@@ -181,31 +199,59 @@ class Configuration:
                 self.add(pid, x)
 
     @classmethod
-    def from_points(cls, pts, prefix: str = "p") -> "Configuration":
+    def from_columns(cls, ids, xs, mark=None, born=0.0) -> "Configuration":
+        """The point ids[i] at xs[i] with death mark mark[i] (NaN for all when
+        mark is None) and birth time born (one for all or one per point), rows
+        in that order. The columns are copied."""
+        ids, xs = list(ids), np.array(xs, dtype=float)
+        if not ids:
+            return cls()
+        if mark is None:
+            mark = np.full(len(ids), math.nan)
+        elif not (mark := np.array(mark, dtype=float)).min() > 0:
+            raise SimulationConfigError(f"residual clock must be > 0, got {mark.min()}")
+        if xs.ndim != 2 or len(xs) != len(ids) or mark.shape != (len(ids),):
+            raise SimulationConfigError(f"{len(ids)} ids for points of shape {xs.shape}")
+        return cls._of_rows(ids, xs, mark, np.full(len(ids), born, dtype=float))
+
+    @classmethod
+    def _of_rows(cls, ids: list, xs, mark, born) -> "Configuration":
+        """The configuration whose store is these columns, uncopied (row i is ids[i])."""
         cfg = cls()
-        pts = np.asarray(pts, dtype=float)
-        if pts.size == 0:
-            return cfg
-        for i, x in enumerate(np.atleast_2d(pts)):
-            cfg.add(f"{prefix}{i}", x)
+        cfg._row = dict(zip(ids, range(len(ids))))
+        if len(cfg._row) != len(ids):
+            raise SimulationConfigError("duplicate point ids")
+        cfg._ids, cfg._xs, cfg._mark, cfg._born = ids, xs, mark, born
         return cfg
 
-    def add(self, pid: str, x) -> None:
+    @classmethod
+    def from_points(cls, pts, prefix: str = "p") -> "Configuration":
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return cls.from_columns([f"{prefix}{i}" for i in range(len(pts) if pts.size else 0)], pts)
+
+    def add(self, pid: str, x, mark: float | None = None, born: float = 0.0) -> None:
+        """Add point pid at x, with death mark mark (NaN when None), born at born."""
         if pid in self._row:
             raise SimulationConfigError(f"duplicate point id {pid!r}")
+        if mark is None:
+            mark = math.nan
+        elif not (mark > 0):
+            raise SimulationConfigError(f"residual clock must be > 0, got {mark}")
         x = np.asarray(x, dtype=float)
         n = len(self._ids)
         xs = self._xs
-        if x.shape != xs.shape[1:]:
-            if x.ndim != 1 or n:
-                raise SimulationConfigError(
-                    f"point of shape {x.shape} does not fit a configuration of shape {xs.shape[1:]}")
-            xs = self._xs = np.empty((_MIN_CAPACITY, len(x)))
-        elif n == len(xs):
-            grown = np.empty((max(2 * n, _MIN_CAPACITY), len(x)))
-            grown[:n] = xs
-            xs = self._xs = grown
+        if x.shape != xs.shape[1:] or n == len(xs):
+            if x.shape != xs.shape[1:] and (x.ndim != 1 or n):
+                raise SimulationConfigError(f"point of shape {x.shape} does not fit a "
+                                            f"configuration of shape {xs.shape[1:]}")
+            grown = max(2 * n, _MIN_CAPACITY)
+            xs, mark_col, born_col = np.empty((grown, len(x))), np.empty(grown), np.empty(grown)
+            if n:
+                xs[:n], mark_col[:n], born_col[:n] = self._xs[:n], self._mark[:n], self._born[:n]
+            self._xs, self._mark, self._born = xs, mark_col, born_col
         xs[n] = x
+        self._mark[n] = mark
+        self._born[n] = born
         self._row[pid] = n
         self._ids.append(pid)
         if self._indexes:
@@ -222,7 +268,8 @@ class Configuration:
         x = xs[row].copy()
         last = ids.pop()
         if last != pid:
-            xs[row] = xs[len(ids)]
+            n = len(ids)
+            xs[row], self._mark[row], self._born[row] = xs[n], self._mark[n], self._born[n]
             ids[row] = last
             self._row[last] = row
         if self._indexes:
@@ -248,6 +295,10 @@ class Configuration:
     def coords(self, pid: str) -> NDArray[np.float64]:
         return self._xs[self._row[pid]].copy()
 
+    def entry(self, pid: str) -> TimedPoint:
+        row = self._row[pid]
+        return TimedPoint(self._xs[row].copy(), float(self._mark[row]), float(self._born[row]))
+
     def ids(self):
         return self._row.keys()
 
@@ -272,12 +323,31 @@ class Configuration:
         view.flags.writeable = False
         return view
 
+    def timing(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """The death marks and birth times of the rows of points_array(), as
+        read-only views valid until the next add or remove."""
+        mark, born = self._mark[:len(self._ids)], self._born[:len(self._ids)]
+        mark.flags.writeable = born.flags.writeable = False
+        return mark, born
+
     def copy(self) -> "Configuration":
+        n = len(self._ids)
         out = Configuration()
-        out._xs = self._xs[:len(self._ids)].copy()
-        out._row = dict(self._row)
-        out._ids = list(self._ids)
+        out._xs, out._mark, out._born = (a[:n].copy() for a in (self._xs, self._mark, self._born))
+        out._row, out._ids = dict(self._row), list(self._ids)
         return out
+
+    def restrict(self, ids) -> "Configuration":
+        """A new configuration of the points ids, with their marks and birth
+        times, rows in the order of ids."""
+        ids = list(ids)
+        if not ids:
+            return Configuration()
+        # rows past the last take filler, so that the next add does not grow
+        rows = np.zeros(max(2 * len(ids), _MIN_CAPACITY), dtype=np.intp)
+        rows[:len(ids)] = [self._row[pid] for pid in ids]
+        return Configuration._of_rows(ids, self._xs.take(rows, axis=0), self._mark.take(rows),
+                                      self._born.take(rows))
 
     def multiset(self) -> Counter:
         # Counted in insertion order, so iteration over the result does not
@@ -406,80 +476,10 @@ def neighbour_grid(space: SpaceSpec, eta: Configuration, radius: float) -> Neigh
                      lambda: NeighbourGrid(space, radius))
 
 
-# ---------------------------------------------------------------------------
-# timed configurations
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TimedPoint:
-    """A live point with its residual death clock.
-
-    clock is the remaining exponential mark: the point dies when the
-    accumulated death hazard after birth_time reaches it. Under a constant
-    death rate delta0 the death time is birth_time + clock / delta0.
-    """
-
-    coords: NDArray[np.float64]
-    clock: float
-    birth_time: float = 0.0
-
-
-class TimedConfiguration:
-    """Configuration whose points carry residual clocks and birth times."""
-
-    __slots__ = ("_pts",)
-
-    def __init__(self, points: dict[str, TimedPoint] | None = None):
-        self._pts: dict[str, TimedPoint] = dict(points) if points else {}
-
-    def add(self, pid: str, entry: TimedPoint) -> None:
-        if pid in self._pts:
-            raise SimulationConfigError(f"duplicate point id {pid!r}")
-        if not (entry.clock > 0):
-            raise SimulationConfigError(f"residual clock must be > 0, got {entry.clock}")
-        self._pts[pid] = entry
-
-    def remove(self, pid: str) -> TimedPoint:
-        try:
-            return self._pts.pop(pid)
-        except KeyError:
-            raise SimulationConfigError(f"unknown point id {pid!r}") from None
-
-    def entry(self, pid: str) -> TimedPoint:
-        return self._pts[pid]
-
-    def items(self):
-        return self._pts.items()
-
-    def ids(self):
-        return self._pts.keys()
-
-    def __len__(self) -> int:
-        return len(self._pts)
-
-    def __contains__(self, pid: str) -> bool:
-        return pid in self._pts
-
-    def copy(self) -> "TimedConfiguration":
-        out = TimedConfiguration()
-        out._pts = {pid: TimedPoint(e.coords.copy(), e.clock, e.birth_time)
-                    for pid, e in self._pts.items()}
-        return out
-
-    def projection(self) -> Configuration:
-        """Forget clocks and birth times."""
-        cfg = Configuration()
-        for pid, e in self._pts.items():
-            cfg.add(pid, e.coords)
-        return cfg
-
-    def restrict(self, ids) -> "TimedConfiguration":
-        """Sub-configuration on a subset of ids, sharing clock values."""
-        out = TimedConfiguration()
-        for pid in ids:
-            e = self._pts[pid]
-            out.add(pid, TimedPoint(e.coords.copy(), e.clock, e.birth_time))
-        return out
+# A state with death marks was once a class of its own; the benchmark's
+# workloads (perfbench/workloads.py) and the public sbdsim namespace import
+# the name, and a Configuration is that state now.
+TimedConfiguration = Configuration
 
 
 # ---------------------------------------------------------------------------

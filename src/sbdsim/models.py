@@ -722,8 +722,9 @@ def detailed_balance_residual(model: RateModel, space: SpaceSpec, x,
 
 @dataclass(frozen=True)
 class ContractionEstimate:
-    """Contraction constant, its error (a bound, or a grid's |fine - coarse|)
-    and the fine grid's points per axis (0 without a grid)."""
+    """Contraction constant, its error (a bound, or a grid's |fine - coarse|
+    raised to the grid's step bound) and the fine grid's points per axis (0
+    without a grid)."""
 
     value: float
     error: float
@@ -813,13 +814,30 @@ def _radial_contraction(model: RateModel, space: SpaceSpec) -> ContractionEstima
 
 def _window_contraction(model: RateModel, space: SpaceSpec, n: int) -> ContractionEstimate:
     """contraction_constant at the window's centre x0 on midpoint grids of
-    the whole window at n and 2n points per axis (the difference is the
-    error estimate), n halved until (2n)^d fits _WINDOW_GRID_BUDGET. The
-    kernel sees _KERNEL_ROWS grid rows at a time: an area-interaction kernel
-    tests each row against every QMC grain node."""
+    the whole window at n and 2n points per axis, n halved until (2n)^d fits
+    _WINDOW_GRID_BUDGET. The kernel sees _KERNEL_ROWS grid rows at a time:
+    an area-interaction kernel tests each row against every QMC grain node.
+
+    The error is the grids' difference, raised for a radial step kernel
+    (pairwise, nearest neighbour) to the fine grid's step bound, which the
+    difference can understate by orders of magnitude: with jump j_k at
+    radius R_k, a cell errs only if a jump sphere cuts it, by at most the
+    jump times its volume, and such a cell lies within one cell diagonal h
+    of the sphere, so the error is at most
+    intensity |B_d| sum_k j_k ((R_k + h)^d - max(R_k - h, 0)^d).
+    """
     while n > 1 and (2 * n) ** space.dimension > _WINDOW_GRID_BUDGET:
         n //= 2
     x0 = space.lengths_array() / 2.0
+    radii, jumps = np.zeros(0), np.zeros(0)
+    if isinstance(model, PairwiseRate):
+        radii, jumps = np.array([model.interaction_range]), -math.expm1(-model.theta)
+    elif isinstance(model, NearestNeighborRate):
+        kernel = np.abs(model.value_at_infinity - model._table)  # 0 past the last breakpoint
+        radii, jumps = model._breaks, np.abs(np.diff(kernel))
+    h, d = math.hypot(*space.lengths) / (2 * n), space.dimension
+    step = space.intensity * unit_ball_volume(d) * float(
+        np.sum(jumps * ((radii + h) ** d - np.maximum(radii - h, 0.0) ** d)))
 
     def integral(res: int) -> float:
         # the kernel is computed per point, so the chunks join to the values
@@ -831,7 +849,7 @@ def _window_contraction(model: RateModel, space: SpaceSpec, n: int) -> Contracti
 
     coarse = integral(n)
     fine = integral(2 * n)
-    return ContractionEstimate(value=fine, error=abs(fine - coarse), resolution=2 * n)
+    return ContractionEstimate(value=fine, error=max(abs(fine - coarse), step), resolution=2 * n)
 
 
 # ---------------------------------------------------------------------------

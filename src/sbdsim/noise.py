@@ -36,7 +36,7 @@ from collections import OrderedDict
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import Configuration, SimulationConfigError, SpaceSpec, TimedConfiguration, TimedPoint
+from .geometry import Configuration, SimulationConfigError, SpaceSpec
 
 _MASK64 = (1 << 64) - 1
 
@@ -263,15 +263,12 @@ class NoiseStream:
 # initial conditions
 # ---------------------------------------------------------------------------
 
-def initial_clocks(eta0: Configuration, seed: int, birth_time: float = 0.0) -> TimedConfiguration:
-    """Attach independent unit-exponential residual clocks to a configuration."""
+def initial_clocks(eta0: Configuration, seed: int, birth_time: float = 0.0) -> Configuration:
+    """eta0's points in sorted-id order with independent unit-exponential death
+    marks, drawn in that order, and birth time birth_time."""
     ids = sorted(eta0.ids())
     clocks = keyed_generator(seed, TAG_CLOCK).exponential(1.0, size=len(ids))
-    timed = TimedConfiguration()
-    for pid, clock in zip(ids, clocks.tolist()):
-        timed.add(pid, TimedPoint(coords=eta0.coords(pid), clock=clock,
-                                  birth_time=birth_time))
-    return timed
+    return Configuration.from_columns(ids, eta0.restrict(ids).points_array(), clocks, birth_time)
 
 
 def poisson_configuration(space: SpaceSpec, intensity, seed: int,

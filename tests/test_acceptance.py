@@ -91,7 +91,7 @@ def test_criterion_02_occupancy_oracle_equivalence():
     for i in range(10_000):
         stream = NoiseStream.for_model(model, space, replicate_seed(11713, i))
         fwd.append(simulate(model, space, TimedConfiguration(), 20.0,
-                            stream).final.projection())
+                            stream).final)
     tv_fwd = tv_distance(empirical_count_table(fwd, model, space), table)
 
     cftp = [perfect_sample(model, space, replicate_seed(11714, i)).configuration
@@ -165,7 +165,7 @@ def test_criterion_06_attractive_containment():
     # independent replay: walk both logs and recheck multiset containment
     # after every batch of simultaneous events
     state_low: Counter = Counter()
-    state_up = Counter(e.coords.tobytes() for _, e in up.initial.items())
+    state_up = Counter(x.tobytes() for _, x in up.initial.items())
     merged = sorted([(ev.time, 0, ev) for ev in low.events]
                     + [(ev.time, 1, ev) for ev in up.events],
                     key=lambda r: r[0])

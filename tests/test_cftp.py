@@ -9,6 +9,7 @@ from scipy import stats
 from sbdsim import engine
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
+    _match_subset_ids,
     coupling_decay_curve,
     dominating_window,
     extremal_lookback_counts,
@@ -45,9 +46,14 @@ def rows(proposals):
                     proposals.u.tolist()))
 
 
+def entries(state):
+    """(id, TimedPoint) of every point of state, in insertion order."""
+    return [(pid, state.entry(pid)) for pid in state.ids()]
+
+
 def window_key(state, proposals):
     """Every bit of a window: D at its start and its proposals, in order."""
-    return (sorted((pid, e.coords.tobytes(), e.clock, e.birth_time) for pid, e in state.items()),
+    return (sorted((pid, e.coords.tobytes(), e.clock, e.birth_time) for pid, e in entries(state)),
             [(pid, x.tobytes(), s, r, u) for pid, x, s, r, u in rows(proposals)])
 
 
@@ -61,7 +67,7 @@ def test_dominating_window_deterministic_and_alive():
         assert window_key(*a) == window_key(*b)
         state, proposals = a
         assert len(state) > 0 and len(proposals) > 0
-        for _, e in state.items():
+        for _, e in entries(state):
             assert e.clock > 0 and e.birth_time < -3.0
             assert engine._death_time(e.birth_time, e.clock, delta0) > -3.0
         births = proposals.s.tolist()
@@ -80,7 +86,7 @@ def test_dominating_state_count_is_poisson(T):
         state, _ = dominating_window(stream, -T, delta0)
         counts.append(len(state))
         residuals += [delta0 * (engine._death_time(e.birth_time, e.clock, delta0) + T)
-                      for _, e in state.items()]
+                      for _, e in entries(state)]
     mean = rate / delta0
     probs = {k: float(stats.poisson.pmf(k, mean)) for k in range(40)}
     assert chi_square_gof(counts, probs).pvalue > 0.01
@@ -111,7 +117,7 @@ def test_dominating_window_bit_identical_across_lookbacks(space, slab):
                     continue
                 state, proposals = windows[deep]
                 # D at the shallower start, from the deeper window alone
-                alive = [(pid, e.coords, e.clock, e.birth_time) for pid, e in state.items()
+                alive = [(pid, e.coords, e.clock, e.birth_time) for pid, e in entries(state)
                          if engine._death_time(e.birth_time, e.clock, delta0) > start]
                 alive += [(pid, x, r, s) for pid, x, s, r, _ in rows(proposals) if s < start
                           and engine._death_time(s, r, delta0) > start]
@@ -132,14 +138,14 @@ def test_dominating_state_is_the_deeper_state_carried_forward():
         deep, deep_props = dominating_window(stream, -2 * T, delta0)
         shallow, _ = dominating_window(stream, -T, delta0)
         expect = {}
-        for pid, e in deep.items():
+        for pid, e in entries(deep):
             if engine._death_time(e.birth_time, e.clock, delta0) > -T:
                 expect[pid] = (e.coords.tobytes(), e.clock, e.birth_time)
         for pid, x, s, r, _ in rows(deep_props):
             if s < -T and engine._death_time(s, r, delta0) > -T:
                 expect[pid] = (x.tobytes(), r, s)
         assert {pid: (e.coords.tobytes(), e.clock, e.birth_time)
-                for pid, e in shallow.items()} == expect
+                for pid, e in entries(shallow)} == expect
 
 
 class _ScanRecorder(NoiseStream):
@@ -329,10 +335,10 @@ def test_merged_pass_keeps_the_two_path_trajectories(model, intensity):
             state = sandwich_run(model, space, lookback, stream)
             assert births == [{ev.point_id for ev in path.events if ev.kind == "birth"}
                               for path in (low, up)]
-            assert run.finals == [low.final.projection(), up.final.projection()]
-            assert state.lower == low.final.projection()
-            assert state.upper == up.final.projection()
-            assert state.coalesced == (low.final.projection() == up.final.projection())
+            assert run.finals == [low.final, up.final]
+            assert state.lower == low.final
+            assert state.upper == up.final
+            assert state.coalesced == (low.final == up.final)
             assert (state.proposals, state.merged) == (run.proposals, run.merged)
             assert state.proposals == len(
                 dominating_window(stream, -state.lookback, model.death.rate)[1])
@@ -579,6 +585,53 @@ def test_coalesced_state_equals_forward_run_from_deep_past():
             for initial in (anc, TimedConfiguration()):
                 run = engine.run_paths(model, space, [initial], T, proposals, -T)
                 assert run.finals[0] == res.configuration
+
+
+# ---------------------------------------------------------------------------
+# coupling decay set-up
+# ---------------------------------------------------------------------------
+
+def scan_match_subset_ids(eta_low, timed_up):
+    """The quadratic scan that _match_subset_ids replaced, kept as its
+    reference: for each point of eta_low in sorted-id order, the smallest
+    remaining id of timed_up with the same coordinate bytes."""
+    remaining = {pid: timed_up.coords(pid).tobytes() for pid in timed_up.ids()}
+    chosen = []
+    for _, x in sorted(eta_low.items()):
+        key = x.tobytes()
+        hit = next((pid for pid, k in sorted(remaining.items()) if k == key), None)
+        if hit is None:
+            raise SimulationConfigError("lower initial state is not a sub-multiset of the upper")
+        chosen.append(hit)
+        del remaining[hit]
+    return chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.1, 0.25, 0.5]), st.booleans()), max_size=14),
+       st.sampled_from([None, 0.1, 0.9]), st.randoms(use_true_random=False))
+def test_match_subset_ids_picks_the_ids_of_the_scan(points, stray, rnd):
+    # the upper state holds repeated coordinates under shuffled ids (u10
+    # sorts before u2); the lower one takes the flagged points, and perhaps
+    # one more point that the upper state may not hold, under ids of its own
+    up_ids = [f"u{i}" for i in range(len(points))]
+    rnd.shuffle(up_ids)
+    up = Configuration()
+    for pid, (x, _) in zip(up_ids, points):
+        up.add(pid, [x], mark=1.0)
+    low_xs = [x for x, keep in points if keep] + ([stray] if stray is not None else [])
+    low_ids = [f"l{i}" for i in range(len(low_xs))]
+    rnd.shuffle(low_ids)
+    low = Configuration()
+    for pid, x in zip(low_ids, low_xs):
+        low.add(pid, [x])
+    try:
+        expect = scan_match_subset_ids(low, up)
+    except SimulationConfigError:
+        with pytest.raises(SimulationConfigError, match="not a sub-multiset"):
+            _match_subset_ids(low, up)
+    else:
+        assert _match_subset_ids(low, up) == expect
 
 
 if __name__ == "__main__":

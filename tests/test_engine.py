@@ -17,7 +17,6 @@ from sbdsim.geometry import (
     SimulationConfigError,
     SpaceSpec,
     TimedConfiguration,
-    TimedPoint,
 )
 from sbdsim.models import (
     AreaInteractionRate,
@@ -38,7 +37,7 @@ def make_stream(model, seed=SEED, slab=1.0):
 def timed_from(pairs, birth_time=0.0):
     out = TimedConfiguration()
     for pid, x, clock in pairs:
-        out.add(pid, TimedPoint(np.array([x]), clock, birth_time))
+        out.add(pid, np.array([x]), clock, birth_time)
     return out
 
 
@@ -117,8 +116,8 @@ def test_zero_horizon_is_identity():
     model = ConstantRate(rate=5.0)
     traj = simulate(model, SPACE, init, 0.0, make_stream(model))
     assert traj.events == []
-    assert snapshot(traj, 0.0) == init.projection()
-    assert {pid: e.clock for pid, e in traj.final.items()} == {"a": 1.0, "b": 3.0}
+    assert snapshot(traj, 0.0) == init
+    assert {pid: traj.final.entry(pid).clock for pid in traj.final.ids()} == {"a": 1.0, "b": 3.0}
 
 
 def test_negative_horizon_rejected():
@@ -146,10 +145,10 @@ def test_snapshot_at_end_matches_final_state():
     eta0 = poisson_configuration(SPACE, 4.0, 99)
     init = initial_clocks(eta0, 100)
     traj = simulate(model, SPACE, init, 25.0, make_stream(model))
-    assert snapshot(traj, traj.end_time) == traj.final.projection()
+    assert snapshot(traj, traj.end_time) == traj.final
     timed = timed_snapshot(traj, traj.end_time)
-    assert {pid: e.clock for pid, e in timed.items()} == \
-        {pid: e.clock for pid, e in traj.final.items()}
+    assert {pid: timed.entry(pid).clock for pid in timed.ids()} == \
+        {pid: traj.final.entry(pid).clock for pid in traj.final.ids()}
 
 
 def test_snapshot_interpolates_event_log():
@@ -207,7 +206,7 @@ def test_restart_from_timed_snapshot_continues_exactly(delta0):
         whole = simulate(model, SPACE, TimedConfiguration(), 30.0, stream)
         head = simulate(model, SPACE, TimedConfiguration(), t_restart, stream)
         mid = timed_snapshot(whole, t_restart)
-        assert snapshot(head, t_restart) == mid.projection()
+        assert snapshot(head, t_restart) == mid
         tail = simulate(model, SPACE, mid, 30.0 - t_restart, stream, start_time=t_restart)
         whole_tail = [(ev.time, ev.kind, ev.point_id, tuple(map(float, ev.x)))
                       for ev in whole.events if t_restart < ev.time <= tail.end_time]
@@ -216,6 +215,20 @@ def test_restart_from_timed_snapshot_continues_exactly(delta0):
         if restart != whole_tail or snapshot(tail, 30.0) != snapshot(whole, 30.0):
             broken.append(seed)
     assert broken == []
+
+
+def test_unmarked_initial_state_rejected():
+    # a point added without a death mark holds NaN, which compares false
+    # with every time, so it would never die: the run refuses it
+    model = ConstantRate(rate=1.0)
+    bare = Configuration.from_points(np.array([[0.2], [0.7]]))
+    with pytest.raises(SimulationConfigError, match="death mark nan"):
+        simulate(model, SPACE, bare, 1.0, make_stream(model))
+    marked = initial_clocks(bare, 5)
+    assert len(simulate(model, SPACE, marked, 1.0, make_stream(model)).initial) == 2
+    marked.add("late", np.array([0.5]))
+    with pytest.raises(SimulationConfigError, match="'late' with death mark nan"):
+        simulate(model, SPACE, marked, 1.0, make_stream(model))
 
 
 def test_initial_point_dead_at_start_rejected():
@@ -256,6 +269,11 @@ def test_coupled_rejects_non_nested_initials():
     up2 = timed_from([("a", 0.2, 2.0)])  # same id, different clock
     with pytest.raises(SimulationConfigError):
         coupled_simulate(model, SPACE, low, up2, 1.0, make_stream(model))
+    # same id and clock, born earlier: it would die at 0.5 on the upper path
+    # and at 1.0 on the lower one, which is not nested on (0.5, 1.0)
+    up3 = timed_from([("a", 0.2, 1.0)], birth_time=-0.5)
+    with pytest.raises(SimulationConfigError):
+        coupled_simulate(ConstantRate(rate=0.0), SPACE, low, up3, 1.0, make_stream(model))
 
 
 def test_coupled_attractive_paths_stay_nested():

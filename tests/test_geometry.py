@@ -11,7 +11,6 @@ from sbdsim.geometry import (
     SimulationConfigError,
     SpaceSpec,
     TimedConfiguration,
-    TimedPoint,
     configuration_contains,
     displacement,
     distances_to,
@@ -244,16 +243,16 @@ def test_nearest_distance():
 
 def test_timed_configuration_clock_positive():
     tc = TimedConfiguration()
-    tc.add("a", TimedPoint(np.array([0.3]), clock=0.5, birth_time=-1.0))
+    tc.add("a", np.array([0.3]), mark=0.5, born=-1.0)
     with pytest.raises(SimulationConfigError):
-        tc.add("b", TimedPoint(np.array([0.3]), clock=0.0))
+        tc.add("b", np.array([0.3]), mark=0.0)
 
 
 def test_timed_projection_and_restrict():
     tc = TimedConfiguration()
-    tc.add("a", TimedPoint(np.array([0.3]), clock=1.0))
-    tc.add("b", TimedPoint(np.array([0.6]), clock=2.0))
-    proj = tc.projection()
+    tc.add("a", np.array([0.3]), mark=1.0)
+    tc.add("b", np.array([0.6]), mark=2.0)
+    proj = tc  # marks are columns of the state, which is its own projection
     assert len(proj) == 2 and proj.coords("a")[0] == 0.3
     sub = tc.restrict(["b"])
     assert list(sub.ids()) == ["b"]

@@ -423,14 +423,14 @@ def test_poisson_configuration_callable_intensity():
 def test_initial_clocks_exponential():
     eta = poisson_configuration(SPACE, 600.0, SEED)
     timed = initial_clocks(eta, SEED + 1, birth_time=-2.0)
-    clocks = [e.clock for _, e in timed.items()]
+    clocks = [timed.entry(pid).clock for pid in timed.ids()]
     assert min(clocks) > 0
     assert stats.kstest(clocks, "expon").pvalue > 0.01
-    assert all(e.birth_time == -2.0 for _, e in timed.items())
+    assert all(timed.entry(pid).birth_time == -2.0 for pid in timed.ids())
     # same ids and coordinates as the untimed configuration
     assert set(timed.ids()) == set(eta.ids())
     redo = initial_clocks(eta, SEED + 1, birth_time=-2.0)
-    assert [e.clock for _, e in redo.items()] == clocks
+    assert [redo.entry(pid).clock for pid in redo.ids()] == clocks
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -454,8 +454,8 @@ def test_initial_state_draws_match_the_per_point_loops(dimension):
         clocks = {pid: float(rng.exponential(1.0)) for pid in sorted(eta.ids())}
         timed = initial_clocks(eta, seed + 1)
         assert list(timed.ids()) == list(clocks)
-        assert [e.clock for _, e in timed.items()] == list(clocks.values())
-        assert all(np.array_equal(e.coords, eta.coords(pid)) for pid, e in timed.items())
+        assert [timed.entry(pid).clock for pid in timed.ids()] == list(clocks.values())
+        assert all(np.array_equal(timed.entry(pid).coords, eta.coords(pid)) for pid in timed.ids())
 
 
 if __name__ == "__main__":
