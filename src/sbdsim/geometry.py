@@ -343,9 +343,7 @@ class Configuration:
         ids = list(ids)
         if not ids:
             return Configuration()
-        # rows past the last take filler, so that the next add does not grow
-        rows = np.zeros(max(2 * len(ids), _MIN_CAPACITY), dtype=np.intp)
-        rows[:len(ids)] = [self._row[pid] for pid in ids]
+        rows = np.array([self._row[pid] for pid in ids], dtype=np.intp)
         return Configuration._of_rows(ids, self._xs.take(rows, axis=0), self._mark.take(rows),
                                       self._born.take(rows))
 

@@ -30,7 +30,7 @@ workloads = load_workloads()
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
-def test_benchmark_workload_passes_its_own_check(name, tmp_path, capsys):
+def test_benchmark_workload_passes_its_own_check(name, tmp_path):
     # call 0 of a run with seed 1, as the benchmark makes it
     wl = workloads.WORKLOADS[name]
     cfg_path = tmp_path / "input.json"
