@@ -223,8 +223,7 @@ def cmd_perfect_sample(cfg: RunConfig, out_dir: str) -> int:
                       sorted([float(v) for v in x]
                              for _, x in res.configuration.items())}
             with open(os.path.join(samples_dir, f"sample_{i:05d}.json"), "w") as sf:
-                json.dump(record, sf, sort_keys=True)
-                sf.write("\n")
+                sf.write(json.dumps(record, sort_keys=True) + "\n")
             n_coalesced += res.status == "Coalesced"
     print(f"perfect-sample: {n_coalesced}/{replicates} coalesced")
     return 0

@@ -13,10 +13,11 @@ the lower/upper bracket of coupling from the past (cftp.dominating_window)
 differ only in the rule that turns the states before s into one rate per
 path. A path's own birth rate is the rule unless run_paths(bracket=True)
 makes paths 0 and 1 the bracket, whose rates are the infimum and supremum
-over the states between them. Since every path reads the same proposals,
-two paths that are equal stay equal: a bracket runs as one path from the
-first proposal at which its two sizes agree. A bracket run keeps no event
-log; every other run logs every event.
+over the states between them (for a neighbour-grid model, both from one scan
+of the upper state's grid). Since every path reads the same proposals, two
+paths that are equal stay equal: a bracket runs as one path from the first
+proposal at which its two sizes agree. A bracket run keeps no event log;
+every other run logs every event.
 """
 
 from __future__ import annotations
@@ -64,16 +65,12 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Event log: time, kind, point_id, coordinates."""
-        dim = 0
-        for ev in self.events:
-            dim = len(ev.x)
-            break
-        cols = ",".join(f"x{i+1}" for i in range(dim))
+        coords = np.array([ev.x for ev in self.events], dtype=float)  # shape (n, d); (0,) if none
+        cols = "".join(f",x{i+1}" for i in range(coords.shape[1] if coords.ndim == 2 else 0))
         with open(path, "w") as fh:
-            fh.write(f"time,kind,point_id,{cols}\n" if cols else "time,kind,point_id\n")
-            for ev in self.events:
-                xs = ",".join(repr(float(v)) for v in ev.x)
-                fh.write(f"{ev.time!r},{ev.kind},{ev.point_id},{xs}\n")
+            fh.write(f"time,kind,point_id{cols}\n")
+            for ev, x in zip(self.events, coords.tolist()):
+                fh.write(f"{ev.time!r},{ev.kind},{ev.point_id},{','.join(map(repr, x))}\n")
 
     def canonical_json(self) -> str:
         """Deterministic full-precision serialization, for replay comparisons."""
@@ -222,11 +219,12 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
 
     bracket=True runs paths 0 and 1 as the bracket of coupling from the past:
     path 0 (lower) inside path 1 (upper), with the infimum and supremum of
-    the rate over the states between them (models._sandwich_rates); further
-    paths keep their own rate. Every decision of the pair is checked by
-    _contained. Shared points die at the same time on both paths, so the
-    ids of path 0 stay a subset of those of path 1, and equal sizes mean
-    equal states, after which the two take the same decisions to the end.
+    the rate over the states between them (models._sandwich_rates; a grid
+    model scans path 1's grid alone, and path 0 builds none before the
+    merge); further paths keep their own rate. _contained checks every
+    decision of the pair. Shared points die at the same time on both paths,
+    so path 0's ids stay a subset of path 1's, and equal sizes mean equal
+    states, after which the two take the same decisions to the end.
     So once len(path 0) == len(path 1) before a proposal, the pair runs as
     one path at model.birth_rate, and at the end path 1 takes path 0's live
     state; from the merge on, observe sees path 0's state, rate and decision

@@ -441,8 +441,8 @@ class NeighbourGrid:
             del self._cells[cell]
 
     def near(self, x):
-        """Yield (distance, point) for every point in the cells around x: every
-        point within the radius of x, and possibly some farther ones."""
+        """Yield (distance, pid, point) for every point in the cells around x:
+        every point within the radius of x, and possibly some farther ones."""
         x = np.asarray(x, dtype=float).tolist()
         axes = []
         for i, c in zip(self._cell(x), self._counts):
@@ -457,14 +457,14 @@ class NeighbourGrid:
             members = cells.get(key)
             if members is None:
                 continue
-            for p in members.values():
+            for pid, p in members.items():
                 s = 0.0
                 for pv, xv, L in zip(p, x, lengths):
                     d = abs(pv - xv)
                     if periodic and L - d < d:
                         d = L - d
                     s += d * d
-                yield math.sqrt(s), p
+                yield math.sqrt(s), pid, p
 
 
 def neighbour_grid(space: SpaceSpec, eta: Configuration, radius: float) -> NeighbourGrid:

@@ -17,9 +17,10 @@ and exposes the quantities the solver and the coupling layer need:
 A rate query reads indexes that the configuration keeps up to date across
 births and deaths (Configuration.index) in place of scanning every point: the
 cell-occupancy model keeps its occupancy counts, so its rate is O(1), and the
-pairwise, area-interaction and nearest-neighbour models read a neighbour grid
-(geometry.neighbour_grid) whose cells are at least as wide as their reach, so
-a query costs the points nearby. Both give exactly the rate of a full scan.
+pairwise, area-interaction and nearest-neighbour models (NeighbourRate) read a
+neighbour grid (geometry.neighbour_grid) with cells as wide as their reach,
+so a query costs the points nearby; both give exactly a full scan's rate. A
+bracket reads both its rates from one scan of the upper grid (_sandwich_rates).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .geometry import (
     Configuration,
     SimulationConfigError,
     SpaceSpec,
-    configuration_contains,
     distances_to,
     neighbour_grid,
 )
@@ -262,6 +262,19 @@ class RateModel:
         return False
 
 
+class NeighbourRate(RateModel):
+    """A rate of the points of eta within support_radius() of x: birth_rate
+    scans eta's neighbour grid and rate_of_neighbours filters what it visits."""
+
+    def birth_rate(self, space, x, eta) -> float:
+        near = neighbour_grid(space, eta, self.support_radius()).near(x)
+        return self.rate_of_neighbours(space, x, near)
+
+    def rate_of_neighbours(self, space: SpaceSpec, x, near) -> float:
+        """The rate at x on the points of near, an iterable of (distance, pid, point)."""
+        raise NotImplementedError
+
+
 @dataclass
 class ConstantRate(RateModel):
     """Configuration-independent birth rate; stationary law is Poisson."""
@@ -292,7 +305,7 @@ class ConstantRate(RateModel):
 
 
 @dataclass
-class PairwiseRate(RateModel):
+class PairwiseRate(NeighbourRate):
     """Repulsive pair potential: a flat penalty theta per neighbor within range.
 
     lambda(x, eta) = exp(-theta * #{y in eta : d(x, y) <= interaction_range}).
@@ -310,10 +323,9 @@ class PairwiseRate(RateModel):
         if not (self.interaction_range > 0):
             raise SimulationConfigError("interaction range must be > 0")
 
-    def birth_rate(self, space, x, eta) -> float:
+    def rate_of_neighbours(self, space, x, near) -> float:
         r = self.interaction_range
-        close = sum(t <= r for t, _ in neighbour_grid(space, eta, r).near(x))
-        return math.exp(-self.theta * close)
+        return math.exp(-self.theta * sum(t <= r for t, _, _ in near))
 
     def birth_rates(self, space, X, eta):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -358,7 +370,7 @@ class PairwiseRate(RateModel):
 
 
 @dataclass
-class AreaInteractionRate(RateModel):
+class AreaInteractionRate(NeighbourRate):
     """Area-interaction rate: each birth is weighted by the grain volume it
     would newly cover.
 
@@ -401,11 +413,10 @@ class AreaInteractionRate(RateModel):
         self._overlap._check_space(space)
         return self._overlap
 
-    def birth_rate(self, space, x, eta) -> float:
+    def rate_of_neighbours(self, space, x, near) -> float:
         ov = self.overlap(space)
         reach = self.support_radius()
-        near = [p for t, p in neighbour_grid(space, eta, reach).near(x) if t < reach]
-        exposed = ov._exposed_volume(space, x, near)
+        exposed = ov._exposed_volume(space, x, [p for t, _, p in near if t < reach])
         return self.rho * math.exp(-exposed * math.log(self.gamma))
 
     def envelope_sup(self, space) -> float:
@@ -447,7 +458,7 @@ class AreaInteractionRate(RateModel):
 
 
 @dataclass
-class NearestNeighborRate(RateModel):
+class NearestNeighborRate(NeighbourRate):
     """Birth rate depending only on the distance to the nearest point.
 
     The profile h is a nondecreasing or nonincreasing step function given by
@@ -488,13 +499,10 @@ class NearestNeighborRate(RateModel):
     def profile(self, t) -> NDArray[np.float64]:
         return self._table[np.searchsorted(self._breaks, t, side="right")]
 
-    def birth_rate(self, space, x, eta) -> float:
+    def rate_of_neighbours(self, space, x, near) -> float:
         # A point at or beyond support_radius() gives value_at_infinity, like
         # no point at all, so the grid only needs to reach that far.
-        reach = self.support_radius()
-        nearest = min((t for t, _ in neighbour_grid(space, eta, reach).near(x)),
-                      default=math.inf)
-        return float(self.profile(nearest))
+        return float(self.profile(min((t for t, _, _ in near), default=math.inf)))
 
     def envelope_sup(self, space) -> float:
         return float(max(max(self.values), self.value_at_infinity))
@@ -648,28 +656,33 @@ def sandwich_rates(model: RateModel, space: SpaceSpec, x,
     sandwiched between eta_low and eta_up.
 
     Exact endpoint evaluation; only monotone models have a bracket, any other
-    raises UnsupportedModelError. The states must be nested; the sandwich
-    pass keeps its pair nested by construction and calls _sandwich_rates
+    raises UnsupportedModelError. The states must be nested by id: every id
+    of eta_low is an id of eta_up, at the same coordinates. The sandwich pass
+    keeps its pair nested so by construction and calls _sandwich_rates
     directly.
     """
-    if not configuration_contains(eta_up, eta_low):
-        raise SimulationConfigError("sandwich_rates: eta_low is not contained in eta_up")
+    if not all(pid in eta_up and np.array_equal(eta_low.coords(pid), eta_up.coords(pid))
+               for pid in eta_low.ids()):
+        raise SimulationConfigError("sandwich_rates: eta_low's ids are not points of eta_up")
     return _sandwich_rates(model, space, x, eta_low, eta_up)
 
 
 def _sandwich_rates(model: RateModel, space: SpaceSpec, x,
                     eta_low: Configuration, eta_up: Configuration) -> tuple[float, float]:
-    """sandwich_rates without the nesting check."""
+    """sandwich_rates without the nesting check. A NeighbourRate scans eta_up's
+    grid once, and eta_low's neighbours are those whose ids eta_low holds."""
     mono = model.monotone
-    if mono == "nonincreasing":
-        return (model.birth_rate(space, x, eta_up), model.birth_rate(space, x, eta_low))
-    if mono == "nondecreasing":
-        return (model.birth_rate(space, x, eta_low), model.birth_rate(space, x, eta_up))
-    if mono == "constant":
-        lam = model.birth_rate(space, x, eta_low)
-        return lam, lam
-    raise UnsupportedModelError(
-        f"sandwich rates need a monotone rate model; {type(model).__name__} is {mono}")
+    if mono not in ("nonincreasing", "nondecreasing", "constant"):
+        raise UnsupportedModelError(
+            f"sandwich rates need a monotone rate model; {type(model).__name__} is {mono}")
+    if isinstance(model, NeighbourRate):
+        near = list(neighbour_grid(space, eta_up, model.support_radius()).near(x))
+        held = eta_low.ids()
+        up = model.rate_of_neighbours(space, x, near)
+        low = model.rate_of_neighbours(space, x, [n for n in near if n[1] in held])
+    else:
+        up, low = model.birth_rate(space, x, eta_up), model.birth_rate(space, x, eta_low)
+    return (up, low) if mono == "nonincreasing" else (low, up)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ their columns directly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections import OrderedDict
@@ -115,6 +116,19 @@ def _fresh_philox_state(key: NDArray[np.uint64]) -> dict:
             "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
+@functools.lru_cache(maxsize=16)
+def _stream_parts(space: SpaceSpec, envelope_total: float, slab_length: float):
+    """A stream's slab mean, side lengths, thinning bound, empty NoiseSlab and
+    Philox generator (every read sets its state in full): none needs the seed."""
+    lengths = space.lengths_array()
+    lengths.setflags(write=False)
+    vol = space.beta_total
+    empty = NoiseSlab(np.empty(0), np.empty((0, space.dimension)), np.empty(0), np.empty(0),
+                      np.empty(0, dtype=object))
+    return (envelope_total * slab_length, lengths, envelope_total / vol if vol > 0 else 0.0,
+            empty, np.random.Generator(np.random.Philox(key=_ZERO4[:2])))
+
+
 class NoiseStream:
     """Deterministic slab-indexed proposal stream for one master seed.
 
@@ -122,8 +136,9 @@ class NoiseStream:
     measure; the per-slab proposal count is Poisson(envelope_total * slab
     length). The envelope is constant, so locations are uniform under the
     reference measure and thinning levels uniform below envelope_sup_value().
-    A stream re-keys one generator per slab, so it must not be shared
-    between threads.
+    Streams of one (space, envelope_total, slab length) share one generator,
+    which each re-keys for every slab and D(0) it draws, so streams must not
+    be used from more than one thread.
     """
 
     def __init__(self, master_seed: int, space: SpaceSpec, envelope_total: float,
@@ -137,19 +152,14 @@ class NoiseStream:
         self.envelope_total = float(envelope_total)
         self.slab_length = float(slab_length)
         self._cache: OrderedDict[int, NoiseSlab] = OrderedDict()
-        self._mean = self.envelope_total * self.slab_length
-        self._lengths = space.lengths_array()
-        vol = space.beta_total
-        self._sup = self.envelope_total / vol if vol > 0 else 0.0
+        self._mean, self._lengths, self._sup, self._empty, self._rng = _stream_parts(
+            space, self.envelope_total, self.slab_length)
+        self._bitgen = self._rng.bit_generator
         self._key = _philox_key(self.master_seed, TAG_SLAB, 0)
-        self._bitgen = np.random.Philox(key=self._key)
-        self._rng = np.random.Generator(self._bitgen)
         # the state of a freshly keyed Philox; _slab_generator sets _key[1]
         self._fresh_state = _fresh_philox_state(self._key)
         self._present_state = _fresh_philox_state(
             _philox_key(self.master_seed, TAG_PRESENT, 0))
-        self._empty = NoiseSlab(np.empty(0), np.empty((0, space.dimension)), np.empty(0),
-                                np.empty(0), np.empty(0, dtype=object))
         self._present: dict[float, NoiseSlab] = {}
 
     @classmethod

@@ -19,7 +19,13 @@ from sbdsim.cftp import (
     perfect_sample,
     sandwich_run,
 )
-from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec, TimedConfiguration
+from sbdsim.geometry import (
+    Configuration,
+    NeighbourGrid,
+    SimulationConfigError,
+    SpaceSpec,
+    TimedConfiguration,
+)
 from sbdsim.models import (
     AreaInteractionRate,
     CellOccupancyRate,
@@ -346,35 +352,37 @@ def test_merged_pass_keeps_the_two_path_trajectories(model, intensity):
     assert merged > 0  # the merge happened, so the comparison covers it
 
 
-def test_merged_pass_calls_the_rate_once_per_proposal(monkeypatch):
-    # before the merge every proposal costs one bracket rule (two birth-rate
-    # calls for a monotone model); after it, one birth-rate call and no rule
+def test_merged_pass_scans_one_grid_per_proposal(monkeypatch):
+    # before the merge every proposal costs one bracket rule, which reads both
+    # rates from one scan of the upper state's neighbour grid; after it, one
+    # birth-rate call, one scan and no rule
     model = PairwiseRate(theta=0.7, interaction_range=0.2)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=5.0)
-    calls = {"rule": 0, "rate": 0}
-    rule, rate = engine._sandwich_rates, PairwiseRate.birth_rate
+    calls = {"rule": 0, "scan": 0}
+    rule, scan = engine._sandwich_rates, NeighbourGrid.near
 
     def counted_rule(*args):
         calls["rule"] += 1
         return rule(*args)
 
-    def counted_rate(self, *args):
-        calls["rate"] += 1
-        return rate(self, *args)
+    def counted_scan(self, x):
+        calls["scan"] += 1
+        return scan(self, x)
 
     monkeypatch.setattr(engine, "_sandwich_rates", counted_rule)
-    monkeypatch.setattr(PairwiseRate, "birth_rate", counted_rate)
-    merged = 0
+    monkeypatch.setattr(NeighbourGrid, "near", counted_scan)
+    merged = split = 0
     for i in range(10):
         stream = NoiseStream.for_model(model, space, replicate_seed(SEED + 5, i))
-        calls.update(rule=0, rate=0)
+        calls.update(rule=0, scan=0)
         state = sandwich_run(model, space, 4.0, stream)
         assert state.proposals == len(dominating_window(stream, -4.0, 1.0)[1])
         assert 0 <= state.merged <= state.proposals
+        assert calls["scan"] == state.proposals
         assert calls["rule"] == state.proposals - state.merged
-        assert calls["rate"] == 2 * calls["rule"] + state.merged
         merged += state.merged
-    assert merged > 0
+        split += calls["rule"]
+    assert merged > 0 and split > 0
 
     # a draw reports the totals over the lookbacks it tried
     res = perfect_sample(model, space, SEED)

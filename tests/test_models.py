@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbdsim import models
-from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec
+from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec, configuration_contains
 from sbdsim.models import (
     AreaInteractionRate,
     CellOccupancyRate,
@@ -379,6 +379,19 @@ def test_sandwich_requires_nested_states():
     m = ConstantRate(rate=1.0)
     with pytest.raises(SimulationConfigError):
         sandwich_rates(m, SPACE, np.array([0.5]), cfg(0.1), cfg(0.9))
+
+
+def test_sandwich_requires_nesting_by_id():
+    # the lower state's coordinates occur in the upper state, but under
+    # other ids: nested as multisets, not by id, so refused
+    m = PairwiseRate(theta=0.5, interaction_range=0.2)
+    up = cfg(0.1, 0.4)
+    low = Configuration.from_points(np.array([[0.1]]), prefix="q")
+    assert configuration_contains(up, low)
+    with pytest.raises(SimulationConfigError, match="ids"):
+        sandwich_rates(m, SPACE, np.array([0.3]), low, up)
+    lo, hi = sandwich_rates(m, SPACE, np.array([0.3]), up.restrict(["p0"]), up)
+    assert (lo, hi) == (math.exp(-1.0), math.exp(-0.5))
 
 
 def test_sandwich_rejects_non_monotone_model():

@@ -13,6 +13,7 @@ from sbdsim.noise import (
     TAG_CLOCK,
     TAG_POISSON,
     TAG_PRESENT,
+    TAG_SLAB,
     NoiseSlab,
     NoiseStream,
     initial_clocks,
@@ -397,6 +398,39 @@ def test_present_points_match_a_freshly_keyed_generator(dimension):
         fresh = stream(env=7.0, seed=seed, space=space)
         assert after[:2] == before
         assert after == [fresh.slab_hash(k) for k in (-2, -1, 0, 3)]
+
+
+def reference_slab(s, k):
+    """Slab k drawn from a freshly keyed generator, in the documented order."""
+    rng = keyed_generator(s.master_seed, TAG_SLAB, k)
+    mean = s.envelope_total * s.slab_length
+    n = int(rng.poisson(mean)) if mean > 0 else 0
+    d = s.space.dimension
+    draws = rng.random(n * (1 + d))
+    times = s.slab_length * draws[:n]
+    xs = s.space.lengths_array() * draws[n:].reshape(n, d)
+    rs = rng.exponential(1.0, size=n)
+    us = s.envelope_sup_value() * rng.random(n)
+    order = times.argsort(kind="stable")
+    return k * s.slab_length + times[order], xs[order], rs[order], us[order]
+
+
+def test_streams_sharing_a_generator_draw_as_if_alone():
+    # streams of one (space, envelope, slab length) share their generator;
+    # reads interleaved across seeds must each give the bits of a freshly
+    # keyed generator, and a stream of other parts has a generator of its own
+    a, b = stream(env=5.0, seed=SEED, space=SPACE2), stream(env=5.0, seed=SEED + 1, space=SPACE2)
+    assert a._rng is b._rng
+    assert stream(env=5.5, space=SPACE2)._rng is not a._rng
+    for i, (s, k) in enumerate([(a, 0), (b, 0), (a, -3), (b, 2), (a, 2), (b, -3)]):
+        got = s.slab_points(k)
+        assert all(np.array_equal(p, q) for p, q in
+                   zip((got.s, got.x, got.r, got.u), reference_slab(s, k)))
+        other, delta0 = (b if s is a else a), 1.0 + 0.1 * i  # a new D(0) each time
+        present = other.present_points(delta0)
+        assert all(np.array_equal(p, q) for p, q in
+                   zip((present.s, present.x, present.r, present.u),
+                       reference_present_points(other, delta0)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbdsim.geometry import Configuration, SpaceSpec, distances_to, nearest_distance
-from sbdsim.models import AreaInteractionRate, CellOccupancyRate, NearestNeighborRate, PairwiseRate
+from sbdsim.models import (
+    AreaInteractionRate,
+    CellOccupancyRate,
+    NearestNeighborRate,
+    PairwiseRate,
+    _sandwich_rates,
+    sandwich_rates,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +163,68 @@ def test_indexed_rates_equal_full_scan(dim, boundary, data):
     for old, pts in kept:
         assert sorted(map(tuple, old.points_array().tolist())) == pts
         assert_rates_match(models, space, [np.array(p) for p in pts[:2]], old)
+
+
+# ---------------------------------------------------------------------------
+# property: both bracket rates of an id-nested pair from one scan
+# ---------------------------------------------------------------------------
+
+def bracket_models(radius):
+    """The grid models with a bracket: pairwise, nearest neighbour with an
+    increasing and a decreasing profile, area interaction repulsive and
+    attractive."""
+    return [
+        PairwiseRate(theta=0.4, interaction_range=radius),
+        NearestNeighborRate(breakpoints=(radius / 2, radius), values=(0.3, 0.9),
+                            value_at_infinity=1.4),
+        NearestNeighborRate(breakpoints=(radius / 2, radius), values=(1.4, 0.9),
+                            value_at_infinity=0.3),
+        AreaInteractionRate(rho=1.2, gamma=0.6, grain_radius=radius / 2,
+                            overlap_resolution=256),
+        AreaInteractionRate(rho=1.2, gamma=1.8, grain_radius=radius / 2,
+                            overlap_resolution=256),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), boundary=st.sampled_from(["periodic", "free"]),
+       data=st.data())
+def test_bracket_rates_from_one_scan_equal_the_two_birth_rates(dim, boundary, data):
+    # _sandwich_rates reads the lower state's neighbours off the upper
+    # state's grid by id; the ordered pair of the two states' own birth
+    # rates (each from its own grid) is the reference, bit for bit
+    lengths = tuple(data.draw(st.sampled_from([1.0, 0.7, 2.5])) for _ in range(dim))
+    space = SpaceSpec(dimension=dim, lengths=lengths, boundary=boundary)
+    radius = min(lengths) * data.draw(st.sampled_from((0.01, 0.1, 0.2, 1 / 3, 0.49)))
+    models = bracket_models(radius)
+    assert {m.monotone for m in models} == {"nonincreasing", "nondecreasing"}
+    low, up = Configuration(), Configuration()
+    anchors: list[tuple] = []
+    next_id = 0
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(["both", "both", "upper", "remove", "remove_lower"]))
+        if op in ("both", "upper"):
+            for _ in range(data.draw(st.integers(1, 6))):
+                x = data.draw(window_point(space, radius, anchors))
+                up.add(f"q{next_id}", x)
+                if op == "both":
+                    low.add(f"q{next_id}", x)
+                anchors.append(tuple(x))
+                next_id += 1
+        elif op == "remove" and len(up):
+            pid = data.draw(st.sampled_from(sorted(up.ids())))
+            up.remove(pid)
+            if pid in low:
+                low.remove(pid)
+        elif op == "remove_lower" and len(low):
+            low.remove(data.draw(st.sampled_from(sorted(low.ids()))))
+        for x in [data.draw(window_point(space, radius, anchors)) for _ in range(3)]:
+            for m in models:
+                rate_up, rate_low = m.birth_rate(space, x, up), m.birth_rate(space, x, low)
+                want = ((rate_up, rate_low) if m.monotone == "nonincreasing"
+                        else (rate_low, rate_up))
+                assert _sandwich_rates(m, space, x, low, up) == want, (type(m).__name__, x)
+                assert sandwich_rates(m, space, x, low, up) == want
 
 
 # ---------------------------------------------------------------------------
