@@ -658,12 +658,12 @@ def sandwich_rates(model: RateModel, space: SpaceSpec, x,
     Exact endpoint evaluation; only monotone models have a bracket, any other
     raises UnsupportedModelError. The states must be nested by id: every id
     of eta_low is an id of eta_up, at the same coordinates. The sandwich pass
-    keeps its pair nested so by construction and calls _sandwich_rates
+    keeps its pair nested by id by construction and calls _sandwich_rates
     directly.
     """
     if not all(pid in eta_up and np.array_equal(eta_low.coords(pid), eta_up.coords(pid))
                for pid in eta_low.ids()):
-        raise SimulationConfigError("sandwich_rates: eta_low's ids are not points of eta_up")
+        raise SimulationConfigError("sandwich_rates: eta_low is not nested in eta_up by ids")
     return _sandwich_rates(model, space, x, eta_low, eta_up)
 
 
