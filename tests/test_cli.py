@@ -369,8 +369,9 @@ def test_validate_command_writes_report(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 # sha256 over the sorted "relative path, sha256 of the file" lines of the
-# output directory of each command on each demo config, plus a fast validate
-# and a 2-D pairwise simulate and perfect-sample
+# output directory of each command on each demo config, plus a fast validate,
+# a 2-D pairwise simulate and perfect-sample, and area-interaction runs whose
+# rates read the grain integrator (QMC nodes in 2-D, interval union in 1-D)
 PINNED_TREE_DIGESTS = {
     ("simulate", "constant_demo"): "6bce35c79599675ae3977ed28d69a1aa6b5ff40954aaaaff920b11984bd60785",
     ("stats", "constant_demo"): "bb520f13b1b51d152ed18fdf59eeb75294368c7ec7d4748e67f6a7917b1432cd",
@@ -387,10 +388,17 @@ PINNED_TREE_DIGESTS = {
         "a9a06cf02d041492e5c19ccf580e16e22a45e3db2baa536a519de7c4dda026c0",
     ("perfect-sample", "pairwise_2d"):
         "d580565997286630d9bdc8acdf96a280b8d45d3fb8e30c7a0412035ed01e7943",
+    ("simulate", "area_2d"):
+        "c4bfe7413db6e29c100c6d7d14fac9a24bb107b4d7cdae5406fc33baf6878186",
+    ("perfect-sample", "area_2d"):
+        "26ca04e8625df63cc5cd0c1d9caa45c3f36c09f5ae1f91db7e229f3b1081cd38",
+    ("perfect-sample", "area_1d"):
+        "05aa0a332303576d6f4a2b78966f988f0b0f5e9f6729032d562646a40ac83ce4",
 }
 
-# configs the digest test writes itself: a fast validate, and a 2-D pairwise
-# model whose noise and states carry (n, 2) location arrays
+# configs the digest test writes itself: a fast validate, a 2-D pairwise
+# model whose noise and states carry (n, 2) location arrays, and attractive
+# area-interaction models in 2-D and 1-D
 WRITTEN_CONFIGS = {
     "fast": {
         "space": {"dimension": 1, "lengths": [1.0], "intensity": 1.0},
@@ -404,6 +412,18 @@ WRITTEN_CONFIGS = {
         "death": {"type": "unit"},
         "seed": 23,
         "run": {"horizon": 3.0, "replicates": 20}},
+    "area_2d": {
+        "space": {"dimension": 2, "lengths": [1.0, 1.0], "boundary": "periodic",
+                  "intensity": 20.0},
+        "model": {"type": "area_interaction", "rho": 1.0, "gamma": 1.5, "grain_radius": 0.05},
+        "death": {"type": "unit"},
+        "seed": 29,
+        "run": {"horizon": 3.0, "replicates": 20}},
+    "area_1d": {
+        "space": {"dimension": 1, "lengths": [1.0], "boundary": "periodic", "intensity": 2.0},
+        "model": {"type": "area_interaction", "rho": 1.5, "gamma": 2.0, "grain_radius": 0.05},
+        "death": {"type": "unit"},
+        "seed": 31},
 }
 
 
