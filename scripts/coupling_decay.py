@@ -34,15 +34,14 @@ TIME_POINTS = 21
 MODELS = {
     "constant": ConstantRate(rate=4.0),
     "pairwise": PairwiseRate(theta=0.5, interaction_range=0.2),
-    "area": AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.05,
-                                overlap_method="exact"),
+    "area": AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.05),
 }
 
 
 def run_one(name, model, args):
     extra = Configuration.from_points(np.linspace(0.05, 0.95, N_EXTRA)[:, None])
     decay = coupling_decay_curve(
-        model, SPACE, Configuration(), extra,
+        model, SPACE, extra,
         horizon=args.horizon, replicates=args.replicates,
         master_seed=args.seed, times=np.linspace(0.0, args.horizon, TIME_POINTS))
     try:

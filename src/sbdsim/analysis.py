@@ -24,7 +24,7 @@ from scipy import sparse, stats
 from scipy.sparse.linalg import spsolve
 from scipy.special import gammaln, logsumexp
 
-from .geometry import Configuration, SimulationConfigError, SpaceSpec
+from .geometry import Configuration, SimulationConfigError, SpaceSpec, distances_to
 from .models import CellOccupancyRate, RateModel
 from .noise import poisson_configuration, replicate_seed
 
@@ -436,7 +436,8 @@ def stationarity_residual(model: RateModel, space: SpaceSpec, samples,
         else:
             f_eta = 1.0
             death_term = 0.0
-        birth_term = float(np.sum(emg * model.birth_rates(space, grid, eta)) * w)
+        rates = np.array([model.birth_rate(space, x, eta) for x in grid])
+        birth_term = float(np.sum(emg * rates) * w)
         vals[j] = f_eta * (birth_term + death_term)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
@@ -605,9 +606,7 @@ def ripley_k(samples, space: SpaceSpec, radii) -> RipleyResult:
             continue
         dists = []
         for i in range(n):
-            d = np.sqrt(np.sum(np.minimum(np.abs(pts - pts[i]),
-                                          space.lengths_array()
-                                          - np.abs(pts - pts[i])) ** 2, axis=1))
+            d = distances_to(space, pts[i], pts)
             d[i] = math.inf
             dists.append(d)
         dists = np.concatenate(dists)

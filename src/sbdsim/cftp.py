@@ -307,11 +307,11 @@ class CouplingDecay:
     replicates: int
 
 
-def coupling_decay_curve(model: RateModel, space: SpaceSpec,
-                         eta0_low: Configuration, eta0_up: Configuration,
+def coupling_decay_curve(model: RateModel, space: SpaceSpec, eta0: Configuration,
                          horizon: float, replicates: int, master_seed: int,
                          times=None, slab_length: float = 1.0) -> CouplingDecay:
-    """Decay of the distance between coupled runs started from nested states.
+    """Decay of the distance between a run started from eta0 and a coupled
+    run started empty, both reading the replicate's proposal stream.
 
     The distance at time t is sup_x of the sum over the symmetric difference
     of a(x, y), estimated on an anchor grid; for models whose increment
@@ -319,8 +319,6 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec,
     The fitted rate is a least-squares slope of log mean distance, weighted
     toward the better-resolved early part of the curve.
     """
-    if not configuration_contains(eta0_up, eta0_low):
-        raise SimulationConfigError("coupling_decay_curve: initial states must be nested")
     if times is None:
         times = np.linspace(0.0, horizon, 11)
     times = np.asarray(times, dtype=float)
@@ -333,12 +331,9 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec,
     acc = np.zeros((len(times), len(anchors))) if kernel_weighted else np.zeros(len(times))
     for rep in range(replicates):
         seed = replicate_seed(master_seed, rep)
-        up_timed = initial_clocks(eta0_up, seed)
-        lone = _match_subset_ids(eta0_low, up_timed)
-        low_timed = up_timed.restrict(lone)
         stream = NoiseStream.for_model(model, space, seed, slab_length)
-        t_low, t_up = engine.coupled_simulate(model, space, low_timed, up_timed,
-                                              horizon, stream)
+        t_low, t_up = engine.coupled_simulate(model, space, Configuration(),
+                                              initial_clocks(eta0, seed), horizon, stream)
         for i, t in enumerate(times):
             c1 = engine.snapshot(t_low, t)
             c2 = engine.snapshot(t_up, t)
@@ -363,19 +358,3 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec,
         rate = float("nan")
     return CouplingDecay(times=times, mean_mass=mean_mass, fitted_rate=rate,
                          kernel_weighted=kernel_weighted, replicates=replicates)
-
-
-def _match_subset_ids(eta_low: Configuration, timed_up: Configuration) -> list:
-    """Ids in timed_up realizing the multiset eta_low (coordinates must match):
-    for each point of eta_low in sorted-id order, the smallest id of
-    timed_up not chosen yet with the same coordinate bytes."""
-    free: dict[bytes, list[str]] = {}
-    for pid in sorted(timed_up.ids(), reverse=True):
-        free.setdefault(timed_up.coords(pid).tobytes(), []).append(pid)
-    chosen = []
-    for pid in sorted(eta_low.ids()):
-        ids = free.get(eta_low.coords(pid).tobytes())
-        if not ids:
-            raise SimulationConfigError("lower initial state is not a sub-multiset of the upper")
-        chosen.append(ids.pop())
-    return chosen

@@ -414,8 +414,7 @@ def run_validation_battery(seed: int = 20260816, fast: bool = False) -> dict:
         worst = max(worst, abs(res.residual))
     checks.append(_check("detailed_balance_pairwise", worst < 1e-12, worst=worst))
 
-    area_model = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.08,
-                                     overlap_method="exact")
+    area_model = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.08)
     ok_area = True
     worst_area = 0.0
     for _ in range(100):
@@ -443,7 +442,7 @@ def run_validation_battery(seed: int = 20260816, fast: bool = False) -> dict:
 
     # 7. coupling decay of the constant model
     eta_up = poisson_configuration(space, 4.0, seed + 4, prefix="up")
-    decay = cftp.coupling_decay_curve(model, space, Configuration(), eta_up,
+    decay = cftp.coupling_decay_curve(model, space, eta_up,
                                       horizon=4.0, replicates=max(120, int(400 * scale)),
                                       master_seed=seed + 4,
                                       times=np.linspace(0.0, 4.0, 9))

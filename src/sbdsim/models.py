@@ -87,36 +87,31 @@ def _merge_length(intervals: list[tuple[float, float]]) -> float:
 
 
 class GrainOverlap:
-    """Exposed and overlap volumes for a ball-shaped grain of fixed radius.
+    """Exposed and overlap volumes for a ball-shaped grain of fixed radius on
+    one window.
 
-    Two interchangeable integrators:
-      * "exact": interval-union arithmetic, available in dimension 1, error 0;
-      * "qmc": a fixed Halton low-discrepancy node set over the grain ball,
-        deterministic given the resolution, any dimension.
-    "auto" picks exact for d = 1 and qmc otherwise. All volume queries for one
-    model go through the same node set, which keeps monotonicity exact: a
+    The integrator follows the dimension: interval-union arithmetic in 1-D
+    (error 0), and otherwise a fixed Halton low-discrepancy node set over the
+    grain ball, deterministic given the resolution. The constructor checks
+    once that the grain fits the window. All volume queries for one model go
+    through the same node set, which keeps monotonicity exact: a
     configuration that covers more of the grain never reports more exposed
     volume.
     """
 
-    def __init__(self, dimension: int, radius: float, method: str = "auto",
-                 resolution: int = 4096):
+    def __init__(self, space: SpaceSpec, radius: float, resolution: int = 4096):
         if not (radius > 0) or not math.isfinite(radius):
             raise SimulationConfigError(f"grain radius must be finite and > 0, got {radius}")
-        if method == "auto":
-            method = "exact" if dimension == 1 else "qmc"
-        if method == "exact" and dimension != 1:
-            raise SimulationConfigError("exact overlap integration is only available in dimension 1")
-        if method not in ("exact", "qmc"):
-            raise SimulationConfigError(f"unknown overlap method {method!r}")
-        self.dimension = dimension
+        if space.periodic and not (2 * radius < min(space.lengths)):
+            raise SimulationConfigError(
+                "grain diameter must be smaller than every period of the window")
+        self.space = space
+        self.dimension = space.dimension
         self.radius = float(radius)
-        self.method = method
-        self.resolution = int(resolution)
-        self.ball_volume = unit_ball_volume(dimension) * self.radius ** dimension
+        self.ball_volume = unit_ball_volume(self.dimension) * self.radius ** self.dimension
         self._nodes: NDArray[np.float64] | None = None
-        if method == "qmc":
-            self._nodes = self._build_nodes(self.resolution)
+        if self.dimension > 1:
+            self._nodes = self._build_nodes(int(resolution))
 
     def _build_nodes(self, n_raw: int) -> NDArray[np.float64]:
         # Halton points in the bounding cube, kept if inside the ball. The
@@ -132,88 +127,62 @@ class GrainOverlap:
         return nodes
 
     def error_bound(self) -> float:
-        """Additive error estimate for one exposed-volume query."""
-        if self.method == "exact":
+        """Additive error estimate for one exposed-volume query (0 in 1-D)."""
+        if self._nodes is None:
             return 0.0
         n = len(self._nodes)
         return self.ball_volume * (max(1.0, math.log2(n)) ** self.dimension) / n
 
-    def _check_space(self, space: SpaceSpec) -> None:
-        if space.dimension != self.dimension:
-            raise SimulationConfigError("overlap integrator dimension mismatch")
-        if space.periodic and not (2 * self.radius < min(space.lengths)):
-            raise SimulationConfigError(
-                "grain diameter must be smaller than every period of the window")
-
-    def _signed_deltas(self, space: SpaceSpec, x, pts: NDArray) -> NDArray[np.float64]:
+    def _signed_deltas(self, x, pts: NDArray) -> NDArray[np.float64]:
         d = np.atleast_2d(np.asarray(pts, dtype=float)) - np.asarray(x, dtype=float)
-        if space.periodic:
-            L = space.lengths_array()
+        if self.space.periodic:
+            L = self.space.lengths_array()
             d = (d + L / 2.0) % L - L / 2.0
         return d
 
-    def exposed_volume(self, space: SpaceSpec, x, pts) -> float:
+    def _covered(self, x, pts) -> NDArray[np.bool_]:
+        """(nodes, len(pts)) mask: node i of ball(x, r) lies in ball(pts[j], r)."""
+        diff = np.abs(self._nodes[:, None, :] - self._signed_deltas(x, pts)[None, :, :])
+        if self.space.periodic:
+            L = self.space.lengths_array()
+            diff = np.minimum(diff, L - diff)
+        return np.sum(diff ** 2, axis=2) <= self.radius * self.radius
+
+    def exposed_volume(self, x, pts) -> float:
         """Volume of ball(x, r) not covered by the union of ball(p, r), p in pts."""
-        self._check_space(space)
-        return self._exposed_volume(space, x, pts)
-
-    def overlap_volumes(self, space: SpaceSpec, x, pts) -> NDArray[np.float64]:
-        """Volume of ball(x, r) & ball(p, r) for each p, computed consistently
-        with exposed_volume so that increments are dominated node by node."""
-        self._check_space(space)
-        return self._overlap_volumes(space, x, pts)
-
-    def union_volume(self, space: SpaceSpec, pts) -> float:
-        """Volume of the union of grain balls, by sequential exposed volumes
-        in canonical (lexicographic) point order."""
-        self._check_space(space)
-        return self._union_volume(space, pts)
-
-    # The unchecked cores below serve AreaInteractionRate, whose overlap(space)
-    # has already checked the space once for the query.
-
-    def _exposed_volume(self, space: SpaceSpec, x, pts) -> float:
         pts = np.asarray(pts, dtype=float)
         if pts.size == 0:
             return self.ball_volume
-        deltas = self._signed_deltas(space, x, pts)
-        r = self.radius
-        if self.method == "exact":
-            L = space.lengths[0]
-            shifts = (0.0, -L, L) if space.periodic else (0.0,)
+        if self._nodes is None:
+            r = self.radius
+            L = self.space.lengths[0]
+            shifts = (0.0, -L, L) if self.space.periodic else (0.0,)
             intervals = []
-            for dl in deltas[:, 0]:
+            for dl in self._signed_deltas(x, pts)[:, 0]:
                 for sh in shifts:
                     a = max(dl + sh - r, -r)
                     b = min(dl + sh + r, r)
                     if b > a:
                         intervals.append((a, b))
             return 2.0 * r - _merge_length(intervals)
-        nodes = self._nodes
-        diff = np.abs(nodes[:, None, :] - deltas[None, :, :])
-        if space.periodic:
-            L = space.lengths_array()
-            diff = np.minimum(diff, L - diff)
-        covered = np.any(np.sum(diff ** 2, axis=2) <= r * r, axis=1)
-        return self.ball_volume * float(np.count_nonzero(~covered)) / len(nodes)
+        covered = np.any(self._covered(x, pts), axis=1)
+        return self.ball_volume * float(np.count_nonzero(~covered)) / len(self._nodes)
 
-    def _overlap_volumes(self, space: SpaceSpec, x, pts) -> NDArray[np.float64]:
+    def overlap_volumes(self, x, pts) -> NDArray[np.float64]:
+        """Volume of ball(x, r) & ball(p, r) for each p, computed consistently
+        with exposed_volume so that increments are dominated node by node."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.size == 0:
             return np.zeros(0)
-        if self.method == "exact":
-            dists = distances_to(space, np.asarray(x, dtype=float), pts)
+        if self._nodes is None:
+            dists = distances_to(self.space, np.asarray(x, dtype=float), pts)
             return np.maximum(0.0, 2.0 * self.radius - dists)
-        deltas = self._signed_deltas(space, x, pts)
-        r = self.radius
-        diff = np.abs(self._nodes[:, None, :] - deltas[None, :, :])
-        if space.periodic:
-            L = space.lengths_array()
-            diff = np.minimum(diff, L - diff)
-        covered = np.sum(diff ** 2, axis=2) <= r * r
+        covered = self._covered(x, pts)
         return self.ball_volume * np.count_nonzero(covered, axis=0) / len(self._nodes)
 
-    def _union_volume(self, space: SpaceSpec, pts) -> float:
+    def union_volume(self, pts) -> float:
+        """Volume of the union of grain balls, by sequential exposed volumes
+        in canonical (lexicographic) point order."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.size == 0:
             return 0.0
@@ -221,7 +190,7 @@ class GrainOverlap:
         total = 0.0
         for rank, i in enumerate(order):
             prev = pts[[order[j] for j in range(rank)], :] if rank else np.zeros((0, pts.shape[1]))
-            total += self._exposed_volume(space, pts[i], prev)
+            total += self.exposed_volume(pts[i], prev)
         return total
 
 
@@ -238,11 +207,6 @@ class RateModel:
     def birth_rate(self, space: SpaceSpec, x, eta: Configuration) -> float:
         raise NotImplementedError
 
-    def birth_rates(self, space: SpaceSpec, X, eta: Configuration) -> NDArray[np.float64]:
-        """Birth rate at each row of X against a fixed configuration."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.birth_rate(space, x, eta) for x in X])
-
     def envelope_sup(self, space: SpaceSpec) -> float:
         raise NotImplementedError
 
@@ -256,10 +220,6 @@ class RateModel:
 
     def energy(self, space: SpaceSpec, eta: Configuration) -> float:
         raise UnsupportedModelError(f"{type(self).__name__} has no energy functional")
-
-    @property
-    def has_energy(self) -> bool:
-        return False
 
 
 class NeighbourRate(RateModel):
@@ -290,9 +250,6 @@ class ConstantRate(RateModel):
 
     def birth_rate(self, space, x, eta) -> float:
         return self.rate
-
-    def birth_rates(self, space, X, eta):
-        return np.full(len(np.atleast_2d(X)), self.rate)
 
     def envelope_sup(self, space) -> float:
         return self.rate
@@ -327,18 +284,6 @@ class PairwiseRate(NeighbourRate):
         r = self.interaction_range
         return math.exp(-self.theta * sum(t <= r for t, _, _ in near))
 
-    def birth_rates(self, space, X, eta):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        pts = eta.points_array()
-        if pts.size == 0:
-            return np.ones(len(X))
-        d = np.abs(X[:, None, :] - pts[None, :, :])
-        if space.periodic:
-            L = space.lengths_array()
-            d = np.minimum(d, L - d)
-        close = np.sum(np.sqrt(np.sum(d * d, axis=2)) <= self.interaction_range, axis=1)
-        return np.exp(-self.theta * close)
-
     def envelope_sup(self, space) -> float:
         return 1.0
 
@@ -364,10 +309,6 @@ class PairwiseRate(NeighbourRate):
                 distances_to(space, pts[i], pts[:i]) <= self.interaction_range))
         return self.theta * pairs
 
-    @property
-    def has_energy(self) -> bool:
-        return True
-
 
 @dataclass
 class AreaInteractionRate(NeighbourRate):
@@ -383,7 +324,6 @@ class AreaInteractionRate(NeighbourRate):
     gamma: float
     grain_radius: float
     death: ConstantDeath = field(default_factory=ConstantDeath)
-    overlap_method: str = "auto"
     overlap_resolution: int = 4096
     translation_invariant = True
 
@@ -395,7 +335,7 @@ class AreaInteractionRate(NeighbourRate):
         if not (self.grain_radius > 0) or not math.isfinite(self.grain_radius):
             raise SimulationConfigError(
                 f"grain radius must be finite and > 0, got {self.grain_radius}")
-        self._overlap: GrainOverlap | None = None
+        self._overlaps: dict[SpaceSpec, GrainOverlap] = {}
 
     @property
     def monotone(self) -> str:  # type: ignore[override]
@@ -406,17 +346,18 @@ class AreaInteractionRate(NeighbourRate):
         return "constant"
 
     def overlap(self, space: SpaceSpec) -> GrainOverlap:
-        """The grain integrator, after checking that it fits space."""
-        if self._overlap is None or self._overlap.dimension != space.dimension:
-            self._overlap = GrainOverlap(space.dimension, self.grain_radius,
-                                         self.overlap_method, self.overlap_resolution)
-        self._overlap._check_space(space)
-        return self._overlap
+        """The grain integrator of space, built (and checked against it) on
+        first use. A window the grain does not fit is refused every time."""
+        ov = self._overlaps.get(space)
+        if ov is None:
+            ov = self._overlaps[space] = GrainOverlap(space, self.grain_radius,
+                                                      self.overlap_resolution)
+        return ov
 
     def rate_of_neighbours(self, space, x, near) -> float:
         ov = self.overlap(space)
         reach = self.support_radius()
-        exposed = ov._exposed_volume(space, x, [p for t, _, p in near if t < reach])
+        exposed = ov.exposed_volume(x, [p for t, _, p in near if t < reach])
         return self.rho * math.exp(-exposed * math.log(self.gamma))
 
     def envelope_sup(self, space) -> float:
@@ -428,7 +369,7 @@ class AreaInteractionRate(NeighbourRate):
         if Y.size == 0:
             return np.zeros(0)
         ov = self.overlap(space)
-        return self._kernel_of_overlap(ov._overlap_volumes(space, np.asarray(x, dtype=float), Y),
+        return self._kernel_of_overlap(ov.overlap_volumes(np.asarray(x, dtype=float), Y),
                                        ov.ball_volume)
 
     def _kernel_of_overlap(self, V, ball_volume: float):
@@ -449,12 +390,8 @@ class AreaInteractionRate(NeighbourRate):
     def energy(self, space, eta) -> float:
         """-n log(rho) + log(gamma) * volume of the union of grains."""
         ov = self.overlap(space)
-        union = ov._union_volume(space, eta.points_array())
+        union = ov.union_volume(eta.points_array())
         return -len(eta) * math.log(self.rho) + math.log(self.gamma) * union
-
-    @property
-    def has_energy(self) -> bool:
-        return True
 
 
 @dataclass
@@ -583,11 +520,6 @@ class CellOccupancyRate(RateModel):
     def birth_rate(self, space, x, eta) -> float:
         return self.rate_for_occupancy(self.cell_index(space, x), self._occupancy(space, eta).k)
 
-    def birth_rates(self, space, X, eta):
-        k = self._occupancy(space, eta).k
-        cells = self.cell_indices(space, X)
-        return self.base_rate * np.exp(-(self.theta @ k))[cells]
-
     def envelope_sup(self, space) -> float:
         return self.base_rate
 
@@ -604,10 +536,6 @@ class CellOccupancyRate(RateModel):
         same = float(np.sum(np.diag(self.theta) * k * (k - 1) / 2.0))
         cross = 0.5 * float(k @ self.theta @ k - np.sum(np.diag(self.theta) * k * k))
         return same + cross
-
-    @property
-    def has_energy(self) -> bool:
-        return True
 
 
 def _cell_index(counts: tuple[int, ...], lengths: tuple[float, ...], x: list[float]) -> int:
@@ -708,8 +636,6 @@ def detailed_balance_residual(model: RateModel, space: SpaceSpec, x,
     x = np.asarray(x, dtype=float)
     using_model_energy = energy_fn is None
     if energy_fn is None:
-        if not model.has_energy:
-            raise UnsupportedModelError(f"{type(model).__name__} has no energy functional")
         energy_fn = lambda cfg: model.energy(space, cfg)
     eta_plus = eta.copy()
     pid = "balance-probe"
@@ -724,12 +650,10 @@ def detailed_balance_residual(model: RateModel, space: SpaceSpec, x,
     scale = max(lam * math.exp(-h0), delta * math.exp(-h1), 1e-300)
     tol = 64.0 * np.finfo(float).eps * scale * max(1.0, abs(h0), abs(h1))
     if isinstance(model, AreaInteractionRate) and using_model_energy:
-        ov = model.overlap(space)
-        if ov.method == "qmc":
-            # Two union-volume evaluations plus the rate's exposed volume,
-            # each good to the integrator's error bound.
-            calls = 2 * (len(eta) + 1) + 1
-            tol += scale * abs(math.log(model.gamma)) * calls * ov.error_bound()
+        # Two union-volume evaluations plus the rate's exposed volume, each
+        # good to the integrator's error bound (0 in 1-D).
+        calls = 2 * (len(eta) + 1) + 1
+        tol += scale * abs(math.log(model.gamma)) * calls * model.overlap(space).error_bound()
     return BalanceCheck(residual=residual, tolerance=tol)
 
 
@@ -816,9 +740,8 @@ def _radial_contraction(model: RateModel, space: SpaceSpec) -> ContractionEstima
 
         integral, error = quad(shell, 0.0, reach, epsabs=0.0, epsrel=1e-10)
         mass, error = d * ball * integral, d * ball * error
-        if ov.method == "qmc":
-            error += (ball * reach ** d * model.envelope_sup(space) * math.log(model.gamma) ** 2
-                      * ov.ball_volume * ov.error_bound())
+        error += (ball * reach ** d * model.envelope_sup(space) * math.log(model.gamma) ** 2
+                  * ov.ball_volume * ov.error_bound())  # 0 in 1-D
     else:
         return None
     return ContractionEstimate(value=space.intensity * mass,
@@ -869,14 +792,36 @@ def _window_contraction(model: RateModel, space: SpaceSpec, n: int) -> Contracti
 # config-block parsing
 # ---------------------------------------------------------------------------
 
+# the keys each block type reads, beside "type"; any other key is refused
+_DEATH_KEYS = {"unit": set(), "constant": {"rate"}}
+_MODEL_KEYS = {
+    "constant": {"rate"},
+    "pairwise": {"theta", "range"},
+    "area_interaction": {"rho", "gamma", "grain_radius", "overlap_resolution"},
+    "nearest_neighbor": {"breakpoints", "values", "value_at_infinity"},
+    "cell_occupancy": {"cell_counts", "theta", "base_rate"},
+}
+
+
+def _block_type(block: dict, name: str, keys_by_type: dict) -> str:
+    """The block's type, after refusing an unknown type or a key it does not read."""
+    kind = block.get("type")
+    known = keys_by_type.get(kind) if isinstance(kind, str) else None
+    if known is None:
+        raise SimulationConfigError(f"unknown {name} type {kind!r}")
+    unknown = set(block) - known - {"type"}
+    if unknown:
+        raise SimulationConfigError(f"unknown {name} fields for type {kind!r}: {sorted(unknown)}")
+    return kind
+
+
 def death_from_config(block: dict | None):
     block = block or {"type": "unit"}
-    kind = block.get("type")
-    if kind == "unit":
+    if _block_type(block, "death", _DEATH_KEYS) == "unit":
         return ConstantDeath()
-    if kind == "constant":
-        return ConstantDeath(rate=float(block["rate"]))
-    raise SimulationConfigError(f"unknown death type {kind!r}")
+    if "rate" not in block:
+        raise SimulationConfigError("death config block missing key: 'rate'")
+    return ConstantDeath(rate=float(block["rate"]))
 
 
 def model_from_config(config: dict) -> RateModel:
@@ -887,6 +832,7 @@ def model_from_config(config: dict) -> RateModel:
     except KeyError as exc:
         raise SimulationConfigError(f"model config block missing key: {exc}") from None
     death = death_from_config(config.get("death"))
+    _block_type(block, "model", _MODEL_KEYS)
     try:
         if kind == "constant":
             return ConstantRate(rate=float(block["rate"]), death=death)
@@ -897,18 +843,15 @@ def model_from_config(config: dict) -> RateModel:
             return AreaInteractionRate(
                 rho=float(block["rho"]), gamma=float(block["gamma"]),
                 grain_radius=float(block["grain_radius"]), death=death,
-                overlap_method=block.get("overlap_method", "auto"),
                 overlap_resolution=int(block.get("overlap_resolution", 4096)))
         if kind == "nearest_neighbor":
             return NearestNeighborRate(
                 breakpoints=tuple(float(b) for b in block["breakpoints"]),
                 values=tuple(float(v) for v in block["values"]),
                 value_at_infinity=float(block["value_at_infinity"]), death=death)
-        if kind == "cell_occupancy":
-            return CellOccupancyRate(
-                cell_counts=tuple(int(c) for c in block["cell_counts"]),
-                theta=np.asarray(block["theta"], dtype=float),
-                base_rate=float(block.get("base_rate", 1.0)), death=death)
+        return CellOccupancyRate(
+            cell_counts=tuple(int(c) for c in block["cell_counts"]),
+            theta=np.asarray(block["theta"], dtype=float),
+            base_rate=float(block.get("base_rate", 1.0)), death=death)
     except KeyError as exc:
         raise SimulationConfigError(f"model config block missing key: {exc}") from None
-    raise SimulationConfigError(f"unknown model type {kind!r}")

@@ -281,34 +281,12 @@ def initial_clocks(eta0: Configuration, seed: int, birth_time: float = 0.0) -> C
     return Configuration.from_columns(ids, eta0.restrict(ids).points_array(), clocks, birth_time)
 
 
-def poisson_configuration(space: SpaceSpec, intensity, seed: int,
+def poisson_configuration(space: SpaceSpec, intensity: float, seed: int,
                           prefix: str = "init") -> Configuration:
-    """Sample a Poisson configuration on the window.
-
-    intensity is a density with respect to Lebesgue measure: a constant or a
-    callable on points. Locations for a callable intensity are drawn by
-    rejection below its supremum on the quadrature grid.
-    """
+    """Sample a Poisson configuration on the window, at a constant density
+    intensity with respect to Lebesgue measure; ids are prefix0, prefix1, ..."""
     rng = keyed_generator(seed, TAG_POISSON)
     L = space.lengths_array()
-    if callable(intensity):
-        cfg = Configuration()
-        grid = space.grid()
-        vals = np.array([float(intensity(x)) for x in grid])
-        if np.any(vals < 0):
-            raise SimulationConfigError("intensity must be nonnegative")
-        total = float(np.mean(vals)) * space.volume
-        sup = float(np.max(vals)) * 1.001 + 1e-12
-        n = int(rng.poisson(total)) if total > 0 else 0
-        for i in range(n):
-            for _ in range(100_000):
-                x = rng.uniform(0.0, L)
-                if rng.uniform(0.0, sup) <= float(intensity(x)):
-                    cfg.add(f"{prefix}{i}", x)
-                    break
-            else:
-                raise RuntimeError("intensity rejection sampling failed to accept")
-        return cfg
     lam = float(intensity)
     if lam < 0:
         raise SimulationConfigError("intensity must be nonnegative")

@@ -116,10 +116,10 @@ def test_criterion_03_contraction_constant():
 def test_criterion_04_exponential_coupling_decay():
     extra = Configuration.from_points(np.linspace(0.05, 0.95, 10)[:, None])
     dec_const = coupling_decay_curve(ConstantRate(rate=4.0), UNIT_TORUS_I1,
-                                     Configuration(), extra, horizon=5.0,
+                                     extra, horizon=5.0,
                                      replicates=1000, master_seed=11804)
     pairwise = PairwiseRate(theta=0.5, interaction_range=0.2)
-    dec_pair = coupling_decay_curve(pairwise, UNIT_TORUS_I1, Configuration(),
+    dec_pair = coupling_decay_curve(pairwise, UNIT_TORUS_I1,
                                     extra, horizon=5.0, replicates=400,
                                     master_seed=11805)
     bound = -(1 - PAIRWISE_M_EXACT) + 0.1
@@ -139,8 +139,7 @@ def test_criterion_05_detailed_balance_residuals():
         worst = max(worst, abs(detailed_balance_residual(
             pairwise, UNIT_TORUS_I1, x, eta).residual))
 
-    area = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.05,
-                               overlap_method="exact")
+    area = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.05)
     n_bad = 0
     for _ in range(10_000):
         eta = Configuration.from_points(rng.uniform(0, 1, size=(rng.integers(0, 7), 1)))
@@ -154,8 +153,7 @@ def test_criterion_05_detailed_balance_residuals():
 
 
 def test_criterion_06_attractive_containment():
-    model = AreaInteractionRate(rho=3.0, gamma=2.0, grain_radius=0.05,
-                                overlap_method="exact")
+    model = AreaInteractionRate(rho=3.0, gamma=2.0, grain_radius=0.05)
     stream = NoiseStream.for_model(model, UNIT_TORUS_I5, 11806)
     upper0 = initial_clocks(poisson_configuration(UNIT_TORUS_I5, 15.0, 11806), 11807)
     low, up = coupled_simulate(model, UNIT_TORUS_I5, TimedConfiguration(), upper0,
@@ -246,8 +244,7 @@ def test_criterion_09_noise_reuse_and_lookback_invariance():
 
 
 def test_criterion_10_extremal_laws_squeeze():
-    model = AreaInteractionRate(rho=1.5, gamma=2.0, grain_radius=0.05,
-                                overlap_method="exact")
+    model = AreaInteractionRate(rho=1.5, gamma=2.0, grain_radius=0.05)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
     hs, mins, maxs = extremal_lookback_counts(model, space,
                                               [1.0, 2.0, 4.0, 10.0, 20.0],

@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from sbdsim import engine
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
-    _match_subset_ids,
     coupling_decay_curve,
     dominating_window,
     extremal_lookback_counts,
@@ -252,8 +249,8 @@ def reference_sweep_bracket(model, space, lookback, stream):
 BRACKET_MODELS = [
     (PairwiseRate(theta=0.7, interaction_range=0.2), 5.0),
     (PairwiseRate(theta=0.5, interaction_range=0.05), 10.0),
-    (AreaInteractionRate(rho=3.0, gamma=1.5, grain_radius=0.08, overlap_method="exact"), 2.0),
-    (AreaInteractionRate(rho=3.0, gamma=0.6, grain_radius=0.08, overlap_method="exact"), 2.0),
+    (AreaInteractionRate(rho=3.0, gamma=1.5, grain_radius=0.08), 2.0),
+    (AreaInteractionRate(rho=3.0, gamma=0.6, grain_radius=0.08), 2.0),
     (CellOccupancyRate(cell_counts=(3,), theta=np.array(
         [[0.6, 0.3, 0.0], [0.3, 0.6, 0.3], [0.0, 0.3, 0.6]]), base_rate=1.0), 1.5),
     (NearestNeighborRate(breakpoints=(0.05, 0.1), values=(0.3, 0.7), value_at_infinity=1.0),
@@ -407,7 +404,7 @@ def test_sandwich_rounds_lookback_to_whole_slabs():
 @pytest.mark.parametrize("model", [
     ConstantRate(rate=4.0),
     PairwiseRate(theta=0.7, interaction_range=0.2),
-    AreaInteractionRate(rho=3.0, gamma=1.5, grain_radius=0.08, overlap_method="exact"),
+    AreaInteractionRate(rho=3.0, gamma=1.5, grain_radius=0.08),
 ], ids=lambda m: type(m).__name__)
 def test_funnel_every_intermediate_path_stays_bracketed(model):
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
@@ -515,8 +512,7 @@ def test_extremal_counts_reject_a_horizon_at_or_below_zero(horizons):
 
 
 def test_extremal_counts_squeeze_monotonically():
-    model = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.06,
-                                overlap_method="exact")
+    model = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.06)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
     hs, mins, maxs = extremal_lookback_counts(model, space, [1.0, 2.0, 4.0, 8.0],
                                               replicates=25, master_seed=SEED)
@@ -531,8 +527,7 @@ def test_extremal_counts_squeeze_monotonically():
 
 
 def test_minimal_below_maximal_in_mean():
-    model = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.06,
-                                overlap_method="exact")
+    model = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.06)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
     lows = [len(minimal_stationary_sample(model, space, replicate_seed(SEED, i), 6.0))
             for i in range(60)]
@@ -548,7 +543,7 @@ def test_minimal_below_maximal_in_mean():
 def test_coupling_decay_constant_model_rate_is_death_rate():
     model = ConstantRate(rate=4.0)
     extra = Configuration.from_points(np.linspace(0.05, 0.95, 10)[:, None])
-    decay = coupling_decay_curve(model, SPACE, Configuration(), extra,
+    decay = coupling_decay_curve(model, SPACE, extra,
                                  horizon=5.0, replicates=200, master_seed=SEED)
     assert not decay.kernel_weighted  # constant rates have a zero kernel
     assert decay.mean_mass[0] == pytest.approx(10.0)
@@ -558,19 +553,11 @@ def test_coupling_decay_constant_model_rate_is_death_rate():
 def test_coupling_decay_kernel_weighted_for_interacting_models():
     model = PairwiseRate(theta=0.5, interaction_range=0.2)
     extra = Configuration.from_points(np.linspace(0.1, 0.9, 5)[:, None])
-    decay = coupling_decay_curve(model, SPACE, Configuration(), extra,
+    decay = coupling_decay_curve(model, SPACE, extra,
                                  horizon=3.0, replicates=50, master_seed=SEED)
     assert decay.kernel_weighted
     assert decay.mean_mass[0] > 0
     assert decay.fitted_rate < 0
-
-
-def test_coupling_decay_rejects_non_nested_initials():
-    model = ConstantRate(rate=1.0)
-    low = Configuration.from_points(np.array([[0.5]]))
-    up = Configuration.from_points(np.array([[0.25]]))
-    with pytest.raises(SimulationConfigError):
-        coupling_decay_curve(model, SPACE, low, up, 1.0, 2, SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -593,53 +580,6 @@ def test_coalesced_state_equals_forward_run_from_deep_past():
             for initial in (anc, TimedConfiguration()):
                 run = engine.run_paths(model, space, [initial], T, proposals, -T)
                 assert run.finals[0] == res.configuration
-
-
-# ---------------------------------------------------------------------------
-# coupling decay set-up
-# ---------------------------------------------------------------------------
-
-def scan_match_subset_ids(eta_low, timed_up):
-    """The quadratic scan that _match_subset_ids replaced, kept as its
-    reference: for each point of eta_low in sorted-id order, the smallest
-    remaining id of timed_up with the same coordinate bytes."""
-    remaining = {pid: timed_up.coords(pid).tobytes() for pid in timed_up.ids()}
-    chosen = []
-    for _, x in sorted(eta_low.items()):
-        key = x.tobytes()
-        hit = next((pid for pid, k in sorted(remaining.items()) if k == key), None)
-        if hit is None:
-            raise SimulationConfigError("lower initial state is not a sub-multiset of the upper")
-        chosen.append(hit)
-        del remaining[hit]
-    return chosen
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([0.1, 0.25, 0.5]), st.booleans()), max_size=14),
-       st.sampled_from([None, 0.1, 0.9]), st.randoms(use_true_random=False))
-def test_match_subset_ids_picks_the_ids_of_the_scan(points, stray, rnd):
-    # the upper state holds repeated coordinates under shuffled ids (u10
-    # sorts before u2); the lower one takes the flagged points, and perhaps
-    # one more point that the upper state may not hold, under ids of its own
-    up_ids = [f"u{i}" for i in range(len(points))]
-    rnd.shuffle(up_ids)
-    up = Configuration()
-    for pid, (x, _) in zip(up_ids, points):
-        up.add(pid, [x], mark=1.0)
-    low_xs = [x for x, keep in points if keep] + ([stray] if stray is not None else [])
-    low_ids = [f"l{i}" for i in range(len(low_xs))]
-    rnd.shuffle(low_ids)
-    low = Configuration()
-    for pid, x in zip(low_ids, low_xs):
-        low.add(pid, [x])
-    try:
-        expect = scan_match_subset_ids(low, up)
-    except SimulationConfigError:
-        with pytest.raises(SimulationConfigError, match="not a sub-multiset"):
-            _match_subset_ids(low, up)
-    else:
-        assert _match_subset_ids(low, up) == expect
 
 
 if __name__ == "__main__":

@@ -106,6 +106,24 @@ def test_unknown_space_field_rejected(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("model,death,key", [
+    ({"type": "area_interaction", "rho": 1.0, "gamma": 1.5, "grain_radius": 0.05,
+      "overlap_method": "exact"}, {"type": "unit"}, "overlap_method"),
+    ({"type": "constant", "rate": 1.0}, {"type": "unit", "rate": 2.0}, "rate"),
+    ({"type": "pairwise", "theta": 0.5, "rnage": 0.2, "range": 0.2}, None, "rnage"),
+], ids=["overlap_method", "unit_death_rate", "misspelt_model_key"])
+def test_unknown_model_or_death_field_rejected_before_writing(tmp_path, capsys,
+                                                               model, death, key):
+    body = {"space": {"dimension": 1, "lengths": [1.0], "intensity": 1.0},
+            "model": model, "seed": 1, "run": {}}
+    if death is not None:
+        body["death"] = death
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", write_config(tmp_path, body), "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_bad_snapshot_times_flag(tmp_path, capsys):
     code = main(["simulate", "--config", CONSTANT, "--out", str(tmp_path / "o"),
                  "--snapshot-times", "1,abc"])

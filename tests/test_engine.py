@@ -277,8 +277,7 @@ def test_coupled_rejects_non_nested_initials():
 
 
 def test_coupled_attractive_paths_stay_nested():
-    model = AreaInteractionRate(rho=3.0, gamma=1.8, grain_radius=0.08,
-                                overlap_method="exact")
+    model = AreaInteractionRate(rho=3.0, gamma=1.8, grain_radius=0.08)
     stream = make_stream(model)
     up0 = initial_clocks(poisson_configuration(SPACE, 3.0, 7), 8)
     low, up = coupled_simulate(model, SPACE, TimedConfiguration(), up0, 40.0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from sbdsim import models
 from sbdsim.geometry import Configuration, SimulationConfigError, SpaceSpec, configuration_contains
@@ -77,15 +78,6 @@ def test_pairwise_neighbor_counting():
         math.exp(-PAIR_THETA))
 
 
-def test_pairwise_vectorized_consistent():
-    m = PairwiseRate(theta=0.7, interaction_range=0.15)
-    rng = np.random.default_rng(1)
-    eta = Configuration.from_points(rng.uniform(0, 1, size=(6, 1)))
-    xs = rng.uniform(0, 1, size=(25, 1))
-    vec = m.birth_rates(SPACE, xs, eta)
-    assert np.allclose(vec, [m.birth_rate(SPACE, x, eta) for x in xs])
-
-
 def test_pairwise_energy_counts_pairs():
     m = PairwiseRate(theta=0.5, interaction_range=0.2)
     # pairs within 0.2: (0.1, 0.25), (0.25, 0.4); (0.1, 0.4) is at exactly 0.3
@@ -105,57 +97,61 @@ def test_pairwise_validation():
 # ---------------------------------------------------------------------------
 
 def test_exact_interval_overlap():
-    ov = GrainOverlap(dimension=1, radius=0.1, method="exact")
+    ov = GrainOverlap(SPACE, radius=0.1)
     assert ov.ball_volume == pytest.approx(0.2)
     assert ov.error_bound() == 0.0
     pts = np.array([[0.3]])
-    assert ov.exposed_volume(SPACE, np.array([0.45]), pts) == pytest.approx(0.15)
-    assert ov.overlap_volumes(SPACE, np.array([0.45]), pts)[0] == pytest.approx(0.05)
+    assert ov.exposed_volume(np.array([0.45]), pts) == pytest.approx(0.15)
+    assert ov.overlap_volumes(np.array([0.45]), pts)[0] == pytest.approx(0.05)
     # disjoint grains and identical grains
-    assert ov.exposed_volume(SPACE, np.array([0.8]), pts) == pytest.approx(0.2)
-    assert ov.exposed_volume(SPACE, np.array([0.3]), pts) == pytest.approx(0.0)
+    assert ov.exposed_volume(np.array([0.8]), pts) == pytest.approx(0.2)
+    assert ov.exposed_volume(np.array([0.3]), pts) == pytest.approx(0.0)
     # two-interval union with partial overlap, worked by hand
-    assert ov.union_volume(SPACE, np.array([[0.3], [0.45]])) == pytest.approx(0.35)
-    assert ov.union_volume(SPACE, np.empty((0, 1))) == 0.0
+    assert ov.union_volume(np.array([[0.3], [0.45]])) == pytest.approx(0.35)
+    assert ov.union_volume(np.empty((0, 1))) == 0.0
 
 
 def test_exact_overlap_wraps_torus():
-    ov = GrainOverlap(dimension=1, radius=0.1, method="exact")
+    ov = GrainOverlap(SPACE, radius=0.1)
     # grain at 0.95 covers [0.85, 1.05) which wraps into [0, 0.05)
-    assert ov.exposed_volume(SPACE, np.array([0.02]), np.array([[0.95]])) == \
+    assert ov.exposed_volume(np.array([0.02]), np.array([[0.95]])) == \
         pytest.approx(0.2 - 0.13, abs=1e-12)
 
 
-def test_qmc_overlap_against_exact_1d():
-    exact = GrainOverlap(dimension=1, radius=0.1, method="exact")
-    qmc = GrainOverlap(dimension=1, radius=0.1, method="qmc", resolution=8192)
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_qmc_exposed_volume_against_the_exact_lens(dimension):
+    # one neighbour at distance rho < 2r leaves B - B I_{1 - (rho/2r)^2}((d+1)/2, 1/2)
+    # of the grain exposed; the QMC nodes must be within error_bound() of it,
+    # also across the periodic boundary
+    space = SpaceSpec(dimension=dimension, lengths=(1.0,) * dimension)
+    ov = GrainOverlap(space, radius=0.1)
+    assert ov.error_bound() > 0
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        pts = rng.uniform(0, 1, size=(4, 1))
-        x = rng.uniform(0, 1, size=1)
-        a = exact.exposed_volume(SPACE, x, pts)
-        b = qmc.exposed_volume(SPACE, x, pts)
-        assert abs(a - b) <= qmc.error_bound() + 1e-12
+    for _ in range(200):
+        x = rng.uniform(0, 1, size=dimension)
+        u = rng.normal(size=dimension)
+        rho = rng.uniform(0, 0.2)
+        y = (x + rho * u / np.linalg.norm(u)) % 1.0
+        lens = ov.ball_volume * betainc((dimension + 1) / 2, 0.5, 1.0 - (rho / 0.2) ** 2)
+        assert abs(ov.exposed_volume(x, [y]) - (ov.ball_volume - lens)) <= ov.error_bound()
 
 
 def test_overlap_rejects_grain_wider_than_period():
-    ov = GrainOverlap(dimension=1, radius=0.3, method="exact")
     with pytest.raises(SimulationConfigError):
-        ov.exposed_volume(SpaceSpec(dimension=1, lengths=(0.5,)), np.array([0.1]),
-                          np.empty((0, 1)))
+        GrainOverlap(SpaceSpec(dimension=1, lengths=(0.5,)), radius=0.3)
+    with pytest.raises(SimulationConfigError):
+        GrainOverlap(SpaceSpec(dimension=2, lengths=(1.0, 0.5)), radius=0.3)
 
 
 def test_every_grain_entry_checks_the_space_once(monkeypatch):
-    # a space the grains do not fit is refused at every public entry, and a
-    # rate query checks the space once
+    # a window the grain does not fit is refused at construction and at every
+    # model entry; repeated queries on one window build, and so check, one
+    # integrator in total
     narrow = SpaceSpec(dimension=1, lengths=(0.5,))
-    ov = GrainOverlap(dimension=1, radius=0.3, method="exact")
-    m = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.3, overlap_method="exact")
+    m = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.3)
     x, pts, eta = np.array([0.1]), np.array([[0.2]]), cfg(0.2)
-    m.birth_rate(SPACE, x, eta)  # the integrator exists before the bad space comes
-    for call in (lambda: ov.exposed_volume(narrow, x, pts),
-                 lambda: ov.overlap_volumes(narrow, x, pts),
-                 lambda: ov.union_volume(narrow, pts),
+    m.birth_rate(SPACE, x, eta)  # the integrator of SPACE exists before the bad window comes
+    for call in (lambda: GrainOverlap(narrow, 0.3),
                  lambda: m.birth_rate(narrow, x, eta),
                  lambda: m.envelope_sup(narrow),
                  lambda: m.increment_kernel(narrow, x, pts),
@@ -163,17 +159,20 @@ def test_every_grain_entry_checks_the_space_once(monkeypatch):
         with pytest.raises(SimulationConfigError):
             call()
 
-    checks = []
-    original = GrainOverlap._check_space
-    monkeypatch.setattr(GrainOverlap, "_check_space",
-                        lambda self, space: checks.append(space) or original(self, space))
-    fine = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.1, overlap_method="exact")
-    for call in (lambda: fine.birth_rate(SPACE, x, cfg(0.2, 0.25, 0.7)),
-                 lambda: fine.increment_kernel(SPACE, x, pts),
-                 lambda: fine.energy(SPACE, cfg(0.2, 0.25, 0.7))):
-        checks.clear()
-        call()
-        assert len(checks) == 1
+    built = []
+    original = GrainOverlap.__init__
+    monkeypatch.setattr(GrainOverlap, "__init__",
+                        lambda self, space, *a: built.append(space) or original(self, space, *a))
+    fine = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.1)
+    for _ in range(3):
+        fine.birth_rate(SPACE, x, cfg(0.2, 0.25, 0.7))
+        fine.envelope_sup(SPACE)
+        fine.increment_kernel(SPACE, x, pts)
+        fine.energy(SPACE, cfg(0.2, 0.25, 0.7))
+    assert built == [SPACE]
+    fine.birth_rate(SPACE2, np.array([0.1, 0.1]), Configuration())
+    fine.birth_rate(SPACE, x, eta)
+    assert built == [SPACE, SPACE2]
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +180,20 @@ def test_every_grain_entry_checks_the_space_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_area_rate_and_envelope():
-    m = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.1, overlap_method="exact")
+    m = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.1)
     assert m.monotone == "nondecreasing"
     assert m.envelope_sup(SPACE) == pytest.approx(2.0)
     # exposed length 0.15 at x=0.45 against a grain at 0.3
     expect = 2.0 * 1.5 ** (-0.15)
     assert m.birth_rate(SPACE, np.array([0.45]), cfg(0.3)) == pytest.approx(expect)
 
-    rep = AreaInteractionRate(rho=2.0, gamma=0.5, grain_radius=0.1, overlap_method="exact")
+    rep = AreaInteractionRate(rho=2.0, gamma=0.5, grain_radius=0.1)
     assert rep.monotone == "nonincreasing"
     assert rep.envelope_sup(SPACE) == pytest.approx(2.0 * 0.5 ** (-0.2))
 
 
 def test_area_energy_inclusion_exclusion():
-    m = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.1, overlap_method="exact")
+    m = AreaInteractionRate(rho=2.0, gamma=1.5, grain_radius=0.1)
     got = m.energy(SPACE, cfg(0.3, 0.45))
     assert got == pytest.approx(-2 * math.log(2.0) + math.log(1.5) * 0.35)
 
@@ -204,7 +203,7 @@ def test_area_increment_kernel_is_tight_attractive():
     # bound is achieved when the rest of eta already covers everything the new
     # point does not: grains at x=0.5 and y=0.45 overlap on [0.4, 0.55], and a
     # grain at 0.65 covers the remaining sliver [0.55, 0.6] exactly
-    m = AreaInteractionRate(rho=2.0, gamma=2.0, grain_radius=0.1, overlap_method="exact")
+    m = AreaInteractionRate(rho=2.0, gamma=2.0, grain_radius=0.1)
     x = np.array([0.5])
     y = np.array([[0.45]])
     a = m.increment_kernel(SPACE, x, y)[0]
@@ -306,8 +305,8 @@ def all_models():
     return [
         ConstantRate(rate=2.0),
         PairwiseRate(theta=0.6, interaction_range=0.15),
-        AreaInteractionRate(rho=2.0, gamma=1.7, grain_radius=0.08, overlap_method="exact"),
-        AreaInteractionRate(rho=2.0, gamma=0.6, grain_radius=0.08, overlap_method="exact"),
+        AreaInteractionRate(rho=2.0, gamma=1.7, grain_radius=0.08),
+        AreaInteractionRate(rho=2.0, gamma=0.6, grain_radius=0.08),
         NearestNeighborRate(breakpoints=(0.1, 0.25), values=(0.4, 1.2),
                             value_at_infinity=1.8),
         CellOccupancyRate(cell_counts=(3,), theta=0.4 * np.eye(3) + 0.1, base_rate=1.5),
@@ -438,7 +437,7 @@ def test_detailed_balance_detects_wrong_energy():
 
 
 def test_detailed_balance_area_exact_mode():
-    m = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.08, overlap_method="exact")
+    m = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.08)
     rng = np.random.default_rng(12)
     for _ in range(50):
         eta = Configuration.from_points(rng.uniform(0, 1, size=(rng.integers(0, 6), 1)))
@@ -611,8 +610,8 @@ def test_radial_contraction_agrees_with_the_window_grid(d, n, n_area):
         grid = models._window_contraction(area, small, n_area)
         assert radial.resolution == 0
         assert abs(radial.value - grid.value) <= grid.error + radial.error
-        qmc = area.overlap(small).method == "qmc"
-        assert (radial.error > 1e-6 * radial.value) == qmc  # the QMC bound, or quad's error
+        # the QMC bound beyond 1-D, or quad's error on the exact 1-D integrator
+        assert (radial.error > 1e-6 * radial.value) == (d > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +647,21 @@ def test_model_from_config_rejects_unknown():
     with pytest.raises(SimulationConfigError):
         model_from_config({"model": {"type": "pairwise", "theta": 0.5, "range": 0.2},
                            "death": {"type": "quadratic"}})
+    # a key the block's type does not read is refused, not ignored
+    pairwise = {"type": "pairwise", "theta": 0.5, "range": 0.2}
+    for config, key in [
+            ({"model": pairwise, "death": {"type": "unit", "rate": 2.0}}, "rate"),
+            ({"model": pairwise, "death": {"type": "constant", "rnage": 2.0}}, "rnage"),
+            ({"model": {**pairwise, "rnage": 0.3}}, "rnage"),
+            ({"model": {"type": "constant", "rate": 1.0, "theta": 0.5}}, "theta"),
+            ({"model": {"type": "area_interaction", "rho": 1.0, "gamma": 1.5,
+                        "grain_radius": 0.05, "overlap_method": "exact"}}, "overlap_method"),
+            ({"model": {"type": "cell_occupancy", "cell_counts": [1], "theta": [[0.5]],
+                        "base": 1.0}}, "base")]:
+        with pytest.raises(SimulationConfigError, match=key):
+            model_from_config(config)
+    with pytest.raises(SimulationConfigError, match="missing key: 'rate'"):
+        model_from_config({"model": pairwise, "death": {"type": "constant"}})
 
 
 @settings(max_examples=60, deadline=None)

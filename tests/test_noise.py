@@ -447,13 +447,6 @@ def test_poisson_configuration_constant_intensity():
     assert poisson_configuration(SPACE2, 10.0, replicate_seed(SEED, 0)) == again
 
 
-def test_poisson_configuration_callable_intensity():
-    dens = lambda x: 8.0 if x[0] < 0.5 else 0.0
-    eta = poisson_configuration(SPACE, dens, SEED)
-    assert len(eta) > 0
-    assert all(x[0] < 0.5 for _, x in eta.items())
-
-
 def test_initial_clocks_exponential():
     eta = poisson_configuration(SPACE, 600.0, SEED)
     timed = initial_clocks(eta, SEED + 1, birth_time=-2.0)

@@ -45,7 +45,7 @@ def ref_pairwise(m, space, x, eta):
 def ref_area(m, space, x, eta):
     pts = eta.points_array()
     near = pts[scan(space, x, eta) < 2.0 * m.grain_radius] if pts.size else pts
-    exposed = m.overlap(space).exposed_volume(space, x, near)
+    exposed = m.overlap(space).exposed_volume(x, near)
     return m.rho * math.exp(-exposed * math.log(m.gamma))
 
 
