@@ -14,11 +14,16 @@ For every (model, n) the script reports:
   us_per_call     the median over REPEATS batches of the mean time per query
                   of QUERIES queries at fresh locations, after that first one;
   rate_checksum   the sum of the rates of one batch, which must not depend on
-                  how the rate is computed.
+                  how the rate is computed;
+  upkeep_us       one add plus one remove of a point at a fresh location, on
+                  the configuration whose index the queries built: the
+                  median over REPEATS batches of the mean of QUERIES pairs.
 
 The result is written as BENCH_rate_scaling_<date>_<commit>.json, with the
 machine facts (CPU count, Python and numpy versions, commit). The commit is
-`git describe --always --dirty`: a run on uncommitted changes says so.
+`git describe --always --dirty` of the checkout that the imported sbdsim comes
+from: a run on uncommitted changes says so, and a run with PYTHONPATH at
+another checkout names that one.
 
 Usage:
     PYTHONPATH=src python3 scripts/rate_scaling.py [--out DIR]
@@ -36,6 +41,7 @@ import time
 
 import numpy as np
 
+import sbdsim
 from sbdsim.geometry import Configuration, SpaceSpec
 from sbdsim.models import AreaInteractionRate, CellOccupancyRate, NearestNeighborRate, PairwiseRate
 
@@ -55,7 +61,7 @@ MODELS = {
 
 
 def commit() -> str:
-    here = os.path.dirname(os.path.abspath(__file__))
+    here = os.path.dirname(os.path.abspath(sbdsim.__file__))
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=here,
                              capture_output=True, text=True, check=True)
@@ -84,9 +90,18 @@ def measure(model, n: int) -> dict:
             total += model.birth_rate(space, x, eta)
         per_call.append((time.perf_counter() - t0) / QUERIES)
         checksum = total
+
+    per_pair = []
+    for r, batch in enumerate(rng.uniform(0.0, side, size=(REPEATS, QUERIES, 2))):
+        t0 = time.perf_counter()
+        for i, x in enumerate(batch):
+            pid = f"u{r}.{i}"
+            eta.add(pid, x)
+            eta.remove(pid)
+        per_pair.append((time.perf_counter() - t0) / QUERIES)
     return {"n": n, "side": side, "first_query_us": first * 1e6,
             "us_per_call": float(np.median(per_call)) * 1e6,
-            "rate_checksum": checksum}
+            "rate_checksum": checksum, "upkeep_us": float(np.median(per_pair)) * 1e6}
 
 
 def main(argv=None) -> int:
@@ -99,7 +114,7 @@ def main(argv=None) -> int:
         results[name] = [measure(model, n) for n in SIZES]
         for row in results[name]:
             print(f"{name:18s} n={row['n']:6d}  {row['us_per_call']:9.2f} us/call  "
-                  f"first {row['first_query_us']:9.1f} us")
+                  f"first {row['first_query_us']:9.1f} us  upkeep {row['upkeep_us']:6.2f} us")
 
     rev = commit()
     record = {

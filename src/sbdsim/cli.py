@@ -150,6 +150,31 @@ def _count(value, name: str) -> int:
     return value
 
 
+def _replicates(cfg: RunConfig, default: int) -> int:
+    replicates = _count(cfg.run.get("replicates", default), "replicates")
+    if replicates < 1:
+        raise SimulationConfigError("replicates must be positive")
+    return replicates
+
+
+def _finite(value, name: str) -> float:
+    """A config value that must be a finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise SimulationConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _horizon(cfg: RunConfig, default: float) -> float:
+    horizon = _finite(cfg.run.get("horizon", default), "horizon")
+    if horizon < 0:
+        raise SimulationConfigError("horizon must be nonnegative")
+    return horizon
+
+
 def _initial_state(cfg: RunConfig, seed: int):
     block = cfg.run.get("initial", {"type": "empty"})
     kind = block.get("type", "empty")
@@ -166,9 +191,7 @@ def _initial_state(cfg: RunConfig, seed: int):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
-    horizon = float(cfg.run.get("horizon", 10.0))
-    if horizon < 0:
-        raise SimulationConfigError("horizon must be nonnegative")
+    horizon = _horizon(cfg, 10.0)
     snapshot_times = [float(t) for t in cfg.run.get("snapshot_times", [])]
     if any(t < 0 or t > horizon for t in snapshot_times):
         raise SimulationConfigError("snapshot times must lie in [0, horizon]")
@@ -194,11 +217,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_perfect_sample(cfg: RunConfig, out_dir: str) -> int:
-    replicates = int(cfg.run.get("replicates", 100))
-    t0 = float(cfg.run.get("initial_lookback", 1.0))
-    t_max = float(cfg.run.get("max_lookback", 1024.0))
-    if replicates < 1:
-        raise SimulationConfigError("replicates must be positive")
+    replicates = _replicates(cfg, 100)
+    t0 = _finite(cfg.run.get("initial_lookback", 1.0), "initial_lookback")
+    t_max = _finite(cfg.run.get("max_lookback", 1024.0), "max_lookback")
+    if not (t0 > 0 and t_max > 0):
+        raise SimulationConfigError(
+            f"initial_lookback and max_lookback must be > 0, got {t0!r} and {t_max!r}")
     _write_outputs(out_dir, cfg)
     samples_dir = os.path.join(out_dir, "samples")
     os.makedirs(samples_dir, exist_ok=True)
@@ -286,12 +310,8 @@ def cmd_contraction(cfg: RunConfig, out_dir: str | None) -> int:
 
 
 def cmd_stats(cfg: RunConfig, out_dir: str) -> int:
-    replicates = int(cfg.run.get("replicates", 200))
-    horizon = float(cfg.run.get("horizon", 20.0))
-    if replicates < 1:
-        raise SimulationConfigError("replicates must be positive")
-    if horizon < 0:
-        raise SimulationConfigError("horizon must be nonnegative")
+    replicates = _replicates(cfg, 200)
+    horizon = _horizon(cfg, 20.0)
     _write_outputs(out_dir, cfg)
 
     samples, trajectories = [], []  # the lifetime test reads the first 50 runs

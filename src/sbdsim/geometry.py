@@ -10,6 +10,7 @@ proposal atom (x, s, r).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -50,6 +51,8 @@ class SpaceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(self.lengths))  # hashable index keys
+        # neighbour_grid's index key per radius; not a field, so never compared
+        object.__setattr__(self, "_grid_makers", {})
         if self.dimension < 1:
             raise SimulationConfigError(f"dimension must be >= 1, got {self.dimension}")
         if len(self.lengths) != self.dimension:
@@ -182,8 +185,10 @@ class Configuration:
 
     Derived indexes (a rate model's occupancy counts, a neighbour grid) are
     built from the live points the first time index() is asked for one, and
-    every later add and remove updates them. copy(), restrict() and every
-    new configuration start with none.
+    every later add and remove updates them: add passes the new point's
+    coordinates, remove only its id, so each index keeps what it needs of a
+    point (its cell) by id. copy(), restrict() and every new configuration
+    start with none.
     """
 
     __slots__ = ("_xs", "_mark", "_born", "_row", "_ids", "_indexes")
@@ -272,17 +277,17 @@ class Configuration:
             xs[row], self._mark[row], self._born[row] = xs[n], self._mark[n], self._born[n]
             ids[row] = last
             self._row[last] = row
-        if self._indexes:
-            p = x.tolist()
-            for index in self._indexes.values():
-                index.remove(pid, p)
+        for index in self._indexes.values():
+            index.remove(pid)
         return x
 
     def index(self, key, make):
         """The derived index stored under the hashable key. On first use make()
         returns an empty index, which is filled with index.add(pid, p) for
-        every live point (p a list of floats); from then on add and remove
-        call the same index.add and index.remove(pid, p)."""
+        every live point (p a list of floats); from then on add calls the
+        same index.add(pid, p) and remove calls index.remove(pid), which
+        takes no coordinates: an index keeps by id what it needs to drop a
+        point."""
         index = self._indexes.get(key)
         if index is None:
             index = make()
@@ -394,6 +399,27 @@ def nearest_distance(space: SpaceSpec, x, eta: Configuration) -> float:
 # the radius outside the block of cells next to the query's cell.
 _MAX_CELLS_PER_AXIS = 1 << 20
 _CELL_SLACK = 1.0 + 1e-6
+# Blocks kept by _neighbour_block: every cell of a 49 x 49 grid (a 2-D unit
+# torus at radius 0.02) fits, at about 1 KB a block in 2-D and 4 KB in 3-D.
+_BLOCK_CACHE = 4096
+
+
+@functools.lru_cache(maxsize=_BLOCK_CACHE)
+def _neighbour_block(cell: tuple[int, ...], counts: tuple[int, ...],
+                     periodic: bool) -> tuple[tuple[int, ...], ...]:
+    """The cells around cell on a grid of counts cells per axis, in
+    itertools.product order: per axis the cell and its two neighbours
+    (wrapped on a periodic window, clipped on a free one), or the whole axis
+    when it has three cells or fewer, so no cell is listed twice."""
+    axes = []
+    for i, c in zip(cell, counts):
+        if c <= 3:
+            axes.append(range(c))
+        elif periodic:
+            axes.append((i - 1 if i else c - 1, i, i + 1 if i + 1 < c else 0))
+        else:
+            axes.append(range(max(i - 1, 0), min(i + 2, c)))
+    return tuple(itertools.product(*axes))
 
 
 class NeighbourGrid:
@@ -403,8 +429,10 @@ class NeighbourGrid:
     Each axis of the window is cut into c equal cells with side L / c at least
     the radius (one cell when the radius is as long as the axis); a dict maps
     the integer tuple of each occupied cell to its points, so a tiny radius
-    costs no memory beyond the points. A query visits the 3^d cells around
-    the query's cell, each cell at most once (an axis with three cells or
+    costs no memory beyond the points, and a second dict maps each id to its
+    cell, so remove(pid) finds the point without its coordinates. A query
+    visits the block of 3^d cells around the query's cell (_neighbour_block,
+    cached across grids), each cell at most once (an axis with three cells or
     fewer is visited whole), which holds every point within the radius. Its
     distances repeat the float operations of distances_to, so a model that
     compares them with its radius counts exactly the points a full scan
@@ -413,7 +441,7 @@ class NeighbourGrid:
     neighbour_grid.
     """
 
-    __slots__ = ("_lengths", "_counts", "_periodic", "_cells")
+    __slots__ = ("_lengths", "_counts", "_periodic", "_cells", "_home")
 
     def __init__(self, space: SpaceSpec, radius: float):
         self._lengths = space.lengths
@@ -421,39 +449,33 @@ class NeighbourGrid:
                              for L in self._lengths)
         self._periodic = space.periodic
         self._cells: dict[tuple[int, ...], dict[str, list[float]]] = {}
+        self._home: dict[str, tuple[int, ...]] = {}
 
     def _cell(self, p) -> tuple[int, ...]:
-        return tuple(min(math.floor(v / L * c), c - 1)
-                     for v, L, c in zip(p, self._lengths, self._counts))
+        return tuple([min(math.floor(v / L * c), c - 1)
+                      for v, L, c in zip(p, self._lengths, self._counts)])
 
     def add(self, pid: str, p: list[float]) -> None:
-        cell = self._cell(p)
+        cell = self._home[pid] = self._cell(p)
         members = self._cells.get(cell)
         if members is None:
             members = self._cells[cell] = {}
         members[pid] = p
 
-    def remove(self, pid: str, p: list[float]) -> None:
-        cell = self._cell(p)
+    def remove(self, pid: str) -> None:
+        cell = self._home.pop(pid)
         members = self._cells[cell]
         del members[pid]
         if not members:
             del self._cells[cell]
 
-    def near(self, x):
-        """Yield (distance, pid, point) for every point in the cells around x:
+    def near(self, x) -> list[tuple[float, str, list[float]]]:
+        """(distance, pid, point) for every point in the cells around x:
         every point within the radius of x, and possibly some farther ones."""
         x = np.asarray(x, dtype=float).tolist()
-        axes = []
-        for i, c in zip(self._cell(x), self._counts):
-            if c <= 3:
-                axes.append(range(c))
-            elif self._periodic:
-                axes.append((i - 1 if i else c - 1, i, i + 1 if i + 1 < c else 0))
-            else:
-                axes.append(range(max(i - 1, 0), min(i + 2, c)))
         cells, lengths, periodic = self._cells, self._lengths, self._periodic
-        for key in itertools.product(*axes):
+        out = []
+        for key in _neighbour_block(self._cell(x), self._counts, periodic):
             members = cells.get(key)
             if members is None:
                 continue
@@ -464,14 +486,20 @@ class NeighbourGrid:
                     if periodic and L - d < d:
                         d = L - d
                     s += d * d
-                yield math.sqrt(s), pid, p
+                out.append((math.sqrt(s), pid, p))
+        return out
 
 
 def neighbour_grid(space: SpaceSpec, eta: Configuration, radius: float) -> NeighbourGrid:
     """eta's neighbour grid for queries within radius under the metric of
-    space, built on first use and kept up to date by eta's add and remove."""
-    return eta.index((NeighbourGrid, space.lengths, space.boundary, radius),
-                     lambda: NeighbourGrid(space, radius))
+    space, built on first use and kept up to date by eta's add and remove.
+    Its key in eta is a maker of the grid kept on space per radius, so a
+    lookup hashes one float and one object identity and builds nothing."""
+    make = space._grid_makers.get(radius)
+    if make is None:
+        make = space._grid_makers[radius] = functools.partial(NeighbourGrid, space, radius)
+    grid = eta._indexes.get(make)
+    return eta.index(make, make) if grid is None else grid
 
 
 # A state with death marks was once a class of its own; the benchmark's

@@ -112,6 +112,7 @@ class GrainOverlap:
         self._nodes: NDArray[np.float64] | None = None
         if self.dimension > 1:
             self._nodes = self._build_nodes(int(resolution))
+            self._columns = np.ascontiguousarray(self._nodes.T)  # one row per axis
 
     def _build_nodes(self, n_raw: int) -> NDArray[np.float64]:
         # Halton points in the bounding cube, kept if inside the ball. The
@@ -140,13 +141,33 @@ class GrainOverlap:
             d = (d + L / 2.0) % L - L / 2.0
         return d
 
-    def _covered(self, x, pts) -> NDArray[np.bool_]:
-        """(nodes, len(pts)) mask: node i of ball(x, r) lies in ball(pts[j], r)."""
-        diff = np.abs(self._nodes[:, None, :] - self._signed_deltas(x, pts)[None, :, :])
-        if self.space.periodic:
-            L = self.space.lengths_array()
-            diff = np.minimum(diff, L - diff)
-        return np.sum(diff ** 2, axis=2) <= self.radius * self.radius
+    def _squared_distances(self, x, pts):
+        """Yield, for each row p of pts, the squared distances from p to the
+        nodes of ball(x, r): a node lies in ball(p, r) when its value is at
+        most r * r. The yielded array is a buffer that the next step
+        overwrites.
+
+        The value is min(|node - delta|, L - |node - delta|) squared (the wrap
+        only on a periodic window) and summed over the axes in order: the
+        float operations of the (nodes, len(pts), d) broadcast this replaced,
+        done one neighbour and one contiguous node column at a time.
+        """
+        lengths = self.space.lengths if self.space.periodic else None
+        n = self._columns.shape[1]
+        acc, diff, wrap = np.empty(n), np.empty(n), np.empty(n)
+        for delta in self._signed_deltas(x, pts):
+            for k, column in enumerate(self._columns):
+                np.subtract(column, delta[k], out=diff)
+                np.abs(diff, out=diff)
+                if lengths is not None:
+                    np.subtract(lengths[k], diff, out=wrap)
+                    np.minimum(diff, wrap, out=diff)
+                if k:
+                    np.multiply(diff, diff, out=diff)
+                    np.add(acc, diff, out=acc)
+                else:
+                    np.multiply(diff, diff, out=acc)
+            yield acc
 
     def exposed_volume(self, x, pts) -> float:
         """Volume of ball(x, r) not covered by the union of ball(p, r), p in pts."""
@@ -165,7 +186,10 @@ class GrainOverlap:
                     if b > a:
                         intervals.append((a, b))
             return 2.0 * r - _merge_length(intervals)
-        covered = np.any(self._covered(x, pts), axis=1)
+        rr = self.radius * self.radius
+        covered = np.zeros(len(self._nodes), dtype=bool)
+        for acc in self._squared_distances(x, pts):
+            covered |= acc <= rr
         return self.ball_volume * float(np.count_nonzero(~covered)) / len(self._nodes)
 
     def overlap_volumes(self, x, pts) -> NDArray[np.float64]:
@@ -177,8 +201,10 @@ class GrainOverlap:
         if self._nodes is None:
             dists = distances_to(self.space, np.asarray(x, dtype=float), pts)
             return np.maximum(0.0, 2.0 * self.radius - dists)
-        covered = self._covered(x, pts)
-        return self.ball_volume * np.count_nonzero(covered, axis=0) / len(self._nodes)
+        rr = self.radius * self.radius
+        counts = np.array([np.count_nonzero(acc <= rr) for acc in self._squared_distances(x, pts)],
+                          dtype=np.intp)
+        return self.ball_volume * counts / len(self._nodes)
 
     def union_volume(self, pts) -> float:
         """Volume of the union of grain balls, by sequential exposed volumes
@@ -553,20 +579,23 @@ def _cell_index(counts: tuple[int, ...], lengths: tuple[float, ...], x: list[flo
 
 class _Occupancy:
     """Points per cell of one configuration, as floats (exact integers), kept
-    by Configuration.index for CellOccupancyRate."""
+    by Configuration.index for CellOccupancyRate. Each id's cell is kept from
+    its add, so remove(pid) reads no coordinates."""
 
-    __slots__ = ("k", "_counts", "_lengths")
+    __slots__ = ("k", "_counts", "_lengths", "_home")
 
     def __init__(self, counts: tuple[int, ...], lengths: tuple[float, ...]):
         self.k = np.zeros(math.prod(counts))
         self._counts = counts
         self._lengths = lengths
+        self._home: dict[str, int] = {}
 
     def add(self, pid: str, p: list[float]) -> None:
-        self.k[_cell_index(self._counts, self._lengths, p)] += 1.0
+        cell = self._home[pid] = _cell_index(self._counts, self._lengths, p)
+        self.k[cell] += 1.0
 
-    def remove(self, pid: str, p: list[float]) -> None:
-        self.k[_cell_index(self._counts, self._lengths, p)] -= 1.0
+    def remove(self, pid: str) -> None:
+        self.k[self._home.pop(pid)] -= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +633,7 @@ def _sandwich_rates(model: RateModel, space: SpaceSpec, x,
         raise UnsupportedModelError(
             f"sandwich rates need a monotone rate model; {type(model).__name__} is {mono}")
     if isinstance(model, NeighbourRate):
-        near = list(neighbour_grid(space, eta_up, model.support_radius()).near(x))
+        near = neighbour_grid(space, eta_up, model.support_radius()).near(x)
         held = eta_low.ids()
         up = model.rate_of_neighbours(space, x, near)
         low = model.rate_of_neighbours(space, x, [n for n in near if n[1] in held])

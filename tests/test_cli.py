@@ -357,6 +357,38 @@ def test_stats_rejects_a_bad_run_before_writing(tmp_path, capsys, flag, value, m
     assert not os.path.exists(out)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,run,flags,message", [
+    ("simulate", {}, ["--horizon", "nan"], "horizon"),
+    ("simulate", {}, ["--horizon", "inf"], "horizon"),
+    ("simulate", {"horizon": "ten"}, [], "horizon"),
+    ("stats", {}, ["--horizon", "nan"], "horizon"),
+    ("stats", {"horizon": INF}, [], "horizon"),
+    ("stats", {"replicates": 2.7}, [], "replicates"),
+    ("perfect-sample", {"replicates": 2.7}, [], "replicates"),
+    ("perfect-sample", {"replicates": True}, [], "replicates"),
+    ("perfect-sample", {"initial_lookback": NAN}, [], "initial_lookback"),
+    ("perfect-sample", {"initial_lookback": 0.0}, [], "initial_lookback"),
+    ("perfect-sample", {"max_lookback": INF}, [], "max_lookback"),
+    ("perfect-sample", {"max_lookback": -1.0}, [], "max_lookback"),
+], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
+        "stats-horizon-nan", "stats-horizon-inf", "stats-replicates-fraction",
+        "perfect-sample-replicates-fraction", "perfect-sample-replicates-bool",
+        "perfect-sample-initial-lookback-nan", "perfect-sample-initial-lookback-zero",
+        "perfect-sample-max-lookback-inf", "perfect-sample-max-lookback-negative"])
+def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command, run, flags,
+                                                       message):
+    # json writes NaN and Infinity as the literals that json.load reads back
+    body = json.load(open(CONSTANT))
+    body["run"] = {**body["run"], **run}
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_config(tmp_path, body), "--out", out, *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # validation battery
 # ---------------------------------------------------------------------------

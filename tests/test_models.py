@@ -136,6 +136,50 @@ def test_qmc_exposed_volume_against_the_exact_lens(dimension):
         assert abs(ov.exposed_volume(x, [y]) - (ov.ball_volume - lens)) <= ov.error_bound()
 
 
+def broadcast_squared_distances(ov, x, pts):
+    """The (nodes, len(pts)) squared node distances by the one broadcast
+    over a (nodes, len(pts), d) array that GrainOverlap used to build."""
+    diff = np.abs(ov._nodes[:, None, :] - ov._signed_deltas(x, pts)[None, :, :])
+    if ov.space.periodic:
+        L = ov.space.lengths_array()
+        diff = np.minimum(diff, L - diff)
+    return np.sum(diff ** 2, axis=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([2, 3]), boundary=st.sampled_from(["periodic", "free"]),
+       data=st.data())
+def test_column_at_a_time_coverage_equals_the_broadcast_formula(dim, boundary, data):
+    # every squared distance bit for bit, so the volumes compare the same
+    # floats with r * r as the broadcast did
+    lengths = tuple(data.draw(st.sampled_from([1.0, 0.7, 2.5])) for _ in range(dim))
+    space = SpaceSpec(dimension=dim, lengths=lengths, boundary=boundary)
+    radius = min(lengths) * data.draw(st.sampled_from([0.01, 0.1, 0.3, 0.45]))
+    ov = GrainOverlap(space, radius, resolution=data.draw(st.sampled_from([256, 2048])))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    x = np.array([data.draw(unit) * L for L in lengths])
+    if not space.periodic:
+        x = np.minimum(x, space.lengths_array())
+    pts = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        far = data.draw(st.booleans())
+        p = [data.draw(unit) * L if far else v + (2 * data.draw(unit) - 1) * 2 * radius
+             for v, L in zip(x, lengths)]
+        pts.append([v % L if space.periodic else min(max(v, 0.0), L)
+                    for v, L in zip(p, lengths)])
+    pts = np.array(pts)
+
+    want = broadcast_squared_distances(ov, x, pts)
+    got = np.stack([acc.copy() for acc in ov._squared_distances(x, pts)], axis=1)
+    assert np.array_equal(got, want)
+    covered = want <= radius * radius
+    n = len(ov._nodes)
+    assert ov.exposed_volume(x, pts) == ov.ball_volume * float(
+        np.count_nonzero(~np.any(covered, axis=1))) / n
+    assert np.array_equal(ov.overlap_volumes(x, pts),
+                          ov.ball_volume * np.count_nonzero(covered, axis=0) / n)
+
+
 def test_overlap_rejects_grain_wider_than_period():
     with pytest.raises(SimulationConfigError):
         GrainOverlap(SpaceSpec(dimension=1, lengths=(0.5,)), radius=0.3)

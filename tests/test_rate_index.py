@@ -8,6 +8,7 @@ them bit for bit, not to rounding, after any sequence of additions, removals
 and copies.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbdsim.geometry import Configuration, SpaceSpec, distances_to, nearest_distance
+from sbdsim import models
+from sbdsim.cftp import sandwich_run
+from sbdsim.geometry import (
+    _BLOCK_CACHE,
+    Configuration,
+    NeighbourGrid,
+    SpaceSpec,
+    _neighbour_block,
+    distances_to,
+    nearest_distance,
+    neighbour_grid,
+)
 from sbdsim.models import (
     AreaInteractionRate,
     CellOccupancyRate,
@@ -24,6 +36,7 @@ from sbdsim.models import (
     _sandwich_rates,
     sandwich_rates,
 )
+from sbdsim.noise import NoiseStream, replicate_seed
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +309,94 @@ def test_two_spaces_or_two_radii_keep_separate_indexes():
         eta.remove(sorted(eta.ids())[-1])
     # the same point counts under one window's cells and not another's
     assert cells.occupancy(TORUS_1D, eta).tolist() != cells.occupancy(wide, eta).tolist()
+
+
+# ---------------------------------------------------------------------------
+# upkeep keyed by id, and the cached neighbour blocks
+# ---------------------------------------------------------------------------
+
+def test_index_upkeep_reads_no_coordinates_on_removal(monkeypatch):
+    # a grid computes a point's cell once when the point is added and once
+    # per scan, never on a removal; the occupancy counts likewise drop a
+    # point by its id alone
+    calls = {"cell": 0, "add": 0, "scan": 0, "remove": 0}
+    cell, add, near, remove = (NeighbourGrid._cell, NeighbourGrid.add, NeighbourGrid.near,
+                               NeighbourGrid.remove)
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    def checked_remove(self, *args):
+        before = calls["cell"]
+        remove(self, *args)
+        assert calls["cell"] == before and len(args) == 1
+        calls["remove"] += 1
+
+    for name, method in (("_cell", counted("cell", cell)), ("add", counted("add", add)),
+                         ("near", counted("scan", near)), ("remove", checked_remove)):
+        monkeypatch.setattr(NeighbourGrid, name, method)
+    model = PairwiseRate(theta=0.7, interaction_range=0.05)
+    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=10.0)
+    for i in range(6):
+        sandwich_run(model, space, 4.0, NoiseStream.for_model(model, space,
+                                                              replicate_seed(20260816, i)))
+    assert calls["remove"] > 0 and calls["scan"] > 0
+    assert calls["cell"] == calls["add"] + calls["scan"]
+
+    lookups = []
+    cell_index, occupancy_remove = models._cell_index, models._Occupancy.remove
+
+    def checked_occupancy_remove(self, *args):
+        before = len(lookups)
+        occupancy_remove(self, *args)
+        assert len(lookups) == before and len(args) == 1
+        lookups.append("remove")
+
+    monkeypatch.setattr(models, "_cell_index", lambda *a: lookups.append("cell") or cell_index(*a))
+    monkeypatch.setattr(models._Occupancy, "remove", checked_occupancy_remove)
+    cells = CellOccupancyRate(cell_counts=(3,), theta=0.3 * np.eye(3) + 0.1)
+    for i in range(6):
+        sandwich_run(cells, space, 4.0, NoiseStream.for_model(cells, space,
+                                                              replicate_seed(20260816, i)))
+    assert "remove" in lookups
+
+
+def product_rule_block(cell, counts, periodic):
+    """The cells a query visited before blocks were cached: per axis the cell
+    and its neighbours, or the whole axis of three cells or fewer."""
+    axes = []
+    for i, c in zip(cell, counts):
+        if c <= 3:
+            axes.append(range(c))
+        elif periodic:
+            axes.append((i - 1 if i else c - 1, i, i + 1 if i + 1 < c else 0))
+        else:
+            axes.append(range(max(i - 1, 0), min(i + 2, c)))
+    return tuple(itertools.product(*axes))
+
+
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "free"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cached_blocks_follow_the_product_rule_with_each_cell_once(dim, periodic):
+    for counts in itertools.product((1, 2, 3, 4, 5, 8), repeat=dim):
+        for cell in itertools.product(*(range(c) for c in counts)):
+            block = _neighbour_block(cell, counts, periodic)
+            assert block == product_rule_block(cell, counts, periodic), (cell, counts)
+            assert len(set(block)) == len(block), (cell, counts)
+
+
+def test_block_cache_stays_within_its_bound():
+    space = SpaceSpec(dimension=2, lengths=(1.0, 1.0))
+    grid = neighbour_grid(space, Configuration.from_points(np.array([[0.5, 0.5]])), 1e-9)
+    assert grid._counts == (1 << 20, 1 << 20)
+    xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(_BLOCK_CACHE + 500, 2))
+    assert len({grid._cell(x) for x in xs.tolist()}) == len(xs)  # every query a new cell
+    misses = _neighbour_block.cache_info().misses
+    for x in xs:
+        grid.near(x)
+    info = _neighbour_block.cache_info()
+    assert info.misses - misses == len(xs)
+    assert info.currsize <= info.maxsize == _BLOCK_CACHE
