@@ -193,7 +193,7 @@ def _initial_state(cfg: RunConfig, seed: int):
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     horizon = _horizon(cfg, 10.0)
     snapshot_times = [float(t) for t in cfg.run.get("snapshot_times", [])]
-    if any(t < 0 or t > horizon for t in snapshot_times):
+    if not all(0 <= t <= horizon for t in snapshot_times):  # NaN fails it too
         raise SimulationConfigError("snapshot times must lie in [0, horizon]")
     _write_outputs(out_dir, cfg)
 

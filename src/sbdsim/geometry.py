@@ -399,9 +399,10 @@ def nearest_distance(space: SpaceSpec, x, eta: Configuration) -> float:
 # the radius outside the block of cells next to the query's cell.
 _MAX_CELLS_PER_AXIS = 1 << 20
 _CELL_SLACK = 1.0 + 1e-6
-# Blocks kept by _neighbour_block: every cell of a 49 x 49 grid (a 2-D unit
-# torus at radius 0.02) fits, at about 1 KB a block in 2-D and 4 KB in 3-D.
-_BLOCK_CACHE = 4096
+# Blocks kept by _neighbour_block, at most about 0.8 KB each in 2-D and 2.2 KB
+# in 3-D: every cell of a 22 x 22 grid fits, and a denser 2-D grid (49 x 49
+# at radius 0.02 on the unit torus) adds well under 1 MB to the process.
+_BLOCK_CACHE = 512
 
 
 @functools.lru_cache(maxsize=_BLOCK_CACHE)
@@ -498,8 +499,7 @@ def neighbour_grid(space: SpaceSpec, eta: Configuration, radius: float) -> Neigh
     make = space._grid_makers.get(radius)
     if make is None:
         make = space._grid_makers[radius] = functools.partial(NeighbourGrid, space, radius)
-    grid = eta._indexes.get(make)
-    return eta.index(make, make) if grid is None else grid
+    return eta.index(make, make)
 
 
 # A state with death marks was once a class of its own; the benchmark's

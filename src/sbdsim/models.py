@@ -152,21 +152,19 @@ class GrainOverlap:
         float operations of the (nodes, len(pts), d) broadcast this replaced,
         done one neighbour and one contiguous node column at a time.
         """
-        lengths = self.space.lengths if self.space.periodic else None
+        periodic = self.space.periodic
         n = self._columns.shape[1]
         acc, diff, wrap = np.empty(n), np.empty(n), np.empty(n)
         for delta in self._signed_deltas(x, pts):
-            for k, column in enumerate(self._columns):
-                np.subtract(column, delta[k], out=diff)
+            acc.fill(0.0)  # 0 + the first square is that square, bit for bit
+            for column, dk, L in zip(self._columns, delta, self.space.lengths):
+                np.subtract(column, dk, out=diff)
                 np.abs(diff, out=diff)
-                if lengths is not None:
-                    np.subtract(lengths[k], diff, out=wrap)
+                if periodic:
+                    np.subtract(L, diff, out=wrap)
                     np.minimum(diff, wrap, out=diff)
-                if k:
-                    np.multiply(diff, diff, out=diff)
-                    np.add(acc, diff, out=acc)
-                else:
-                    np.multiply(diff, diff, out=acc)
+                np.multiply(diff, diff, out=diff)
+                np.add(acc, diff, out=acc)
             yield acc
 
     def exposed_volume(self, x, pts) -> float:

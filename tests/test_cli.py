@@ -364,6 +364,7 @@ NAN, INF = float("nan"), float("inf")
     ("simulate", {}, ["--horizon", "nan"], "horizon"),
     ("simulate", {}, ["--horizon", "inf"], "horizon"),
     ("simulate", {"horizon": "ten"}, [], "horizon"),
+    ("simulate", {}, ["--snapshot-times", "0,nan"], "snapshot times"),
     ("stats", {}, ["--horizon", "nan"], "horizon"),
     ("stats", {"horizon": INF}, [], "horizon"),
     ("stats", {"replicates": 2.7}, [], "replicates"),
@@ -374,6 +375,7 @@ NAN, INF = float("nan"), float("inf")
     ("perfect-sample", {"max_lookback": INF}, [], "max_lookback"),
     ("perfect-sample", {"max_lookback": -1.0}, [], "max_lookback"),
 ], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
+        "simulate-snapshot-time-nan",
         "stats-horizon-nan", "stats-horizon-inf", "stats-replicates-fraction",
         "perfect-sample-replicates-fraction", "perfect-sample-replicates-bool",
         "perfect-sample-initial-lookback-nan", "perfect-sample-initial-lookback-zero",
