@@ -20,6 +20,7 @@ from sbdsim import models
 from sbdsim.cftp import sandwich_run
 from sbdsim.geometry import (
     _BLOCK_CACHE,
+    _BLOCKS,
     Configuration,
     NeighbourGrid,
     SpaceSpec,
@@ -393,10 +394,11 @@ def test_block_cache_stays_within_its_bound():
     grid = neighbour_grid(space, Configuration.from_points(np.array([[0.5, 0.5]])), 1e-9)
     assert grid._counts == (1 << 20, 1 << 20)
     xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(_BLOCK_CACHE + 500, 2))
-    assert len({grid._cell(x) for x in xs.tolist()}) == len(xs)  # every query a new cell
-    misses = _neighbour_block.cache_info().misses
-    for x in xs:
+    cells = [grid._cell(x) for x in xs.tolist()]
+    assert len(set(cells)) == len(xs)  # every query a new cell
+    for x, cell in zip(xs, cells):
         grid.near(x)
-    info = _neighbour_block.cache_info()
-    assert info.misses - misses == len(xs)
-    assert info.currsize <= info.maxsize == _BLOCK_CACHE
+        assert len(_BLOCKS) <= _BLOCK_CACHE
+    # a block built past the bound is still the block of its cell
+    assert _neighbour_block(cells[-1], grid._counts, True) == product_rule_block(
+        cells[-1], grid._counts, True)
