@@ -396,7 +396,7 @@ def test_block_cache_stays_within_its_bound():
     xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(_BLOCK_CACHE + 500, 2))
     cells = [grid._cell(x) for x in xs.tolist()]
     assert len(set(cells)) == len(xs)  # every query a new cell
-    for x, cell in zip(xs, cells):
+    for x in xs:
         grid.near(x)
         assert len(_BLOCKS) <= _BLOCK_CACHE
     # a block built past the bound is still the block of its cell
