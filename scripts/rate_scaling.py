@@ -12,12 +12,19 @@ For every (model, n) the script reports:
   first_query_us  one query on a fresh configuration (it pays for any index
                   the model builds on first use);
   us_per_call     the median over REPEATS batches of the mean time per query
-                  of QUERIES queries at fresh locations, after that first one;
+                  of QUERIES queries at fresh locations, after that first one,
+                  with the batches' first and third quartiles beside it
+                  (us_per_call_q1, us_per_call_q3);
   rate_checksum   the sum of the rates of one batch, which must not depend on
                   how the rate is computed;
   upkeep_us       one add plus one remove of a point at a fresh location, on
-                  the configuration whose index the queries built: the
-                  median over REPEATS batches of the mean of QUERIES pairs.
+                  the configuration whose index the queries built, the point
+                  given as the event loop gives it (a tuple of floats, made
+                  before the clock starts): the median over REPEATS batches of
+                  the mean of QUERIES pairs, with upkeep_us_q1 and upkeep_us_q3.
+
+The script pins itself to one CPU (the lowest of those it may run on), so the
+scheduler does not move it between cores in the middle of a batch.
 
 The result is written as BENCH_rate_scaling_<date>_<commit>.json, with the
 machine facts (CPU count, Python and numpy versions, commit). The commit is
@@ -70,6 +77,12 @@ def commit() -> str:
     return out.stdout.strip()
 
 
+def quartiles(seconds: list[float]) -> tuple[float, float, float]:
+    """Median, first and third quartiles of per-call times, in microseconds."""
+    q1, q2, q3 = np.percentile(seconds, [25, 50, 75]) * 1e6
+    return float(q2), float(q1), float(q3)
+
+
 def measure(model, n: int) -> dict:
     rng = np.random.default_rng([SEED, n])  # every model sees the same points
     side = math.sqrt(n / DENSITY)
@@ -93,28 +106,35 @@ def measure(model, n: int) -> dict:
 
     per_pair = []
     for r, batch in enumerate(rng.uniform(0.0, side, size=(REPEATS, QUERIES, 2))):
+        rows = [(f"u{r}.{i}", tuple(x)) for i, x in enumerate(batch.tolist())]
         t0 = time.perf_counter()
-        for i, x in enumerate(batch):
-            pid = f"u{r}.{i}"
+        for pid, x in rows:
             eta.add(pid, x)
             eta.remove(pid)
         per_pair.append((time.perf_counter() - t0) / QUERIES)
+    call, call_q1, call_q3 = quartiles(per_call)
+    upkeep, upkeep_q1, upkeep_q3 = quartiles(per_pair)
     return {"n": n, "side": side, "first_query_us": first * 1e6,
-            "us_per_call": float(np.median(per_call)) * 1e6,
-            "rate_checksum": checksum, "upkeep_us": float(np.median(per_pair)) * 1e6}
+            "us_per_call": call, "us_per_call_q1": call_q1, "us_per_call_q3": call_q3,
+            "rate_checksum": checksum,
+            "upkeep_us": upkeep, "upkeep_us_q1": upkeep_q1, "upkeep_us_q3": upkeep_q3}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", default=".", help="directory for the JSON file")
     args = parser.parse_args(argv)
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
 
     results = {}
     for name, model in MODELS.items():
         results[name] = [measure(model, n) for n in SIZES]
         for row in results[name]:
-            print(f"{name:18s} n={row['n']:6d}  {row['us_per_call']:9.2f} us/call  "
-                  f"first {row['first_query_us']:9.1f} us  upkeep {row['upkeep_us']:6.2f} us")
+            print(f"{name:18s} n={row['n']:6d}  {row['us_per_call']:9.2f} us/call "
+                  f"[{row['us_per_call_q1']:.2f}, {row['us_per_call_q3']:.2f}]  "
+                  f"first {row['first_query_us']:9.1f} us  upkeep {row['upkeep_us']:6.2f} us "
+                  f"[{row['upkeep_us_q1']:.2f}, {row['upkeep_us_q3']:.2f}]")
 
     rev = commit()
     record = {
@@ -123,7 +143,8 @@ def main(argv=None) -> int:
         "density": DENSITY,
         "queries": QUERIES,
         "repeats": REPEATS,
-        "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+        "machine": {"cpu_count": os.cpu_count(), "pinned_cpu": cpu,
+                    "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform(),
                     "commit": rev},
         "models": results,

@@ -220,9 +220,9 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
         merged += state.merged
         slabs = state.slabs
         if state.coalesced:
-            # a fresh copy with its rows in the order the live ids were born,
-            # so that sums over points_array() do not depend on the pass
-            draw = state.lower.restrict(state.lower.ids())
+            # a copy without the pass's indexes; its rows, like every
+            # state's, are in the order the live ids were born
+            draw = state.lower.copy()
             return PerfectSample(configuration=draw, lookback_used=state.lookback,
                                  status="Coalesced", lookbacks_tried=tried,
                                  proposals=proposals, merged=merged, slabs_read=slabs)

@@ -223,6 +223,10 @@ def cmd_perfect_sample(cfg: RunConfig, out_dir: str) -> int:
     if not (t0 > 0 and t_max > 0):
         raise SimulationConfigError(
             f"initial_lookback and max_lookback must be > 0, got {t0!r} and {t_max!r}")
+    if max(t0, cfg.slab_length) > t_max * (1 + 1e-12):  # cftp.perfect_sample would try none
+        raise SimulationConfigError(
+            f"max_lookback {t_max!r} is below the first lookback, the larger of "
+            f"initial_lookback {t0!r} and slab_length {cfg.slab_length!r}")
     _write_outputs(out_dir, cfg)
     samples_dir = os.path.join(out_dir, "samples")
     os.makedirs(samples_dir, exist_ok=True)

@@ -91,7 +91,7 @@ def snapshot(trajectory: Trajectory, t: float) -> Configuration:
     if not (trajectory.start_time <= t <= trajectory.end_time):
         raise SimulationConfigError(
             f"snapshot time {t} outside [{trajectory.start_time}, {trajectory.end_time}]")
-    state = trajectory.initial.restrict(trajectory.initial.ids())
+    state = trajectory.initial.copy()
     for ev in trajectory.events:
         if ev.time > t:
             break
@@ -122,18 +122,16 @@ class _Path:
                  log: bool):
         live = self.live = initial.restrict(sorted(initial.ids()))
         self.deaths: list[tuple[float, int, str]] = []
-        self.seq = len(live)
-        if live:
-            mark, born = live.timing()
+        for seq, (pid, (_, mark, born)) in enumerate(live.rows()):
             dies = _death_time(born, mark, delta0)
-            if not dies.min() > start_time:  # NaN for a point without a death mark
-                i = int(np.argmin(dies > start_time))
+            if not dies > start_time:  # NaN for a point without a death mark
                 raise SimulationConfigError(
-                    f"initial point {list(live.ids())[i]!r} with death mark {mark[i]} dies at "
-                    f"{dies[i]}, not after the start time {start_time}")
-            # keys are unique in seq, so the heap pops as one push per point would
-            self.deaths = list(zip(dies.tolist(), range(len(live)), live.ids()))
-            heapq.heapify(self.deaths)
+                    f"initial point {pid!r} with death mark {mark} dies at {dies}, "
+                    f"not after the start time {start_time}")
+            self.deaths.append((dies, seq, pid))
+        # keys are unique in seq, so the heap pops as one push per point would
+        heapq.heapify(self.deaths)
+        self.seq = len(live)
         self.events: list[Event] | None = [] if log else None
 
     def birth(self, pid: str, x, s: float, r: float, delta0: float) -> None:
@@ -151,7 +149,8 @@ class _Path:
             dt, _, pid = heapq.heappop(deaths)
             x = live.remove(pid)
             if events is not None:
-                events.append(Event(time=dt, kind="death", point_id=pid, x=x))
+                events.append(Event(time=dt, kind="death", point_id=pid,
+                                    x=np.array(x, dtype=float)))
 
 
 @dataclass
@@ -178,7 +177,7 @@ class PathRun:
         """One Trajectory per path, from a run without bracket; final rows in id order of adding."""
         return [Trajectory(initial=initial.copy(), events=path.events,
                            start_time=self.start_time, horizon=self.horizon,
-                           final=path.live.restrict(path.live.ids()), death_rate=self.death_rate)
+                           final=path.live.copy(), death_rate=self.death_rate)
                 for initial, path in zip(self.initials, self.paths)]
 
 
@@ -240,7 +239,7 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
     active, states = paths, [path.live for path in paths]
     split = bracket  # a bracket pair not merged yet
     merged_at = None  # proposals before the merge
-    columns = zip(proposals.s.tolist(), proposals.x, proposals.r.tolist(),
+    columns = zip(proposals.s.tolist(), map(tuple, proposals.x.tolist()), proposals.r.tolist(),
                   proposals.u.tolist(), proposals.ids)
     for i, (s, x, r, u, pid) in enumerate(columns):
         for path in active:

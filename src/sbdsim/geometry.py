@@ -150,10 +150,8 @@ def distances_to(space: SpaceSpec, x: NDArray, pts: NDArray) -> NDArray[np.float
 # configurations
 # ---------------------------------------------------------------------------
 
-_MIN_CAPACITY = 8
 _EMPTY = np.zeros((0, 0))
 _EMPTY.flags.writeable = False
-_NO_TIMES = _EMPTY.reshape(0)
 
 
 class TimedPoint(NamedTuple):
@@ -166,6 +164,11 @@ class TimedPoint(NamedTuple):
     birth_time: float
 
 
+def _read_only(a: NDArray) -> NDArray:
+    a.flags.writeable = False
+    return a
+
+
 class Configuration:
     """Finite multiset of points with opaque ids, each with a death mark and a
     birth time.
@@ -173,31 +176,31 @@ class Configuration:
     Two configurations are equal when they carry the same multiset of
     coordinates; ids, marks and birth times never enter comparisons.
 
-    The coordinates live in one contiguous (capacity, d) array whose capacity
-    doubles when it is full, with the death marks (NaN for a point added
-    without one) and birth times in two float64 columns beside it. A dict
-    maps each id to its row (in insertion order, which ids() and items()
-    follow) and a list maps each row back to its id. Removing a point moves
-    the last row into the freed slot, so the rows are the live points in no
-    particular order. points_array() and timing() are read-only views of
-    those rows, valid until the next add or remove; coords(), entry(),
-    items() and remove() return copies.
+    The store is one insertion-ordered dict of immutable rows, id ->
+    (p, mark, born), with p a tuple of floats and mark NaN for a point added
+    without a death mark. ids(), items(), rows() and the rows of
+    points_array() and timing() all follow insertion order. An add of a
+    tuple keeps that tuple as the row's p (the event loop passes its
+    proposals so); any other point is converted to floats and checked. Rows
+    are never changed, so copies, restrictions and both paths of a bracket
+    share them. points_array() and timing() are read-only arrays built on
+    first use after an add or remove and kept until the next one, so an
+    array handed out keeps its values; coords(), entry() and items() return
+    new arrays, and remove() returns the point's tuple p.
 
     Derived indexes (a rate model's occupancy counts, a neighbour grid) are
     built from the live points the first time index() is asked for one, and
-    every later add and remove updates them: add passes the new point's
-    coordinates, remove only its id, so each index keeps what it needs of a
-    point (its cell) by id. copy(), restrict() and every new configuration
-    start with none.
+    every later add and remove updates them: add passes the id and p, remove
+    only the id, so each index keeps what it needs of a point (its cell) by
+    id. copy(), restrict() and every new configuration start with none.
     """
 
-    __slots__ = ("_xs", "_mark", "_born", "_row", "_ids", "_indexes")
+    __slots__ = ("_rows", "_d", "_xs", "_timing", "_indexes")
 
     def __init__(self, points: dict[str, NDArray[np.float64]] | None = None):
-        self._xs: NDArray[np.float64] = _EMPTY
-        self._mark = self._born = _NO_TIMES
-        self._row: dict[str, int] = {}
-        self._ids: list[str] = []
+        self._rows: dict[str, tuple[tuple[float, ...], float, float]] = {}
+        self._d = 0  # length of every p while the store is not empty
+        self._xs = self._timing = None  # cached columns, None after an add or remove
         self._indexes: dict = {}
         if points:
             for pid, x in points.items():
@@ -207,26 +210,22 @@ class Configuration:
     def from_columns(cls, ids, xs, mark=None, born=0.0) -> "Configuration":
         """The point ids[i] at xs[i] with death mark mark[i] (NaN for all when
         mark is None) and birth time born (one for all or one per point), rows
-        in that order. The columns are copied."""
-        ids, xs = list(ids), np.array(xs, dtype=float)
+        in that order."""
+        ids, xs = list(ids), np.asarray(xs, dtype=float)
         if not ids:
             return cls()
         if mark is None:
             mark = np.full(len(ids), math.nan)
-        elif not (mark := np.array(mark, dtype=float)).min() > 0:
+        elif not (mark := np.asarray(mark, dtype=float)).min() > 0:
             raise SimulationConfigError(f"residual clock must be > 0, got {mark.min()}")
         if xs.ndim != 2 or len(xs) != len(ids) or mark.shape != (len(ids),):
             raise SimulationConfigError(f"{len(ids)} ids for points of shape {xs.shape}")
-        return cls._of_rows(ids, xs, mark, np.full(len(ids), born, dtype=float))
-
-    @classmethod
-    def _of_rows(cls, ids: list, xs, mark, born) -> "Configuration":
-        """The configuration whose store is these columns, uncopied (row i is ids[i])."""
         cfg = cls()
-        cfg._row = dict(zip(ids, range(len(ids))))
-        if len(cfg._row) != len(ids):
+        cfg._rows = dict(zip(ids, zip(map(tuple, xs.tolist()), mark.tolist(),
+                                      np.broadcast_to(born, len(ids)).tolist())))
+        if len(cfg._rows) != len(ids):
             raise SimulationConfigError("duplicate point ids")
-        cfg._ids, cfg._xs, cfg._mark, cfg._born = ids, xs, mark, born
+        cfg._d = xs.shape[1]
         return cfg
 
     @classmethod
@@ -236,127 +235,113 @@ class Configuration:
 
     def add(self, pid: str, x, mark: float | None = None, born: float = 0.0) -> None:
         """Add point pid at x, with death mark mark (NaN when None), born at born."""
-        if pid in self._row:
+        rows = self._rows
+        if pid in rows:
             raise SimulationConfigError(f"duplicate point id {pid!r}")
         if mark is None:
             mark = math.nan
         elif not (mark > 0):
             raise SimulationConfigError(f"residual clock must be > 0, got {mark}")
-        x = np.asarray(x, dtype=float)
-        n = len(self._ids)
-        xs = self._xs
-        if x.shape != xs.shape[1:] or n == len(xs):
-            if x.shape != xs.shape[1:] and (x.ndim != 1 or n):
-                raise SimulationConfigError(f"point of shape {x.shape} does not fit a "
-                                            f"configuration of shape {xs.shape[1:]}")
-            grown = max(2 * n, _MIN_CAPACITY)
-            xs, mark_col, born_col = np.empty((grown, len(x))), np.empty(grown), np.empty(grown)
-            if n:
-                xs[:n], mark_col[:n], born_col[:n] = self._xs[:n], self._mark[:n], self._born[:n]
-            self._xs, self._mark, self._born = xs, mark_col, born_col
-        xs[n] = x
-        self._mark[n] = mark
-        self._born[n] = born
-        self._row[pid] = n
-        self._ids.append(pid)
-        if self._indexes:
-            p = x.tolist()
-            for index in self._indexes.values():
-                index.add(pid, p)
+        if type(x) is not tuple:
+            a = np.asarray(x, dtype=float)
+            if a.ndim != 1:
+                raise SimulationConfigError(f"point of shape {a.shape} is not a vector")
+            x = tuple(a.tolist())
+        if rows and len(x) != self._d:
+            raise SimulationConfigError(
+                f"point of dimension {len(x)} in a configuration of dimension {self._d}")
+        self._d = len(x)
+        rows[pid] = (x, mark, born)
+        self._xs = self._timing = None
+        for index in self._indexes.values():
+            index.add(pid, x)
 
-    def remove(self, pid: str) -> NDArray[np.float64]:
+    def remove(self, pid: str) -> tuple[float, ...]:
+        """Remove point pid and return its coordinates, the tuple p of its row."""
         try:
-            row = self._row.pop(pid)
+            p = self._rows.pop(pid)[0]
         except KeyError:
             raise SimulationConfigError(f"unknown point id {pid!r}") from None
-        xs, ids = self._xs, self._ids
-        x = xs[row].copy()
-        last = ids.pop()
-        if last != pid:
-            n = len(ids)
-            xs[row], self._mark[row], self._born[row] = xs[n], self._mark[n], self._born[n]
-            ids[row] = last
-            self._row[last] = row
+        self._xs = self._timing = None
         for index in self._indexes.values():
             index.remove(pid)
-        return x
+        return p
 
     def index(self, key, make):
         """The derived index stored under the hashable key. On first use make()
         returns an empty index, which is filled with index.add(pid, p) for
-        every live point (p a list of floats); from then on add calls the
-        same index.add(pid, p) and remove calls index.remove(pid), which
-        takes no coordinates: an index keeps by id what it needs to drop a
-        point."""
+        every live point (p the row's tuple of floats); from then on add
+        calls the same index.add(pid, p) and remove calls index.remove(pid),
+        which takes no coordinates: an index keeps by id what it needs to
+        drop a point."""
         index = self._indexes.get(key)
         if index is None:
             index = make()
-            xs = self._xs
-            for pid, row in self._row.items():
-                index.add(pid, xs[row].tolist())
+            for pid, (p, _, _) in self._rows.items():
+                index.add(pid, p)
             self._indexes[key] = index
         return index
 
+    def rows(self):
+        """The (pid, (p, mark, born)) pairs of the live points, in ids() order."""
+        return self._rows.items()
+
     def coords(self, pid: str) -> NDArray[np.float64]:
-        return self._xs[self._row[pid]].copy()
+        return np.array(self._rows[pid][0], dtype=float)
 
     def entry(self, pid: str) -> TimedPoint:
-        row = self._row[pid]
-        return TimedPoint(self._xs[row].copy(), float(self._mark[row]), float(self._born[row]))
+        p, mark, born = self._rows[pid]
+        return TimedPoint(np.array(p, dtype=float), float(mark), float(born))
 
     def ids(self):
-        return self._row.keys()
+        return self._rows.keys()
 
     def items(self) -> list[tuple[str, NDArray[np.float64]]]:
-        xs = self._xs
-        return [(pid, xs[row].copy()) for pid, row in self._row.items()]
+        return [(pid, np.array(p, dtype=float)) for pid, (p, _, _) in self._rows.items()]
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._rows)
 
     def __contains__(self, pid: str) -> bool:
-        return pid in self._row
+        return pid in self._rows
 
     def points_array(self) -> NDArray[np.float64]:
-        """The live rows, shape (n, d); shape (0, 0) when empty. A read-only
-        view of the store, valid until the next add or remove: removal moves
-        rows and growth reallocates, so copy it to keep it."""
-        n = len(self._ids)
-        if not n:
-            return _EMPTY
-        view = self._xs[:n]
-        view.flags.writeable = False
-        return view
+        """The live points in ids() order, shape (n, d); shape (0, 0) when
+        empty. Read-only, and never changed once handed out."""
+        if self._xs is None:
+            rows = self._rows.values()
+            self._xs = _read_only(np.array([p for p, _, _ in rows], float)) if rows else _EMPTY
+        return self._xs
 
     def timing(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """The death marks and birth times of the rows of points_array(), as
-        read-only views valid until the next add or remove."""
-        mark, born = self._mark[:len(self._ids)], self._born[:len(self._ids)]
-        mark.flags.writeable = born.flags.writeable = False
-        return mark, born
+        read-only arrays never changed once handed out."""
+        if self._timing is None:
+            rows = self._rows.values()
+            self._timing = (_read_only(np.array([m for _, m, _ in rows], dtype=float)),
+                            _read_only(np.array([b for _, _, b in rows], dtype=float)))
+        return self._timing
 
     def copy(self) -> "Configuration":
-        n = len(self._ids)
         out = Configuration()
-        out._xs, out._mark, out._born = (a[:n].copy() for a in (self._xs, self._mark, self._born))
-        out._row, out._ids = dict(self._row), list(self._ids)
+        out._rows, out._d = self._rows.copy(), self._d
         return out
 
     def restrict(self, ids) -> "Configuration":
         """A new configuration of the points ids, with their marks and birth
         times, rows in the order of ids."""
         ids = list(ids)
-        if not ids:
-            return Configuration()
-        rows = np.array([self._row[pid] for pid in ids], dtype=np.intp)
-        return Configuration._of_rows(ids, self._xs.take(rows, axis=0), self._mark.take(rows),
-                                      self._born.take(rows))
+        out = Configuration()
+        rows = self._rows
+        out._rows = {pid: rows[pid] for pid in ids}
+        if len(out._rows) != len(ids):
+            raise SimulationConfigError("duplicate point ids")
+        out._d = self._d
+        return out
 
     def multiset(self) -> Counter:
-        # Counted in insertion order, so iteration over the result does not
-        # depend on where removals left the rows.
-        xs = self._xs
-        return Counter(xs[row].tobytes() for row in self._row.values())
+        # Counted in insertion order, the order of the rows
+        return Counter(row.tobytes() for row in self.points_array())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Configuration):
@@ -459,14 +444,14 @@ class NeighbourGrid:
         self._counts = tuple(max(1, int(min(L / (radius * _CELL_SLACK), _MAX_CELLS_PER_AXIS)))
                              for L in self._lengths)
         self._periodic = space.periodic
-        self._cells: dict[tuple[int, ...], dict[str, list[float]]] = {}
+        self._cells: dict[tuple[int, ...], dict[str, tuple[float, ...]]] = {}
         self._home: dict[str, tuple[int, ...]] = {}
 
     def _cell(self, p) -> tuple[int, ...]:
         return tuple([min(math.floor(v / L * c), c - 1)
                       for v, L, c in zip(p, self._lengths, self._counts)])
 
-    def add(self, pid: str, p: list[float]) -> None:
+    def add(self, pid: str, p: tuple[float, ...]) -> None:
         cell = self._home[pid] = self._cell(p)
         members = self._cells.get(cell)
         if members is None:
@@ -480,10 +465,11 @@ class NeighbourGrid:
         if not members:
             del self._cells[cell]
 
-    def near(self, x) -> list[tuple[float, str, list[float]]]:
+    def near(self, x) -> list[tuple[float, str, tuple[float, ...]]]:
         """(distance, pid, point) for every point in the cells around x:
         every point within the radius of x, and possibly some farther ones."""
-        x = np.asarray(x, dtype=float).tolist()
+        if type(x) is not tuple:
+            x = np.asarray(x, dtype=float).tolist()
         cells, lengths, periodic = self._cells, self._lengths, self._periodic
         out = []
         for key in _neighbour_block(self._cell(x), self._counts, periodic):

@@ -518,7 +518,8 @@ class CellOccupancyRate(RateModel):
         return self._n_cells
 
     def cell_index(self, space: SpaceSpec, x) -> int:
-        return _cell_index(self.cell_counts, space.lengths, np.asarray(x, dtype=float).tolist())
+        return _cell_index(self.cell_counts, space.lengths,
+                           x if type(x) is tuple else np.asarray(x, dtype=float).tolist())
 
     def cell_indices(self, space: SpaceSpec, X) -> NDArray[np.int_]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -562,7 +563,7 @@ class CellOccupancyRate(RateModel):
         return same + cross
 
 
-def _cell_index(counts: tuple[int, ...], lengths: tuple[float, ...], x: list[float]) -> int:
+def _cell_index(counts: tuple[int, ...], lengths: tuple[float, ...], x) -> int:
     """Flat (C-order) index of the cell holding x, by the float operations of
     cell_indices (x / L * c, floor, then the clamp that puts a point on the
     upper face in the last cell) in scalar arithmetic."""
@@ -588,7 +589,7 @@ class _Occupancy:
         self._lengths = lengths
         self._home: dict[str, int] = {}
 
-    def add(self, pid: str, p: list[float]) -> None:
+    def add(self, pid: str, p: tuple[float, ...]) -> None:
         cell = self._home[pid] = _cell_index(self._counts, self._lengths, p)
         self.k[cell] += 1.0
 

@@ -374,12 +374,16 @@ NAN, INF = float("nan"), float("inf")
     ("perfect-sample", {"initial_lookback": 0.0}, [], "initial_lookback"),
     ("perfect-sample", {"max_lookback": INF}, [], "max_lookback"),
     ("perfect-sample", {"max_lookback": -1.0}, [], "max_lookback"),
+    ("perfect-sample", {"initial_lookback": 8.0, "max_lookback": 2.0}, [],
+     "max_lookback 2.0 is below the first lookback, the larger of initial_lookback 8.0"),
+    ("perfect-sample", {"max_lookback": 0.5}, [], "slab_length 1.0"),
 ], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
         "simulate-snapshot-time-nan",
         "stats-horizon-nan", "stats-horizon-inf", "stats-replicates-fraction",
         "perfect-sample-replicates-fraction", "perfect-sample-replicates-bool",
         "perfect-sample-initial-lookback-nan", "perfect-sample-initial-lookback-zero",
-        "perfect-sample-max-lookback-inf", "perfect-sample-max-lookback-negative"])
+        "perfect-sample-max-lookback-inf", "perfect-sample-max-lookback-negative",
+        "perfect-sample-lookback-range-empty", "perfect-sample-max-lookback-below-slab"])
 def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command, run, flags,
                                                        message):
     # json writes NaN and Infinity as the literals that json.load reads back

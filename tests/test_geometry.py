@@ -172,6 +172,7 @@ def test_configuration_store_matches_dict_reference(dim, data):
         assert not pts.flags.writeable
         assert pts.shape == ((len(expect), dim) if expect else (0, 0))
         assert sorted(map(tuple, pts.tolist())) == sorted(expect.values())
+        assert list(map(tuple, pts.tolist())) == list(expect.values())  # rows in ids() order
         assert list(store.ids()) == list(expect)
         items = store.items()
         assert [(pid, tuple(x)) for pid, x in items] == list(expect.items())
@@ -213,6 +214,65 @@ def test_configuration_store_matches_dict_reference(dim, data):
         assert (sub == cfg) == (len(half) == len(ref))
         covered = not (Counter(ref.values()) - Counter(half.values()))
         assert configuration_contains(sub, cfg) == covered
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), data=st.data())
+def test_columns_follow_ids_and_keep_their_values(dim, data):
+    # points_array() and timing() list the rows in ids() order after any
+    # adds and removes, and an array handed out is never changed afterwards
+    cfg, ref = Configuration(), {}
+    handed = []  # (array handed out, its values then)
+    for step in range(data.draw(st.integers(1, 30))):
+        if ref and data.draw(st.booleans()):
+            pid = data.draw(st.sampled_from(list(ref)))
+            assert cfg.remove(pid) == ref.pop(pid)[0]
+        else:
+            x = data.draw(st.tuples(*[store_coord] * dim))
+            mark = data.draw(st.floats(0.01, 5.0))
+            pid = f"q{step}"
+            cfg.add(pid, np.array(x), mark, -float(step))
+            ref[pid] = (x, mark, -float(step))
+        pts, (mark, born) = cfg.points_array(), cfg.timing()
+        assert list(cfg.ids()) == list(ref)
+        assert [tuple(p) for p in pts.tolist()] == [p for p, _, _ in ref.values()]
+        assert mark.tolist() == [m for _, m, _ in ref.values()]
+        assert born.tolist() == [b for _, _, b in ref.values()]
+        assert pts is cfg.points_array() and mark is cfg.timing()[0]  # cached until a change
+        assert not (pts.flags.writeable or mark.flags.writeable or born.flags.writeable)
+        handed.extend((a, a.tolist()) for a in (pts, mark, born))
+        for a, values in handed:
+            assert a.tolist() == values
+
+
+def test_a_point_as_tuple_list_or_array_gives_equal_stores():
+    pts = [(0.1, 0.7), (0.25, 0.0), (0.9, 0.5)]
+    stores = []
+    for kind in (tuple, list, np.array):
+        cfg = Configuration()
+        for i, p in enumerate(pts):
+            cfg.add(f"p{i}", kind(p), mark=1.0 + i, born=-0.5 * i)
+        stores.append(cfg)
+    for cfg in stores:
+        assert cfg == stores[0]
+        assert cfg.points_array().tobytes() == stores[0].points_array().tobytes()
+        assert [m.tobytes() for m in cfg.timing()] == [m.tobytes() for m in stores[0].timing()]
+        assert list(cfg.rows()) == list(stores[0].rows())
+        assert all(type(p) is tuple and all(type(v) is float for v in p)
+                   for _, (p, _, _) in cfg.rows())
+
+
+@pytest.mark.parametrize("point", [(0.1, 0.2, 0.3), [0.1], np.array([0.1, 0.2, 0.3]),
+                                   np.array([[0.1, 0.2]]), np.array(0.1), [[0.1, 0.2]]],
+                         ids=["tuple-3", "list-1", "array-3", "array-1x2", "scalar",
+                              "nested-list"])
+def test_a_point_of_the_wrong_shape_is_refused(point):
+    cfg = Configuration.from_points(np.array([[0.1, 0.2], [0.3, 0.4]]))
+    with pytest.raises(SimulationConfigError):
+        cfg.add("bad", point)
+    assert len(cfg) == 2 and "bad" not in cfg
+    with pytest.raises(SimulationConfigError):
+        Configuration().add("bad", np.zeros((2, 2)))  # the first point fixes no 2-D shape
 
 
 def test_containment_and_symmetric_difference():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbdsim import models
+from sbdsim import geometry, models
 from sbdsim.cftp import sandwich_run
 from sbdsim.geometry import (
     _BLOCK_CACHE,
@@ -363,6 +363,52 @@ def test_index_upkeep_reads_no_coordinates_on_removal(monkeypatch):
         sandwich_run(cells, space, 4.0, NoiseStream.for_model(cells, space,
                                                               replicate_seed(20260816, i)))
     assert "remove" in lookups
+
+
+@pytest.mark.parametrize("model", [PairwiseRate(theta=0.7, interaction_range=0.05),
+                                   CellOccupancyRate(cell_counts=(3,),
+                                                     theta=0.3 * np.eye(3) + 0.1)],
+                         ids=["pairwise", "cells"])
+def test_an_event_costs_no_numpy_call_and_builds_no_column(monkeypatch, model):
+    # the event loop hands Configuration.add the proposal's tuple, which the
+    # store keeps as it is, and remove pops a row: no numpy function runs
+    # inside either, and no pass asks the store for its columns
+    inside, seen = [], []
+    calls = {"add": 0, "remove": 0, "columns": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            if inside:
+                seen.append(name)
+            return getattr(np, name)
+
+    def watched(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    def column(method):
+        def wrapper(*args):
+            calls["columns"] += 1
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "np", CountingNumpy())
+    monkeypatch.setattr(Configuration, "add", watched("add", Configuration.add))
+    monkeypatch.setattr(Configuration, "remove", watched("remove", Configuration.remove))
+    for name in ("points_array", "timing"):
+        monkeypatch.setattr(Configuration, name, column(getattr(Configuration, name)))
+    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=10.0)
+    for i in range(6):
+        sandwich_run(model, space, 4.0, NoiseStream.for_model(model, space,
+                                                              replicate_seed(20260816, i)))
+    assert calls["add"] > 100 and calls["remove"] > 100
+    assert seen == [] and calls["columns"] == 0
 
 
 def product_rule_block(cell, counts, periodic):
