@@ -6,11 +6,15 @@ lookback depth the doubling scheme needed, the number of lookbacks it tried
 (one sandwich pass each), the bracket proposals per draw over all its passes
 and the share of them run after the pair merged (one path, one rate call),
 the noise slabs a draw read (lookback / slab length + 1: the dominating
-process is built backward from time 0, so nothing older is read), and the
-resulting population. The point of the
-exercise: coalescence depth grows roughly logarithmically until the
-interaction gets strong, after which the sandwich bracket stays open much
+process is built backward from time 0, so nothing older is read), the
+resulting population, and the wall time of a draw (draw_us, the median over
+every draw of the batch, with its quartiles draw_us_q1 and draw_us_q3). The
+point of the exercise: coalescence depth grows roughly logarithmically until
+the interaction gets strong, after which the sandwich bracket stays open much
 longer.
+
+The script pins itself to one CPU (the lowest of those it may run on), so the
+scheduler does not move it between cores in the middle of a batch.
 
 Usage:
     python3 scripts/coalescence_profile.py --intensities 1 2 4 8 --replicates 200
@@ -18,7 +22,9 @@ Usage:
 
 import argparse
 import csv
+import os
 import sys
+import time
 
 import numpy as np
 
@@ -36,10 +42,12 @@ def profile_intensity(intensity, replicates, seed):
     model = PairwiseRate(theta=THETA, interaction_range=RANGE)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
     lookbacks, tried, counts, failures = [], [], [], 0
-    proposals, merged, slabs = [], [], []
+    proposals, merged, slabs, seconds = [], [], [], []
     for i in range(replicates):
+        t0 = time.perf_counter()
         res = perfect_sample(model, space, replicate_seed(seed, i),
                              max_lookback=MAX_LOOKBACK)
+        seconds.append(time.perf_counter() - t0)
         if res.status != "Coalesced":
             failures += 1
             continue
@@ -49,6 +57,7 @@ def profile_intensity(intensity, replicates, seed):
         merged.append(res.merged)
         slabs.append(res.slabs_read)
         counts.append(res.count)
+    q1, q2, q3 = np.percentile(seconds, [25, 50, 75]) * 1e6
     return {
         "intensity": intensity,
         "replicates": replicates,
@@ -62,6 +71,9 @@ def profile_intensity(intensity, replicates, seed):
         "merged_share": float(np.sum(merged) / max(1, np.sum(proposals))),
         "mean_slabs_read": float(np.mean(slabs)),
         "mean_count": float(np.mean(counts)),
+        "draw_us": float(q2),
+        "draw_us_q1": float(q1),
+        "draw_us_q3": float(q3),
     }
 
 
@@ -73,6 +85,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=20260816)
     ap.add_argument("--out", default="coalescence_profile.csv")
     args = ap.parse_args(argv)
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     rows = []
     for intensity in args.intensities:
@@ -84,7 +97,8 @@ def main(argv=None):
               f"proposals per draw {row['mean_proposals']:7.1f} "
               f"({row['mean_merged']:6.1f} merged, {row['merged_share']:4.0%}), "
               f"slabs read per draw {row['mean_slabs_read']:5.1f}, "
-              f"mean count {row['mean_count']:6.2f}, failures {row['failures']}")
+              f"mean count {row['mean_count']:6.2f}, failures {row['failures']}, "
+              f"draw {row['draw_us']:8.1f} us [{row['draw_us_q1']:.1f}, {row['draw_us_q3']:.1f}]")
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

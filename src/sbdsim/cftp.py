@@ -21,17 +21,18 @@ time 0 backwards (Kendall & Moller 2000): D(0) is the stream's
 present_points, and slab k < 0 holds the D-points that die in [kL, (k+1)L),
 read with s as the death time, so a point was born at s - r / delta. A pass
 on [-T, 0] reads D(0) and the slabs from -T/L - 1 up to -1 and nothing
-older. dominating_window joins them into one NoiseSlab of birth times, and
-two masks split it: D(-T), the points born before -T and alive at it, and
-the proposals, the points born in [-T, 0), put in birth order by a stable
-argsort. A doubling only adds older slabs, so the draw does not depend on
-the lookback schedule, and nothing is truncated: the sampler is exact.
+older. dominating_window reads their columns once as Python lists and
+splits the points in one pass: D(-T), the points born before -T and alive
+at it, and the proposals, the points born in [-T, 0), put in birth order by
+a stable sort. A doubling only adds older slabs, so the draw does not depend
+on the lookback schedule, and nothing is truncated: the sampler is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,23 +74,34 @@ def dominating_window(stream: NoiseStream, start_time: float,
     proposals are the points with start_time <= b < 0, with s = b, in birth
     order (ties in slab order, then D(0)'s), so a window's D and proposals
     are bit-identical whatever lookback reads them. A slab atom keeps its id
-    "n{k}:{i}"; point i of D(0) has id "d{i}".
+    "n{k}:{i}"; point i of D(0) has id "d{i}". The join runs on the Python
+    floats of the columns, with the IEEE operations of numpy's elementwise
+    ones, so it costs a handful of numpy calls however many atoms it reads.
     """
-    present = stream.present_points(death_rate)
-    points = NoiseSlab.concat([stream.slab_points(k) for k in _window_slabs(stream, start_time)]
-                              + [present])
-    # a slab atom's s is its death time, D(0)'s already its birth time
-    n = len(points) - len(present)
-    b = points.s.copy()
-    b[:n] -= points.r[:n] / death_rate
-    x, r, u, ids = points.x, points.r, points.u, points.ids
-    dies = engine._death_time(b, r, death_rate)
-    alive = np.flatnonzero((b < start_time) & (dies > start_time))
-    alive = alive[ids[alive].argsort()]
-    born = np.flatnonzero((b >= start_time) & (b < 0.0))
-    born = born[b[born].argsort(kind="stable")]
-    return (Configuration.from_columns(ids[alive], x[alive], r[alive], b[alive]),
-            NoiseSlab(b[born], x[born], r[born], u[born], ids[born]))
+    alive, born = [], []
+    slabs = [(stream.slab_points(k), True) for k in _window_slabs(stream, start_time)]
+    for part, by_death in slabs + [(stream.present_points(death_rate), False)]:
+        if not len(part):
+            continue
+        s, r = part.s.tolist(), part.r.tolist()
+        # a slab atom's s is its death time, D(0)'s already its birth time
+        births = [t - m / death_rate for t, m in zip(s, r)] if by_death else s
+        for row in zip(births, part.x.tolist(), r, part.u.tolist(), part.ids.tolist()):
+            b = row[0]
+            if b < start_time:
+                if engine._death_time(b, row[2], death_rate) > start_time:
+                    alive.append(row)
+            elif b < 0.0:
+                born.append(row)
+    state = Configuration()
+    for b, x, r, _, pid in sorted(alive, key=itemgetter(4)):
+        state.add(pid, tuple(x), r, b)
+    born.sort(key=itemgetter(0))
+    s, x, r, u, ids = zip(*born) if born else ((),) * 5
+    return state, NoiseSlab(np.array(s, dtype=float),
+                            np.array(x, dtype=float).reshape(len(born), stream.space.dimension),
+                            np.array(r, dtype=float), np.array(u, dtype=float),
+                            np.array(ids, dtype=object))
 
 
 # ---------------------------------------------------------------------------

@@ -114,13 +114,13 @@ def _death_time(birth_time: float, clock: float, delta0: float) -> float:
 
 class _Path:
     """One path of run_paths: live state, death-time heap and, when logged, the
-    event log (else None). Initial points take rows and heap seqs in sorted-id order."""
+    event log (else None). The path starts from the state it is given, and
+    changes it; initial points take heap seqs in its row order."""
 
     __slots__ = ("live", "deaths", "seq", "events")
 
-    def __init__(self, initial: Configuration, start_time: float, delta0: float,
-                 log: bool):
-        live = self.live = initial.restrict(sorted(initial.ids()))
+    def __init__(self, live: Configuration, start_time: float, delta0: float, log: bool):
+        self.live = live
         self.deaths: list[tuple[float, int, str]] = []
         for seq, (pid, (_, mark, born)) in enumerate(live.rows()):
             dies = _death_time(born, mark, delta0)
@@ -228,14 +228,18 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
     one path at model.birth_rate, and at the end path 1 takes path 0's live
     state; from the merge on, observe sees path 0's state, rate and decision
     in place of path 1's. A bracket run keeps no event log: its callers read
-    the final states.
+    the final states. Its paths start from the initial states themselves,
+    which it changes and which must list their points in sorted-id order, as
+    D(-T) does; any other run starts from sorted-id copies and leaves its
+    initial states as they were.
     """
     if horizon < 0:
         raise SimulationConfigError(f"horizon must be >= 0, got {horizon}")
     delta0 = model.death.rate
     t_end = start_time + horizon
     birth_rate = model.birth_rate
-    paths = [_Path(initial, start_time, delta0, not bracket) for initial in initials]
+    paths = [_Path(initial if bracket else initial.restrict(sorted(initial.ids())),
+                   start_time, delta0, not bracket) for initial in initials]
     active, states = paths, [path.live for path in paths]
     split = bracket  # a bracket pair not merged yet
     merged_at = None  # proposals before the merge

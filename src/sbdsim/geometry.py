@@ -359,12 +359,12 @@ def configuration_contains(big: Configuration, small: Configuration) -> bool:
 
 
 def symmetric_difference(eta1: Configuration, eta2: Configuration, dimension: int | None = None):
-    """Multiset symmetric difference as a coordinate array, shape (m, d)."""
+    """Multiset symmetric difference as a coordinate array, shape (m, d):
+    eta1's surplus, then eta2's, each in its rows' order, so the result is the
+    same in every process."""
     c1, c2 = eta1.multiset(), eta2.multiset()
-    out = []
-    for key in set(c1) | set(c2):
-        for _ in range(abs(c1.get(key, 0) - c2.get(key, 0))):
-            out.append(np.frombuffer(key, dtype=float))
+    out = [np.frombuffer(key, dtype=float) for surplus in (c1 - c2, c2 - c1)
+           for key in surplus.elements()]
     if not out:
         d = dimension if dimension is not None else 0
         return np.zeros((0, d))

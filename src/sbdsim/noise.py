@@ -247,12 +247,16 @@ class NoiseStream:
     # -- derived views ------------------------------------------------------
 
     def atoms_between(self, t0: float, t1: float) -> NoiseSlab:
-        """All atoms with t0 <= s < t1, in time order."""
+        """All atoms with t0 <= s < t1, in time order. A slab wholly inside
+        the range is taken whole; only one that reaches past an end of it,
+        such as the two edge slabs, is sliced."""
         parts = [self._empty]  # so that an empty window has the stream's dimension
         for k in range(math.floor(t0 / self.slab_length), math.ceil(t1 / self.slab_length)):
             slab = self.slab_points(k)
-            lo, hi = np.searchsorted(slab.s, (t0, t1))
-            parts.append(slab[lo:hi])
+            if len(slab) and not (t0 <= slab.s[0] and slab.s[-1] < t1):
+                lo, hi = np.searchsorted(slab.s, (t0, t1))
+                slab = slab[lo:hi]
+            parts.append(slab)
         return NoiseSlab.concat(parts)
 
     def slab_hash(self, k: int) -> str:

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from sbdsim import engine
+from sbdsim import cftp, engine, geometry, noise
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
+    _window_slabs,
     coupling_decay_curve,
     dominating_window,
     extremal_lookback_counts,
@@ -32,7 +38,7 @@ from sbdsim.models import (
     UnsupportedModelError,
     sandwich_rates,
 )
-from sbdsim.noise import NoiseStream, replicate_seed
+from sbdsim.noise import NoiseSlab, NoiseStream, replicate_seed
 
 SPACE = SpaceSpec(dimension=1, lengths=(1.0,), intensity=1.0)
 SPACE2 = SpaceSpec(dimension=2, lengths=(2.0, 0.5), intensity=3.0)
@@ -58,6 +64,82 @@ def window_key(state, proposals):
     """Every bit of a window: D at its start and its proposals, in order."""
     return (sorted((pid, e.coords.tobytes(), e.clock, e.birth_time) for pid, e in entries(state)),
             [(pid, x.tobytes(), s, r, u) for pid, x, s, r, u in rows(proposals)])
+
+
+def reference_dominating_window(stream, start_time, death_rate):
+    """dominating_window as one numpy join: D(0) and the window's slabs
+    concatenated, the slab atoms' birth times s - r / delta, two masks, D(-T)
+    by an argsort of its ids and the proposals by a stable argsort of their
+    birth times."""
+    present = stream.present_points(death_rate)
+    points = NoiseSlab.concat([stream.slab_points(k) for k in _window_slabs(stream, start_time)]
+                              + [present])
+    n = len(points) - len(present)
+    b = points.s.copy()
+    b[:n] -= points.r[:n] / death_rate
+    x, r, u, ids = points.x, points.r, points.u, points.ids
+    dies = engine._death_time(b, r, death_rate)
+    alive = np.flatnonzero((b < start_time) & (dies > start_time))
+    alive = alive[ids[alive].argsort()]
+    born = np.flatnonzero((b >= start_time) & (b < 0.0))
+    born = born[b[born].argsort(kind="stable")]
+    return (Configuration.from_columns(ids[alive], x[alive], r[alive], b[alive]),
+            NoiseSlab(b[born], x[born], r[born], u[born], ids[born]))
+
+
+def window_bits(state, proposals):
+    """Every bit of a window in order: D's rows, then each proposal column
+    with its dtype and shape."""
+    return ([(pid, [v.hex() for v in p], mark.hex(), born.hex())
+             for pid, (p, mark, born) in state.rows()],
+            [(col.dtype.str, col.shape, col.tobytes()) for col in
+             (proposals.s, proposals.x, proposals.r, proposals.u)],
+            proposals.ids.dtype, proposals.ids.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), boundary=st.sampled_from(["periodic", "free"]),
+       slab=st.sampled_from([0.5, 1.0, 2.0]), delta0=st.sampled_from([1.0, 0.45, 1.7]),
+       envelope=st.sampled_from([0.0, 0.3, 2.0, 9.0]), whole=st.integers(0, 6),
+       part=st.sampled_from([0.0, 1e-9, 0.3, 0.999]), seed=st.integers(0, 2**63))
+def test_dominating_window_matches_the_numpy_join(dim, boundary, slab, delta0, envelope,
+                                                  whole, part, seed):
+    # starts on slab edges and inside slabs; an envelope of 0 and a start
+    # just below 0 give windows without proposals
+    start = -(whole + part) * slab
+    if start == 0:
+        start = -slab
+    space = SpaceSpec(dimension=dim, lengths=(1.0, 0.6, 2.0)[:dim], boundary=boundary)
+    window = dominating_window(NoiseStream(seed, space, envelope, slab), start, delta0)
+    want = reference_dominating_window(NoiseStream(seed, space, envelope, slab), start, delta0)
+    assert window_bits(*window) == window_bits(*want)
+    assert window[1].x.shape == (len(window[1]), dim)
+
+
+def test_a_lookback_makes_as_many_numpy_calls_for_few_atoms_as_for_many(monkeypatch):
+    # the join reads each slab's columns as lists, so the numpy calls of a
+    # lookback (its slabs already made) are the proposals' five columns,
+    # whatever the number of atoms
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(np, name)
+
+    counts = {}
+    for envelope in (1.5, 6.0, 60.0):
+        stream = NoiseStream(SEED, SPACE2, envelope)
+        dominating_window(stream, -8.0, 1.3)
+        for module in (cftp, engine, geometry, noise):
+            monkeypatch.setattr(module, "np", CountingNumpy())
+        del calls[:]
+        state, proposals = dominating_window(stream, -8.0, 1.3)
+        monkeypatch.undo()
+        assert len(proposals) > 0
+        counts[len(state) + len(proposals)] = len(calls)
+    assert max(counts) > 20 * min(counts)
+    assert set(counts.values()) == {5}
 
 
 def test_dominating_window_deterministic_and_alive():
@@ -306,7 +388,7 @@ def two_path_bracket(model, space, lookback, stream):
     start = -math.ceil(lookback / stream.slab_length) * stream.slab_length
     ancient, proposals = dominating_window(stream, start, delta0)
     initials = [TimedConfiguration(), ancient]
-    paths = [engine._Path(initial, start, delta0, True) for initial in initials]
+    paths = [engine._Path(initial.copy(), start, delta0, True) for initial in initials]
     states = [path.live for path in paths]
     for pid, x, s, r, u in rows(proposals):
         for path in paths:
@@ -558,6 +640,27 @@ def test_coupling_decay_kernel_weighted_for_interacting_models():
     assert decay.kernel_weighted
     assert decay.mean_mass[0] > 0
     assert decay.fitted_rate < 0
+
+
+def test_coupling_decay_is_the_same_in_every_process():
+    # the kernel is summed over the symmetric difference in its rows' order,
+    # which must not follow the process's string-hash seed
+    code = ("from sbdsim.cftp import coupling_decay_curve\n"
+            "from sbdsim.geometry import SpaceSpec\n"
+            "from sbdsim.models import AreaInteractionRate\n"
+            "from sbdsim.noise import poisson_configuration\n"
+            "space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=20.0)\n"
+            "model = AreaInteractionRate(rho=1.0, gamma=0.5, grain_radius=0.05)\n"
+            "eta0 = poisson_configuration(space, 20.0, 3)\n"
+            "decay = coupling_decay_curve(model, space, eta0, 2.0, 4, 11)\n"
+            "print(decay.kernel_weighted, decay.mean_mass.tobytes().hex())\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+             for seed in ("1", "2")]
+    outs = [proc.communicate(timeout=120)[0].split() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0][0] == "True" and outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

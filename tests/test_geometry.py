@@ -291,6 +291,18 @@ def test_symmetric_difference_counts_multiplicity():
     assert symmetric_difference(a, b, dimension=1).shape == (1, 1)
 
 
+def test_symmetric_difference_lists_each_surplus_in_row_order():
+    # eta1's surplus first, then eta2's, each in its rows' order and with its
+    # multiplicity; not in the order of a set of byte strings, which follows
+    # the process's string-hash seed
+    a = Configuration.from_points(np.array([[0.7], [0.2], [0.2], [0.5], [0.9], [0.3]]))
+    b = Configuration.from_points(np.array([[0.9], [0.4], [0.2], [0.1], [0.6], [0.8]]))
+    delta = symmetric_difference(a, b, dimension=1)
+    assert delta[:, 0].tolist() == [0.7, 0.2, 0.5, 0.3, 0.4, 0.1, 0.6, 0.8]
+    assert symmetric_difference(b, a, dimension=1)[:, 0].tolist() == [0.4, 0.1, 0.6, 0.8,
+                                                                        0.7, 0.2, 0.5, 0.3]
+
+
 def test_nearest_distance():
     cfg = Configuration.from_points(np.array([[0.1], [0.9]]))
     assert nearest_distance(TORUS_1D, np.array([0.02]), cfg) == pytest.approx(0.08)

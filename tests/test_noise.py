@@ -92,6 +92,48 @@ def test_atoms_between_half_open_window():
     assert len(empty) == 0 and empty.x.shape == (0, 1)
 
 
+def reference_atoms_between(stream, t0, t1):
+    """atoms_between as a searchsorted slice of every slab of the range."""
+    parts = [stream._empty]
+    for k in range(math.floor(t0 / stream.slab_length), math.ceil(t1 / stream.slab_length)):
+        slab = stream.slab_points(k)
+        lo, hi = np.searchsorted(slab.s, (t0, t1))
+        parts.append(slab[lo:hi])
+    return NoiseSlab.concat(parts)
+
+
+class EdgeStream(NoiseStream):
+    """Slab k holds k L + s_local for s_local = 0, L / 3, L / 2 and the float
+    just below L, as _generate_slab computes them: away from slab 0 the last
+    rounds onto the next edge (k + 1) L."""
+
+    def _generate_slab(self, k):
+        L = self.slab_length
+        s = k * L + np.array([0.0, L / 3, L / 2, np.nextafter(L, 0.0)])
+        return NoiseSlab(s, np.full((4, 1), 0.5), np.ones(4), np.zeros(4),
+                         np.array([f"n{k}:{i}" for i in range(4)], dtype=object))
+
+
+@pytest.mark.parametrize("slab", [0.37, 1.0, 2.5])
+def test_atoms_between_matches_a_slice_of_every_slab(slab):
+    # range ends on slab edges, inside slabs and on atoms, one of them an atom
+    # whose k L + s_local rounded onto the next edge; whole inner slabs and
+    # sliced edge slabs give the same bits as slicing every slab
+    edge = EdgeStream(SEED, SPACE, 4.0, slab_length=slab)
+    assert edge.slab_points(-3).s[-1] == -2 * slab and edge.slab_points(2).s[-1] == 3 * slab
+    for s in (edge, stream(env=6.0, slab=slab)):
+        ends = sorted({k * slab + f * slab for k in range(-3, 4) for f in (0.0, 0.2, 0.5, 0.9)}
+                      | set(np.concatenate([s.slab_points(k).s for k in (-3, -1, 0, 2)]).tolist()))
+        for i, t0 in enumerate(ends):
+            for t1 in ends[i:]:
+                got, want = s.atoms_between(t0, t1), reference_atoms_between(s, t0, t1)
+                assert got.ids.tolist() == want.ids.tolist()
+                for name in ("s", "x", "r", "u"):
+                    col, ref = getattr(got, name), getattr(want, name)
+                    assert (col.dtype, col.shape, col.tobytes()) == \
+                        (ref.dtype, ref.shape, ref.tobytes())
+
+
 def test_slab_concat_and_selection_keep_columns_aligned():
     s = stream(space=SPACE2)
     a, b = s.slab_points(0), s.slab_points(1)
