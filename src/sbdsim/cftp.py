@@ -74,9 +74,8 @@ def dominating_window(stream: NoiseStream, start_time: float,
     proposals are the points with start_time <= b < 0, with s = b, in birth
     order (ties in slab order, then D(0)'s), so a window's D and proposals
     are bit-identical whatever lookback reads them. A slab atom keeps its id
-    "n{k}:{i}"; point i of D(0) has id "d{i}". The join runs on the Python
-    floats of the columns, with the IEEE operations of numpy's elementwise
-    ones, so it costs a handful of numpy calls however many atoms it reads.
+    "n{k}:{i}"; point i of D(0) has id "d{i}". The join does numpy's IEEE
+    operations on Python floats and makes five numpy calls for any atom count.
     """
     alive, born = [], []
     slabs = [(stream.slab_points(k), True) for k in _window_slabs(stream, start_time)]
@@ -86,9 +85,8 @@ def dominating_window(stream: NoiseStream, start_time: float,
         s, r = part.s.tolist(), part.r.tolist()
         # a slab atom's s is its death time, D(0)'s already its birth time
         births = [t - m / death_rate for t, m in zip(s, r)] if by_death else s
-        # one row (b, r, u, id, x_1, ..., x_d) per atom and no list of its
-        # coordinates: every container made here adds to the garbage
-        # collector's passes, which took a third of a 1000-atom window
+        # one tuple (b, r, u, id, x_1, ..., x_d) per atom and no coordinate list:
+        # the garbage collector's passes over them took a third of a 1000-atom join
         for row in zip(births, r, part.u.tolist(), part.ids.tolist(), *part.x.T.tolist()):
             b = row[0]
             if b < start_time:

@@ -360,8 +360,7 @@ def configuration_contains(big: Configuration, small: Configuration) -> bool:
 
 def symmetric_difference(eta1: Configuration, eta2: Configuration, dimension: int | None = None):
     """Multiset symmetric difference as a coordinate array, shape (m, d):
-    eta1's surplus, then eta2's, each in its rows' order, so the result is the
-    same in every process."""
+    eta1's surplus, then eta2's, each in row order, the same in any process."""
     c1, c2 = eta1.multiset(), eta2.multiset()
     out = [np.frombuffer(key, dtype=float) for surplus in (c1 - c2, c2 - c1)
            for key in surplus.elements()]

@@ -245,6 +245,22 @@ def test_initial_point_dead_at_start_rejected():
 # lifetime laws
 # ---------------------------------------------------------------------------
 
+def test_a_run_copies_its_initial_states_and_a_bracket_run_takes_them():
+    # a run's paths start from sorted-id copies, so the caller's states keep
+    # their rows and the same state can start two paths; a bracket run's
+    # paths start from the states themselves
+    model = PairwiseRate(theta=0.5, interaction_range=0.2)
+    proposals = make_stream(model).atoms_between(0.0, 3.0)
+    initial = timed_from([("b", 0.7, 3.0), ("a", 0.2, 0.1)])
+    rows = list(initial.rows())
+    run = run_paths(model, SPACE, [initial, initial], 3.0, proposals)
+    assert list(initial.rows()) == rows
+    assert run.finals[0] == run.finals[1] and run.finals[0] is not run.finals[1]
+    lower, upper = TimedConfiguration(), timed_from([("a", 0.2, 5.0), ("b", 0.7, 3.0)])
+    run = run_paths(model, SPACE, [lower, upper], 3.0, proposals, bracket=True)
+    assert run.finals[0] is lower and len(proposals) > 0
+
+
 def test_mean_lifetime_is_inverse_death_rate():
     model = ConstantRate(rate=30.0, death=ConstantDeath(2.0))
     traj = simulate(model, SPACE, TimedConfiguration(), 300.0, make_stream(model))
