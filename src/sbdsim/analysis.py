@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse, stats
-from scipy.sparse.linalg import spsolve
-from scipy.special import gammaln, logsumexp
 
 from .geometry import Configuration, SimulationConfigError, SpaceSpec, distances_to
 from .models import CellOccupancyRate, RateModel
@@ -177,6 +174,12 @@ def _state_keys(karr: np.ndarray) -> list:
     return list(map(tuple, karr.astype(int).tolist()))
 
 
+def spsolve(a, b, **kwargs):
+    """scipy.sparse.linalg.spsolve, imported on the first oracle solve."""
+    from scipy.sparse.linalg import spsolve
+    return spsolve(a, b, **kwargs)
+
+
 def oracle_stationary(oracle: OracleModel) -> DistributionTable:
     """Stationary law of the truncated chain by direct sparse linear solve.
 
@@ -194,6 +197,8 @@ def oracle_stationary(oracle: OracleModel) -> DistributionTable:
     states divided by the death rate, an estimate of the expected occupancy
     lost to truncation.
     """
+    from scipy import sparse
+
     caps = oracle.caps
     karr = _occupancy_grid(caps)
     n_states = len(karr)
@@ -254,6 +259,8 @@ def gibbs_table(oracle: OracleModel, extension: int = 4) -> DistributionTable:
     raised by `extension` (an upper-box proxy for the neglected tail). The
     raised box counts against MAX_ORACLE_STATES too.
     """
+    from scipy.special import gammaln, logsumexp
+
     check_state_budget(oracle.caps, extension)
 
     def log_weights(karr):
@@ -341,6 +348,8 @@ def chi_square_gof(samples, probs, min_expected: float = 5.0) -> Chi2Result:
     trailing bin. Bins are pooled so each expected count is at least
     min_expected before the statistic is formed.
     """
+    from scipy import stats
+
     samples = np.asarray(list(samples))
     n = len(samples)
     if n == 0:
@@ -365,6 +374,8 @@ def chi_square_gof(samples, probs, min_expected: float = 5.0) -> Chi2Result:
 def two_sample_count_test(a, b, min_expected: float = 5.0) -> Chi2Result:
     """Chi-square homogeneity test of two integer samples, with adjacent
     categories pooled until each combined column is comfortably filled."""
+    from scipy import stats
+
     a = np.asarray(list(a)); b = np.asarray(list(b))
     values = np.arange(min(a.min(), b.min()), max(a.max(), b.max()) + 1)
     ca = np.array([np.sum(a == v) for v in values], dtype=float)
@@ -529,6 +540,8 @@ def lifetime_ks_test(trajectories_or_lifetimes, rate: float | None = None,
                      min_deaths: int = 100) -> KSResult:
     """Kolmogorov-Smirnov test of completed lifetimes against the exponential
     law implied by the death model. Inconclusive below min_deaths samples."""
+    from scipy import stats
+
     if isinstance(trajectories_or_lifetimes, np.ndarray):
         lifetimes = trajectories_or_lifetimes
         if rate is None:

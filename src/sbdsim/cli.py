@@ -88,7 +88,7 @@ class RunConfig:
             est = contraction_constant(self.model, self.space)
             report["contraction"] = {"value": est.value, "error": est.error,
                                      "certifies_uniqueness": est.certifies_uniqueness}
-        except Exception as exc:
+        except UnsupportedModelError as exc:
             report["contraction"] = {"unavailable": str(exc)}
         return report
 

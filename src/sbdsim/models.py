@@ -30,9 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import quad
-from scipy.special import betainc
-from scipy.stats import qmc
 
 from .geometry import (
     Configuration,
@@ -118,6 +115,8 @@ class GrainOverlap:
         # Halton points in the bounding cube, kept if inside the ball. The
         # sequence is unscrambled, so the node set is a pure function of
         # (dimension, radius, resolution).
+        from scipy.stats import qmc
+
         sampler = qmc.Halton(d=self.dimension, scramble=False)
         cube = sampler.random(n=n_raw)
         offsets = (2.0 * cube - 1.0) * self.radius
@@ -760,6 +759,9 @@ def _radial_contraction(model: RateModel, space: SpaceSpec) -> ContractionEstima
         shells = np.diff(np.concatenate(([0.0], model._breaks)) ** d)
         mass = float(np.abs(model.value_at_infinity - model._table[:-1]) @ shells) * ball
     elif isinstance(model, AreaInteractionRate):
+        from scipy.integrate import quad
+        from scipy.special import betainc
+
         ov, reach = model.overlap(space), model.support_radius()
 
         def shell(rho: float) -> float:

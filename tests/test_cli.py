@@ -8,7 +8,9 @@ import textwrap
 
 import pytest
 
+from sbdsim import cli
 from sbdsim.cli import load_config, main, run_validation_battery
+from sbdsim.models import UnsupportedModelError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -267,6 +269,26 @@ def test_contraction_prints_constant_and_verdict(tmp_path, capsys):
     assert body["certifies_uniqueness"] is True
 
 
+def test_provenance_records_an_unsupported_model_as_unavailable(monkeypatch):
+    def unsupported(model, space):
+        raise UnsupportedModelError("no contraction constant for this model")
+
+    monkeypatch.setattr(cli, "contraction_constant", unsupported)
+    report = load_config(PAIRWISE).provenance()
+    assert report["contraction"] == {"unavailable": "no contraction constant for this model"}
+
+
+def test_provenance_lets_any_other_error_through(monkeypatch):
+    # a broken install (scipy is imported on first use) must fail the run,
+    # not end up as a line of provenance.json
+    def broken(model, space):
+        raise ImportError("cannot import name 'quad'")
+
+    monkeypatch.setattr(cli, "contraction_constant", broken)
+    with pytest.raises(ImportError, match="quad"):
+        load_config(PAIRWISE).provenance()
+
+
 def test_three_dimensional_simulate_runs_in_bounded_memory(tmp_path):
     # provenance.json's contraction constant must not need a grid of the
     # whole 3-D window ((2 * 256)^3 points, about 3 GB): under a 1 GB
@@ -325,6 +347,42 @@ def test_two_dimensional_area_interaction_simulate_runs_in_bounded_memory(tmp_pa
     # overlap V, and V integrates over y to the squared grain area
     expected = intensity * rho * math.log(gamma) * (math.pi * radius ** 2) ** 2
     assert contraction["value"] == pytest.approx(expected, rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+SCIPY_PROBE = textwrap.dedent("""
+    import json, sys
+    from sbdsim.cli import load_config, main
+    for path in json.loads(sys.argv[1]):
+        load_config(path)
+    for argv in json.loads(sys.argv[2]):
+        if main(argv) != 0:
+            sys.exit(f"{argv[0]} failed")
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""")
+
+
+@pytest.mark.parametrize("commands, banned", [
+    ([["simulate", "--config", PAIRWISE, "--out", "sim"],
+      ["perfect-sample", "--config", CELLS, "--out", "cftp"]], ("scipy",)),
+    ([["oracle", "--config", CELLS, "--out", "oracle"]], ("scipy.stats", "scipy.integrate")),
+])
+def test_commands_import_only_the_scipy_modules_they_use(tmp_path, commands, banned):
+    # scipy.stats and scipy.integrate take about 1.3 s to import, and only
+    # area-interaction models and the statistical tests use them; a fresh
+    # process that loads the demo configs and runs these commands must not
+    # import them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC_DIR] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                           json.dumps([CONSTANT, PAIRWISE, CELLS]), json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert [m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned)] == []
 
 
 # ---------------------------------------------------------------------------
