@@ -373,8 +373,8 @@ SCIPY_PROBE = textwrap.dedent("""
 def test_commands_import_only_the_scipy_modules_they_use(tmp_path, commands, banned):
     # scipy.stats and scipy.integrate take about 1.3 s to import, and only
     # area-interaction models and the statistical tests use them; a fresh
-    # process that loads the demo configs and runs these commands must not
-    # import them
+    # process that loads the demo configs and runs these commands imports
+    # none of the modules in `banned`
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC_DIR] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
