@@ -3,10 +3,12 @@
 
 For each intensity the script draws a batch of exact samples and tallies the
 lookback depth the doubling scheme needed, the number of lookbacks it tried
-(one sandwich pass each), the bracket proposals per draw over all its passes
-and the share of them run after the pair merged (one path, one rate call),
-the noise slabs a draw read (lookback / slab length + 1: the dominating
-process is built backward from time 0, so nothing older is read), the
+and the sandwich passes it ran (a lookback that an old point of D(0) rules
+out is decided without its pass), the bracket proposals per draw over the
+passes run and the share of them run after the pair merged (one path, one
+rate call), the noise slabs a draw read (lookback / slab length + 1: the
+dominating process is built backward from time 0, so nothing older is
+read), the
 resulting population, and the wall time of a draw (draw_us, the median over
 every draw of the batch, with its quartiles draw_us_q1 and draw_us_q3). The
 point of the exercise: coalescence depth grows roughly logarithmically until
@@ -41,7 +43,7 @@ MAX_LOOKBACK = 4096.0
 def profile_intensity(intensity, replicates, seed):
     model = PairwiseRate(theta=THETA, interaction_range=RANGE)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
-    lookbacks, tried, counts, failures = [], [], [], 0
+    lookbacks, tried, passes, counts, failures = [], [], [], [], 0
     proposals, merged, slabs, seconds = [], [], [], []
     for i in range(replicates):
         t0 = time.perf_counter()
@@ -53,6 +55,7 @@ def profile_intensity(intensity, replicates, seed):
             continue
         lookbacks.append(res.lookback_used)
         tried.append(res.lookbacks_tried)
+        passes.append(res.passes)
         proposals.append(res.proposals)
         merged.append(res.merged)
         slabs.append(res.slabs_read)
@@ -66,6 +69,7 @@ def profile_intensity(intensity, replicates, seed):
         "p90_lookback": float(np.percentile(lookbacks, 90)),
         "max_lookback": float(np.max(lookbacks)),
         "mean_lookbacks_tried": float(np.mean(tried)),
+        "mean_passes": float(np.mean(passes)),
         "mean_proposals": float(np.mean(proposals)),
         "mean_merged": float(np.mean(merged)),
         "merged_share": float(np.sum(merged) / max(1, np.sum(proposals))),
@@ -94,6 +98,7 @@ def main(argv=None):
         print(f"intensity {intensity:6.2f}: mean lookback {row['mean_lookback']:6.2f} "
               f"(p90 {row['p90_lookback']:5.1f}, max {row['max_lookback']:5.1f}), "
               f"mean lookbacks tried {row['mean_lookbacks_tried']:5.2f}, "
+              f"passes {row['mean_passes']:5.2f}, "
               f"proposals per draw {row['mean_proposals']:7.1f} "
               f"({row['mean_merged']:6.1f} merged, {row['merged_share']:4.0%}), "
               f"slabs read per draw {row['mean_slabs_read']:5.1f}, "

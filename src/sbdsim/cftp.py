@@ -26,6 +26,11 @@ splits the points in one pass: D(-T), the points born before -T and alive
 at it, and the proposals, the points born in [-T, 0), put in birth order by
 a stable sort. A doubling only adds older slabs, so the draw does not depend
 on the lookback schedule, and nothing is truncated: the sampler is exact.
+
+A point of D(0) born before -T sits in the upper path of the pass on
+[-T, 0] from its start to 0 and never in the lower path, so that pass cannot
+coalesce. perfect_sample reads D(0)'s birth times and death times (the
+engine's) before any pass and decides such lookbacks without running them.
 """
 
 from __future__ import annotations
@@ -193,15 +198,18 @@ def funnel_violations(model: RateModel, space: SpaceSpec, lookback: float,
 
 @dataclass
 class PerfectSample:
-    """Result of a coupling-from-the-past draw. proposals and merged are the
-    totals of SandwichState.proposals and .merged over the lookbacks tried;
-    slabs_read is the number of distinct noise slabs the draw read, those of
-    its deepest pass (lookback / slab length + 1)."""
+    """Result of a coupling-from-the-past draw. lookbacks_tried counts the
+    lookbacks decided, skipped or run; passes the sandwich passes run.
+    proposals and merged are the totals of SandwichState.proposals and
+    .merged over the passes run; slabs_read is the number of distinct noise
+    slabs the draw read, those of its deepest pass (lookback / slab length +
+    1), and 0 for a draw that ran no pass."""
 
     configuration: Configuration | None
     lookback_used: float
     status: str  # "Coalesced" | "NotCoalesced"
     lookbacks_tried: int
+    passes: int
     proposals: int
     merged: int
     slabs_read: int
@@ -220,14 +228,33 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
     across doublings, only older slabs are added, so the first coalesced
     bracket reads off the stationary state at 0. The draw is exact, with no
     truncation. Returns status NotCoalesced (with configuration None) once
-    the lookback would exceed max_lookback.
+    the lookback would exceed max_lookback. A model that is not monotone has
+    no bracket and is refused (UnsupportedModelError) before any lookback.
+
+    A lookback with -T after the birth of a point of D(0) that dies after 0
+    (by engine._death_time, as in the pass) is decided as not coalesced and
+    its pass is not run: the upper path holds that point from -T to 0, and
+    the lower path, started empty, never does. So the schedule and the draw
+    are those of running every pass.
     """
+    if model.monotone not in ("nonincreasing", "nondecreasing", "constant"):
+        raise UnsupportedModelError(f"perfect_sample needs a monotone rate model; "
+                                    f"{type(model).__name__} is {model.monotone}")
     stream = NoiseStream.for_model(model, space, master_seed, slab_length)
+    delta0 = model.death.rate
+    present = stream.present_points(delta0)
+    oldest = min((b for b, r in zip(present.s.tolist(), present.r.tolist())
+                  if engine._death_time(b, r, delta0) > 0.0), default=math.inf)
     lookback = max(initial_lookback, slab_length)
-    tried = proposals = merged = slabs = 0
+    tried = passes = proposals = merged = slabs = 0
     while lookback <= max_lookback * (1 + 1e-12):
-        state = sandwich_run(model, space, lookback, stream)
         tried += 1
+        start = _window_start(lookback, stream.slab_length)
+        if oldest < start:
+            lookback = -start * 2
+            continue
+        state = sandwich_run(model, space, lookback, stream)
+        passes += 1
         proposals += state.proposals
         merged += state.merged
         slabs = state.slabs
@@ -236,11 +263,11 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
             # state's, are in the order the live ids were born
             draw = state.lower.copy()
             return PerfectSample(configuration=draw, lookback_used=state.lookback,
-                                 status="Coalesced", lookbacks_tried=tried,
+                                 status="Coalesced", lookbacks_tried=tried, passes=passes,
                                  proposals=proposals, merged=merged, slabs_read=slabs)
         lookback = state.lookback * 2
     return PerfectSample(configuration=None, lookback_used=lookback / 2 if tried else 0.0,
-                         status="NotCoalesced", lookbacks_tried=tried,
+                         status="NotCoalesced", lookbacks_tried=tried, passes=passes,
                          proposals=proposals, merged=merged, slabs_read=slabs)
 
 

@@ -32,9 +32,11 @@ from sbdsim.geometry import (
 from sbdsim.models import (
     AreaInteractionRate,
     CellOccupancyRate,
+    ConstantDeath,
     ConstantRate,
     NearestNeighborRate,
     PairwiseRate,
+    RateModel,
     UnsupportedModelError,
     sandwich_rates,
 )
@@ -463,10 +465,13 @@ def test_merged_pass_scans_one_grid_per_proposal(monkeypatch):
         split += calls["rule"]
     assert merged > 0 and split > 0
 
-    # a draw reports the totals over the lookbacks it tried
+    # a draw reports the totals over the passes it ran, its last lookbacks:
+    # the ones it skipped come first in the doubling
     res = perfect_sample(model, space, SEED)
+    assert 1 <= res.passes <= res.lookbacks_tried
     stream = NoiseStream.for_model(model, space, SEED)
-    states = [sandwich_run(model, space, 2.0 ** j, stream) for j in range(res.lookbacks_tried)]
+    states = [sandwich_run(model, space, 2.0 ** j, stream)
+              for j in range(res.lookbacks_tried - res.passes, res.lookbacks_tried)]
     assert res.proposals == sum(s.proposals for s in states)
     assert res.merged == sum(s.merged for s in states)
     assert res.slabs_read == states[-1].slabs == states[-1].lookback + 1
@@ -534,6 +539,102 @@ def test_perfect_sample_gives_up_at_max_lookback():
     assert res.status == "NotCoalesced"
     assert res.configuration is None and res.count is None
     assert res.lookbacks_tried == 2
+
+
+def reference_perfect_sample(model, space, master_seed, max_lookback=1024.0):
+    """perfect_sample's doubling loop as it runs the pass of every lookback:
+    (draw, lookback used, status, the SandwichState of every lookback)."""
+    stream = NoiseStream.for_model(model, space, master_seed)
+    lookback, states = 1.0, []
+    while lookback <= max_lookback * (1 + 1e-12):
+        states.append(sandwich_run(model, space, lookback, stream))
+        if states[-1].coalesced:
+            return states[-1].lower.copy(), states[-1].lookback, "Coalesced", states
+        lookback = states[-1].lookback * 2
+    return None, lookback / 2 if states else 0.0, "NotCoalesced", states
+
+
+def draw_rows(configuration):
+    """Every bit of a draw: (id, (coordinates, mark, birth time)) in row order."""
+    return None if configuration is None else list(configuration.rows())
+
+
+REFERENCE_MODELS = [(ConstantRate(rate=5.0), 1.0, SPACE)] + [
+    (model, 1.0, SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity))
+    for model, intensity in BRACKET_MODELS] + [
+    (PairwiseRate(theta=0.5, interaction_range=0.2), 2.0, SPACE2)]
+
+
+@pytest.mark.parametrize("model,max_short,space", REFERENCE_MODELS,
+                         ids=["constant"] + BRACKET_IDS + ["pairwise-2d"])
+def test_perfect_sample_matches_running_every_pass(model, max_short, space):
+    # a draw that skips the lookbacks an old point of D(0) rules out is the
+    # draw of the loop that runs them all, bit for bit, and every lookback it
+    # skipped is one whose pass does not coalesce
+    skipped = 0
+    for i in range(12):
+        seed = replicate_seed(SEED + 19, i)
+        for max_lookback in (max_short, 1024.0):
+            res = perfect_sample(model, space, seed, max_lookback=max_lookback)
+            draw, used, status, states = reference_perfect_sample(model, space, seed,
+                                                                  max_lookback)
+            assert draw_rows(res.configuration) == draw_rows(draw)
+            assert (res.lookback_used, res.status, res.lookbacks_tried) == (
+                used, status, len(states))
+            cut = len(states) - res.passes
+            assert cut >= 0 and not any(state.coalesced for state in states[:cut])
+            ran = states[cut:]
+            assert res.proposals == sum(state.proposals for state in ran)
+            assert res.merged == sum(state.merged for state in ran)
+            assert res.slabs_read == (ran[-1].slabs if ran else 0)
+            skipped += cut
+    assert skipped > 0
+
+
+def test_perfect_sample_refuses_a_model_without_a_bracket(monkeypatch):
+    # a model that is not monotone has no bracket: it is refused before any
+    # lookback, also when D(0) alone would rule out every lookback
+    class Unordered(RateModel):  # monotone stays "none"
+        death = ConstantDeath()
+
+        def birth_rate(self, space, x, eta):
+            return 5.0
+
+        def envelope_sup(self, space):
+            return 5.0
+
+    seed = next(replicate_seed(SEED, i) for i in range(50)
+                if NoiseStream.for_model(Unordered(), SPACE, replicate_seed(SEED, i))
+                .present_points(1.0).s.min(initial=0.0) < -2.0)
+    ruled_out = perfect_sample(ConstantRate(rate=5.0), SPACE, seed, max_lookback=2.0)
+    assert (ruled_out.lookbacks_tried, ruled_out.passes) == (2, 0)
+    assert ruled_out.slabs_read == 0
+
+    def no_lookback(*args):
+        raise AssertionError("a lookback was decided")
+
+    monkeypatch.setattr(cftp, "_window_start", no_lookback)
+    monkeypatch.setattr(cftp, "sandwich_run", no_lookback)
+    with pytest.raises(UnsupportedModelError, match="monotone"):
+        perfect_sample(Unordered(), SPACE, seed, max_lookback=2.0)
+
+
+def test_constant_model_lookback_follows_the_exact_law():
+    # for the constant model a pass on [-T, 0] coalesces exactly when no point
+    # of D(0) was born before -T, and the ages of D(0)'s points are a Poisson
+    # process of mean (L / delta) e^{-delta a} beyond a, so every draw runs one
+    # pass and P(lookback > T) = 1 - exp(-(L / delta) e^{-delta T})
+    delta, mass = 2.0, 10.0
+    model = ConstantRate(rate=mass, death=ConstantDeath(rate=delta))
+    draws = [perfect_sample(model, SPACE, replicate_seed(SEED + 16, i)) for i in range(2000)]
+    assert all(res.status == "Coalesced" and res.passes == 1 for res in draws)
+
+    def tail(t):
+        return -math.expm1(-(mass / delta) * math.exp(-delta * t))
+
+    bins = [2.0 ** k for k in range(8)]
+    probs = {1.0: 1.0 - tail(1.0), **{t: tail(t / 2) - tail(t) for t in bins[1:]}}
+    assert chi_square_gof([res.lookback_used for res in draws], probs).pvalue > 0.01
 
 
 def test_perfect_sample_exactly_invariant_to_initial_lookback():
