@@ -8,12 +8,11 @@ out is decided without its pass), the bracket proposals per draw over the
 passes run and the share of them run after the pair merged (one path, one
 rate call), the noise slabs a draw read (lookback / slab length + 1: the
 dominating process is built backward from time 0, so nothing older is
-read), the
-resulting population, and the wall time of a draw (draw_us, the median over
-every draw of the batch, with its quartiles draw_us_q1 and draw_us_q3). The
-point of the exercise: coalescence depth grows roughly logarithmically until
-the interaction gets strong, after which the sandwich bracket stays open much
-longer.
+read), the resulting population, and the wall time of a draw (draw_us, the
+median over every draw of the batch, with its quartiles draw_us_q1 and
+draw_us_q3). The point of the exercise: coalescence depth grows roughly
+logarithmically until the interaction gets strong, after which the sandwich
+bracket stays open much longer.
 
 The script pins itself to one CPU (the lowest of those it may run on), so the
 scheduler does not move it between cores in the middle of a batch.

@@ -621,9 +621,9 @@ def test_perfect_sample_refuses_a_model_without_a_bracket(monkeypatch):
 
 def test_constant_model_lookback_follows_the_exact_law():
     # for the constant model a pass on [-T, 0] coalesces exactly when no point
-    # of D(0) was born before -T, and the ages of D(0)'s points are a Poisson
-    # process of mean (L / delta) e^{-delta a} beyond a, so every draw runs one
-    # pass and P(lookback > T) = 1 - exp(-(L / delta) e^{-delta T})
+    # of D(0) was born before -T, and D(0) holds a Poisson number of mean
+    # (Lambda / delta) e^{-delta a} of points older than a, so every draw runs
+    # one pass and P(lookback > T) = 1 - exp(-(Lambda / delta) e^{-delta T})
     delta, mass = 2.0, 10.0
     model = ConstantRate(rate=mass, death=ConstantDeath(rate=delta))
     draws = [perfect_sample(model, SPACE, replicate_seed(SEED + 16, i)) for i in range(2000)]
