@@ -175,15 +175,41 @@ def _horizon(cfg: RunConfig, default: float) -> float:
     return horizon
 
 
-def _initial_state(cfg: RunConfig, seed: int):
+def _snapshot_times(cfg: RunConfig, horizon: float) -> list[float]:
+    times = cfg.run.get("snapshot_times", [])
+    if not isinstance(times, list):
+        raise SimulationConfigError(f"snapshot_times must be a list of times, got {times!r}")
+    times = [_finite(t, "snapshot times entry") for t in times]
+    if not all(0 <= t <= horizon for t in times):
+        raise SimulationConfigError("snapshot times must lie in [0, horizon]")
+    return times
+
+
+def _initial_intensity(cfg: RunConfig) -> float | None:
+    """The checked run.initial block: None for an empty initial state, else
+    the intensity of a Poisson one."""
     block = cfg.run.get("initial", {"type": "empty"})
+    if not isinstance(block, dict):
+        raise SimulationConfigError(f"run.initial must be an object, got {block!r}")
     kind = block.get("type", "empty")
     if kind == "empty":
-        return initial_clocks(Configuration(), seed)
-    if kind == "poisson":
-        eta0 = poisson_configuration(cfg.space, float(block.get("intensity", 1.0)), seed)
-        return initial_clocks(eta0, seed)
-    raise SimulationConfigError(f"unknown initial state type {kind!r}")
+        return None
+    if kind != "poisson":
+        raise SimulationConfigError(f"unknown initial state type {kind!r}")
+    intensity = _finite(block.get("intensity", 1.0), "run.initial.intensity")
+    # numpy's Poisson sampler refuses a mean above about 9.2e18
+    if not 0 <= intensity * cfg.space.volume <= 9e18:
+        raise SimulationConfigError(
+            f"run.initial.intensity must be >= 0 and give a mean count of at most 9e18 "
+            f"on the window, got {intensity!r}")
+    return intensity
+
+
+def _initial_state(cfg: RunConfig, intensity: float | None, seed: int):
+    """The initial state of _initial_intensity(cfg), drawn from seed."""
+    eta0 = Configuration() if intensity is None else \
+        poisson_configuration(cfg.space, intensity, seed)
+    return initial_clocks(eta0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +218,12 @@ def _initial_state(cfg: RunConfig, seed: int):
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     horizon = _horizon(cfg, 10.0)
-    snapshot_times = [float(t) for t in cfg.run.get("snapshot_times", [])]
-    if not all(0 <= t <= horizon for t in snapshot_times):  # NaN fails it too
-        raise SimulationConfigError("snapshot times must lie in [0, horizon]")
+    snapshot_times = _snapshot_times(cfg, horizon)
+    intensity = _initial_intensity(cfg)
     _write_outputs(out_dir, cfg)
 
     stream = NoiseStream.for_model(cfg.model, cfg.space, cfg.seed, cfg.slab_length)
-    initial = _initial_state(cfg, cfg.seed)
+    initial = _initial_state(cfg, intensity, cfg.seed)
     traj = engine.simulate(cfg.model, cfg.space, initial, horizon, stream)
     traj.to_csv(os.path.join(out_dir, "events.csv"))
     for i, t in enumerate(snapshot_times):
@@ -248,8 +273,7 @@ def cmd_perfect_sample(cfg: RunConfig, out_dir: str) -> int:
             record = {"replicate": i, "seed": seed_i, "status": res.status,
                       "lookback": res.lookback_used, "count": count,
                       "points": None if res.configuration is None else
-                      sorted([float(v) for v in x]
-                             for _, x in res.configuration.items())}
+                      sorted(p for _, (p, _, _) in res.configuration.rows())}
             with open(os.path.join(samples_dir, f"sample_{i:05d}.json"), "w") as sf:
                 sf.write(json.dumps(record, sort_keys=True) + "\n")
             n_coalesced += res.status == "Coalesced"
@@ -316,13 +340,14 @@ def cmd_contraction(cfg: RunConfig, out_dir: str | None) -> int:
 def cmd_stats(cfg: RunConfig, out_dir: str) -> int:
     replicates = _replicates(cfg, 200)
     horizon = _horizon(cfg, 20.0)
+    intensity = _initial_intensity(cfg)
     _write_outputs(out_dir, cfg)
 
     samples, trajectories = [], []  # the lifetime test reads the first 50 runs
     for i in range(replicates):
         seed_i = replicate_seed(cfg.seed, i)
         stream = NoiseStream.for_model(cfg.model, cfg.space, seed_i, cfg.slab_length)
-        traj = engine.simulate(cfg.model, cfg.space, _initial_state(cfg, seed_i),
+        traj = engine.simulate(cfg.model, cfg.space, _initial_state(cfg, intensity, seed_i),
                                horizon, stream)
         samples.append(traj.final)
         if i < 50:

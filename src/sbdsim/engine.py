@@ -25,23 +25,25 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .geometry import Configuration, SimulationConfigError, SpaceSpec
 from .models import RateModel, _sandwich_rates
 from .noise import NoiseSlab, NoiseStream
 
 
-@dataclass(frozen=True, eq=False)
-class Event:
-    """One birth or death, in wall-clock simulation time."""
+class Event(NamedTuple):
+    """One birth or death, in wall-clock simulation time. A run logs as x
+    the coordinate tuple of the point's Configuration row, not a copy; a log
+    built by hand (say, read back from events.csv) may hold any sequence of
+    numbers."""
 
     time: float
     kind: str  # "birth" | "death"
     point_id: str
-    x: NDArray[np.float64]
+    x: tuple[float, ...]
     mark: float | None = None  # death mark at birth, births only
 
 
@@ -64,13 +66,13 @@ class Trajectory:
         return len(self.events)
 
     def to_csv(self, path) -> None:
-        """Event log: time, kind, point_id, coordinates."""
-        coords = np.array([ev.x for ev in self.events], dtype=float)  # shape (n, d); (0,) if none
-        cols = "".join(f",x{i+1}" for i in range(coords.shape[1] if coords.ndim == 2 else 0))
+        """Event log: time, kind, point_id, coordinates, each written as repr(float(v))."""
+        d = len(self.events[0].x) if self.events else 0
+        lines = [f"time,kind,point_id{''.join(f',x{i+1}' for i in range(d))}\n"]
+        lines += [f"{t!r},{kind},{pid},{','.join([repr(float(v)) for v in x])}\n"
+                  for t, kind, pid, x, _ in self.events]
         with open(path, "w") as fh:
-            fh.write(f"time,kind,point_id{cols}\n")
-            for ev, x in zip(self.events, coords.tolist()):
-                fh.write(f"{ev.time!r},{ev.kind},{ev.point_id},{','.join(map(repr, x))}\n")
+            fh.writelines(lines)
 
     def canonical_json(self) -> str:
         """Deterministic full-precision serialization, for replay comparisons."""
@@ -139,8 +141,7 @@ class _Path:
         heapq.heappush(self.deaths, (_death_time(s, r, delta0), self.seq, pid))
         self.seq += 1
         if self.events is not None:
-            self.events.append(Event(time=s, kind="birth", point_id=pid,
-                                     x=np.array(x, dtype=float), mark=r))
+            self.events.append(Event(s, "birth", pid, x, r))
 
     def flush_deaths(self, up_to: float, inclusive: bool) -> None:
         """Apply the deaths before up_to (at up_to too when inclusive)."""
@@ -149,8 +150,7 @@ class _Path:
             dt, _, pid = heapq.heappop(deaths)
             x = live.remove(pid)
             if events is not None:
-                events.append(Event(time=dt, kind="death", point_id=pid,
-                                    x=np.array(x, dtype=float)))
+                events.append(Event(dt, "death", pid, x))
 
 
 @dataclass

@@ -508,8 +508,9 @@ TimedConfiguration = Configuration
 # ---------------------------------------------------------------------------
 
 def snapshot_to_json(time: float, eta: Configuration) -> str:
-    """Serialize a configuration snapshot: {"time": t, "points": [[...], ...]}."""
-    return json.dumps({"time": time, "points": sorted(eta.points_array().tolist())})
+    """Serialize a configuration snapshot: {"time": t, "points": [[...], ...]},
+    the rows' coordinate tuples in sorted order (json writes a tuple as a list)."""
+    return json.dumps({"time": time, "points": sorted(p for _, (p, _, _) in eta.rows())})
 
 
 def snapshot_from_json(text: str) -> tuple[float, Configuration]:

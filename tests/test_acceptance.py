@@ -174,7 +174,7 @@ def test_criterion_06_attractive_containment():
         while i < len(merged) and merged[i][0] == t:
             _, side, ev = merged[i]
             state = state_low if side == 0 else state_up
-            key = ev.x.tobytes()
+            key = np.array(ev.x, dtype=float).tobytes()
             if ev.kind == "birth":
                 state[key] += 1
             else:

@@ -423,9 +423,29 @@ NAN, INF = float("nan"), float("inf")
     ("simulate", {}, ["--horizon", "inf"], "horizon"),
     ("simulate", {"horizon": "ten"}, [], "horizon"),
     ("simulate", {}, ["--snapshot-times", "0,nan"], "snapshot times"),
+    ("simulate", {"snapshot_times": 5}, [], "snapshot_times must be a list"),
+    ("simulate", {"snapshot_times": "0,1"}, [], "snapshot_times must be a list"),
+    ("simulate", {"snapshot_times": [0, None]}, [], "snapshot times entry"),
+    ("simulate", {"initial": "poisson"}, [], "run.initial must be an object"),
+    ("simulate", {"initial": {"type": "poisson", "intensity": "x"}}, [],
+     "run.initial.intensity"),
+    ("simulate", {"initial": {"type": "poisson", "intensity": 1e300}}, [],
+     "run.initial.intensity"),
+    ("simulate", {"initial": {"type": "poisson", "intensity": NAN}}, [],
+     "run.initial.intensity"),
+    ("simulate", {"initial": {"type": "poisson", "intensity": -1}}, [],
+     "run.initial.intensity"),
+    ("simulate", {"initial": {"type": "lattice"}}, [], "unknown initial state type"),
     ("stats", {}, ["--horizon", "nan"], "horizon"),
     ("stats", {"horizon": INF}, [], "horizon"),
     ("stats", {"replicates": 2.7}, [], "replicates"),
+    ("stats", {"initial": "poisson"}, [], "run.initial must be an object"),
+    ("stats", {"initial": {"type": "poisson", "intensity": 1e300}}, [],
+     "run.initial.intensity"),
+    ("stats", {"initial": {"type": "poisson", "intensity": NAN}}, [],
+     "run.initial.intensity"),
+    ("stats", {"initial": {"type": "poisson", "intensity": -1}}, [],
+     "run.initial.intensity"),
     ("perfect-sample", {"replicates": 2.7}, [], "replicates"),
     ("perfect-sample", {"replicates": True}, [], "replicates"),
     ("perfect-sample", {"initial_lookback": NAN}, [], "initial_lookback"),
@@ -436,8 +456,14 @@ NAN, INF = float("nan"), float("inf")
      "max_lookback 2.0 is below the first lookback, the larger of initial_lookback 8.0"),
     ("perfect-sample", {"max_lookback": 0.5}, [], "slab_length 1.0"),
 ], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
-        "simulate-snapshot-time-nan",
+        "simulate-snapshot-time-nan", "simulate-snapshot-times-number",
+        "simulate-snapshot-times-text", "simulate-snapshot-time-null",
+        "simulate-initial-text", "simulate-initial-intensity-text",
+        "simulate-initial-intensity-huge", "simulate-initial-intensity-nan",
+        "simulate-initial-intensity-negative", "simulate-initial-type-unknown",
         "stats-horizon-nan", "stats-horizon-inf", "stats-replicates-fraction",
+        "stats-initial-text", "stats-initial-intensity-huge", "stats-initial-intensity-nan",
+        "stats-initial-intensity-negative",
         "perfect-sample-replicates-fraction", "perfect-sample-replicates-bool",
         "perfect-sample-initial-lookback-nan", "perfect-sample-initial-lookback-zero",
         "perfect-sample-max-lookback-inf", "perfect-sample-max-lookback-negative",

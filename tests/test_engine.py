@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sbdsim import engine, geometry
 from sbdsim.engine import (
     Event,
     Trajectory,
@@ -316,6 +317,91 @@ def test_coupled_side_equals_single_run_on_same_noise():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def test_a_logged_event_costs_no_numpy_call(monkeypatch):
+    # a logged birth or death holds the tuple of its row: no numpy function
+    # runs inside _Path.birth or _Path.flush_deaths, Configuration's add and
+    # remove included
+    inside, seen = [], []
+    calls = {"birth": 0, "flush_deaths": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            if inside:
+                seen.append(name)
+            return getattr(np, name)
+
+    def watched(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(engine, "np", CountingNumpy())
+    monkeypatch.setattr(geometry, "np", CountingNumpy())
+    for name in calls:
+        monkeypatch.setattr(engine._Path, name, watched(name, getattr(engine._Path, name)))
+    plane = SpaceSpec(dimension=2, lengths=(1.0, 1.0), intensity=60.0)
+    runs = [(PairwiseRate(theta=0.5, interaction_range=0.1), plane),
+            (ConstantRate(rate=8.0), SPACE)]
+    logs = [simulate(model, space, initial_clocks(poisson_configuration(space, 20.0, 3), 4), 5.0,
+                     NoiseStream.for_model(model, space, SEED)).events for model, space in runs]
+    assert calls["birth"] > 100 and calls["flush_deaths"] > 100
+    assert seen == []
+    for events, (_, space) in zip(logs, runs):
+        assert len(events) > 100
+        assert all(type(ev.x) is tuple and len(ev.x) == space.dimension for ev in events)
+
+
+def reference_to_csv(traj, path):
+    """The event log as the numpy formatter wrote it: every x packed into one
+    (n, d) float array, each row written from its tolist()."""
+    coords = np.array([ev.x for ev in traj.events], dtype=float)  # shape (n, d); (0,) if none
+    cols = "".join(f",x{i+1}" for i in range(coords.shape[1] if coords.ndim == 2 else 0))
+    with open(path, "w") as fh:
+        fh.write(f"time,kind,point_id{cols}\n")
+        for ev, x in zip(traj.events, coords.tolist()):
+            fh.write(f"{ev.time!r},{ev.kind},{ev.point_id},{','.join(map(repr, x))}\n")
+
+
+def forward_log(d):
+    model = PairwiseRate(theta=0.5, interaction_range=0.2)
+    space = SpaceSpec(dimension=d, lengths=(1.0,) * d, intensity=8.0)
+    traj = simulate(model, space, TimedConfiguration(), 6.0,
+                    NoiseStream.for_model(model, space, SEED))
+    assert len(traj.events) > 20
+    return traj
+
+
+def hand_built(xs):
+    return Trajectory(initial=TimedConfiguration(),
+                      events=[Event(time=0.5 * i, kind="birth", point_id=f"h{i}", x=x)
+                              for i, x in enumerate(xs)],
+                      start_time=0.0, horizon=10.0, final=TimedConfiguration(), death_rate=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: forward_log(1),
+    lambda: forward_log(2),
+    lambda: forward_log(3),
+    lambda: simulate(ConstantRate(rate=0.0), SPACE, TimedConfiguration(), 5.0,
+                     make_stream(ConstantRate(rate=0.0))),
+    lambda: hand_built([[0, 1], [1, 0], [2, 3]]),
+    lambda: hand_built([(np.float64(0.1), np.float64(1 / 3)),
+                        (np.float64(2.5e-17), np.float64(7))]),
+    lambda: hand_built([np.array([0.1, 0.7, 1e-300]), np.array([1 / 7, 2.0, 3.5])]),
+], ids=["simulate-1d", "simulate-2d", "simulate-3d", "empty", "int-lists",
+        "float64-tuples", "arrays"])
+def test_event_csv_matches_the_numpy_formatter(tmp_path, make):
+    traj = make()
+    traj.to_csv(tmp_path / "events.csv")
+    reference_to_csv(traj, tmp_path / "reference.csv")
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
 
 def test_event_csv_format(tmp_path):
     model = ConstantRate(rate=5.0)
