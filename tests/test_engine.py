@@ -388,8 +388,7 @@ def hand_built(xs):
     lambda: forward_log(1),
     lambda: forward_log(2),
     lambda: forward_log(3),
-    lambda: simulate(ConstantRate(rate=0.0), SPACE, TimedConfiguration(), 5.0,
-                     make_stream(ConstantRate(rate=0.0))),
+    lambda: hand_built([]),
     lambda: hand_built([[0, 1], [1, 0], [2, 3]]),
     lambda: hand_built([(np.float64(0.1), np.float64(1 / 3)),
                         (np.float64(2.5e-17), np.float64(7))]),
