@@ -50,7 +50,6 @@ from .models import (
     sandwich_rates,
 )
 from .noise import (
-    NoiseSlab,
     NoiseStream,
     initial_clocks,
     keyed_generator,
@@ -58,7 +57,7 @@ from .noise import (
     poisson_configuration,
     replicate_seed,
 )
-from .engine import Event, Trajectory, coupled_simulate, simulate, snapshot, timed_snapshot
+from .engine import Event, Trajectory, coupled_simulate, simulate, snapshot
 from .cftp import (
     CouplingDecay,
     PerfectSample,

@@ -144,9 +144,6 @@ class OracleModel:
         k = np.asarray(k, dtype=float)
         return float(0.5 * (k @ self.theta @ k - np.diag(self.theta) @ k))
 
-    def state_list(self):
-        return _state_keys(_occupancy_grid(self.caps))
-
 
 def check_state_budget(caps, extension: int = 0) -> None:
     """Raise SimulationConfigError when the box 0 <= k <= caps + extension

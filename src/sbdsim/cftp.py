@@ -21,11 +21,11 @@ time 0 backwards (Kendall & Moller 2000): D(0) is the stream's
 present_points, and slab k < 0 holds the D-points that die in [kL, (k+1)L),
 read with s as the death time, so a point was born at s - r / delta. A pass
 on [-T, 0] reads D(0) and the slabs from -T/L - 1 up to -1 and nothing
-older. dominating_window reads their columns once as Python lists and
-splits the points in one pass: D(-T), the points born before -T and alive
-at it, and the proposals, the points born in [-T, 0), put in birth order by
-a stable sort. A doubling only adds older slabs, so the draw does not depend
-on the lookback schedule, and nothing is truncated: the sampler is exact.
+older. dominating_window reads their rows as they are and splits the points
+in one pass: D(-T), the points born before -T and alive at it, and the
+proposals, the points born in [-T, 0), put in birth order by a stable sort.
+A doubling only adds older slabs, so the draw does not depend on the
+lookback schedule, and nothing is truncated: the sampler is exact.
 
 A point of D(0) born before -T sits in the upper path of the pass on
 [-T, 0] from its start to 0 and never in the lower path, so that pass cannot
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -49,7 +50,7 @@ from .geometry import (
     symmetric_difference,
 )
 from .models import RateModel, UnsupportedModelError, envelope_total
-from .noise import NoiseSlab, NoiseStream, initial_clocks, poisson_configuration, replicate_seed
+from .noise import NoiseStream, Proposals, initial_clocks, poisson_configuration, replicate_seed
 from . import engine
 
 
@@ -66,7 +67,7 @@ def _window_slabs(stream: NoiseStream, start_time: float) -> range:
 
 
 def dominating_window(stream: NoiseStream, start_time: float,
-                      death_rate: float) -> tuple[Configuration, NoiseSlab]:
+                      death_rate: float) -> tuple[Configuration, Proposals]:
     """The dominating process D at start_time < 0, and its births in
     [start_time, 0) as proposals.
 
@@ -76,37 +77,30 @@ def dominating_window(stream: NoiseStream, start_time: float,
     of the points with b < start_time < death, with death mark r and birth
     time b, in sorted-id order, so the engine computes the same death time
     whether a point starts a pass or is a proposal of a longer one. The
-    proposals are the points with start_time <= b < 0, with s = b, in birth
-    order (ties in slab order, then D(0)'s), so a window's D and proposals
-    are bit-identical whatever lookback reads them. A slab atom keeps its id
-    "n{k}:{i}"; point i of D(0) has id "d{i}". The join does numpy's IEEE
-    operations on Python floats and makes five numpy calls for any atom count.
+    proposals are the rows (b, r, u, id, x_1, ..., x_d) of the points with
+    start_time <= b < 0, in birth order (ties in slab order, then D(0)'s), so
+    a window's D and proposals are bit-identical whatever lookback reads
+    them. A slab atom keeps its id "n{k}:{i}"; point i of D(0) has id "d{i}".
+    The join reads the cached rows with the IEEE operations of Python floats
+    and makes no numpy call.
     """
+    # a slab atom's s is its death time; D(0)'s rows hold birth times already
+    rows = chain(((row[0] - row[1] / death_rate,) + row[1:]
+                  for k in _window_slabs(stream, start_time) for row in stream.slab_points(k)),
+                 stream.present_points(death_rate))
     alive, born = [], []
-    slabs = [(stream.slab_points(k), True) for k in _window_slabs(stream, start_time)]
-    for part, by_death in slabs + [(stream.present_points(death_rate), False)]:
-        if not len(part):
-            continue
-        s, r = part.s.tolist(), part.r.tolist()
-        # a slab atom's s is its death time, D(0)'s already its birth time
-        births = [t - m / death_rate for t, m in zip(s, r)] if by_death else s
-        # one tuple (b, r, u, id, x_1, ..., x_d) per atom and no coordinate list:
-        # the garbage collector's passes over them took a third of a 1000-atom join
-        for row in zip(births, r, part.u.tolist(), part.ids.tolist(), *part.x.T.tolist()):
-            b = row[0]
-            if b < start_time:
-                if engine._death_time(b, row[1], death_rate) > start_time:
-                    alive.append(row)
-            elif b < 0.0:
-                born.append(row)
+    for row in rows:
+        b = row[0]
+        if b < start_time:
+            if engine._death_time(b, row[1], death_rate) > start_time:
+                alive.append(row)
+        elif b < 0.0:
+            born.append(row)
     state = Configuration()
-    for b, r, _, pid, *x in sorted(alive, key=itemgetter(3)):
-        state.add(pid, tuple(x), r, b)
+    for row in sorted(alive, key=itemgetter(3)):
+        state.add(row[3], row[4:], row[1], row[0])
     born.sort(key=itemgetter(0))
-    s, r, u, ids, *x = zip(*born) if born else ((),) * (4 + stream.space.dimension)
-    return state, NoiseSlab(np.array(s, dtype=float), np.array(x, dtype=float).T.copy(),
-                            np.array(r, dtype=float), np.array(u, dtype=float),
-                            np.array(ids, dtype=object))
+    return state, tuple(born)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +237,8 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
     stream = NoiseStream.for_model(model, space, master_seed, slab_length)
     delta0 = model.death.rate
     present = stream.present_points(delta0)
-    oldest = min((b for b, r in zip(present.s.tolist(), present.r.tolist())
-                  if engine._death_time(b, r, delta0) > 0.0), default=math.inf)
+    oldest = min((row[0] for row in present if engine._death_time(row[0], row[1], delta0) > 0.0),
+                 default=math.inf)
     lookback = max(initial_lookback, slab_length)
     tried = passes = proposals = merged = slabs = 0
     while lookback <= max_lookback * (1 + 1e-12):

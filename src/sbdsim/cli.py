@@ -143,18 +143,23 @@ def _write_outputs(out_dir: str, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
-def _count(value, name: str) -> int:
-    """A config value that must be an integer >= 0 (a JSON integer, not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SimulationConfigError(f"{name} must be an integer >= 0, got {value!r}")
+def _count(value, name: str, least: int = 0) -> int:
+    """A config value that must be an integer >= least (a JSON integer, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SimulationConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
 
+def _block(cfg: RunConfig, name: str) -> dict:
+    """The run.<name> block of a command, which must be an object."""
+    block = cfg.run.get(name, {})
+    if not isinstance(block, dict):
+        raise SimulationConfigError(f"run.{name} must be an object, got {block!r}")
+    return block
+
+
 def _replicates(cfg: RunConfig, default: int) -> int:
-    replicates = _count(cfg.run.get("replicates", default), "replicates")
-    if replicates < 1:
-        raise SimulationConfigError("replicates must be positive")
-    return replicates
+    return _count(cfg.run.get("replicates", default), "replicates", 1)
 
 
 def _finite(value, name: str) -> float:
@@ -284,9 +289,7 @@ def cmd_perfect_sample(cfg: RunConfig, out_dir: str) -> int:
 def cmd_oracle(cfg: RunConfig, out_dir: str) -> int:
     if not isinstance(cfg.model, CellOccupancyRate):
         raise SimulationConfigError("the oracle command needs a cell_occupancy model")
-    block = cfg.run.get("oracle", {})
-    if not isinstance(block, dict):
-        raise SimulationConfigError(f"run.oracle must be an object, got {block!r}")
+    block = _block(cfg, "oracle")
     n_cells = cfg.model.n_cells
     caps = block.get("caps", [12] * n_cells)
     if not isinstance(caps, list) or len(caps) != n_cells:
@@ -317,12 +320,12 @@ def cmd_oracle(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_contraction(cfg: RunConfig, out_dir: str | None) -> int:
-    block = cfg.run.get("contraction", {})
-    resolution = block.get("resolution")
-    if resolution is None and cfg.space.dimension == 1:
+    resolution = _block(cfg, "contraction").get("resolution")
+    if resolution is not None:
+        _count(resolution, "run.contraction.resolution", 2)
+    elif cfg.space.dimension == 1:
         resolution = 2_000_001
-    est = contraction_constant(cfg.model, cfg.space,
-                               None if resolution is None else int(resolution))
+    est = contraction_constant(cfg.model, cfg.space, resolution)
     verdict = "certifies a unique stationary law" if est.certifies_uniqueness \
         else "does not certify uniqueness"
     print(f"M = {est.value:.9f} (quadrature error {est.error:.3e}); {verdict}")
@@ -531,11 +534,15 @@ def run_validation_battery(seed: int = 20260816, fast: bool = False) -> dict:
 
 
 def cmd_validate(cfg: RunConfig, out_dir: str) -> int:
+    block = _block(cfg, "validate")
+    seed = block.get("seed", cfg.seed or 20260816)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SimulationConfigError(f"run.validate.seed must be an integer, got {seed!r}")
+    fast = block.get("fast", False)
+    if not isinstance(fast, bool):
+        raise SimulationConfigError(f"run.validate.fast must be true or false, got {fast!r}")
     _write_outputs(out_dir, cfg)
-    fast = bool(cfg.run.get("validate", {}).get("fast", False))
-    report = run_validation_battery(seed=int(cfg.run.get("validate", {})
-                                             .get("seed", cfg.seed or 20260816)),
-                                    fast=fast)
+    report = run_validation_battery(seed=seed, fast=fast)
     with open(os.path.join(out_dir, "validation_report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,14 +7,15 @@ mark r and, at the constant death rate delta0, dies at s + r / delta0. No
 time discretization enters anywhere.
 
 One loop, run_paths, solves these equations forward in time for any number
-of paths on the same proposals, a NoiseSlab whose columns it reads in time
-order: the plain forward run (stream.atoms_between), the coupled pair, and
-the lower/upper bracket of coupling from the past (cftp.dominating_window)
-differ only in the rule that turns the states before s into one rate per
-path. A path's own birth rate is the rule unless run_paths(bracket=True)
-makes paths 0 and 1 the bracket, whose rates are the infimum and supremum
-over the states between them (for a neighbour-grid model, both from one scan
-of the upper state's grid). Since every path reads the same proposals, two
+of paths on the same proposals, rows (s, r, u, id, x_1, ..., x_d) that it
+reads in time order, the coordinates as the tuple row[4:]: the plain
+forward run (stream.atoms_between), the coupled pair, and the lower/upper
+bracket of coupling from the past (cftp.dominating_window) differ only in
+the rule that turns the states before s into one rate per path. A path's
+own birth rate is the rule unless run_paths(bracket=True) makes paths 0 and
+1 the bracket, whose rates are the infimum and supremum over the states
+between them (for a neighbour-grid model, both from one scan of the upper
+state's grid). Since every path reads the same proposals, two
 paths that are equal stay equal: a bracket runs as one path from the first
 proposal at which its two sizes agree. A bracket run keeps no event log;
 every other run logs every event.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .geometry import Configuration, SimulationConfigError, SpaceSpec
 from .models import RateModel, _sandwich_rates
-from .noise import NoiseSlab, NoiseStream
+from .noise import NoiseStream, Proposals
 
 
 class Event(NamedTuple):
@@ -102,10 +103,6 @@ def snapshot(trajectory: Trajectory, t: float) -> Configuration:
         else:
             state.remove(ev.point_id)
     return state
-
-
-# a snapshot keeps the marks, so it is the timed snapshot too
-timed_snapshot = snapshot
 
 
 def _death_time(birth_time: float, clock: float, delta0: float) -> float:
@@ -196,7 +193,7 @@ def _contained(s, pid, lams, accepted, states) -> None:
 
 
 def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
-              horizon: float, proposals: NoiseSlab, start_time: float = 0.0,
+              horizon: float, proposals: Proposals, start_time: float = 0.0,
               observe=None, bracket: bool = False) -> PathRun:
     """Drive one path per initial state through the same proposals on
     [start_time, start_time + horizon]. Every initial point must hold a death
@@ -243,9 +240,8 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
     active, states = paths, [path.live for path in paths]
     split = bracket  # a bracket pair not merged yet
     merged_at = None  # proposals before the merge
-    columns = zip(proposals.s.tolist(), map(tuple, proposals.x.tolist()), proposals.r.tolist(),
-                  proposals.u.tolist(), proposals.ids)
-    for i, (s, x, r, u, pid) in enumerate(columns):
+    for i, row in enumerate(proposals):
+        s, r, u, pid, x = row[0], row[1], row[2], row[3], row[4:]
         for path in active:
             path.flush_deaths(s, inclusive=False)
         if split and len(states[0]) == len(states[1]):

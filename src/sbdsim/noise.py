@@ -21,10 +21,10 @@ and present_points draws the points alive at time 0 under a tag of their
 own. It is the same Poisson random measure indexed by death time: one
 proposal stream, in law.
 
-Every set of proposals is a NoiseSlab: read-only arrays s, x, r, u and ids
-in time order. A slab, a forward window, D(0) and a CFTP window
-(cftp.dominating_window) are all NoiseSlabs, and engine.run_paths reads
-their columns directly.
+Every set of proposals is a tuple of rows (s, r, u, id, x_1, ..., x_d) of
+Python floats and an id string, in time order. A slab, a forward window,
+D(0) and a CFTP window (cftp.dominating_window) are all such tuples, which
+no reader changes, and engine.run_paths reads their rows as they are.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from bisect import bisect_left
 from collections import OrderedDict
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 from numpy.typing import NDArray
@@ -75,37 +78,9 @@ def replicate_seed(master_seed: int, index: int) -> int:
     return mix64((master_seed & _MASK64) ^ mix64((index + 0x51AB) & _MASK64))
 
 
-class NoiseSlab:
-    """Birth proposals as read-only arrays: times s (n,), locations x (n, d),
-    death marks r (n,), thinning levels u (n,) and ids, an object array of
-    str; len() is n. Atom i of slab k has id "n{k}:{i}"."""
-
-    __slots__ = ("s", "x", "r", "u", "ids")
-    __iter__ = None  # read the columns; an int index is not a proposal
-
-    def __init__(self, s, x, r, u, ids):
-        for a in (s, x, r, u, ids):
-            a.setflags(write=False)
-        self.s, self.x, self.r, self.u, self.ids = s, x, r, u, ids
-
-    @classmethod
-    def concat(cls, parts) -> "NoiseSlab":
-        """The proposals of parts (at least one), one after another."""
-        return cls(*(np.concatenate([getattr(p, name) for p in parts])
-                     for name in cls.__slots__))
-
-    def __len__(self) -> int:
-        return len(self.s)
-
-    def __getitem__(self, index) -> "NoiseSlab":
-        """The proposals at a slice or an index array."""
-        return NoiseSlab(self.s[index], self.x[index], self.r[index], self.u[index],
-                         self.ids[index])
-
-    def rows(self) -> NDArray[np.float64]:
-        """One row (s, x..., r, u) per atom, in time order."""
-        return np.column_stack((self.s, self.x, self.r, self.u))
-
+# A set of proposals: one row (s, r, u, id, x_1, ..., x_d) per atom, in time order.
+Proposals = tuple[tuple, ...]
+_time = itemgetter(0)
 
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
@@ -118,15 +93,13 @@ def _fresh_philox_state(key: NDArray[np.uint64]) -> dict:
 
 @functools.lru_cache(maxsize=16)
 def _stream_parts(space: SpaceSpec, envelope_total: float, slab_length: float):
-    """A stream's slab mean, side lengths, thinning bound, empty NoiseSlab and
-    Philox generator (every read sets its state in full): none needs the seed."""
+    """A stream's slab mean, side lengths, thinning bound and Philox generator
+    (every read sets its state in full): none needs the seed."""
     lengths = space.lengths_array()
     lengths.setflags(write=False)
     vol = space.beta_total
-    empty = NoiseSlab(np.empty(0), np.empty((0, space.dimension)), np.empty(0), np.empty(0),
-                      np.empty(0, dtype=object))
     return (envelope_total * slab_length, lengths, envelope_total / vol if vol > 0 else 0.0,
-            empty, np.random.Generator(np.random.Philox(key=_ZERO4[:2])))
+            np.random.Generator(np.random.Philox(key=_ZERO4[:2])))
 
 
 class NoiseStream:
@@ -151,8 +124,8 @@ class NoiseStream:
         self.space = space
         self.envelope_total = float(envelope_total)
         self.slab_length = float(slab_length)
-        self._cache: OrderedDict[int, NoiseSlab] = OrderedDict()
-        self._mean, self._lengths, self._sup, self._empty, self._rng = _stream_parts(
+        self._cache: OrderedDict[int, Proposals] = OrderedDict()
+        self._mean, self._lengths, self._sup, self._rng = _stream_parts(
             space, self.envelope_total, self.slab_length)
         self._bitgen = self._rng.bit_generator
         self._key = _philox_key(self.master_seed, TAG_SLAB, 0)
@@ -160,7 +133,7 @@ class NoiseStream:
         self._fresh_state = _fresh_philox_state(self._key)
         self._present_state = _fresh_philox_state(
             _philox_key(self.master_seed, TAG_PRESENT, 0))
-        self._present: dict[float, NoiseSlab] = {}
+        self._present: dict[float, Proposals] = {}
 
     @classmethod
     def for_model(cls, model, space: SpaceSpec, master_seed: int,
@@ -173,8 +146,9 @@ class NoiseStream:
 
     # -- slab generation ----------------------------------------------------
 
-    def slab_points(self, k: int) -> NoiseSlab:
-        """Atoms of slab k, ordered by proposal time. Pure in (master_seed, k)."""
+    def slab_points(self, k: int) -> Proposals:
+        """Atoms of slab k, ordered by proposal time; atom i has id "n{k}:{i}".
+        Pure in (master_seed, k)."""
         k = int(k)
         cached = self._cache.get(k)
         if cached is not None:
@@ -193,14 +167,14 @@ class NoiseStream:
         self._bitgen.state = self._fresh_state
         return self._rng
 
-    def _generate_slab(self, k: int) -> NoiseSlab:
+    def _generate_slab(self, k: int) -> Proposals:
         # Draw order: count, n time uniforms then n*d location uniforms (one
         # call), exponential marks, thinning levels. uniform(0, h) is
         # 0.0 + h * random(), so scaling random() draws gives the same bits.
         rng = self._slab_generator(k)
         n = int(rng.poisson(self._mean)) if self._mean > 0 else 0
         if n == 0:
-            return self._empty
+            return ()
         d = self.space.dimension
         draws = rng.random(n * (1 + d))
         s_local = self.slab_length * draws[:n]
@@ -208,10 +182,11 @@ class NoiseStream:
         rs = rng.exponential(1.0, size=n)
         us = self._sup * rng.random(n)
         order = s_local.argsort(kind="stable")
-        return NoiseSlab(k * self.slab_length + s_local[order], xs[order], rs[order],
-                         us[order], np.array([f"n{k}:{i}" for i in range(n)], dtype=object))
+        return tuple(zip((k * self.slab_length + s_local[order]).tolist(), rs[order].tolist(),
+                         us[order].tolist(), [f"n{k}:{i}" for i in range(n)],
+                         *xs[order].T.tolist()))
 
-    def present_points(self, death_rate: float) -> NoiseSlab:
+    def present_points(self, death_rate: float) -> Proposals:
         """The dominating process at time 0 for death rate delta, in draw
         order, with s its birth times; point i has id "d{i}".
 
@@ -236,8 +211,8 @@ class NoiseStream:
         us = self._sup * rng.random(n)
         ages = rng.exponential(1.0, size=n)
         residuals = rng.exponential(1.0, size=n)
-        present = NoiseSlab(-ages / death_rate, xs, ages + residuals, us,
-                            np.array([f"d{i}" for i in range(n)], dtype=object))
+        present = tuple(zip((-ages / death_rate).tolist(), (ages + residuals).tolist(),
+                            us.tolist(), [f"d{i}" for i in range(n)], *xs.T.tolist()))
         self._present[death_rate] = present
         return present
 
@@ -246,22 +221,27 @@ class NoiseStream:
 
     # -- derived views ------------------------------------------------------
 
-    def atoms_between(self, t0: float, t1: float) -> NoiseSlab:
+    def atoms_between(self, t0: float, t1: float) -> Proposals:
         """All atoms with t0 <= s < t1, in time order. A slab wholly inside
         the range is taken whole; only one that reaches past an end of it,
-        such as the two edge slabs, is sliced."""
-        parts = [self._empty]  # so that an empty window has the stream's dimension
+        such as the two edge slabs, is cut."""
+        parts = []
         for k in range(math.floor(t0 / self.slab_length), math.ceil(t1 / self.slab_length)):
             slab = self.slab_points(k)
-            if len(slab) and not (t0 <= slab.s[0] and slab.s[-1] < t1):
-                lo, hi = np.searchsorted(slab.s, (t0, t1))
-                slab = slab[lo:hi]
+            if slab and not (t0 <= slab[0][0] and slab[-1][0] < t1):
+                slab = slab[bisect_left(slab, t0, key=_time):bisect_left(slab, t1, key=_time)]
             parts.append(slab)
-        return NoiseSlab.concat(parts)
+        return tuple(chain.from_iterable(parts))
+
+    def _float_rows(self, k: int) -> list[tuple[float, ...]]:
+        """One row (s, x..., r, u) per atom of slab k, in time order."""
+        return [(s, *x, r, u) for s, r, u, _, *x in self.slab_points(k)]
 
     def slab_hash(self, k: int) -> str:
-        """Stable digest of slab k's atoms; equal runs hash equal."""
-        return hashlib.sha256(self.slab_points(k).rows().tobytes()).hexdigest()
+        """Stable digest of slab k's atoms, the float64 bytes of its rows
+        (s, x..., r, u); equal runs hash equal."""
+        rows = np.array(self._float_rows(k), dtype=np.float64)
+        return hashlib.sha256(rows.tobytes()).hexdigest()
 
     def dump_csv(self, path, k_first: int, k_last: int) -> None:
         """Write atoms of slabs k_first..k_last to CSV: k, s, x..., r, u."""
@@ -269,7 +249,7 @@ class NoiseStream:
         with open(path, "w") as fh:
             fh.write(f"k,s,{cols},r,u\n")
             for k in range(k_first, k_last + 1):
-                for row in self.slab_points(k).rows().tolist():
+                for row in self._float_rows(k):
                     fh.write(f"{k}," + ",".join(map(repr, row)) + "\n")
 
 

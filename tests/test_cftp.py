@@ -40,7 +40,8 @@ from sbdsim.models import (
     UnsupportedModelError,
     sandwich_rates,
 )
-from sbdsim.noise import NoiseSlab, NoiseStream, replicate_seed
+from sbdsim.noise import NoiseStream, replicate_seed
+from test_noise import Columns, columns
 
 SPACE = SpaceSpec(dimension=1, lengths=(1.0,), intensity=1.0)
 SPACE2 = SpaceSpec(dimension=2, lengths=(2.0, 0.5), intensity=3.0)
@@ -52,9 +53,8 @@ SEED = 31415926
 # ---------------------------------------------------------------------------
 
 def rows(proposals):
-    """(id, x, s, r, u) of every proposal, in order."""
-    return list(zip(proposals.ids, proposals.x, proposals.s.tolist(), proposals.r.tolist(),
-                    proposals.u.tolist()))
+    """(id, x, s, r, u) of every proposal, in order, with x an array."""
+    return [(pid, np.array(x, dtype=float), s, r, u) for s, r, u, pid, *x in proposals]
 
 
 def entries(state):
@@ -69,14 +69,15 @@ def window_key(state, proposals):
 
 
 def reference_dominating_window(stream, start_time, death_rate):
-    """dominating_window as one numpy join: D(0) and the window's slabs
-    concatenated, the slab atoms' birth times s - r / delta, two masks, D(-T)
-    by an argsort of its ids and the proposals by a stable argsort of their
-    birth times."""
-    present = stream.present_points(death_rate)
-    points = NoiseSlab.concat([stream.slab_points(k) for k in _window_slabs(stream, start_time)]
-                              + [present])
-    n = len(points) - len(present)
+    """dominating_window as one numpy join: the columns of the window's slabs
+    and D(0) concatenated, the slab atoms' birth times s - r / delta, two
+    masks, D(-T) by an argsort of its ids and the proposals' columns by a
+    stable argsort of their birth times."""
+    d = stream.space.dimension
+    present = columns(stream.present_points(death_rate), d)
+    parts = [columns(stream.slab_points(k), d) for k in _window_slabs(stream, start_time)]
+    points = Columns(*(np.concatenate(cols) for cols in zip(*parts, present)))
+    n = len(points.s) - len(present.s)
     b = points.s.copy()
     b[:n] -= points.r[:n] / death_rate
     x, r, u, ids = points.x, points.r, points.u, points.ids
@@ -86,12 +87,12 @@ def reference_dominating_window(stream, start_time, death_rate):
     born = np.flatnonzero((b >= start_time) & (b < 0.0))
     born = born[b[born].argsort(kind="stable")]
     return (Configuration.from_columns(ids[alive], x[alive], r[alive], b[alive]),
-            NoiseSlab(b[born], x[born], r[born], u[born], ids[born]))
+            Columns(b[born], x[born], r[born], u[born], ids[born]))
 
 
 def window_bits(state, proposals):
-    """Every bit of a window in order: D's rows, then each proposal column
-    with its dtype and shape."""
+    """Every bit of a window in order: D's rows, then each column of the
+    proposals (a Columns) with its dtype and shape."""
     return ([(pid, [v.hex() for v in p], mark.hex(), born.hex())
              for pid, (p, mark, born) in state.rows()],
             [(col.dtype.str, col.shape, col.tobytes()) for col in
@@ -112,16 +113,15 @@ def test_dominating_window_matches_the_numpy_join(dim, boundary, slab, delta0, e
     if start == 0:
         start = -slab
     space = SpaceSpec(dimension=dim, lengths=(1.0, 0.6, 2.0)[:dim], boundary=boundary)
-    window = dominating_window(NoiseStream(seed, space, envelope, slab), start, delta0)
+    state, proposals = dominating_window(NoiseStream(seed, space, envelope, slab), start, delta0)
     want = reference_dominating_window(NoiseStream(seed, space, envelope, slab), start, delta0)
-    assert window_bits(*window) == window_bits(*want)
-    assert window[1].x.shape == (len(window[1]), dim)
+    assert window_bits(state, columns(proposals, dim)) == window_bits(*want)
+    assert all(len(row) == 4 + dim for row in proposals)
 
 
 def test_a_lookback_makes_as_many_numpy_calls_for_few_atoms_as_for_many(monkeypatch):
-    # the join reads each slab's columns as lists, so the numpy calls of a
-    # lookback (its slabs already made) are the proposals' five columns,
-    # whatever the number of atoms
+    # the join reads the rows of each slab as they are, so a lookback whose
+    # slabs are already made makes no numpy call, whatever the number of atoms
     calls = []
 
     class CountingNumpy:
@@ -141,7 +141,7 @@ def test_a_lookback_makes_as_many_numpy_calls_for_few_atoms_as_for_many(monkeypa
         assert len(proposals) > 0
         counts[len(state) + len(proposals)] = len(calls)
     assert max(counts) > 20 * min(counts)
-    assert set(counts.values()) == {5}
+    assert set(counts.values()) == {0}
 
 
 def test_dominating_window_deterministic_and_alive():
@@ -157,9 +157,9 @@ def test_dominating_window_deterministic_and_alive():
         for _, e in entries(state):
             assert e.clock > 0 and e.birth_time < -3.0
             assert engine._death_time(e.birth_time, e.clock, delta0) > -3.0
-        births = proposals.s.tolist()
+        births = [row[0] for row in proposals]
         assert births == sorted(births) and -3.0 <= births[0] and births[-1] < 0.0
-        assert np.all(proposals.r > 0)
+        assert all(row[1] > 0 for row in proposals)
 
 
 @pytest.mark.parametrize("T", [1.0, 4.0, 16.0])
@@ -274,7 +274,7 @@ def test_ancient_scan_leaves_only_the_tail_mass(rate, delta0, slab, boundary):
     oldest = math.floor(boundary / slab) - 1
     tail = math.floor((boundary - math.log(1e16) / delta0) / slab) - 1
     for k in range(min(tail, oldest - 40), oldest):
-        s = stream.slab_points(k)
+        s = columns(stream.slab_points(k), 1)
         born = s.s - s.r / delta0
         assert np.all(born < boundary)
         assert np.all(engine._death_time(born, s.r, delta0) <= boundary)
@@ -604,8 +604,9 @@ def test_perfect_sample_refuses_a_model_without_a_bracket(monkeypatch):
             return 5.0
 
     seed = next(replicate_seed(SEED, i) for i in range(50)
-                if NoiseStream.for_model(Unordered(), SPACE, replicate_seed(SEED, i))
-                .present_points(1.0).s.min(initial=0.0) < -2.0)
+                if min((row[0] for row in NoiseStream.for_model(
+                    Unordered(), SPACE, replicate_seed(SEED, i)).present_points(1.0)),
+                       default=0.0) < -2.0)
     ruled_out = perfect_sample(ConstantRate(rate=5.0), SPACE, seed, max_lookback=2.0)
     assert (ruled_out.lookbacks_tried, ruled_out.passes) == (2, 0)
     assert ruled_out.slabs_read == 0
@@ -666,7 +667,7 @@ def test_noise_is_shared_across_doublings():
     stream = NoiseStream.for_model(model, space, SEED)
     short = dominating_window(stream, -2.0, model.death.rate)[1]
     long = dominating_window(stream, -4.0, model.death.rate)[1]
-    assert short.ids.tolist() == long.ids[long.s >= -2.0].tolist()
+    assert short == tuple(row for row in long if row[0] >= -2.0)
     assert stream.slab_hash(-1) == NoiseStream.for_model(model, space, SEED).slab_hash(-1)
 
 

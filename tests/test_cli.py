@@ -455,6 +455,12 @@ NAN, INF = float("nan"), float("inf")
     ("perfect-sample", {"initial_lookback": 8.0, "max_lookback": 2.0}, [],
      "max_lookback 2.0 is below the first lookback, the larger of initial_lookback 8.0"),
     ("perfect-sample", {"max_lookback": 0.5}, [], "slab_length 1.0"),
+    ("contraction", {"contraction": 5}, [], "run.contraction must be an object"),
+    ("contraction", {"contraction": {"resolution": "x"}}, [], "run.contraction.resolution"),
+    ("contraction", {"contraction": {"resolution": 1}}, [], "run.contraction.resolution"),
+    ("validate", {"validate": 3}, [], "run.validate must be an object"),
+    ("validate", {"validate": {"seed": "a"}}, [], "run.validate.seed"),
+    ("validate", {"validate": {"fast": "yes"}}, [], "run.validate.fast"),
 ], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
         "simulate-snapshot-time-nan", "simulate-snapshot-times-number",
         "simulate-snapshot-times-text", "simulate-snapshot-time-null",
@@ -467,7 +473,10 @@ NAN, INF = float("nan"), float("inf")
         "perfect-sample-replicates-fraction", "perfect-sample-replicates-bool",
         "perfect-sample-initial-lookback-nan", "perfect-sample-initial-lookback-zero",
         "perfect-sample-max-lookback-inf", "perfect-sample-max-lookback-negative",
-        "perfect-sample-lookback-range-empty", "perfect-sample-max-lookback-below-slab"])
+        "perfect-sample-lookback-range-empty", "perfect-sample-max-lookback-below-slab",
+        "contraction-block-number", "contraction-resolution-text",
+        "contraction-resolution-one", "validate-block-number", "validate-seed-text",
+        "validate-fast-text"])
 def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command, run, flags,
                                                        message):
     # json writes NaN and Infinity as the literals that json.load reads back

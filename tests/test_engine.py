@@ -11,7 +11,6 @@ from sbdsim.engine import (
     run_paths,
     simulate,
     snapshot,
-    timed_snapshot,
 )
 from sbdsim.geometry import (
     Configuration,
@@ -66,9 +65,8 @@ def test_every_thinning_decision_matches_replayed_state():
     assert traj.canonical_json() == simulate(model, space, TimedConfiguration(), 30.0,
                                              stream).canonical_json()
     assert len(decisions) == len(proposals) > 50
-    assert [(s, pid) for s, pid, _, _ in decisions] == list(zip(proposals.s.tolist(),
-                                                                proposals.ids))
-    for (s, _, lam, accepted), x, u in zip(decisions, proposals.x, proposals.u.tolist()):
+    assert [(s, pid) for s, pid, _, _ in decisions] == [(row[0], row[3]) for row in proposals]
+    for (s, _, lam, accepted), (_, _, u, _, *x) in zip(decisions, proposals):
         cfg = Configuration()
         for ev in traj.events:
             if ev.time >= s:
@@ -147,7 +145,7 @@ def test_snapshot_at_end_matches_final_state():
     init = initial_clocks(eta0, 100)
     traj = simulate(model, SPACE, init, 25.0, make_stream(model))
     assert snapshot(traj, traj.end_time) == traj.final
-    timed = timed_snapshot(traj, traj.end_time)
+    timed = snapshot(traj, traj.end_time)
     assert {pid: timed.entry(pid).clock for pid in timed.ids()} == \
         {pid: traj.final.entry(pid).clock for pid in traj.final.ids()}
 
@@ -177,9 +175,8 @@ def test_snapshot_replays_a_log_without_death_marks():
                       final=TimedConfiguration(), death_rate=1.0)
     for t in (0.0, 3.7, 20.0):
         assert snapshot(read, t) == snapshot(traj, t)
-    for replay in (snapshot, timed_snapshot):
-        with pytest.raises(SimulationConfigError, match=r"20.5 outside \[0.0, 20.0\]"):
-            replay(read, 20.5)
+    with pytest.raises(SimulationConfigError, match=r"20.5 outside \[0.0, 20.0\]"):
+        snapshot(read, 20.5)
 
 
 def test_timed_snapshot_advances_clocks_by_hazard():
@@ -188,7 +185,7 @@ def test_timed_snapshot_advances_clocks_by_hazard():
     model = ConstantRate(rate=0.0, death=ConstantDeath(2.0))
     init = timed_from([("a", 0.2, 3.0)])
     traj = simulate(model, SPACE, init, 1.0, make_stream(model))
-    mid = timed_snapshot(traj, 0.75)
+    mid = snapshot(traj, 0.75)
     e = mid.entry("a")
     assert (e.clock, e.birth_time) == (3.0, 0.0)
     assert (traj.final.entry("a").clock, traj.final.entry("a").birth_time) == (3.0, 0.0)
@@ -206,7 +203,7 @@ def test_restart_from_timed_snapshot_continues_exactly(delta0):
         stream = make_stream(model, seed=seed)
         whole = simulate(model, SPACE, TimedConfiguration(), 30.0, stream)
         head = simulate(model, SPACE, TimedConfiguration(), t_restart, stream)
-        mid = timed_snapshot(whole, t_restart)
+        mid = snapshot(whole, t_restart)
         assert snapshot(head, t_restart) == mid
         tail = simulate(model, SPACE, mid, 30.0 - t_restart, stream, start_time=t_restart)
         whole_tail = [(ev.time, ev.kind, ev.point_id, tuple(map(float, ev.x)))

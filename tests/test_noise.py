@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from sbdsim.noise import (
     TAG_POISSON,
     TAG_PRESENT,
     TAG_SLAB,
-    NoiseSlab,
     NoiseStream,
     initial_clocks,
     keyed_generator,
@@ -33,6 +33,24 @@ def stream(env=4.0, seed=SEED, space=SPACE, slab=1.0, **kw):
     return NoiseStream(seed, space, env, slab_length=slab, **kw)
 
 
+Columns = namedtuple("Columns", "s x r u ids")
+
+
+def columns(rows, dimension):
+    """The arrays s (n,), x (n, d), r, u and ids (object) of proposal rows
+    (s, r, u, id, x_1, ..., x_d), for numpy references and bitwise checks."""
+    return Columns(np.array([row[0] for row in rows], dtype=float),
+                   np.array([row[4:] for row in rows], dtype=float).reshape(len(rows), dimension),
+                   np.array([row[1] for row in rows], dtype=float),
+                   np.array([row[2] for row in rows], dtype=float),
+                   np.array([row[3] for row in rows], dtype=object))
+
+
+def bits(rows):
+    """Every bit of a set of proposal rows: each id with its floats' hex."""
+    return [(row[3], [v.hex() for v in row[:3] + row[4:]]) for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -43,8 +61,7 @@ def test_slab_regeneration_is_bit_identical():
     for k in (-3, -1, 0, 5, 117):
         pa, pb = a.slab_points(k), b.slab_points(k)
         assert len(pa) == len(pb)
-        for name in NoiseSlab.__slots__:
-            assert np.array_equal(getattr(pa, name), getattr(pb, name))
+        assert bits(pa) == bits(pb)
 
 
 def test_slab_survives_cache_eviction():
@@ -54,8 +71,7 @@ def test_slab_survives_cache_eviction():
         s.slab_points(k)
     after = s.slab_points(0)
     assert after is not before and len(after) > 0
-    for name in NoiseSlab.__slots__:
-        assert np.array_equal(getattr(before, name), getattr(after, name))
+    assert bits(before) == bits(after)
 
 
 def test_slab_hash_separates_seeds_and_slabs():
@@ -69,10 +85,10 @@ def test_atoms_ordered_within_slab_and_inside_bounds():
     s = stream(slab=2.5)
     for k in (-2, 0, 7):
         pts = s.slab_points(k)
-        times = pts.s.tolist()
+        times = [row[0] for row in pts]
         assert times == sorted(times)
         assert all(k * 2.5 <= t < (k + 1) * 2.5 for t in times)
-        assert pts.ids.tolist() == [f"n{k}:{i}" for i in range(len(pts))]
+        assert [row[3] for row in pts] == [f"n{k}:{i}" for i in range(len(pts))]
 
 
 def test_atoms_between_half_open_window():
@@ -81,25 +97,26 @@ def test_atoms_between_half_open_window():
     left = s.atoms_between(-2.0, 0.0)
     right = s.atoms_between(0.0, 2.0)
     both = s.atoms_between(-2.0, 2.0)
-    assert left.ids.tolist() + right.ids.tolist() == both.ids.tolist()
-    times = both.s.tolist()
+    assert left + right == both
+    times = [row[0] for row in both]
     assert times == sorted(times)
     assert all(-2.0 <= t < 2.0 for t in times)
-    # inside one slab too, and an empty window keeps the dimension
+    # inside one slab too, and an empty window is the empty tuple
     part = s.atoms_between(-1.7, -1.2)
-    assert part.ids.tolist() == [i for i, t in zip(both.ids, times) if -1.7 <= t < -1.2]
-    empty = s.atoms_between(0.5, 0.5)
-    assert len(empty) == 0 and empty.x.shape == (0, 1)
+    assert part == tuple(row for row in both if -1.7 <= row[0] < -1.2)
+    assert s.atoms_between(0.5, 0.5) == ()
 
 
 def reference_atoms_between(stream, t0, t1):
-    """atoms_between as a searchsorted slice of every slab of the range."""
-    parts = [stream._empty]
+    """atoms_between as a searchsorted slice of the columns of every slab of
+    the range, concatenated."""
+    d = stream.space.dimension
+    parts = [columns((), d)]
     for k in range(math.floor(t0 / stream.slab_length), math.ceil(t1 / stream.slab_length)):
-        slab = stream.slab_points(k)
+        slab = columns(stream.slab_points(k), d)
         lo, hi = np.searchsorted(slab.s, (t0, t1))
-        parts.append(slab[lo:hi])
-    return NoiseSlab.concat(parts)
+        parts.append(Columns(*(col[lo:hi] for col in slab)))
+    return Columns(*(np.concatenate(cols) for cols in zip(*parts)))
 
 
 class EdgeStream(NoiseStream):
@@ -110,8 +127,7 @@ class EdgeStream(NoiseStream):
     def _generate_slab(self, k):
         L = self.slab_length
         s = k * L + np.array([0.0, L / 3, L / 2, np.nextafter(L, 0.0)])
-        return NoiseSlab(s, np.full((4, 1), 0.5), np.ones(4), np.zeros(4),
-                         np.array([f"n{k}:{i}" for i in range(4)], dtype=object))
+        return tuple((t, 1.0, 0.0, f"n{k}:{i}", 0.5) for i, t in enumerate(s.tolist()))
 
 
 @pytest.mark.parametrize("slab", [0.37, 1.0, 2.5])
@@ -120,34 +136,19 @@ def test_atoms_between_matches_a_slice_of_every_slab(slab):
     # whose k L + s_local rounded onto the next edge; whole inner slabs and
     # sliced edge slabs give the same bits as slicing every slab
     edge = EdgeStream(SEED, SPACE, 4.0, slab_length=slab)
-    assert edge.slab_points(-3).s[-1] == -2 * slab and edge.slab_points(2).s[-1] == 3 * slab
+    assert edge.slab_points(-3)[-1][0] == -2 * slab and edge.slab_points(2)[-1][0] == 3 * slab
     for s in (edge, stream(env=6.0, slab=slab)):
         ends = sorted({k * slab + f * slab for k in range(-3, 4) for f in (0.0, 0.2, 0.5, 0.9)}
-                      | set(np.concatenate([s.slab_points(k).s for k in (-3, -1, 0, 2)]).tolist()))
+                      | {row[0] for k in (-3, -1, 0, 2) for row in s.slab_points(k)})
         for i, t0 in enumerate(ends):
             for t1 in ends[i:]:
-                got, want = s.atoms_between(t0, t1), reference_atoms_between(s, t0, t1)
+                got = columns(s.atoms_between(t0, t1), 1)
+                want = reference_atoms_between(s, t0, t1)
                 assert got.ids.tolist() == want.ids.tolist()
                 for name in ("s", "x", "r", "u"):
                     col, ref = getattr(got, name), getattr(want, name)
                     assert (col.dtype, col.shape, col.tobytes()) == \
                         (ref.dtype, ref.shape, ref.tobytes())
-
-
-def test_slab_concat_and_selection_keep_columns_aligned():
-    s = stream(space=SPACE2)
-    a, b = s.slab_points(0), s.slab_points(1)
-    both = NoiseSlab.concat([a, b])
-    assert len(both) == len(a) + len(b) > 2
-    pick = np.array([len(a) + 1, 0, len(a)])
-    for name in NoiseSlab.__slots__:
-        col = np.concatenate([getattr(a, name), getattr(b, name)])
-        assert np.array_equal(getattr(both, name), col)
-        assert np.array_equal(getattr(both[pick], name), col[pick])
-        assert np.array_equal(getattr(both[1:3], name), col[1:3])
-    assert both[pick].x.shape == (3, 2)
-    with pytest.raises(TypeError):
-        iter(both)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +171,9 @@ def test_marks_have_the_right_marginals():
     rs, us, xs = [], [], []
     for k in range(300):
         slab = s.slab_points(k)
-        rs += slab.r.tolist()
-        us += slab.u.tolist()
-        xs += slab.x[:, 0].tolist()
+        rs += [row[1] for row in slab]
+        us += [row[2] for row in slab]
+        xs += [row[4] for row in slab]
     assert stats.kstest(rs, "expon").pvalue > 0.01
     assert stats.kstest(np.array(us) / 6.0, "uniform").pvalue > 0.01
     assert stats.kstest(xs, "uniform").pvalue > 0.01
@@ -237,13 +238,14 @@ def test_dump_csv_round_trips(tmp_path):
     s.dump_csv(path, 0, 2)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "k,s,x1,x2,r,u"
-    expect = NoiseSlab.concat([s.slab_points(k) for k in range(3)])
+    expect = [atom for k in range(3) for atom in s.slab_points(k)]
     assert len(lines) - 1 == len(expect)
     row = lines[1].split(",")
+    s0, r0, u0, _, x1, x2 = expect[0]
     assert int(row[0]) == 0
-    assert float(row[1]) == expect.s[0]
-    assert float(row[2]) == expect.x[0, 0] and float(row[3]) == expect.x[0, 1]
-    assert float(row[4]) == expect.r[0] and float(row[5]) == expect.u[0]
+    assert float(row[1]) == s0
+    assert float(row[2]) == x1 and float(row[3]) == x2
+    assert float(row[4]) == r0 and float(row[5]) == u0
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,7 @@ def test_slab_hashes_and_ids_match_pinned_draws(dim, env, slab, seed, k, n, dige
     assert s.slab_hash(k) == digest
     pts = s.slab_points(k)
     assert len(pts) == n
-    assert pts.ids.tolist() == [f"n{k}:{i}" for i in range(n)]
+    assert [row[3] for row in pts] == [f"n{k}:{i}" for i in range(n)]
 
 
 def test_dump_csv_matches_pinned_digest(tmp_path):
@@ -360,16 +362,24 @@ def test_dump_csv_matches_pinned_digest(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256
 
 
-def test_slab_arrays_are_read_only():
+def test_proposals_are_tuples_that_a_reread_shares():
     # a cached slab is shared by every later reader, and the run loop hands
-    # out rows of x as views; writing through any of them must fail
+    # out its rows and their coordinate tuples as they are: a slab, a window,
+    # D(0) and a CFTP window are tuples of tuples (s, r, u, id, x_1, x_2) of
+    # Python floats and a str, which no reader can change
+    from sbdsim.cftp import dominating_window
+
     s = stream(env=6.0, space=SPACE2)
     slab = s.slab_points(0)
-    window = s.atoms_between(0.0, 1.0)
-    for arr in (slab.s, slab.x, slab.r, slab.u, slab.ids, window.x, window.ids,
-                slab[1:].x[0], slab[np.array([0])].s):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    assert s.slab_points(0) is slab
+    sets = (slab, s.atoms_between(-0.5, 1.5), s.present_points(1.3),
+            dominating_window(s, -2.0, 1.3)[1])
+    for rows in sets:
+        assert type(rows) is tuple and len(rows) > 0
+        for row in rows:
+            assert type(row) is tuple and len(row) == 6
+            assert [type(v) for v in row] == [float, float, float, str, float, float]
+    assert s.slab_points(0) is slab and s.present_points(1.3) is sets[2]
 
 
 def test_present_points_follow_the_stationary_law():
@@ -384,13 +394,12 @@ def test_present_points_follow_the_stationary_law():
     for i in range(5000):
         s = stream(env=env, seed=replicate_seed(SEED, i), space=SPACE2)
         present = s.present_points(delta0)
-        b, x, r, u = present.s, present.x, present.r, present.u
+        b, x, r, u, ids = columns(present, 2)
         if i < 20:
             assert s.present_points(delta0) is present
-            assert present.ids.tolist() == [f"d{j}" for j in range(len(b))]
+            assert ids.tolist() == [f"d{j}" for j in range(len(b))]
             again = stream(env=env, seed=replicate_seed(SEED, i), space=SPACE2).present_points(delta0)
-            for name in NoiseSlab.__slots__:
-                assert np.array_equal(getattr(again, name), getattr(present, name))
+            assert bits(again) == bits(present)
         assert x.shape == (len(b), 2) and len(r) == len(u) == len(b)
         assert np.all((x >= 0) & (x < SPACE2.lengths_array()))
         assert np.all((u >= 0) & (u <= s.envelope_sup_value()))
@@ -402,9 +411,6 @@ def test_present_points_follow_the_stationary_law():
     assert chi_square_gof(counts, probs).pvalue > 0.01
     assert stats.kstest(np.concatenate(ages), "expon").pvalue > 0.01
     assert stats.kstest(np.concatenate(residuals), "expon").pvalue > 0.01
-    for name in NoiseSlab.__slots__:
-        with pytest.raises(ValueError):
-            getattr(present, name)[...] = 0.0
 
 
 def reference_present_points(s, death_rate):
@@ -432,7 +438,7 @@ def test_present_points_match_a_freshly_keyed_generator(dimension):
         s = stream(env=7.0, seed=seed, space=space)
         before = [s.slab_hash(k) for k in (-2, -1)]
         for delta0 in (1.0, 1.7):
-            got = s.present_points(delta0)
+            got = columns(s.present_points(delta0), dimension)
             want = reference_present_points(s, delta0)
             assert all(np.array_equal(p, q) for p, q in zip((got.s, got.x, got.r, got.u), want))
             assert got.s.dtype == want[0].dtype and got.x.shape == want[1].shape
@@ -465,11 +471,11 @@ def test_streams_sharing_a_generator_draw_as_if_alone():
     assert a._rng is b._rng
     assert stream(env=5.5, space=SPACE2)._rng is not a._rng
     for i, (s, k) in enumerate([(a, 0), (b, 0), (a, -3), (b, 2), (a, 2), (b, -3)]):
-        got = s.slab_points(k)
+        got = columns(s.slab_points(k), 2)
         assert all(np.array_equal(p, q) for p, q in
                    zip((got.s, got.x, got.r, got.u), reference_slab(s, k)))
         other, delta0 = (b if s is a else a), 1.0 + 0.1 * i  # a new D(0) each time
-        present = other.present_points(delta0)
+        present = columns(other.present_points(delta0), 2)
         assert all(np.array_equal(p, q) for p, q in
                    zip((present.s, present.x, present.r, present.u),
                        reference_present_points(other, delta0)))
