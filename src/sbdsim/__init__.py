@@ -25,11 +25,8 @@ from .geometry import (
     TimedConfiguration,
     TimedPoint,
     configuration_contains,
-    nearest_distance,
-    snapshot_from_json,
     snapshot_to_json,
     symmetric_difference,
-    torus_distance,
 )
 from .models import (
     AreaInteractionRate,
@@ -65,8 +62,6 @@ from .cftp import (
     coupling_decay_curve,
     extremal_lookback_counts,
     funnel_violations,
-    maximal_stationary_sample,
-    minimal_stationary_sample,
     perfect_sample,
     sandwich_run,
 )

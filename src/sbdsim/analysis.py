@@ -49,9 +49,6 @@ class DistributionTable:
     residual: float | None = None
     defect: float | None = None
 
-    def prob(self, state) -> float:
-        return self.probs.get(state, 0.0)
-
     def states(self):
         return sorted(self.probs)
 

@@ -49,8 +49,8 @@ from .geometry import (
     configuration_contains,
     symmetric_difference,
 )
-from .models import RateModel, UnsupportedModelError, envelope_total
-from .noise import NoiseStream, Proposals, initial_clocks, poisson_configuration, replicate_seed
+from .models import RateModel, UnsupportedModelError
+from .noise import NoiseStream, Proposals, initial_clocks, replicate_seed
 from . import engine
 
 
@@ -276,27 +276,6 @@ def _require_attractive(model: RateModel, what: str) -> None:
             f"this model is {model.monotone}")
 
 
-def minimal_stationary_sample(model: RateModel, space: SpaceSpec, seed: int,
-                              horizon: float, slab_length: float = 1.0) -> Configuration:
-    """Forward run from the empty state; approaches the least stationary law
-    from below for attractive models."""
-    _require_attractive(model, "minimal_stationary_sample")
-    stream = NoiseStream.for_model(model, space, seed, slab_length)
-    return engine.simulate(model, space, Configuration(), horizon, stream).final
-
-
-def maximal_stationary_sample(model: RateModel, space: SpaceSpec, seed: int,
-                              horizon: float, slab_length: float = 1.0) -> Configuration:
-    """Forward run from the stationary dominating state; approaches the
-    greatest stationary law from above for attractive models."""
-    _require_attractive(model, "maximal_stationary_sample")
-    stream = NoiseStream.for_model(model, space, seed, slab_length)
-    delta0 = model.death.rate
-    density = envelope_total(model, space) / space.volume / delta0
-    eta0 = poisson_configuration(space, density, seed)
-    return engine.simulate(model, space, initial_clocks(eta0, seed), horizon, stream).final
-
-
 def extremal_lookback_counts(model: RateModel, space: SpaceSpec, horizons,
                              replicates: int, master_seed: int,
                              slab_length: float = 1.0):
@@ -367,9 +346,8 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec, eta0: Configuration
         stream = NoiseStream.for_model(model, space, seed, slab_length)
         t_low, t_up = engine.coupled_simulate(model, space, Configuration(),
                                               initial_clocks(eta0, seed), horizon, stream)
-        for i, t in enumerate(times):
-            c1 = engine.snapshot(t_low, t)
-            c2 = engine.snapshot(t_up, t)
+        for i, (c1, c2) in enumerate(zip(engine.snapshots(t_low, times),
+                                         engine.snapshots(t_up, times))):
             delta = symmetric_difference(c1, c2, space.dimension)
             if kernel_weighted:
                 if len(delta):

@@ -30,6 +30,8 @@ from .geometry import (
     Configuration,
     SimulationConfigError,
     SpaceSpec,
+    config_count,
+    config_number,
     snapshot_to_json,
 )
 from .models import (
@@ -57,16 +59,17 @@ def space_from_config(block: dict) -> SpaceSpec:
     unknown = set(block) - known
     if unknown:
         raise SimulationConfigError(f"unknown space fields: {sorted(unknown)}")
-    try:
-        return SpaceSpec(
-            dimension=int(block.get("dimension", len(block.get("lengths", [1.0])))),
-            lengths=tuple(float(v) for v in block.get("lengths", [1.0])),
-            boundary=block.get("boundary", "periodic"),
-            intensity=float(block.get("intensity", 1.0)),
-            quadrature_resolution=int(block.get("quadrature_resolution", 256)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SimulationConfigError(f"invalid space block: {exc}") from exc
+    lengths = block.get("lengths", [1.0])
+    if not isinstance(lengths, list):
+        raise SimulationConfigError(f"space.lengths must be a list, got {lengths!r}")
+    return SpaceSpec(
+        dimension=config_count(block.get("dimension", len(lengths)), "space.dimension", 1),
+        lengths=tuple(config_number(v, "space.lengths entry") for v in lengths),
+        boundary=block.get("boundary", "periodic"),
+        intensity=config_number(block.get("intensity", 1.0), "space.intensity"),
+        quadrature_resolution=config_count(block.get("quadrature_resolution", 256),
+                                           "space.quadrature_resolution", 2),
+    )
 
 
 @dataclass
@@ -121,10 +124,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise SimulationConfigError("config is missing the 'space' block")
     space = space_from_config(raw["space"])
     model = model_from_config(raw)
-    seed = int(raw.get("seed", 0))
-    if not (0 <= seed < 2 ** 64):
+    seed = config_count(raw.get("seed", 0), "seed")
+    if seed >= 2 ** 64:
         raise SimulationConfigError("seed must fit in an unsigned 64-bit integer")
-    slab_length = float(raw.get("slab_length", 1.0))
+    slab_length = config_number(raw.get("slab_length", 1.0), "slab_length")
     if not (slab_length > 0 and math.isfinite(slab_length)):
         raise SimulationConfigError("slab_length must be positive and finite")
     if not math.isfinite(envelope_total(model, space)):
@@ -143,13 +146,6 @@ def _write_outputs(out_dir: str, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
-def _count(value, name: str, least: int = 0) -> int:
-    """A config value that must be an integer >= least (a JSON integer, not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise SimulationConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
-
-
 def _block(cfg: RunConfig, name: str) -> dict:
     """The run.<name> block of a command, which must be an object."""
     block = cfg.run.get(name, {})
@@ -159,15 +155,12 @@ def _block(cfg: RunConfig, name: str) -> dict:
 
 
 def _replicates(cfg: RunConfig, default: int) -> int:
-    return _count(cfg.run.get("replicates", default), "replicates", 1)
+    return config_count(cfg.run.get("replicates", default), "replicates", 1)
 
 
 def _finite(value, name: str) -> float:
     """A config value that must be a finite number."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+    number = config_number(value, name)
     if not math.isfinite(number):
         raise SimulationConfigError(f"{name} must be a finite number, got {value!r}")
     return number
@@ -231,8 +224,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     initial = _initial_state(cfg, intensity, cfg.seed)
     traj = engine.simulate(cfg.model, cfg.space, initial, horizon, stream)
     traj.to_csv(os.path.join(out_dir, "events.csv"))
-    for i, t in enumerate(snapshot_times):
-        state = engine.snapshot(traj, t)
+    for i, (t, state) in enumerate(zip(snapshot_times, engine.snapshots(traj, snapshot_times))):
         with open(os.path.join(out_dir, f"snapshot_{i:03d}.json"), "w") as fh:
             fh.write(snapshot_to_json(t, state) + "\n")
     with open(os.path.join(out_dir, "final_state.json"), "w") as fh:
@@ -295,8 +287,8 @@ def cmd_oracle(cfg: RunConfig, out_dir: str) -> int:
     if not isinstance(caps, list) or len(caps) != n_cells:
         raise SimulationConfigError(
             f"run.oracle.caps must list one bound per cell ({n_cells} cells), got {caps!r}")
-    caps = [_count(c, "run.oracle.caps entry") for c in caps]
-    extension = _count(block.get("extension", 4), "run.oracle.extension")
+    caps = [config_count(c, "run.oracle.caps entry") for c in caps]
+    extension = config_count(block.get("extension", 4), "run.oracle.extension")
     analysis.check_state_budget(caps, extension)
     oracle = analysis.OracleModel.from_model(cfg.model, cfg.space, caps)
     _write_outputs(out_dir, cfg)
@@ -322,7 +314,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: str) -> int:
 def cmd_contraction(cfg: RunConfig, out_dir: str | None) -> int:
     resolution = _block(cfg, "contraction").get("resolution")
     if resolution is not None:
-        _count(resolution, "run.contraction.resolution", 2)
+        config_count(resolution, "run.contraction.resolution", 2)
     elif cfg.space.dimension == 1:
         resolution = 2_000_001
     est = contraction_constant(cfg.model, cfg.space, resolution)
@@ -535,9 +527,7 @@ def run_validation_battery(seed: int = 20260816, fast: bool = False) -> dict:
 
 def cmd_validate(cfg: RunConfig, out_dir: str) -> int:
     block = _block(cfg, "validate")
-    seed = block.get("seed", cfg.seed or 20260816)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SimulationConfigError(f"run.validate.seed must be an integer, got {seed!r}")
+    seed = config_count(block.get("seed", cfg.seed or 20260816), "run.validate.seed")
     fast = block.get("fast", False)
     if not isinstance(fast, bool):
         raise SimulationConfigError(f"run.validate.fast must be true or false, got {fast!r}")

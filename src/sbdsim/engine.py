@@ -24,7 +24,6 @@ every other run logs every event.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,34 +74,37 @@ class Trajectory:
         with open(path, "w") as fh:
             fh.writelines(lines)
 
-    def canonical_json(self) -> str:
-        """Deterministic full-precision serialization, for replay comparisons."""
-        return json.dumps({
-            "start": self.start_time,
-            "horizon": self.horizon,
-            "initial": sorted((pid, x.tolist(), self.initial.entry(pid).clock)
-                              for pid, x in self.initial.items()),
-            "events": [(ev.time, ev.kind, ev.point_id, list(map(float, ev.x)), ev.mark)
-                       for ev in self.events],
-        })
+
+def snapshots(trajectory: Trajectory, times) -> list[Configuration]:
+    """The states at times, in the given order, from one replay of the event
+    log: each event is applied once, over the sorted times, and the running
+    state is copied at each time, so a state's rows are in the order a replay
+    from the start gives. Each point keeps its death mark and birth time, so
+    a restart from a state computes the same death times as the uninterrupted
+    run (a birth logged without a mark stays unmarked)."""
+    times = list(times)
+    for t in times:
+        if not (trajectory.start_time <= t <= trajectory.end_time):
+            raise SimulationConfigError(
+                f"snapshot time {t} outside [{trajectory.start_time}, {trajectory.end_time}]")
+    state = trajectory.initial.copy()
+    events, i = trajectory.events, 0
+    out: list = [None] * len(times)
+    for j in sorted(range(len(times)), key=times.__getitem__):
+        while i < len(events) and events[i].time <= times[j]:
+            ev = events[i]
+            if ev.kind == "birth":
+                state.add(ev.point_id, ev.x, ev.mark, ev.time)
+            else:
+                state.remove(ev.point_id)
+            i += 1
+        out[j] = state.copy()
+    return out
 
 
 def snapshot(trajectory: Trajectory, t: float) -> Configuration:
-    """State at time t, replayed from the event log. Each point keeps its death
-    mark and birth time, so a restart from it computes the same death times
-    as the uninterrupted run (a birth logged without a mark stays unmarked)."""
-    if not (trajectory.start_time <= t <= trajectory.end_time):
-        raise SimulationConfigError(
-            f"snapshot time {t} outside [{trajectory.start_time}, {trajectory.end_time}]")
-    state = trajectory.initial.copy()
-    for ev in trajectory.events:
-        if ev.time > t:
-            break
-        if ev.kind == "birth":
-            state.add(ev.point_id, ev.x, ev.mark, ev.time)
-        else:
-            state.remove(ev.point_id)
-    return state
+    """State at time t, replayed from the event log (snapshots at one time)."""
+    return snapshots(trajectory, [t])[0]
 
 
 def _death_time(birth_time: float, clock: float, delta0: float) -> float:

@@ -26,6 +26,23 @@ class SimulationConfigError(ValueError):
     """Raised when a window, model, or run configuration is invalid."""
 
 
+def config_count(value, name: str, least: int = 0) -> int:
+    """A config value that must be an integer >= least (a JSON integer, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SimulationConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def config_number(value, name: str) -> float:
+    """A config value that must be a number (not a bool or a string), as a float."""
+    try:
+        if isinstance(value, (bool, str)):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise SimulationConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # window
 # ---------------------------------------------------------------------------
@@ -83,25 +100,6 @@ class SpaceSpec:
     def lengths_array(self) -> NDArray[np.float64]:
         return np.asarray(self.lengths, dtype=float)
 
-    def contains(self, x: NDArray[np.float64]) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            return False
-        L = self.lengths_array()
-        if self.periodic:
-            return bool(np.all(x >= 0.0) and np.all(x < L))
-        return bool(np.all(x >= 0.0) and np.all(x <= L))
-
-    def require_point(self, x) -> NDArray[np.float64]:
-        """Validate and return a point of this window as a float vector."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise SimulationConfigError(
-                f"point of shape {x.shape} does not match dimension {self.dimension}")
-        if not self.contains(x):
-            raise SimulationConfigError(f"point {x} lies outside the window")
-        return x
-
     def grid(self, resolution: int | None = None) -> NDArray[np.float64]:
         """Midpoint quadrature grid, shape (resolution**d, d)."""
         n = int(resolution or self.quadrature_resolution)
@@ -117,23 +115,6 @@ class SpaceSpec:
 # ---------------------------------------------------------------------------
 # metric
 # ---------------------------------------------------------------------------
-
-def displacement(space: SpaceSpec, x: NDArray, y: NDArray) -> NDArray[np.float64]:
-    """Coordinatewise absolute displacement, wrapped on a periodic window."""
-    d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    if space.periodic:
-        d = np.minimum(d, space.lengths_array() - d)
-    return d
-
-
-def torus_distance(space: SpaceSpec, x, y) -> float:
-    """Metric of the window: torus distance if periodic, Euclidean otherwise."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (space.dimension,) or y.shape != (space.dimension,):
-        raise SimulationConfigError("torus_distance: point dimension mismatch")
-    return float(np.sqrt(np.sum(displacement(space, x, y) ** 2)))
-
 
 def distances_to(space: SpaceSpec, x: NDArray, pts: NDArray) -> NDArray[np.float64]:
     """Distances from x to each row of pts, shape (len(pts),)."""
@@ -179,14 +160,14 @@ class Configuration:
     The store is one insertion-ordered dict of immutable rows, id ->
     (p, mark, born), with p a tuple of floats and mark NaN for a point added
     without a death mark. ids(), items(), rows() and the rows of
-    points_array() and timing() all follow insertion order. An add of a
-    tuple keeps that tuple as the row's p (the event loop passes its
-    proposals so); any other point is converted to floats and checked. Rows
-    are never changed, so copies, restrictions and both paths of a bracket
-    share them. points_array() and timing() are read-only arrays built on
-    first use after an add or remove and kept until the next one, so an
-    array handed out keeps its values; coords(), entry() and items() return
-    new arrays, and remove() returns the point's tuple p.
+    points_array() all follow insertion order. An add of a tuple keeps that
+    tuple as the row's p (the event loop passes its proposals so); any other
+    point is converted to floats and checked. Rows are never changed, so
+    copies, restrictions and both paths of a bracket share them.
+    points_array() is a read-only array built on first use after an add or
+    remove and kept until the next one, so an array handed out keeps its
+    values; coords(), entry() and items() return new arrays, and remove()
+    returns the point's tuple p.
 
     Derived indexes (a rate model's occupancy counts, a neighbour grid) are
     built from the live points the first time index() is asked for one, and
@@ -195,12 +176,12 @@ class Configuration:
     id. copy(), restrict() and every new configuration start with none.
     """
 
-    __slots__ = ("_rows", "_d", "_xs", "_timing", "_indexes")
+    __slots__ = ("_rows", "_d", "_xs", "_indexes")
 
     def __init__(self, points: dict[str, NDArray[np.float64]] | None = None):
         self._rows: dict[str, tuple[tuple[float, ...], float, float]] = {}
         self._d = 0  # length of every p while the store is not empty
-        self._xs = self._timing = None  # cached columns, None after an add or remove
+        self._xs = None  # cached points_array(), None after an add or remove
         self._indexes: dict = {}
         if points:
             for pid, x in points.items():
@@ -252,7 +233,7 @@ class Configuration:
                 f"point of dimension {len(x)} in a configuration of dimension {self._d}")
         self._d = len(x)
         rows[pid] = (x, mark, born)
-        self._xs = self._timing = None
+        self._xs = None
         for index in self._indexes.values():
             index.add(pid, x)
 
@@ -262,7 +243,7 @@ class Configuration:
             p = self._rows.pop(pid)[0]
         except KeyError:
             raise SimulationConfigError(f"unknown point id {pid!r}") from None
-        self._xs = self._timing = None
+        self._xs = None
         for index in self._indexes.values():
             index.remove(pid)
         return p
@@ -313,15 +294,6 @@ class Configuration:
             self._xs = _read_only(np.array([p for p, _, _ in rows], float)) if rows else _EMPTY
         return self._xs
 
-    def timing(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """The death marks and birth times of the rows of points_array(), as
-        read-only arrays never changed once handed out."""
-        if self._timing is None:
-            rows = self._rows.values()
-            self._timing = (_read_only(np.array([m for _, m, _ in rows], dtype=float)),
-                            _read_only(np.array([b for _, _, b in rows], dtype=float)))
-        return self._timing
-
     def copy(self) -> "Configuration":
         out = Configuration()
         out._rows, out._d = self._rows.copy(), self._d
@@ -368,13 +340,6 @@ def symmetric_difference(eta1: Configuration, eta2: Configuration, dimension: in
         d = dimension if dimension is not None else 0
         return np.zeros((0, d))
     return np.stack(out)
-
-
-def nearest_distance(space: SpaceSpec, x, eta: Configuration) -> float:
-    """Distance from x to the nearest point of eta; +inf for an empty eta."""
-    if len(eta) == 0:
-        return math.inf
-    return float(np.min(distances_to(space, np.asarray(x, dtype=float), eta.points_array())))
 
 
 # Cells per axis are capped, so that a cell coordinate x / L * c keeps about
@@ -512,10 +477,3 @@ def snapshot_to_json(time: float, eta: Configuration) -> str:
     the rows' coordinate tuples in sorted order (json writes a tuple as a list)."""
     return json.dumps({"time": time, "points": sorted(p for _, (p, _, _) in eta.rows())})
 
-
-def snapshot_from_json(text: str) -> tuple[float, Configuration]:
-    obj = json.loads(text)
-    cfg = Configuration()
-    for i, p in enumerate(obj["points"]):
-        cfg.add(f"p{i}", np.asarray(p, dtype=float))
-    return float(obj["time"]), cfg

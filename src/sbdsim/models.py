@@ -35,6 +35,8 @@ from .geometry import (
     Configuration,
     SimulationConfigError,
     SpaceSpec,
+    config_count,
+    config_number,
     distances_to,
     neighbour_grid,
 )
@@ -851,7 +853,7 @@ def death_from_config(block: dict | None):
         return ConstantDeath()
     if "rate" not in block:
         raise SimulationConfigError("death config block missing key: 'rate'")
-    return ConstantDeath(rate=float(block["rate"]))
+    return ConstantDeath(rate=config_number(block["rate"], "death.rate"))
 
 
 def model_from_config(config: dict) -> RateModel:
@@ -863,25 +865,35 @@ def model_from_config(config: dict) -> RateModel:
         raise SimulationConfigError(f"model config block missing key: {exc}") from None
     death = death_from_config(config.get("death"))
     _block_type(block, "model", _MODEL_KEYS)
+    def number(key):
+        return config_number(block[key], f"model.{key}")
+
     try:
         if kind == "constant":
-            return ConstantRate(rate=float(block["rate"]), death=death)
+            return ConstantRate(rate=number("rate"), death=death)
         if kind == "pairwise":
-            return PairwiseRate(theta=float(block["theta"]),
-                                interaction_range=float(block["range"]), death=death)
+            return PairwiseRate(theta=number("theta"), interaction_range=number("range"),
+                                death=death)
         if kind == "area_interaction":
             return AreaInteractionRate(
-                rho=float(block["rho"]), gamma=float(block["gamma"]),
-                grain_radius=float(block["grain_radius"]), death=death,
-                overlap_resolution=int(block.get("overlap_resolution", 4096)))
+                rho=number("rho"), gamma=number("gamma"), grain_radius=number("grain_radius"),
+                death=death, overlap_resolution=config_count(
+                    block.get("overlap_resolution", 4096), "model.overlap_resolution", 1))
         if kind == "nearest_neighbor":
             return NearestNeighborRate(
-                breakpoints=tuple(float(b) for b in block["breakpoints"]),
-                values=tuple(float(v) for v in block["values"]),
-                value_at_infinity=float(block["value_at_infinity"]), death=death)
+                breakpoints=tuple(config_number(b, "model.breakpoints entry")
+                                  for b in block["breakpoints"]),
+                values=tuple(config_number(v, "model.values entry") for v in block["values"]),
+                value_at_infinity=number("value_at_infinity"), death=death)
+        try:
+            theta = np.asarray(block["theta"], dtype=float)
+        except (TypeError, ValueError):
+            raise SimulationConfigError(
+                f"model.theta must be a matrix of numbers, got {block['theta']!r}") from None
         return CellOccupancyRate(
-            cell_counts=tuple(int(c) for c in block["cell_counts"]),
-            theta=np.asarray(block["theta"], dtype=float),
-            base_rate=float(block.get("base_rate", 1.0)), death=death)
+            cell_counts=tuple(config_count(c, "model.cell_counts entry", 1)
+                              for c in block["cell_counts"]),
+            theta=theta,
+            base_rate=config_number(block.get("base_rate", 1.0), "model.base_rate"), death=death)
     except KeyError as exc:
         raise SimulationConfigError(f"model config block missing key: {exc}") from None

@@ -233,24 +233,12 @@ class NoiseStream:
             parts.append(slab)
         return tuple(chain.from_iterable(parts))
 
-    def _float_rows(self, k: int) -> list[tuple[float, ...]]:
-        """One row (s, x..., r, u) per atom of slab k, in time order."""
-        return [(s, *x, r, u) for s, r, u, _, *x in self.slab_points(k)]
-
     def slab_hash(self, k: int) -> str:
         """Stable digest of slab k's atoms, the float64 bytes of its rows
-        (s, x..., r, u); equal runs hash equal."""
-        rows = np.array(self._float_rows(k), dtype=np.float64)
+        (s, x..., r, u) in time order; equal runs hash equal."""
+        rows = np.array([(s, *x, r, u) for s, r, u, _, *x in self.slab_points(k)],
+                        dtype=np.float64)
         return hashlib.sha256(rows.tobytes()).hexdigest()
-
-    def dump_csv(self, path, k_first: int, k_last: int) -> None:
-        """Write atoms of slabs k_first..k_last to CSV: k, s, x..., r, u."""
-        cols = ",".join(f"x{i+1}" for i in range(self.space.dimension))
-        with open(path, "w") as fh:
-            fh.write(f"k,s,{cols},r,u\n")
-            for k in range(k_first, k_last + 1):
-                for row in self._float_rows(k):
-                    fh.write(f"{k}," + ",".join(map(repr, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

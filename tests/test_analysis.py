@@ -88,15 +88,15 @@ def test_gibbs_weights_follow_energy_ratios():
     table = gibbs_table(oracle)
     # pi(k+1)/pi(k) = c e^{-theta k} / (k+1) with c = base * mass / death
     for k in range(5):
-        got = table.prob((k + 1,)) / table.prob((k,))
+        got = table.probs.get((k + 1,), 0.0) / table.probs.get((k,), 0.0)
         assert got == pytest.approx(math.exp(-0.5 * k) / (k + 1), rel=1e-12)
 
 
 def test_oracle_hard_core_limits_multiplicity():
     oracle = OracleModel(masses=(1.0,), caps=(6,), theta=np.array([[50.0]]))
     table = oracle_stationary(oracle)
-    assert table.prob((2,)) < 1e-20
-    assert table.prob((1,)) / table.prob((0,)) == pytest.approx(1.0, rel=1e-9)
+    assert table.probs.get((2,), 0.0) < 1e-20
+    assert table.probs.get((1,), 0.0) / table.probs.get((0,), 0.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_oracle_from_cell_model():
@@ -257,8 +257,8 @@ def test_empirical_count_table_totals_and_occupancy():
     assert table.probs == {1: pytest.approx(1 / 3), 2: pytest.approx(2 / 3)}
     model = CellOccupancyRate(cell_counts=(2,), theta=np.zeros((2, 2)))
     occ = empirical_count_table(cfgs, model, SPACE)
-    assert occ.prob((1, 0)) == pytest.approx(1 / 3)
-    assert occ.prob((1, 1)) == pytest.approx(2 / 3)
+    assert occ.probs.get((1, 0), 0.0) == pytest.approx(1 / 3)
+    assert occ.probs.get((1, 1), 0.0) == pytest.approx(2 / 3)
     with pytest.raises(SimulationConfigError):
         empirical_count_table([])
 

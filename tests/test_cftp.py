@@ -17,8 +17,6 @@ from sbdsim.cftp import (
     dominating_window,
     extremal_lookback_counts,
     funnel_violations,
-    maximal_stationary_sample,
-    minimal_stationary_sample,
     perfect_sample,
     sandwich_run,
 )
@@ -678,10 +676,6 @@ def test_noise_is_shared_across_doublings():
 def test_extremal_samplers_reject_repulsive_models():
     model = PairwiseRate(theta=0.5, interaction_range=0.2)
     with pytest.raises(UnsupportedModelError):
-        minimal_stationary_sample(model, SPACE, SEED, 5.0)
-    with pytest.raises(UnsupportedModelError):
-        maximal_stationary_sample(model, SPACE, SEED, 5.0)
-    with pytest.raises(UnsupportedModelError):
         extremal_lookback_counts(model, SPACE, [1.0], 2, SEED)
 
 
@@ -708,16 +702,6 @@ def test_extremal_counts_squeeze_monotonically():
     assert np.all(mins <= maxs)
     gap = maxs[:, -1] - mins[:, -1]
     assert gap.mean() < 1.0  # nearly squeezed at depth 8
-
-
-def test_minimal_below_maximal_in_mean():
-    model = AreaInteractionRate(rho=2.0, gamma=1.6, grain_radius=0.06)
-    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=2.0)
-    lows = [len(minimal_stationary_sample(model, space, replicate_seed(SEED, i), 6.0))
-            for i in range(60)]
-    highs = [len(maximal_stationary_sample(model, space, replicate_seed(SEED, i), 6.0))
-             for i in range(60)]
-    assert np.mean(lows) <= np.mean(highs) + 1e-9
 
 
 # ---------------------------------------------------------------------------

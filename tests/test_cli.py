@@ -418,49 +418,62 @@ def test_stats_rejects_a_bad_run_before_writing(tmp_path, capsys, flag, value, m
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("command,run,flags,message", [
+@pytest.mark.parametrize("command,patch,flags,message", [
     ("simulate", {}, ["--horizon", "nan"], "horizon"),
     ("simulate", {}, ["--horizon", "inf"], "horizon"),
-    ("simulate", {"horizon": "ten"}, [], "horizon"),
+    ("simulate", {"run.horizon": "ten"}, [], "horizon"),
     ("simulate", {}, ["--snapshot-times", "0,nan"], "snapshot times"),
-    ("simulate", {"snapshot_times": 5}, [], "snapshot_times must be a list"),
-    ("simulate", {"snapshot_times": "0,1"}, [], "snapshot_times must be a list"),
-    ("simulate", {"snapshot_times": [0, None]}, [], "snapshot times entry"),
-    ("simulate", {"initial": "poisson"}, [], "run.initial must be an object"),
-    ("simulate", {"initial": {"type": "poisson", "intensity": "x"}}, [],
+    ("simulate", {"run.snapshot_times": 5}, [], "snapshot_times must be a list"),
+    ("simulate", {"run.snapshot_times": "0,1"}, [], "snapshot_times must be a list"),
+    ("simulate", {"run.snapshot_times": [0, None]}, [], "snapshot times entry"),
+    ("simulate", {"run.initial": "poisson"}, [], "run.initial must be an object"),
+    ("simulate", {"run.initial": {"type": "poisson", "intensity": "x"}}, [],
      "run.initial.intensity"),
-    ("simulate", {"initial": {"type": "poisson", "intensity": 1e300}}, [],
+    ("simulate", {"run.initial": {"type": "poisson", "intensity": 1e300}}, [],
      "run.initial.intensity"),
-    ("simulate", {"initial": {"type": "poisson", "intensity": NAN}}, [],
+    ("simulate", {"run.initial": {"type": "poisson", "intensity": NAN}}, [],
      "run.initial.intensity"),
-    ("simulate", {"initial": {"type": "poisson", "intensity": -1}}, [],
+    ("simulate", {"run.initial": {"type": "poisson", "intensity": -1}}, [],
      "run.initial.intensity"),
-    ("simulate", {"initial": {"type": "lattice"}}, [], "unknown initial state type"),
+    ("simulate", {"run.initial": {"type": "lattice"}}, [], "unknown initial state type"),
     ("stats", {}, ["--horizon", "nan"], "horizon"),
-    ("stats", {"horizon": INF}, [], "horizon"),
-    ("stats", {"replicates": 2.7}, [], "replicates"),
-    ("stats", {"initial": "poisson"}, [], "run.initial must be an object"),
-    ("stats", {"initial": {"type": "poisson", "intensity": 1e300}}, [],
+    ("stats", {"run.horizon": INF}, [], "horizon"),
+    ("stats", {"run.replicates": 2.7}, [], "replicates"),
+    ("stats", {"run.initial": "poisson"}, [], "run.initial must be an object"),
+    ("stats", {"run.initial": {"type": "poisson", "intensity": 1e300}}, [],
      "run.initial.intensity"),
-    ("stats", {"initial": {"type": "poisson", "intensity": NAN}}, [],
+    ("stats", {"run.initial": {"type": "poisson", "intensity": NAN}}, [],
      "run.initial.intensity"),
-    ("stats", {"initial": {"type": "poisson", "intensity": -1}}, [],
+    ("stats", {"run.initial": {"type": "poisson", "intensity": -1}}, [],
      "run.initial.intensity"),
-    ("perfect-sample", {"replicates": 2.7}, [], "replicates"),
-    ("perfect-sample", {"replicates": True}, [], "replicates"),
-    ("perfect-sample", {"initial_lookback": NAN}, [], "initial_lookback"),
-    ("perfect-sample", {"initial_lookback": 0.0}, [], "initial_lookback"),
-    ("perfect-sample", {"max_lookback": INF}, [], "max_lookback"),
-    ("perfect-sample", {"max_lookback": -1.0}, [], "max_lookback"),
-    ("perfect-sample", {"initial_lookback": 8.0, "max_lookback": 2.0}, [],
+    ("perfect-sample", {"run.replicates": 2.7}, [], "replicates"),
+    ("perfect-sample", {"run.replicates": True}, [], "replicates"),
+    ("perfect-sample", {"run.initial_lookback": NAN}, [], "initial_lookback"),
+    ("perfect-sample", {"run.initial_lookback": 0.0}, [], "initial_lookback"),
+    ("perfect-sample", {"run.max_lookback": INF}, [], "max_lookback"),
+    ("perfect-sample", {"run.max_lookback": -1.0}, [], "max_lookback"),
+    ("perfect-sample", {"run.initial_lookback": 8.0, "run.max_lookback": 2.0}, [],
      "max_lookback 2.0 is below the first lookback, the larger of initial_lookback 8.0"),
-    ("perfect-sample", {"max_lookback": 0.5}, [], "slab_length 1.0"),
-    ("contraction", {"contraction": 5}, [], "run.contraction must be an object"),
-    ("contraction", {"contraction": {"resolution": "x"}}, [], "run.contraction.resolution"),
-    ("contraction", {"contraction": {"resolution": 1}}, [], "run.contraction.resolution"),
-    ("validate", {"validate": 3}, [], "run.validate must be an object"),
-    ("validate", {"validate": {"seed": "a"}}, [], "run.validate.seed"),
-    ("validate", {"validate": {"fast": "yes"}}, [], "run.validate.fast"),
+    ("perfect-sample", {"run.max_lookback": 0.5}, [], "slab_length 1.0"),
+    ("contraction", {"run.contraction": 5}, [], "run.contraction must be an object"),
+    ("contraction", {"run.contraction": {"resolution": "x"}}, [], "run.contraction.resolution"),
+    ("contraction", {"run.contraction": {"resolution": 1}}, [], "run.contraction.resolution"),
+    ("validate", {"run.validate": 3}, [], "run.validate must be an object"),
+    ("validate", {"run.validate": {"seed": "a"}}, [], "run.validate.seed"),
+    ("validate", {"run.validate": {"fast": "yes"}}, [], "run.validate.fast"),
+    ("simulate", {"seed": 1.5}, [], "seed must be an integer"),
+    ("simulate", {"seed": True}, [], "seed must be an integer"),
+    ("simulate", {"seed": "abc"}, [], "seed must be an integer"),
+    ("simulate", {"seed": None}, [], "seed must be an integer"),
+    ("simulate", {"space.dimension": 1.5}, [], "space.dimension"),
+    ("simulate", {"slab_length": "x"}, [], "slab_length"),
+    ("simulate", {"slab_length": None}, [], "slab_length"),
+    ("simulate", {"model.rate": "x"}, [], "model.rate"),
+    ("simulate", {"model.rate": None}, [], "model.rate"),
+    ("simulate", {"death": {"type": "constant", "rate": "x"}}, [], "death.rate"),
+    ("simulate", {"model": {"type": "cell_occupancy", "cell_counts": [3.7],
+                            "theta": [[0.6, 0.3, 0.0], [0.3, 0.6, 0.3], [0.0, 0.3, 0.6]]}},
+     [], "model.cell_counts"),
 ], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
         "simulate-snapshot-time-nan", "simulate-snapshot-times-number",
         "simulate-snapshot-times-text", "simulate-snapshot-time-null",
@@ -476,12 +489,20 @@ NAN, INF = float("nan"), float("inf")
         "perfect-sample-lookback-range-empty", "perfect-sample-max-lookback-below-slab",
         "contraction-block-number", "contraction-resolution-text",
         "contraction-resolution-one", "validate-block-number", "validate-seed-text",
-        "validate-fast-text"])
-def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command, run, flags,
+        "validate-fast-text", "seed-fraction", "seed-bool", "seed-text", "seed-null",
+        "space-dimension-fraction", "slab-length-text", "slab-length-null",
+        "model-rate-text", "model-rate-null", "death-rate-text", "cell-counts-fraction"])
+def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command, patch, flags,
                                                        message):
-    # json writes NaN and Infinity as the literals that json.load reads back
+    # patch sets the config fields at its dotted paths; json writes NaN and
+    # Infinity as the literals that json.load reads back
     body = json.load(open(CONSTANT))
-    body["run"] = {**body["run"], **run}
+    for path, value in patch.items():
+        *parents, key = path.split(".")
+        block = body
+        for name in parents:
+            block = block[name]
+        block[key] = value
     out = str(tmp_path / "o")
     assert main([command, "--config", write_config(tmp_path, body), "--out", out, *flags]) == 2
     assert message in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from sbdsim.engine import (
     run_paths,
     simulate,
     snapshot,
+    snapshots,
 )
 from sbdsim.geometry import (
     Configuration,
@@ -41,6 +43,17 @@ def timed_from(pairs, birth_time=0.0):
     return out
 
 
+def canonical_json(traj):
+    """Full-precision serialization of a trajectory, for replay comparisons."""
+    return json.dumps({
+        "start": traj.start_time,
+        "horizon": traj.horizon,
+        "initial": sorted((pid, list(p), mark) for pid, (p, mark, _) in traj.initial.rows()),
+        "events": [(ev.time, ev.kind, ev.point_id, list(map(float, ev.x)), ev.mark)
+                   for ev in traj.events],
+    })
+
+
 # ---------------------------------------------------------------------------
 # exactness of the thinning loop
 # ---------------------------------------------------------------------------
@@ -62,8 +75,8 @@ def test_every_thinning_decision_matches_replayed_state():
     proposals = stream.atoms_between(0.0, 30.0)
     traj = run_paths(model, space, [TimedConfiguration()], 30.0, proposals,
                      observe=record).trajectories()[0]
-    assert traj.canonical_json() == simulate(model, space, TimedConfiguration(), 30.0,
-                                             stream).canonical_json()
+    assert canonical_json(traj) == canonical_json(
+        simulate(model, space, TimedConfiguration(), 30.0, stream))
     assert len(decisions) == len(proposals) > 50
     assert [(s, pid) for s, pid, _, _ in decisions] == [(row[0], row[3]) for row in proposals]
     for (s, _, lam, accepted), (_, _, u, _, *x) in zip(decisions, proposals):
@@ -133,10 +146,10 @@ def test_same_seed_reproduces_trajectory_bit_for_bit():
     model = PairwiseRate(theta=0.5, interaction_range=0.15)
     first = simulate(model, SPACE, TimedConfiguration(), 40.0, make_stream(model))
     second = simulate(model, SPACE, TimedConfiguration(), 40.0, make_stream(model))
-    assert first.canonical_json() == second.canonical_json()
+    assert canonical_json(first) == canonical_json(second)
     other = simulate(model, SPACE, TimedConfiguration(), 40.0,
                      make_stream(model, seed=SEED + 1))
-    assert first.canonical_json() != other.canonical_json()
+    assert canonical_json(first) != canonical_json(other)
 
 
 def test_snapshot_at_end_matches_final_state():
@@ -162,6 +175,26 @@ def test_snapshot_interpolates_event_log():
         snapshot(traj, 20.5)
     with pytest.raises(SimulationConfigError):
         snapshot(traj, -0.1)
+
+
+def test_snapshots_in_one_replay_match_a_replay_per_time():
+    # unsorted and repeated times, and times equal to a birth's and a death's
+    # time, give each the rows of a fresh replay: ids, coordinates, marks and
+    # birth times, in the same order
+    model = PairwiseRate(theta=0.6, interaction_range=0.2)
+    init = initial_clocks(poisson_configuration(SPACE, 4.0, 99), 100)
+    traj = simulate(model, SPACE, init, 20.0, make_stream(model))
+    birth = next(ev.time for ev in traj.events if ev.kind == "birth")
+    death = next(ev.time for ev in traj.events if ev.kind == "death")
+    times = [11.2, 0.0, death, 20.0, birth, 3.7, 11.2, traj.events[-1].time, death, 0.0]
+    states = snapshots(traj, times)
+    assert len(states) == len(times) and states[0] is not states[6]
+    for t, state in zip(times, states):
+        assert list(state.rows()) == list(snapshot(traj, t).rows())
+    assert list(snapshots(traj, np.array(times))[2].rows()) == list(states[2].rows())
+    assert snapshots(traj, []) == []
+    with pytest.raises(SimulationConfigError):
+        snapshots(traj, [3.0, 20.5])
 
 
 def test_snapshot_replays_a_log_without_death_marks():
@@ -307,8 +340,8 @@ def test_coupled_side_equals_single_run_on_same_noise():
     solo = simulate(model, SPACE, TimedConfiguration(), 20.0, stream)
     low, up = coupled_simulate(model, SPACE, TimedConfiguration(),
                                TimedConfiguration(), 20.0, stream)
-    assert low.canonical_json() == solo.canonical_json()
-    assert up.canonical_json() == solo.canonical_json()
+    assert canonical_json(low) == canonical_json(solo)
+    assert canonical_json(up) == canonical_json(solo)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -12,13 +13,9 @@ from sbdsim.geometry import (
     SpaceSpec,
     TimedConfiguration,
     configuration_contains,
-    displacement,
     distances_to,
-    nearest_distance,
-    snapshot_from_json,
     snapshot_to_json,
     symmetric_difference,
-    torus_distance,
 )
 
 TORUS_1D = SpaceSpec(dimension=1, lengths=(1.0,), intensity=1.0)
@@ -56,39 +53,33 @@ def test_grid_midpoints_cover_volume():
     assert TORUS_2D.cell_volume(4) * len(g) == pytest.approx(TORUS_2D.volume)
 
 
-def test_contains_and_require():
-    assert TORUS_1D.contains(np.array([0.0]))
-    assert not TORUS_1D.contains(np.array([1.0]))  # half-open window
-    with pytest.raises(SimulationConfigError):
-        TORUS_1D.require_point(np.array([1.5]))
-
-
 # ---------------------------------------------------------------------------
 # metric
 # ---------------------------------------------------------------------------
 
+def torus_distance(space, x, y):
+    """Scalar reference metric: per axis |x - y|, wrapped to the shorter way
+    round on a periodic window, then the Euclidean norm."""
+    d = [abs(a - b) for a, b in zip(x, y)]
+    if space.periodic:
+        d = [min(v, L - v) for v, L in zip(d, space.lengths)]
+    return math.sqrt(sum(v * v for v in d))
+
+
+def dist(space, x, y):
+    """The metric as every rate query computes it: distances_to for one point."""
+    return float(distances_to(space, np.array(x), np.array([y]))[0])
+
+
 def test_torus_wraparound():
-    d = torus_distance(TORUS_1D, np.array([0.05]), np.array([0.95]))
-    assert d == pytest.approx(0.1)
+    assert dist(TORUS_1D, [0.05], [0.95]) == pytest.approx(0.1)
     # free boundary does not wrap
-    assert torus_distance(FREE_1D, np.array([0.05]), np.array([0.95])) == pytest.approx(0.9)
+    assert dist(FREE_1D, [0.05], [0.95]) == pytest.approx(0.9)
 
 
 def test_torus_distance_anisotropic_box():
-    d = torus_distance(TORUS_2D, np.array([0.05, 0.1]), np.array([0.95, 1.9]))
+    d = dist(TORUS_2D, [0.05, 0.1], [0.95, 1.9])
     assert d == pytest.approx(np.hypot(0.1, 0.2))
-
-
-def test_displacement_antisymmetric_mod_wrap():
-    x, y = np.array([0.1, 0.3]), np.array([0.8, 1.7])
-    dxy = displacement(TORUS_2D, x, y)
-    dyx = displacement(TORUS_2D, y, x)
-    assert np.linalg.norm(dxy) == pytest.approx(np.linalg.norm(dyx))
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(SimulationConfigError):
-        torus_distance(TORUS_2D, np.array([0.1]), np.array([0.2]))
 
 
 coords = st.floats(min_value=0.0, max_value=0.999, allow_nan=False)
@@ -97,12 +88,11 @@ coords = st.floats(min_value=0.0, max_value=0.999, allow_nan=False)
 @settings(max_examples=80, deadline=None)
 @given(a=coords, b=coords, c=coords)
 def test_torus_metric_triangle_inequality(a, b, c):
-    xa, xb, xc = (np.array([v]) for v in (a, b, c))
-    dab = torus_distance(TORUS_1D, xa, xb)
-    dbc = torus_distance(TORUS_1D, xb, xc)
-    dac = torus_distance(TORUS_1D, xa, xc)
+    dab = dist(TORUS_1D, [a], [b])
+    dbc = dist(TORUS_1D, [b], [c])
+    dac = dist(TORUS_1D, [a], [c])
     assert dac <= dab + dbc + 1e-12
-    assert dab == pytest.approx(torus_distance(TORUS_1D, xb, xa))
+    assert dab == dist(TORUS_1D, [b], [a])
     assert dab <= 0.5 + 1e-12  # half the period is the diameter
 
 
@@ -219,7 +209,7 @@ def test_configuration_store_matches_dict_reference(dim, data):
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2, 3]), data=st.data())
 def test_columns_follow_ids_and_keep_their_values(dim, data):
-    # points_array() and timing() list the rows in ids() order after any
+    # points_array() lists the rows in ids() order after any
     # adds and removes, and an array handed out is never changed afterwards
     cfg, ref = Configuration(), {}
     handed = []  # (array handed out, its values then)
@@ -233,14 +223,13 @@ def test_columns_follow_ids_and_keep_their_values(dim, data):
             pid = f"q{step}"
             cfg.add(pid, np.array(x), mark, -float(step))
             ref[pid] = (x, mark, -float(step))
-        pts, (mark, born) = cfg.points_array(), cfg.timing()
+        pts = cfg.points_array()
         assert list(cfg.ids()) == list(ref)
         assert [tuple(p) for p in pts.tolist()] == [p for p, _, _ in ref.values()]
-        assert mark.tolist() == [m for _, m, _ in ref.values()]
-        assert born.tolist() == [b for _, _, b in ref.values()]
-        assert pts is cfg.points_array() and mark is cfg.timing()[0]  # cached until a change
-        assert not (pts.flags.writeable or mark.flags.writeable or born.flags.writeable)
-        handed.extend((a, a.tolist()) for a in (pts, mark, born))
+        assert list(cfg.rows()) == list(ref.items())
+        assert pts is cfg.points_array()  # cached until a change
+        assert not pts.flags.writeable
+        handed.append((pts, pts.tolist()))
         for a, values in handed:
             assert a.tolist() == values
 
@@ -256,7 +245,6 @@ def test_a_point_as_tuple_list_or_array_gives_equal_stores():
     for cfg in stores:
         assert cfg == stores[0]
         assert cfg.points_array().tobytes() == stores[0].points_array().tobytes()
-        assert [m.tobytes() for m in cfg.timing()] == [m.tobytes() for m in stores[0].timing()]
         assert list(cfg.rows()) == list(stores[0].rows())
         assert all(type(p) is tuple and all(type(v) is float for v in p)
                    for _, (p, _, _) in cfg.rows())
@@ -305,8 +293,8 @@ def test_symmetric_difference_lists_each_surplus_in_row_order():
 
 def test_nearest_distance():
     cfg = Configuration.from_points(np.array([[0.1], [0.9]]))
-    assert nearest_distance(TORUS_1D, np.array([0.02]), cfg) == pytest.approx(0.08)
-    assert nearest_distance(TORUS_1D, np.array([0.5]), Configuration()) == np.inf
+    assert distances_to(TORUS_1D, [0.02], cfg.points_array()).min() == pytest.approx(0.08)
+    assert distances_to(TORUS_1D, [0.5], Configuration().points_array()).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +329,7 @@ def test_snapshot_json_round_trip():
     obj = json.loads(text)
     assert obj["time"] == 3.5
     assert obj["points"] == sorted(obj["points"])  # canonical ordering
-    t, back = snapshot_from_json(text)
-    assert t == 3.5
-    assert back == cfg
+    assert Configuration.from_points(obj["points"]) == cfg
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,8 +337,9 @@ def test_snapshot_json_round_trip():
 def test_snapshot_round_trip_property(pts):
     cfg = Configuration.from_points(np.array([list(p) for p in pts])
                                     if pts else np.empty((0, 2)))
-    t, back = snapshot_from_json(snapshot_to_json(0.0, cfg))
-    assert back == cfg
+    obj = json.loads(snapshot_to_json(0.0, cfg))
+    assert obj["time"] == 0.0
+    assert Configuration.from_points(obj["points"]) == cfg
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])

@@ -1,4 +1,3 @@
-import hashlib
 import math
 from collections import namedtuple
 
@@ -229,26 +228,6 @@ def test_keyed_generator_independent_tags():
 
 
 # ---------------------------------------------------------------------------
-# csv dump
-# ---------------------------------------------------------------------------
-
-def test_dump_csv_round_trips(tmp_path):
-    s = stream(env=3.0, space=SPACE2)
-    path = tmp_path / "atoms.csv"
-    s.dump_csv(path, 0, 2)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "k,s,x1,x2,r,u"
-    expect = [atom for k in range(3) for atom in s.slab_points(k)]
-    assert len(lines) - 1 == len(expect)
-    row = lines[1].split(",")
-    s0, r0, u0, _, x1, x2 = expect[0]
-    assert int(row[0]) == 0
-    assert float(row[1]) == s0
-    assert float(row[2]) == x1 and float(row[3]) == x2
-    assert float(row[4]) == r0 and float(row[5]) == u0
-
-
-# ---------------------------------------------------------------------------
 # pinned draws
 # ---------------------------------------------------------------------------
 
@@ -341,9 +320,6 @@ GOLDEN_SLABS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 
-GOLDEN_CSV_SHA256 = "509a293740e9686d6107cb28cf522a4dbfab8181a7067a2e878258f7f96b9659"
-
-
 @pytest.mark.parametrize("dim,env,slab,seed,k,n,digest", GOLDEN_SLABS)
 def test_slab_hashes_and_ids_match_pinned_draws(dim, env, slab, seed, k, n, digest):
     # any change to the draw order, the key derivation or the byte layout
@@ -353,13 +329,6 @@ def test_slab_hashes_and_ids_match_pinned_draws(dim, env, slab, seed, k, n, dige
     pts = s.slab_points(k)
     assert len(pts) == n
     assert [row[3] for row in pts] == [f"n{k}:{i}" for i in range(n)]
-
-
-def test_dump_csv_matches_pinned_digest(tmp_path):
-    s = NoiseStream(27182818, SPACE2, 9.0, slab_length=0.37)
-    path = tmp_path / "atoms.csv"
-    s.dump_csv(path, -3, 2)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256
 
 
 def test_proposals_are_tuples_that_a_reread_shares():

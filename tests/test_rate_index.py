@@ -2,7 +2,7 @@
 the neighbour grid) against full scans of every point.
 
 The references below are the full-scan formulas: every point's distance by
-distances_to (nearest_distance for the nearest point), the occupancy vector by
+distances_to (its minimum for the nearest point), the occupancy vector by
 np.add.at. The indexed rates must equal
 them bit for bit, not to rounding, after any sequence of additions, removals
 and copies.
@@ -26,7 +26,6 @@ from sbdsim.geometry import (
     SpaceSpec,
     _neighbour_block,
     distances_to,
-    nearest_distance,
     neighbour_grid,
 )
 from sbdsim.models import (
@@ -64,7 +63,8 @@ def ref_area(m, space, x, eta):
 
 
 def ref_nearest(m, space, x, eta):
-    t = nearest_distance(space, x, eta)
+    d = scan(space, x, eta)
+    t = float(d.min()) if d.size else math.inf
     table = np.append(np.asarray(m.values, dtype=float), m.value_at_infinity)
     return float(table[np.searchsorted(np.asarray(m.breakpoints, dtype=float), t, side="right")])
 
@@ -401,8 +401,7 @@ def test_an_event_costs_no_numpy_call_and_builds_no_column(monkeypatch, model):
     monkeypatch.setattr(geometry, "np", CountingNumpy())
     monkeypatch.setattr(Configuration, "add", watched("add", Configuration.add))
     monkeypatch.setattr(Configuration, "remove", watched("remove", Configuration.remove))
-    for name in ("points_array", "timing"):
-        monkeypatch.setattr(Configuration, name, column(getattr(Configuration, name)))
+    monkeypatch.setattr(Configuration, "points_array", column(Configuration.points_array))
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=10.0)
     for i in range(6):
         sandwich_run(model, space, 4.0, NoiseStream.for_model(model, space,
