@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -224,11 +225,17 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     initial = _initial_state(cfg, intensity, cfg.seed)
     traj = engine.simulate(cfg.model, cfg.space, initial, horizon, stream)
     traj.to_csv(os.path.join(out_dir, "events.csv"))
+    final = None
     for i, (t, state) in enumerate(zip(snapshot_times, engine.snapshots(traj, snapshot_times))):
+        text = snapshot_to_json(t, state) + "\n"
         with open(os.path.join(out_dir, f"snapshot_{i:03d}.json"), "w") as fh:
-            fh.write(snapshot_to_json(t, state) + "\n")
+            fh.write(text)
+        # the replay at the horizon is traj.final: its deaths are applied and
+        # no proposal lies at it; repr, since -0.0 == 0.0 writes another time
+        if repr(t) == repr(horizon):
+            final = text
     with open(os.path.join(out_dir, "final_state.json"), "w") as fh:
-        fh.write(snapshot_to_json(horizon, traj.final) + "\n")
+        fh.write(final or snapshot_to_json(horizon, traj.final) + "\n")
     summary = {"events": traj.event_count(), "final_count": len(traj.final),
                "horizon": horizon, "seed": cfg.seed}
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -559,7 +566,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and reused: parsing
+    keeps no state in it, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="sbdsim",
         description="Exact simulation and perfect sampling of spatial birth-death processes.")

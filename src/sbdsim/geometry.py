@@ -348,38 +348,42 @@ def symmetric_difference(eta1: Configuration, eta2: Configuration, dimension: in
 # the radius outside the block of cells next to the query's cell.
 _MAX_CELLS_PER_AXIS = 1 << 20
 _CELL_SLACK = 1.0 + 1e-6
-# Blocks kept by _neighbour_block, keyed by (cell, counts, periodic), at most
-# about 0.8 KB each in 2-D and 2.2 KB in 3-D. Once the cache is full it keeps
-# what it holds and later blocks are built on every query: on a grid with more
-# cells than the bound (49 x 49 at radius 0.02 on the unit torus), evicting
-# and rebuilding least recently used blocks made a 2-D simulate about 6 %
-# slower than building every block, while keeping the first ones costs
-# nothing.
-_BLOCK_CACHE = 512
-_BLOCKS: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+# Flat neighbour blocks kept across grids: one dict per grid shape (cells per
+# axis, boundary), keyed by the C-order flat index of a cell, and at most
+# _BLOCK_CACHE blocks over all shapes. A block takes about 0.43 KB in 2-D and
+# 1.1 KB in 3-D (tracemalloc, every block of a 49 x 49 and a 13^3 grid).
+# Once the bound is reached the cache keeps what it holds, and a block not in
+# it is built on each query that needs it. The bound is sized from the
+# traffic of a 2-D simulate at pairwise range 0.02 on the unit torus (49 x 49
+# cells, ~700 points): a run of horizon 1 makes about 1000 queries in about
+# 830 cells, and twelve runs reach 2385 of the 2401 cells, so every block of
+# that grid fits, with room for the smaller grids of other radii.
+_BLOCK_CACHE = 4096
+_BLOCKS: dict[tuple[tuple[int, ...], bool], dict[int, tuple[int, ...]]] = {}
+_blocks_held = 0  # blocks in _BLOCKS over all shapes
+
+
+def _neighbour_axes(cell, counts: tuple[int, ...], periodic: bool) -> list:
+    """Per axis the cell and its two neighbours (wrapped on a periodic
+    window, clipped on a free one), or the whole axis when it has three cells
+    or fewer, so no cell is listed twice."""
+    axes = []
+    for i, c in zip(cell, counts):
+        if c <= 3:
+            axes.append(range(c))
+        elif periodic:
+            axes.append((i - 1 if i else c - 1, i, i + 1 if i + 1 < c else 0))
+        else:
+            axes.append(range(max(i - 1, 0), min(i + 2, c)))
+    return axes
 
 
 def _neighbour_block(cell: tuple[int, ...], counts: tuple[int, ...],
                      periodic: bool) -> tuple[tuple[int, ...], ...]:
     """The cells around cell on a grid of counts cells per axis, in
-    itertools.product order: per axis the cell and its two neighbours
-    (wrapped on a periodic window, clipped on a free one), or the whole axis
-    when it has three cells or fewer, so no cell is listed twice."""
-    key = (cell, counts, periodic)
-    block = _BLOCKS.get(key)
-    if block is None:
-        axes = []
-        for i, c in zip(cell, counts):
-            if c <= 3:
-                axes.append(range(c))
-            elif periodic:
-                axes.append((i - 1 if i else c - 1, i, i + 1 if i + 1 < c else 0))
-            else:
-                axes.append(range(max(i - 1, 0), min(i + 2, c)))
-        block = tuple(itertools.product(*axes))
-        if len(_BLOCKS) < _BLOCK_CACHE:
-            _BLOCKS[key] = block
-    return block
+    itertools.product order over _neighbour_axes: the product rule that
+    NeighbourGrid's flat blocks follow."""
+    return tuple(itertools.product(*_neighbour_axes(cell, counts, periodic)))
 
 
 class NeighbourGrid:
@@ -387,47 +391,68 @@ class NeighbourGrid:
     method of molecular simulation), for queries within a fixed radius.
 
     Each axis of the window is cut into c equal cells with side L / c at least
-    the radius (one cell when the radius is as long as the axis); a dict maps
-    the integer tuple of each occupied cell to its points, so a tiny radius
-    costs no memory beyond the points, and a second dict maps each id to its
-    cell, so remove(pid) finds the point without its coordinates. A query
-    visits the block of 3^d cells around the query's cell (_neighbour_block,
-    cached across grids), each cell at most once (an axis with three cells or
-    fewer is visited whole), which holds every point within the radius. Its
-    distances repeat the float operations of distances_to, so a model that
-    compares them with its radius counts exactly the points a full scan
-    counts. Points must lie in the window; a point on the upper face of a
-    free window falls in the last cell. Built by Configuration.index through
-    neighbour_grid.
+    the radius (one cell when the radius is as long as the axis), and a cell
+    is keyed by its C-order flat index, one integer. A dict maps the key of
+    each occupied cell to its points, so a tiny radius costs no memory beyond
+    the points, and a second dict maps each id to its key, so remove(pid)
+    finds the point without its coordinates. A query visits the block of 3^d
+    cells around the query's cell, as flat keys in the order of
+    _neighbour_block (cached across grids of one shape), each cell at most
+    once (an axis with three cells or fewer is visited whole), which holds
+    every point within the radius. Its distances repeat the float operations
+    of distances_to, so a model that compares them with its radius counts
+    exactly the points a full scan counts. Points must lie in the window; a
+    point on the upper face of a free window falls in the last cell. Built by
+    Configuration.index through neighbour_grid.
     """
 
-    __slots__ = ("_lengths", "_counts", "_periodic", "_cells", "_home")
+    __slots__ = ("_lengths", "_counts", "_periodic", "_strides", "_blocks", "_cells", "_home")
 
     def __init__(self, space: SpaceSpec, radius: float):
         self._lengths = space.lengths
         self._counts = tuple(max(1, int(min(L / (radius * _CELL_SLACK), _MAX_CELLS_PER_AXIS)))
                              for L in self._lengths)
         self._periodic = space.periodic
-        self._cells: dict[tuple[int, ...], dict[str, tuple[float, ...]]] = {}
-        self._home: dict[str, tuple[int, ...]] = {}
+        self._strides = tuple(math.prod(self._counts[k + 1:]) for k in range(len(self._counts)))
+        self._blocks = _BLOCKS.setdefault((self._counts, self._periodic), {})
+        self._cells: dict[int, dict[str, tuple[float, ...]]] = {}
+        self._home: dict[str, int] = {}
 
-    def _cell(self, p) -> tuple[int, ...]:
-        return tuple([min(math.floor(v / L * c), c - 1)
-                      for v, L, c in zip(p, self._lengths, self._counts)])
+    def _cell(self, p) -> int:
+        """The flat key of p's cell, from min(floor(v / L * c), c - 1) per axis
+        (the min as a comparison, which costs less than a call of min)."""
+        key = 0
+        for v, L, c in zip(p, self._lengths, self._counts):
+            i = math.floor(v / L * c)
+            key = key * c + (i if i < c else c - 1)
+        return key
+
+    def _block(self, key: int) -> tuple[int, ...]:
+        """The flat keys of _neighbour_block of the cell with flat key key,
+        kept in the shape's cache while the bound allows."""
+        global _blocks_held
+        cell = [key // s % c for s, c in zip(self._strides, self._counts)]
+        axes = [[i * s for i in axis] for axis, s in
+                zip(_neighbour_axes(cell, self._counts, self._periodic), self._strides)]
+        block = tuple(map(sum, itertools.product(*axes)))
+        if _blocks_held < _BLOCK_CACHE:
+            self._blocks[key] = block
+            _blocks_held += 1
+        return block
 
     def add(self, pid: str, p: tuple[float, ...]) -> None:
-        cell = self._home[pid] = self._cell(p)
-        members = self._cells.get(cell)
+        key = self._home[pid] = self._cell(p)
+        members = self._cells.get(key)
         if members is None:
-            members = self._cells[cell] = {}
+            members = self._cells[key] = {}
         members[pid] = p
 
     def remove(self, pid: str) -> None:
-        cell = self._home.pop(pid)
-        members = self._cells[cell]
+        key = self._home.pop(pid)
+        members = self._cells[key]
         del members[pid]
         if not members:
-            del self._cells[cell]
+            del self._cells[key]
 
     def near(self, x) -> list[tuple[float, str, tuple[float, ...]]]:
         """(distance, pid, point) for every point in the cells around x:
@@ -435,8 +460,10 @@ class NeighbourGrid:
         if type(x) is not tuple:
             x = np.asarray(x, dtype=float).tolist()
         cells, lengths, periodic = self._cells, self._lengths, self._periodic
+        key = self._cell(x)
+        block = self._blocks.get(key) or self._block(key)
         out = []
-        for key in _neighbour_block(self._cell(x), self._counts, periodic):
+        for key in block:
             members = cells.get(key)
             if members is None:
                 continue

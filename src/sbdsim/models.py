@@ -847,7 +847,17 @@ def _block_type(block: dict, name: str, keys_by_type: dict) -> str:
     return kind
 
 
+def _entries(block: dict, key: str) -> list:
+    """The list that model.<key> must be."""
+    entries = block[key]
+    if not isinstance(entries, list):
+        raise SimulationConfigError(f"model.{key} must be a list, got {entries!r}")
+    return entries
+
+
 def death_from_config(block: dict | None):
+    if not isinstance(block, (dict, type(None))):
+        raise SimulationConfigError(f"config field 'death' must be an object, got {block!r}")
     block = block or {"type": "unit"}
     if _block_type(block, "death", _DEATH_KEYS) == "unit":
         return ConstantDeath()
@@ -860,6 +870,8 @@ def model_from_config(config: dict) -> RateModel:
     """Build a rate model from the {"model": ..., "death": ...} config block."""
     try:
         block = config["model"]
+        if not isinstance(block, dict):
+            raise SimulationConfigError(f"config field 'model' must be an object, got {block!r}")
         kind = block["type"]
     except KeyError as exc:
         raise SimulationConfigError(f"model config block missing key: {exc}") from None
@@ -882,8 +894,9 @@ def model_from_config(config: dict) -> RateModel:
         if kind == "nearest_neighbor":
             return NearestNeighborRate(
                 breakpoints=tuple(config_number(b, "model.breakpoints entry")
-                                  for b in block["breakpoints"]),
-                values=tuple(config_number(v, "model.values entry") for v in block["values"]),
+                                  for b in _entries(block, "breakpoints")),
+                values=tuple(config_number(v, "model.values entry")
+                             for v in _entries(block, "values")),
                 value_at_infinity=number("value_at_infinity"), death=death)
         try:
             theta = np.asarray(block["theta"], dtype=float)
@@ -892,7 +905,7 @@ def model_from_config(config: dict) -> RateModel:
                 f"model.theta must be a matrix of numbers, got {block['theta']!r}") from None
         return CellOccupancyRate(
             cell_counts=tuple(config_count(c, "model.cell_counts entry", 1)
-                              for c in block["cell_counts"]),
+                              for c in _entries(block, "cell_counts")),
             theta=theta,
             base_rate=config_number(block.get("base_rate", 1.0), "model.base_rate"), death=death)
     except KeyError as exc:

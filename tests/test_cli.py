@@ -138,6 +138,26 @@ def test_thread_count_validated(tmp_path):
                  "--threads", "0"]) == 2
 
 
+def test_one_parser_serves_calls_that_parse_independently(tmp_path):
+    # the parser is built once per process; a second call with another
+    # command and other flags keeps none of the first call's values
+    assert cli.build_parser() is cli.build_parser()
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    assert main(["simulate", "--config", CONSTANT, "--out", first, "--seed", "5",
+                 "--horizon", "2.5", "--snapshot-times", "1"]) == 0
+    assert main(["stats", "--config", CONSTANT, "--out", second, "--replicates", "3"]) == 0
+    first_cfg = json.load(open(os.path.join(first, "config.json")))
+    second_cfg = json.load(open(os.path.join(second, "config.json")))
+    default = json.load(open(CONSTANT))
+    assert first_cfg["seed"] == 5 and first_cfg["run"]["horizon"] == 2.5
+    assert first_cfg["run"]["snapshot_times"] == [1.0]
+    assert second_cfg["seed"] == default["seed"]
+    assert second_cfg["run"] == {**default.get("run", {}), "replicates": 3}
+    assert main(["simulate", "--config", CONSTANT, "--out", str(tmp_path / "third"),
+                 "--threads", "0"]) == 2
+    assert not os.path.exists(tmp_path / "third")
+
+
 def test_load_config_applies_overrides(tmp_path):
     cfg = load_config(CONSTANT, {"seed": 123, "horizon": 3.0, "replicates": None})
     assert cfg.seed == 123
@@ -474,6 +494,14 @@ NAN, INF = float("nan"), float("inf")
     ("simulate", {"model": {"type": "cell_occupancy", "cell_counts": [3.7],
                             "theta": [[0.6, 0.3, 0.0], [0.3, 0.6, 0.3], [0.0, 0.3, 0.6]]}},
      [], "model.cell_counts"),
+    ("simulate", {"model": [1]}, [], "config field 'model' must be an object"),
+    ("simulate", {"death": "unit"}, [], "config field 'death' must be an object"),
+    ("simulate", {"model": {"type": "cell_occupancy", "cell_counts": 3, "theta": [[0.5]]}},
+     [], "model.cell_counts must be a list"),
+    ("simulate", {"model": {"type": "nearest_neighbor", "breakpoints": 0.1, "values": [0.5],
+                            "value_at_infinity": 1.0}}, [], "model.breakpoints must be a list"),
+    ("simulate", {"model": {"type": "nearest_neighbor", "breakpoints": [0.1], "values": 0.1,
+                            "value_at_infinity": 1.0}}, [], "model.values must be a list"),
 ], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
         "simulate-snapshot-time-nan", "simulate-snapshot-times-number",
         "simulate-snapshot-times-text", "simulate-snapshot-time-null",
@@ -491,7 +519,9 @@ NAN, INF = float("nan"), float("inf")
         "contraction-resolution-one", "validate-block-number", "validate-seed-text",
         "validate-fast-text", "seed-fraction", "seed-bool", "seed-text", "seed-null",
         "space-dimension-fraction", "slab-length-text", "slab-length-null",
-        "model-rate-text", "model-rate-null", "death-rate-text", "cell-counts-fraction"])
+        "model-rate-text", "model-rate-null", "death-rate-text", "cell-counts-fraction",
+        "model-block-list", "death-block-text", "cell-counts-number", "breakpoints-number",
+        "values-number"])
 def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command, patch, flags,
                                                        message):
     # patch sets the config fields at its dotted paths; json writes NaN and

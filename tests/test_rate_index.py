@@ -434,16 +434,85 @@ def test_cached_blocks_follow_the_product_rule_with_each_cell_once(dim, periodic
             assert len(set(block)) == len(block), (cell, counts)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_grid_scan_visits_the_product_rule_cells_and_each_point_once(data):
+    # a window of 1 to 8 cells per axis around a random radius; the scan must
+    # return exactly the points whose cell lies in the query cell's
+    # product-rule block, each once, cell by cell in that block's order, at
+    # distances_to's distance
+    dim = data.draw(st.integers(1, 3), label="dim")
+    periodic = data.draw(st.booleans(), label="periodic")
+    radius = data.draw(st.floats(0.01, 1.0), label="radius")
+    counts = data.draw(st.tuples(*[st.integers(1, 8)] * dim), label="counts")
+    fractions = data.draw(st.tuples(*[st.floats(0.05, 0.95)] * dim), label="fractions")
+    lengths = tuple(radius * (c + f) for c, f in zip(counts, fractions))
+    space = SpaceSpec(dimension=dim, lengths=lengths,
+                      boundary="periodic" if periodic else "free")
+    coordinates = st.tuples(*[st.floats(0.0, L, exclude_max=True) for L in lengths])
+    points = data.draw(st.lists(coordinates, max_size=25), label="points")
+    queries = data.draw(st.lists(coordinates, min_size=1, max_size=4), label="queries")
+    if not periodic:  # a point on the upper face falls in the last cell
+        axis = data.draw(st.integers(0, dim - 1), label="face")
+        face = tuple(L if k == axis else L / 2 for k, L in enumerate(lengths))
+        points.append(face)
+        queries.append(face)
+    eta = Configuration()
+    for i, p in enumerate(points):
+        eta.add(f"p{i}", p)
+    grid = neighbour_grid(space, eta, radius)
+    assert grid._counts == counts
+    gone = data.draw(st.sets(st.sampled_from(sorted(eta.ids())), max_size=len(points))
+                     if points else st.just(set()), label="removed")
+    for pid in gone:
+        eta.remove(pid)
+
+    def cell(p):
+        return tuple(min(math.floor(v / L * c), c - 1) for v, L, c in zip(p, lengths, counts))
+
+    for x in queries:
+        block = {c: k for k, c in enumerate(product_rule_block(cell(x), counts, periodic))}
+        found = grid.near(x)
+        pids = [pid for _, pid, _ in found]
+        assert len(pids) == len(set(pids))
+        assert set(pids) == {pid for pid, (p, _, _) in eta.rows() if cell(p) in block}
+        # cells in product-rule order
+        order = [block[cell(p)] for _, _, p in found]
+        assert order == sorted(order)
+        for d, pid, p in found:
+            assert p == eta.rows().mapping[pid][0]
+            assert d == distances_to(space, np.array(x), np.array([p]))[0]
+        # which holds every point within the radius
+        if len(eta):
+            close = distances_to(space, np.array(x), eta.points_array()) <= radius
+            assert {pid for pid, c in zip(eta.ids(), close) if c} <= set(pids)
+
+
+def ravelled(cells, counts):
+    """The C-order flat index of each cell tuple."""
+    out = []
+    for cell in cells:
+        key = 0
+        for i, c in zip(cell, counts):
+            key = key * c + i
+        out.append(key)
+    return tuple(out)
+
+
 def test_block_cache_stays_within_its_bound():
+    # a grid of 2^20 cells per axis: every query a new cell, past the bound
     space = SpaceSpec(dimension=2, lengths=(1.0, 1.0))
     grid = neighbour_grid(space, Configuration.from_points(np.array([[0.5, 0.5]])), 1e-9)
     assert grid._counts == (1 << 20, 1 << 20)
     xs = np.random.default_rng(3).uniform(0.0, 1.0, size=(_BLOCK_CACHE + 500, 2))
-    cells = [grid._cell(x) for x in xs.tolist()]
-    assert len(set(cells)) == len(xs)  # every query a new cell
+    keys = [grid._cell(x) for x in xs.tolist()]
+    assert len(set(keys)) == len(xs)
     for x in xs:
         grid.near(x)
-        assert len(_BLOCKS) <= _BLOCK_CACHE
-    # a block built past the bound is still the block of its cell
-    assert _neighbour_block(cells[-1], grid._counts, True) == product_rule_block(
-        cells[-1], grid._counts, True)
+        assert sum(map(len, _BLOCKS.values())) <= _BLOCK_CACHE
+    assert sum(map(len, _BLOCKS.values())) == _BLOCK_CACHE  # filled up to the bound
+    # a block built past the bound is still the product-rule block of its cell
+    cell = divmod(keys[-1], 1 << 20)
+    assert keys[-1] not in grid._blocks
+    assert grid._block(keys[-1]) == ravelled(product_rule_block(cell, grid._counts, True),
+                                             grid._counts)
