@@ -230,8 +230,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         text = snapshot_to_json(t, state) + "\n"
         with open(os.path.join(out_dir, f"snapshot_{i:03d}.json"), "w") as fh:
             fh.write(text)
-        # the replay at the horizon is traj.final: its deaths are applied and
-        # no proposal lies at it; repr, since -0.0 == 0.0 writes another time
+        # the state replayed at the horizon is traj.final (its deaths are
+        # applied and no proposal lies at it); times are compared by repr,
+        # because json writes -0.0 and 0.0, which are equal, differently
         if repr(t) == repr(horizon):
             final = text
     with open(os.path.join(out_dir, "final_state.json"), "w") as fh:

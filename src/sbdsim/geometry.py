@@ -386,6 +386,14 @@ def _neighbour_block(cell: tuple[int, ...], counts: tuple[int, ...],
     return tuple(itertools.product(*_neighbour_axes(cell, counts, periodic)))
 
 
+def _flat_block(cell, counts: tuple[int, ...], periodic: bool) -> tuple[int, ...]:
+    """_neighbour_block(cell, counts, periodic) as C-order flat indices."""
+    block = [0]
+    for axis, c in zip(_neighbour_axes(cell, counts, periodic), counts):
+        block = [f * c + i for f in block for i in axis]
+    return tuple(block)
+
+
 class NeighbourGrid:
     """Sparse cell list over the points of a configuration (the linked-cell
     method of molecular simulation), for queries within a fixed radius.
@@ -406,7 +414,8 @@ class NeighbourGrid:
     Configuration.index through neighbour_grid.
     """
 
-    __slots__ = ("_lengths", "_counts", "_periodic", "_strides", "_blocks", "_cells", "_home")
+    __slots__ = ("_lengths", "_counts", "_periodic", "_strides", "_offsets", "_blocks", "_cells",
+                 "_home")
 
     def __init__(self, space: SpaceSpec, radius: float):
         self._lengths = space.lengths
@@ -414,6 +423,13 @@ class NeighbourGrid:
                              for L in self._lengths)
         self._periodic = space.periodic
         self._strides = tuple(math.prod(self._counts[k + 1:]) for k in range(len(self._counts)))
+        # a cell with no axis index at 0 or c - 1, on a grid of more than
+        # three cells per axis, has the block of its key plus these offsets
+        self._offsets = None
+        if min(self._counts) > 3:
+            ones = sum(self._strides)
+            self._offsets = tuple(k - ones for k in _flat_block(
+                [1] * len(self._counts), self._counts, self._periodic))
         self._blocks = _BLOCKS.setdefault((self._counts, self._periodic), {})
         self._cells: dict[int, dict[str, tuple[float, ...]]] = {}
         self._home: dict[str, int] = {}
@@ -428,13 +444,21 @@ class NeighbourGrid:
         return key
 
     def _block(self, key: int) -> tuple[int, ...]:
-        """The flat keys of _neighbour_block of the cell with flat key key,
-        kept in the shape's cache while the bound allows."""
+        """_flat_block of the cell with flat key key, kept in the shape's
+        cache while the bound allows. A grid past the bound builds a block on
+        most queries, so an interior cell's takes the offsets."""
         global _blocks_held
-        cell = [key // s % c for s, c in zip(self._strides, self._counts)]
-        axes = [[i * s for i in axis] for axis, s in
-                zip(_neighbour_axes(cell, self._counts, self._periodic), self._strides)]
-        block = tuple(map(sum, itertools.product(*axes)))
+        offsets = self._offsets
+        if offsets is not None:
+            for s, c in zip(self._strides, self._counts):
+                if not 0 < key // s % c < c - 1:
+                    offsets = None
+                    break
+        if offsets is not None:
+            block = tuple(map(key.__add__, offsets))
+        else:
+            block = _flat_block([key // s % c for s, c in zip(self._strides, self._counts)],
+                                self._counts, self._periodic)
         if _blocks_held < _BLOCK_CACHE:
             self._blocks[key] = block
             _blocks_held += 1

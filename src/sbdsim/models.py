@@ -856,7 +856,7 @@ def _entries(block: dict, key: str) -> list:
 
 
 def death_from_config(block: dict | None):
-    if not isinstance(block, (dict, type(None))):
+    if block is not None and not isinstance(block, dict):
         raise SimulationConfigError(f"config field 'death' must be an object, got {block!r}")
     block = block or {"type": "unit"}
     if _block_type(block, "death", _DEATH_KEYS) == "unit":
