@@ -11,7 +11,6 @@ proposal atom (x, s, r).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from collections import Counter
@@ -350,47 +349,39 @@ _MAX_CELLS_PER_AXIS = 1 << 20
 _CELL_SLACK = 1.0 + 1e-6
 # Flat neighbour blocks kept across grids: one dict per grid shape (cells per
 # axis, boundary), keyed by the C-order flat index of a cell, and at most
-# _BLOCK_CACHE blocks over all shapes. A block takes about 0.43 KB in 2-D and
-# 1.1 KB in 3-D (tracemalloc, every block of a 49 x 49 and a 13^3 grid).
-# Once the bound is reached the cache keeps what it holds, and a block not in
-# it is built on each query that needs it. The bound is sized from the
-# traffic of a 2-D simulate at pairwise range 0.02 on the unit torus (49 x 49
-# cells, ~700 points): a run of horizon 1 makes about 1000 queries in about
-# 830 cells, and twelve runs reach 2385 of the 2401 cells, so every block of
-# that grid fits, with room for the smaller grids of other radii.
+# _BLOCK_CACHE blocks over all shapes; a shape's dict is made with its first
+# block, so there are never more shapes than blocks. A block takes about
+# 0.43 KB in 2-D and 1.1 KB in 3-D (tracemalloc, every block of a 49 x 49 and
+# a 13^3 grid). Once the bound is reached the cache keeps what it holds, and a
+# block not in it is built on each query that needs it. The bound is sized
+# from the traffic of a 2-D simulate at pairwise range 0.02 on the unit torus
+# (49 x 49 cells, ~700 points): a run of horizon 1 makes about 1000 queries in
+# about 830 cells, and twelve runs reach 2385 of the 2401 cells, so every
+# block of that grid fits, with room for the smaller grids of other radii.
 _BLOCK_CACHE = 4096
 _BLOCKS: dict[tuple[tuple[int, ...], bool], dict[int, tuple[int, ...]]] = {}
 _blocks_held = 0  # blocks in _BLOCKS over all shapes
 
 
-def _neighbour_axes(cell, counts: tuple[int, ...], periodic: bool) -> list:
-    """Per axis the cell and its two neighbours (wrapped on a periodic
+def _flat_block(key: int, counts: tuple[int, ...], periodic: bool) -> tuple[int, ...]:
+    """The cells around the cell with C-order flat index key, on a grid of
+    counts cells per axis, as flat indices in itertools.product order over
+    the axes: per axis the cell and its two neighbours (wrapped on a periodic
     window, clipped on a free one), or the whole axis when it has three cells
-    or fewer, so no cell is listed twice."""
-    axes = []
-    for i, c in zip(cell, counts):
+    or fewer, so no cell is listed twice. The axes are taken last first, each
+    one's index read off key by divmod, and each new axis varies slowest."""
+    block, stride = [0], 1
+    for c in reversed(counts):
+        key, i = divmod(key, c)
         if c <= 3:
-            axes.append(range(c))
+            axis = range(0, c * stride, stride)
         elif periodic:
-            axes.append((i - 1 if i else c - 1, i, i + 1 if i + 1 < c else 0))
+            axis = ((i - 1 if i else c - 1) * stride, i * stride,
+                    (i + 1 if i + 1 < c else 0) * stride)
         else:
-            axes.append(range(max(i - 1, 0), min(i + 2, c)))
-    return axes
-
-
-def _neighbour_block(cell: tuple[int, ...], counts: tuple[int, ...],
-                     periodic: bool) -> tuple[tuple[int, ...], ...]:
-    """The cells around cell on a grid of counts cells per axis, in
-    itertools.product order over _neighbour_axes: the product rule that
-    NeighbourGrid's flat blocks follow."""
-    return tuple(itertools.product(*_neighbour_axes(cell, counts, periodic)))
-
-
-def _flat_block(cell, counts: tuple[int, ...], periodic: bool) -> tuple[int, ...]:
-    """_neighbour_block(cell, counts, periodic) as C-order flat indices."""
-    block = [0]
-    for axis, c in zip(_neighbour_axes(cell, counts, periodic), counts):
-        block = [f * c + i for f in block for i in axis]
+            axis = range(max(i - 1, 0) * stride, min(i + 2, c) * stride, stride)
+        block = [j + f for j in axis for f in block]
+        stride *= c
     return tuple(block)
 
 
@@ -404,33 +395,26 @@ class NeighbourGrid:
     each occupied cell to its points, so a tiny radius costs no memory beyond
     the points, and a second dict maps each id to its key, so remove(pid)
     finds the point without its coordinates. A query visits the block of 3^d
-    cells around the query's cell, as flat keys in the order of
-    _neighbour_block (cached across grids of one shape), each cell at most
-    once (an axis with three cells or fewer is visited whole), which holds
-    every point within the radius. Its distances repeat the float operations
-    of distances_to, so a model that compares them with its radius counts
-    exactly the points a full scan counts. Points must lie in the window; a
-    point on the upper face of a free window falls in the last cell. Built by
-    Configuration.index through neighbour_grid.
+    cells around the query's cell, as flat keys in the order of _flat_block
+    (cached across grids of one shape), each cell at most once (an axis with
+    three cells or fewer is visited whole), which holds every point within
+    the radius. Its distances repeat the float operations of distances_to, so
+    a model that compares them with its radius counts exactly the points a
+    full scan counts. Points must lie in the window; a point on the upper face
+    of a free window falls in the last cell. Built by Configuration.index
+    through neighbour_grid.
     """
 
-    __slots__ = ("_lengths", "_counts", "_periodic", "_strides", "_offsets", "_blocks", "_cells",
-                 "_home")
+    __slots__ = ("_lengths", "_counts", "_periodic", "_blocks", "_cells", "_home")
 
     def __init__(self, space: SpaceSpec, radius: float):
         self._lengths = space.lengths
         self._counts = tuple(max(1, int(min(L / (radius * _CELL_SLACK), _MAX_CELLS_PER_AXIS)))
                              for L in self._lengths)
         self._periodic = space.periodic
-        self._strides = tuple(math.prod(self._counts[k + 1:]) for k in range(len(self._counts)))
-        # a cell with no axis index at 0 or c - 1, on a grid of more than
-        # three cells per axis, has the block of its key plus these offsets
-        self._offsets = None
-        if min(self._counts) > 3:
-            ones = sum(self._strides)
-            self._offsets = tuple(k - ones for k in _flat_block(
-                [1] * len(self._counts), self._counts, self._periodic))
-        self._blocks = _BLOCKS.setdefault((self._counts, self._periodic), {})
+        # the cached blocks of this shape; a dict of the grid's own, left
+        # empty, until _block stores the first block of a new shape
+        self._blocks = _BLOCKS.get((self._counts, self._periodic), {})
         self._cells: dict[int, dict[str, tuple[float, ...]]] = {}
         self._home: dict[str, int] = {}
 
@@ -444,22 +428,13 @@ class NeighbourGrid:
         return key
 
     def _block(self, key: int) -> tuple[int, ...]:
-        """_flat_block of the cell with flat key key, kept in the shape's
-        cache while the bound allows. A grid past the bound builds a block on
-        most queries, so an interior cell's takes the offsets."""
+        """_flat_block of the cell with flat key key, kept in the cache of the
+        grid's shape while the bound allows."""
         global _blocks_held
-        offsets = self._offsets
-        if offsets is not None:
-            for s, c in zip(self._strides, self._counts):
-                if not 0 < key // s % c < c - 1:
-                    offsets = None
-                    break
-        if offsets is not None:
-            block = tuple(map(key.__add__, offsets))
-        else:
-            block = _flat_block([key // s % c for s, c in zip(self._strides, self._counts)],
-                                self._counts, self._periodic)
+        block = _flat_block(key, self._counts, self._periodic)
         if _blocks_held < _BLOCK_CACHE:
+            if not self._blocks:  # the grid's own dict: its shape has no blocks yet
+                self._blocks = _BLOCKS.setdefault((self._counts, self._periodic), {})
             self._blocks[key] = block
             _blocks_held += 1
         return block

@@ -8,9 +8,11 @@ import textwrap
 
 import pytest
 
-from sbdsim import cli
+from sbdsim import cli, engine
 from sbdsim.cli import load_config, main, run_validation_battery
+from sbdsim.geometry import snapshot_to_json
 from sbdsim.models import UnsupportedModelError
+from sbdsim.noise import NoiseStream
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -62,6 +64,27 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert main(["simulate", "--config", CONSTANT, "--out", a]) == 0
     assert main(["simulate", "--config", CONSTANT, "--out", b]) == 0
     assert tree_bytes(a) == tree_bytes(b)
+
+
+def test_final_state_reuses_the_horizon_snapshot_and_is_the_final_state(tmp_path):
+    # final_state.json is the text of the snapshot at the horizon, which must
+    # be the encoding of the run's final state
+    path = write_config(tmp_path, {
+        "space": {"dimension": 2, "lengths": [1.0, 1.0], "intensity": 200.0},
+        "model": {"type": "pairwise", "theta": 0.5, "range": 0.05},
+        "death": {"type": "unit"}, "seed": 5,
+        "run": {"horizon": 3.0, "snapshot_times": [1.5, 3.0],
+                "initial": {"type": "poisson", "intensity": 150.0}}})
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", path, "--out", out]) == 0
+    cfg = load_config(path)
+    traj = engine.simulate(cfg.model, cfg.space,
+                           cli._initial_state(cfg, cli._initial_intensity(cfg), cfg.seed), 3.0,
+                           NoiseStream.for_model(cfg.model, cfg.space, cfg.seed, cfg.slab_length))
+    assert traj.event_count() > 100 and len(traj.final) > 50
+    final = open(os.path.join(out, "final_state.json"), "rb").read()
+    assert final == (snapshot_to_json(3.0, traj.final) + "\n").encode()
+    assert final == open(os.path.join(out, "snapshot_001.json"), "rb").read()
 
 
 def test_seed_override_changes_the_run(tmp_path):

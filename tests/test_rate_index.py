@@ -20,11 +20,10 @@ from sbdsim import geometry, models
 from sbdsim.cftp import sandwich_run
 from sbdsim.geometry import (
     _BLOCK_CACHE,
-    _BLOCKS,
     Configuration,
     NeighbourGrid,
     SpaceSpec,
-    _neighbour_block,
+    _flat_block,
     distances_to,
     neighbour_grid,
 )
@@ -424,14 +423,40 @@ def product_rule_block(cell, counts, periodic):
     return tuple(itertools.product(*axes))
 
 
+def ravelled(cells, counts):
+    """The C-order flat index of each cell tuple."""
+    out = []
+    for cell in cells:
+        key = 0
+        for i, c in zip(cell, counts):
+            key = key * c + i
+        out.append(key)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "free"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_cached_blocks_follow_the_product_rule_with_each_cell_once(dim, periodic):
+def test_cached_blocks_follow_the_product_rule_with_each_cell_once(dim, periodic, monkeypatch):
+    # every cell's block as _flat_block builds it and as a grid hands it to
+    # near: built on a miss, then from the cache while the bound allows
+    monkeypatch.setattr(geometry, "_BLOCKS", {})
+    monkeypatch.setattr(geometry, "_blocks_held", 0)
+    cached = 0
     for counts in itertools.product((1, 2, 3, 4, 5, 8), repeat=dim):
+        space = SpaceSpec(dimension=dim, lengths=tuple(c + 0.5 for c in counts),
+                          boundary="periodic" if periodic else "free")
+        grid = NeighbourGrid(space, 1.0)
+        assert grid._counts == counts
         for cell in itertools.product(*(range(c) for c in counts)):
-            block = _neighbour_block(cell, counts, periodic)
-            assert block == product_rule_block(cell, counts, periodic), (cell, counts)
+            block = ravelled(product_rule_block(cell, counts, periodic), counts)
             assert len(set(block)) == len(block), (cell, counts)
+            key = ravelled([cell], counts)[0]
+            assert _flat_block(key, counts, periodic) == block, (cell, counts)
+            assert grid._block(key) == block, (cell, counts)
+            if key in grid._blocks:
+                assert grid._blocks[key] == block, (cell, counts)
+                cached += 1
+    assert cached == geometry._blocks_held == min(_BLOCK_CACHE, (1 + 2 + 3 + 4 + 5 + 8) ** dim)
 
 
 @settings(max_examples=200, deadline=None)
@@ -488,18 +513,9 @@ def test_grid_scan_visits_the_product_rule_cells_and_each_point_once(data):
             assert {pid for pid, c in zip(eta.ids(), close) if c} <= set(pids)
 
 
-def ravelled(cells, counts):
-    """The C-order flat index of each cell tuple."""
-    out = []
-    for cell in cells:
-        key = 0
-        for i, c in zip(cell, counts):
-            key = key * c + i
-        out.append(key)
-    return tuple(out)
-
-
-def test_block_cache_stays_within_its_bound():
+def test_block_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(geometry, "_BLOCKS", {})
+    monkeypatch.setattr(geometry, "_blocks_held", 0)
     # a grid of 2^20 cells per axis: every query a new cell, past the bound
     space = SpaceSpec(dimension=2, lengths=(1.0, 1.0))
     grid = neighbour_grid(space, Configuration.from_points(np.array([[0.5, 0.5]])), 1e-9)
@@ -509,10 +525,14 @@ def test_block_cache_stays_within_its_bound():
     assert len(set(keys)) == len(xs)
     for x in xs:
         grid.near(x)
-        assert sum(map(len, _BLOCKS.values())) <= _BLOCK_CACHE
-    assert sum(map(len, _BLOCKS.values())) == _BLOCK_CACHE  # filled up to the bound
+        assert sum(map(len, geometry._BLOCKS.values())) <= _BLOCK_CACHE
+    assert sum(map(len, geometry._BLOCKS.values())) == _BLOCK_CACHE  # filled up to the bound
     # a block built past the bound is still the product-rule block of its cell
     cell = divmod(keys[-1], 1 << 20)
     assert keys[-1] not in grid._blocks
     assert grid._block(keys[-1]) == ravelled(product_rule_block(cell, grid._counts, True),
                                              grid._counts)
+    # and a grid of a new shape, past the bound, adds no dict to the cache
+    free = SpaceSpec(dimension=2, lengths=(1.0, 1.0), boundary="free")
+    neighbour_grid(free, Configuration.from_points(np.array([[0.5, 0.5]])), 0.1).near((0.5, 0.5))
+    assert list(geometry._BLOCKS) == [(grid._counts, True)]
