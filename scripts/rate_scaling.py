@@ -6,7 +6,12 @@ grows with n, so the density stays at DENSITY points per unit area and the
 number of points within a model's interaction range stays fixed. A rate
 query that scans every point grows linearly in n; one that visits only the
 neighbours of the query point stays flat. Points and query locations come
-from a fixed seed and are the same for every model.
+from a fixed seed and are the same for every model. A query point is a tuple
+of floats built before the clock starts, as the event loop passes a
+proposal's coordinates. Before any model of a size is timed, every model is
+queried once at every timed location on an untimed copy of the points, so
+the neighbour-block cache that the grid models share is warm for each of
+them alike, whatever their order.
 
 For every (model, n) the script reports:
   first_query_us  one query on a fresh configuration (it pays for any index
@@ -83,15 +88,34 @@ def quartiles(seconds: list[float]) -> tuple[float, float, float]:
     return float(q2), float(q1), float(q3)
 
 
-def measure(model, n: int) -> dict:
-    rng = np.random.default_rng([SEED, n])  # every model sees the same points
+def workload(n: int):
+    """The space, the n points, the timed query batches and the upkeep
+    batches of size n, the same for every model."""
+    rng = np.random.default_rng([SEED, n])
     side = math.sqrt(n / DENSITY)
     space = SpaceSpec(dimension=2, lengths=(side, side), intensity=DENSITY)
-    eta = Configuration.from_points(rng.uniform(0.0, side, size=(n, 2)))
-    queries = rng.uniform(0.0, side, size=(REPEATS, QUERIES, 2))
+    points = rng.uniform(0.0, side, size=(n, 2))
+    queries = [list(map(tuple, batch)) for batch in
+               rng.uniform(0.0, side, size=(REPEATS, QUERIES, 2)).tolist()]
+    upkeep = [[(f"u{r}.{i}", tuple(x)) for i, x in enumerate(batch)] for r, batch in
+              enumerate(rng.uniform(0.0, side, size=(REPEATS, QUERIES, 2)).tolist())]
+    return space, points, queries, upkeep
 
+
+def warm(space, points, queries) -> None:
+    """Query every model at every timed location on its own copy of the
+    points, which is then dropped: this fills the shared block cache only."""
+    for model in MODELS.values():
+        eta = Configuration.from_points(points)
+        for batch in queries:
+            for x in batch:
+                model.birth_rate(space, x, eta)
+
+
+def measure(model, space, points, queries, upkeep) -> dict:
+    eta = Configuration.from_points(points)
     t0 = time.perf_counter()
-    model.birth_rate(space, queries[0, 0], eta)
+    model.birth_rate(space, queries[0][0], eta)
     first = time.perf_counter() - t0
 
     per_call = []
@@ -105,19 +129,18 @@ def measure(model, n: int) -> dict:
         checksum = total
 
     per_pair = []
-    for r, batch in enumerate(rng.uniform(0.0, side, size=(REPEATS, QUERIES, 2))):
-        rows = [(f"u{r}.{i}", tuple(x)) for i, x in enumerate(batch.tolist())]
+    for rows in upkeep:
         t0 = time.perf_counter()
         for pid, x in rows:
             eta.add(pid, x)
             eta.remove(pid)
         per_pair.append((time.perf_counter() - t0) / QUERIES)
     call, call_q1, call_q3 = quartiles(per_call)
-    upkeep, upkeep_q1, upkeep_q3 = quartiles(per_pair)
-    return {"n": n, "side": side, "first_query_us": first * 1e6,
+    pair, pair_q1, pair_q3 = quartiles(per_pair)
+    return {"n": len(points), "side": space.lengths[0], "first_query_us": first * 1e6,
             "us_per_call": call, "us_per_call_q1": call_q1, "us_per_call_q3": call_q3,
             "rate_checksum": checksum,
-            "upkeep_us": upkeep, "upkeep_us_q1": upkeep_q1, "upkeep_us_q3": upkeep_q3}
+            "upkeep_us": pair, "upkeep_us_q1": pair_q1, "upkeep_us_q3": pair_q3}
 
 
 def main(argv=None) -> int:
@@ -127,10 +150,12 @@ def main(argv=None) -> int:
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
 
-    results = {}
-    for name, model in MODELS.items():
-        results[name] = [measure(model, n) for n in SIZES]
-        for row in results[name]:
+    results = {name: [] for name in MODELS}
+    for n in SIZES:
+        work = workload(n)
+        warm(*work[:3])
+        for name, model in MODELS.items():
+            results[name].append(row := measure(model, *work))
             print(f"{name:18s} n={row['n']:6d}  {row['us_per_call']:9.2f} us/call "
                   f"[{row['us_per_call_q1']:.2f}, {row['us_per_call_q3']:.2f}]  "
                   f"first {row['first_query_us']:9.1f} us  upkeep {row['upkeep_us']:6.2f} us "

@@ -23,7 +23,6 @@ from .geometry import (
     SimulationConfigError,
     SpaceSpec,
     TimedConfiguration,
-    TimedPoint,
     configuration_contains,
     snapshot_to_json,
     symmetric_difference,

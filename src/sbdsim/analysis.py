@@ -49,15 +49,9 @@ class DistributionTable:
     residual: float | None = None
     defect: float | None = None
 
-    def states(self):
-        return sorted(self.probs)
-
-    def total(self) -> float:
-        return float(sum(self.probs.values()))
-
     def to_csv(self, path) -> None:
         lines = ["state,probability\n"]
-        for s in self.states():
+        for s in sorted(self.probs):
             key = ";".join(map(str, s)) if isinstance(s, tuple) else str(s)
             lines.append(f"{key},{self.probs[s]!r}\n")
         with open(path, "w") as fh:
@@ -136,10 +130,6 @@ class OracleModel:
     def birth_rate(self, cell: int, k) -> float:
         """Rate density at the cell (multiply by the cell mass for the CTMC rate)."""
         return float(self.base_rate * math.exp(-float(self.theta[cell] @ np.asarray(k))))
-
-    def energy(self, k) -> float:
-        k = np.asarray(k, dtype=float)
-        return float(0.5 * (k @ self.theta @ k - np.diag(self.theta) @ k))
 
 
 def check_state_budget(caps, extension: int = 0) -> None:
@@ -517,7 +507,7 @@ def observed_lifetimes(trajectories, margin_factor: float = 20.0) -> np.ndarray:
     for traj in trajectories:
         margin = margin_factor / traj.death_rate
         cutoff = traj.end_time - margin
-        births = {pid: traj.initial.entry(pid).birth_time for pid in traj.initial.ids()}
+        births = {pid: born for pid, (_, _, born) in traj.initial.rows()}
         deaths = {}
         for ev in traj.events:
             if ev.kind == "birth":

@@ -348,7 +348,7 @@ def coupling_decay_curve(model: RateModel, space: SpaceSpec, eta0: Configuration
                                               initial_clocks(eta0, seed), horizon, stream)
         for i, (c1, c2) in enumerate(zip(engine.snapshots(t_low, times),
                                          engine.snapshots(t_up, times))):
-            delta = symmetric_difference(c1, c2, space.dimension)
+            delta = symmetric_difference(c1, c2)
             if kernel_weighted:
                 if len(delta):
                     acc[i] += np.stack([model.increment_kernel(space, x, delta)

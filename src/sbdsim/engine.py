@@ -27,10 +27,8 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .geometry import Configuration, SimulationConfigError, SpaceSpec
-from .models import RateModel, _sandwich_rates
+from .models import RateModel, sandwich_rates
 from .noise import NoiseStream, Proposals
 
 
@@ -116,29 +114,28 @@ def _death_time(birth_time: float, clock: float, delta0: float) -> float:
 class _Path:
     """One path of run_paths: live state, death-time heap and, when logged, the
     event log (else None). The path starts from the state it is given, and
-    changes it; initial points take heap seqs in its row order."""
+    changes it. The heap is keyed by (death time, id), so deaths at one time
+    are applied in id order, whatever the order of the rows: a restart from
+    a snapshot applies tied deaths as the uninterrupted run does."""
 
-    __slots__ = ("live", "deaths", "seq", "events")
+    __slots__ = ("live", "deaths", "events")
 
     def __init__(self, live: Configuration, start_time: float, delta0: float, log: bool):
         self.live = live
-        self.deaths: list[tuple[float, int, str]] = []
-        for seq, (pid, (_, mark, born)) in enumerate(live.rows()):
+        self.deaths: list[tuple[float, str]] = []
+        for pid, (_, mark, born) in live.rows():
             dies = _death_time(born, mark, delta0)
             if not dies > start_time:  # NaN for a point without a death mark
                 raise SimulationConfigError(
                     f"initial point {pid!r} with death mark {mark} dies at {dies}, "
                     f"not after the start time {start_time}")
-            self.deaths.append((dies, seq, pid))
-        # keys are unique in seq, so the heap pops as one push per point would
+            self.deaths.append((dies, pid))
         heapq.heapify(self.deaths)
-        self.seq = len(live)
         self.events: list[Event] | None = [] if log else None
 
     def birth(self, pid: str, x, s: float, r: float, delta0: float) -> None:
         self.live.add(pid, x, r, s)
-        heapq.heappush(self.deaths, (_death_time(s, r, delta0), self.seq, pid))
-        self.seq += 1
+        heapq.heappush(self.deaths, (_death_time(s, r, delta0), pid))
         if self.events is not None:
             self.events.append(Event(s, "birth", pid, x, r))
 
@@ -146,7 +143,7 @@ class _Path:
         """Apply the deaths before up_to (at up_to too when inclusive)."""
         deaths, live, events = self.deaths, self.live, self.events
         while deaths and (deaths[0][0] < up_to or (inclusive and deaths[0][0] == up_to)):
-            dt, _, pid = heapq.heappop(deaths)
+            dt, pid = heapq.heappop(deaths)
             x = live.remove(pid)
             if events is not None:
                 events.append(Event(dt, "death", pid, x))
@@ -217,7 +214,7 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
 
     bracket=True runs paths 0 and 1 as the bracket of coupling from the past:
     path 0 (lower) inside path 1 (upper), with the infimum and supremum of
-    the rate over the states between them (models._sandwich_rates; a grid
+    the rate over the states between them (models.sandwich_rates; a grid
     model scans path 1's grid alone, and path 0 builds none before the
     merge); further paths keep their own rate. _contained checks every
     decision of the pair. Shared points die at the same time on both paths,
@@ -228,8 +225,7 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
     state; from the merge on, observe sees path 0's state, rate and decision
     in place of path 1's. A bracket run keeps no event log: its callers read
     the final states. Its paths start from the initial states themselves,
-    which it changes and which must list their points in sorted-id order, as
-    D(-T) does; any other run starts from sorted-id copies and leaves its
+    which it changes; any other run starts from copies and leaves its
     initial states as they were.
     """
     if horizon < 0:
@@ -237,8 +233,8 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
     delta0 = model.death.rate
     t_end = start_time + horizon
     birth_rate = model.birth_rate
-    paths = [_Path(initial if bracket else initial.restrict(sorted(initial.ids())),
-                   start_time, delta0, not bracket) for initial in initials]
+    paths = [_Path(initial if bracket else initial.copy(), start_time, delta0, not bracket)
+             for initial in initials]
     active, states = paths, [path.live for path in paths]
     split = bracket  # a bracket pair not merged yet
     merged_at = None  # proposals before the merge
@@ -251,7 +247,7 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
             active = paths[:1] + paths[2:]
             states = [path.live for path in active]
         if split:
-            lams = [*_sandwich_rates(model, space, x, states[0], states[1]),
+            lams = [*sandwich_rates(model, space, x, states[0], states[1]),
                     *[birth_rate(space, x, live) for live in states[2:]]]
         else:
             lams = [birth_rate(space, x, live) for live in states]
@@ -303,11 +299,11 @@ def coupled_simulate(model: RateModel, space: SpaceSpec,
     inside the upper path for all time; that containment is asserted at every
     decision, and a violation is reported as a bug, not a statistics failure.
     """
-    for pid in initial_low.ids():
-        if pid not in initial_up:
+    up = dict(initial_up.rows())
+    for pid, row in initial_low.rows():
+        if pid not in up:
             raise SimulationConfigError("coupled_simulate: initial states are not nested")
-        a, b = initial_low.entry(pid), initial_up.entry(pid)
-        if not np.array_equal(a.coords, b.coords) or a[1:] != b[1:]:  # clock, birth time
+        if row != up[pid]:  # (p, mark, born)
             raise SimulationConfigError(
                 "coupled_simulate: shared initial points must share clocks and birth times")
 

@@ -15,7 +15,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -74,8 +73,9 @@ class SpaceSpec:
         if len(self.lengths) != self.dimension:
             raise SimulationConfigError(
                 f"lengths {self.lengths} do not match dimension {self.dimension}")
-        if any(not (L > 0) for L in self.lengths):
-            raise SimulationConfigError(f"window lengths must be positive, got {self.lengths}")
+        if any(not (0 < L < math.inf) for L in self.lengths):
+            raise SimulationConfigError(
+                f"window lengths must be finite and positive, got {self.lengths}")
         if self.boundary not in ("periodic", "free"):
             raise SimulationConfigError(f"boundary must be 'periodic' or 'free', got {self.boundary!r}")
         if not (self.intensity >= 0) or not math.isfinite(self.intensity):
@@ -134,16 +134,6 @@ _EMPTY = np.zeros((0, 0))
 _EMPTY.flags.writeable = False
 
 
-class TimedPoint(NamedTuple):
-    """A point as Configuration.entry gives it. Under a constant death rate
-    delta0 it dies at birth_time + clock / delta0; clock is NaN for a point
-    added without a death mark."""
-
-    coords: NDArray[np.float64]
-    clock: float
-    birth_time: float
-
-
 def _read_only(a: NDArray) -> NDArray:
     a.flags.writeable = False
     return a
@@ -163,10 +153,10 @@ class Configuration:
     tuple as the row's p (the event loop passes its proposals so); any other
     point is converted to floats and checked. Rows are never changed, so
     copies, restrictions and both paths of a bracket share them.
-    points_array() is a read-only array built on first use after an add or
-    remove and kept until the next one, so an array handed out keeps its
-    values; coords(), entry() and items() return new arrays, and remove()
-    returns the point's tuple p.
+    rows() is the one per-point read of a state. points_array() is a
+    read-only array built on first use after an add or remove and kept until
+    the next one, so an array handed out keeps its values; items() returns
+    new arrays, and remove() returns the point's tuple p.
 
     Derived indexes (a rate model's occupancy counts, a neighbour grid) are
     built from the live points the first time index() is asked for one, and
@@ -177,14 +167,11 @@ class Configuration:
 
     __slots__ = ("_rows", "_d", "_xs", "_indexes")
 
-    def __init__(self, points: dict[str, NDArray[np.float64]] | None = None):
+    def __init__(self):
         self._rows: dict[str, tuple[tuple[float, ...], float, float]] = {}
         self._d = 0  # length of every p while the store is not empty
         self._xs = None  # cached points_array(), None after an add or remove
         self._indexes: dict = {}
-        if points:
-            for pid, x in points.items():
-                self.add(pid, x)
 
     @classmethod
     def from_columns(cls, ids, xs, mark=None, born=0.0) -> "Configuration":
@@ -266,13 +253,6 @@ class Configuration:
         """The (pid, (p, mark, born)) pairs of the live points, in ids() order."""
         return self._rows.items()
 
-    def coords(self, pid: str) -> NDArray[np.float64]:
-        return np.array(self._rows[pid][0], dtype=float)
-
-    def entry(self, pid: str) -> TimedPoint:
-        p, mark, born = self._rows[pid]
-        return TimedPoint(np.array(p, dtype=float), float(mark), float(born))
-
     def ids(self):
         return self._rows.keys()
 
@@ -329,16 +309,14 @@ def configuration_contains(big: Configuration, small: Configuration) -> bool:
     return all(cb.get(k, 0) >= v for k, v in cs.items())
 
 
-def symmetric_difference(eta1: Configuration, eta2: Configuration, dimension: int | None = None):
+def symmetric_difference(eta1: Configuration, eta2: Configuration):
     """Multiset symmetric difference as a coordinate array, shape (m, d):
-    eta1's surplus, then eta2's, each in row order, the same in any process."""
+    eta1's surplus, then eta2's, each in row order, the same in any process;
+    shape (0, 0) when empty, as points_array()."""
     c1, c2 = eta1.multiset(), eta2.multiset()
     out = [np.frombuffer(key, dtype=float) for surplus in (c1 - c2, c2 - c1)
            for key in surplus.elements()]
-    if not out:
-        d = dimension if dimension is not None else 0
-        return np.zeros((0, d))
-    return np.stack(out)
+    return np.stack(out) if out else _EMPTY
 
 
 # Cells per axis are capped, so that a cell coordinate x / L * c keeps about

@@ -20,7 +20,7 @@ cell-occupancy model keeps its occupancy counts, so its rate is O(1), and the
 pairwise, area-interaction and nearest-neighbour models (NeighbourRate) read a
 neighbour grid (geometry.neighbour_grid) with cells as wide as their reach,
 so a query costs the points nearby; both give exactly a full scan's rate. A
-bracket reads both its rates from one scan of the upper grid (_sandwich_rates).
+bracket reads both its rates from one scan of the upper grid (sandwich_rates).
 """
 
 from __future__ import annotations
@@ -236,7 +236,11 @@ class RateModel:
         raise NotImplementedError
 
     def increment_kernel(self, space: SpaceSpec, x, Y) -> NDArray[np.float64]:
-        """Bound on |lambda(x, eta + y) - lambda(x, eta)|, one value per row of Y."""
+        """Bound on |lambda(x, eta + y) - lambda(x, eta)|, one value per row of Y.
+        a(x, y) == a(y, x) bit for bit for every model here (the cell model
+        with an exactly symmetric theta) but area interaction in d >= 2, whose
+        grain nodes are not symmetric: its two sides differ by at most
+        2 envelope_sup |log gamma| error_bound()."""
         raise NotImplementedError
 
     def support_radius(self) -> float:
@@ -439,6 +443,8 @@ class NearestNeighborRate(NeighbourRate):
         v = np.asarray(self.values, dtype=float)
         if len(b) != len(v) or len(b) == 0:
             raise SimulationConfigError("need one value per breakpoint")
+        if not (np.all(np.isfinite(v)) and math.isfinite(self.value_at_infinity)):
+            raise SimulationConfigError("nearest-neighbor profile values must be finite")
         if np.any(b <= 0) or np.any(np.diff(b) <= 0):
             raise SimulationConfigError("breakpoints must be positive and strictly increasing")
         if np.any(v < 0) or self.value_at_infinity < 0:
@@ -510,8 +516,8 @@ class CellOccupancyRate(RateModel):
             raise SimulationConfigError("theta must be symmetric")
         if np.any(th < 0):
             raise SimulationConfigError("theta entries must be >= 0")
-        if not (self.base_rate > 0):
-            raise SimulationConfigError("base_rate must be > 0")
+        if not (self.base_rate > 0) or not math.isfinite(self.base_rate):
+            raise SimulationConfigError(f"base_rate must be finite and > 0, got {self.base_rate}")
         object.__setattr__(self, "theta", th)
 
     @property
@@ -610,24 +616,15 @@ def envelope_total(model: RateModel, space: SpaceSpec) -> float:
 def sandwich_rates(model: RateModel, space: SpaceSpec, x,
                    eta_low: Configuration, eta_up: Configuration) -> tuple[float, float]:
     """Infimum and supremum of the birth rate at x over all configurations
-    sandwiched between eta_low and eta_up.
+    sandwiched between eta_low and eta_up, by exact endpoint evaluation.
 
-    Exact endpoint evaluation; only monotone models have a bracket, any other
-    raises UnsupportedModelError. The states must be nested by id: every id
-    of eta_low is an id of eta_up, at the same coordinates. The sandwich pass
-    keeps its pair nested by id by construction and calls _sandwich_rates
-    directly.
+    Only monotone models have a bracket; any other raises
+    UnsupportedModelError. The states must be nested by id: every id of
+    eta_low is an id of eta_up, at the same coordinates. That is not checked
+    here: the sandwich pass keeps its pair so by construction. A
+    NeighbourRate scans eta_up's grid once, and eta_low's neighbours are
+    those whose ids eta_low holds.
     """
-    if not all(pid in eta_up and np.array_equal(eta_low.coords(pid), eta_up.coords(pid))
-               for pid in eta_low.ids()):
-        raise SimulationConfigError("sandwich_rates: eta_low is not nested in eta_up by ids")
-    return _sandwich_rates(model, space, x, eta_low, eta_up)
-
-
-def _sandwich_rates(model: RateModel, space: SpaceSpec, x,
-                    eta_low: Configuration, eta_up: Configuration) -> tuple[float, float]:
-    """sandwich_rates without the nesting check. A NeighbourRate scans eta_up's
-    grid once, and eta_low's neighbours are those whose ids eta_low holds."""
     mono = model.monotone
     if mono not in ("nonincreasing", "nondecreasing", "constant"):
         raise UnsupportedModelError(
@@ -877,8 +874,17 @@ def model_from_config(config: dict) -> RateModel:
         raise SimulationConfigError(f"model config block missing key: {exc}") from None
     death = death_from_config(config.get("death"))
     _block_type(block, "model", _MODEL_KEYS)
+
+    def finite(value, name):
+        # an infinite range or breakpoint is a model (every point is a
+        # neighbour), but a config that names one is refused with the rest
+        x = config_number(value, name)
+        if not math.isfinite(x):
+            raise SimulationConfigError(f"{name} must be finite, got {x}")
+        return x
+
     def number(key):
-        return config_number(block[key], f"model.{key}")
+        return finite(block[key], f"model.{key}")
 
     try:
         if kind == "constant":
@@ -893,10 +899,9 @@ def model_from_config(config: dict) -> RateModel:
                     block.get("overlap_resolution", 4096), "model.overlap_resolution", 1))
         if kind == "nearest_neighbor":
             return NearestNeighborRate(
-                breakpoints=tuple(config_number(b, "model.breakpoints entry")
+                breakpoints=tuple(finite(b, "model.breakpoints entry")
                                   for b in _entries(block, "breakpoints")),
-                values=tuple(config_number(v, "model.values entry")
-                             for v in _entries(block, "values")),
+                values=tuple(finite(v, "model.values entry") for v in _entries(block, "values")),
                 value_at_infinity=number("value_at_infinity"), death=death)
         try:
             theta = np.asarray(block["theta"], dtype=float)
@@ -907,6 +912,6 @@ def model_from_config(config: dict) -> RateModel:
             cell_counts=tuple(config_count(c, "model.cell_counts entry", 1)
                               for c in _entries(block, "cell_counts")),
             theta=theta,
-            base_rate=config_number(block.get("base_rate", 1.0), "model.base_rate"), death=death)
+            base_rate=finite(block.get("base_rate", 1.0), "model.base_rate"), death=death)
     except KeyError as exc:
         raise SimulationConfigError(f"model config block missing key: {exc}") from None

@@ -108,7 +108,8 @@ class NoiseStream:
     envelope_total is the integral of the envelope against the reference
     measure; the per-slab proposal count is Poisson(envelope_total * slab
     length). The envelope is constant, so locations are uniform under the
-    reference measure and thinning levels uniform below envelope_sup_value().
+    reference measure and thinning levels uniform below the envelope,
+    envelope_total / beta_total.
     Streams of one (space, envelope_total, slab length) share one generator,
     which each re-keys for every slab and D(0) it draws, so streams must not
     be used from more than one thread.
@@ -192,8 +193,8 @@ class NoiseStream:
 
         The count is Poisson(envelope_total / delta), the stationary mean.
         Each point has a uniform location, a thinning level uniform below
-        envelope_sup_value(), and unit-exponential age a and residual e: it
-        was born at s = -a / delta and holds mark r = a + e, so it dies at
+        the envelope, and unit-exponential age a and residual e: it was born
+        at s = -a / delta and holds mark r = a + e, so it dies at
         s + r / delta = e / delta, after 0. Pure in (master_seed, delta):
         drawn from keyed_generator(seed, TAG_PRESENT) in the order count,
         n * d location uniforms, n thinning uniforms, n ages, n residuals.
@@ -215,9 +216,6 @@ class NoiseStream:
                             us.tolist(), [f"d{i}" for i in range(n)], *xs.T.tolist()))
         self._present[death_rate] = present
         return present
-
-    def envelope_sup_value(self) -> float:
-        return self._sup
 
     # -- derived views ------------------------------------------------------
 

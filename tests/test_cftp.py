@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from sbdsim import cftp, engine, geometry, noise
+from sbdsim import cftp, engine, geometry, models, noise
 from sbdsim.analysis import chi_square_gof
 from sbdsim.cftp import (
     _window_slabs,
@@ -56,13 +56,13 @@ def rows(proposals):
 
 
 def entries(state):
-    """(id, TimedPoint) of every point of state, in insertion order."""
-    return [(pid, state.entry(pid)) for pid in state.ids()]
+    """(id, x, mark, born) of every point of state, in row order, with x an array."""
+    return [(pid, np.array(p, dtype=float), mark, born) for pid, (p, mark, born) in state.rows()]
 
 
 def window_key(state, proposals):
     """Every bit of a window: D at its start and its proposals, in order."""
-    return (sorted((pid, e.coords.tobytes(), e.clock, e.birth_time) for pid, e in entries(state)),
+    return (sorted((pid, x.tobytes(), mark, born) for pid, x, mark, born in entries(state)),
             [(pid, x.tobytes(), s, r, u) for pid, x, s, r, u in rows(proposals)])
 
 
@@ -131,7 +131,7 @@ def test_a_lookback_makes_as_many_numpy_calls_for_few_atoms_as_for_many(monkeypa
     for envelope in (1.5, 6.0, 60.0):
         stream = NoiseStream(SEED, SPACE2, envelope)
         dominating_window(stream, -8.0, 1.3)
-        for module in (cftp, engine, geometry, noise):
+        for module in (cftp, geometry, noise):  # the engine imports no numpy
             monkeypatch.setattr(module, "np", CountingNumpy())
         del calls[:]
         state, proposals = dominating_window(stream, -8.0, 1.3)
@@ -152,9 +152,9 @@ def test_dominating_window_deterministic_and_alive():
         assert window_key(*a) == window_key(*b)
         state, proposals = a
         assert len(state) > 0 and len(proposals) > 0
-        for _, e in entries(state):
-            assert e.clock > 0 and e.birth_time < -3.0
-            assert engine._death_time(e.birth_time, e.clock, delta0) > -3.0
+        for _, _, mark, born in entries(state):
+            assert mark > 0 and born < -3.0
+            assert engine._death_time(born, mark, delta0) > -3.0
         births = [row[0] for row in proposals]
         assert births == sorted(births) and -3.0 <= births[0] and births[-1] < 0.0
         assert all(row[1] > 0 for row in proposals)
@@ -170,8 +170,8 @@ def test_dominating_state_count_is_poisson(T):
         stream = NoiseStream(replicate_seed(SEED, i), SPACE, envelope_total=rate)
         state, _ = dominating_window(stream, -T, delta0)
         counts.append(len(state))
-        residuals += [delta0 * (engine._death_time(e.birth_time, e.clock, delta0) + T)
-                      for _, e in entries(state)]
+        residuals += [delta0 * (engine._death_time(born, mark, delta0) + T)
+                      for _, _, mark, born in entries(state)]
     mean = rate / delta0
     probs = {k: float(stats.poisson.pmf(k, mean)) for k in range(40)}
     assert chi_square_gof(counts, probs).pvalue > 0.01
@@ -202,8 +202,8 @@ def test_dominating_window_bit_identical_across_lookbacks(space, slab):
                     continue
                 state, proposals = windows[deep]
                 # D at the shallower start, from the deeper window alone
-                alive = [(pid, e.coords, e.clock, e.birth_time) for pid, e in entries(state)
-                         if engine._death_time(e.birth_time, e.clock, delta0) > start]
+                alive = [(pid, x, mark, born) for pid, x, mark, born in entries(state)
+                         if engine._death_time(born, mark, delta0) > start]
                 alive += [(pid, x, r, s) for pid, x, s, r, _ in rows(proposals) if s < start
                           and engine._death_time(s, r, delta0) > start]
                 want_state = sorted((pid, x.tobytes(), r, b) for pid, x, r, b in alive)
@@ -223,14 +223,14 @@ def test_dominating_state_is_the_deeper_state_carried_forward():
         deep, deep_props = dominating_window(stream, -2 * T, delta0)
         shallow, _ = dominating_window(stream, -T, delta0)
         expect = {}
-        for pid, e in entries(deep):
-            if engine._death_time(e.birth_time, e.clock, delta0) > -T:
-                expect[pid] = (e.coords.tobytes(), e.clock, e.birth_time)
+        for pid, x, mark, born in entries(deep):
+            if engine._death_time(born, mark, delta0) > -T:
+                expect[pid] = (x.tobytes(), mark, born)
         for pid, x, s, r, _ in rows(deep_props):
             if s < -T and engine._death_time(s, r, delta0) > -T:
                 expect[pid] = (x.tobytes(), r, s)
-        assert {pid: (e.coords.tobytes(), e.clock, e.birth_time)
-                for pid, e in entries(shallow)} == expect
+        assert {pid: (x.tobytes(), mark, born)
+                for pid, x, mark, born in entries(shallow)} == expect
 
 
 class _ScanRecorder(NoiseStream):
@@ -295,10 +295,9 @@ def reference_sweep_bracket(model, space, lookback, stream):
     def state(accept, from_ancient, alive):
         cfg = Configuration()
         if from_ancient:
-            for pid in sorted(ancient.ids()):
-                e = ancient.entry(pid)
-                if alive(start, e.birth_time + e.clock / delta0):
-                    cfg.add(pid, e.coords)
+            for pid, x, mark, born in sorted(entries(ancient), key=lambda e: e[0]):
+                if alive(start, born + mark / delta0):
+                    cfg.add(pid, x)
         for pid, x, s, r, _ in atoms:
             if pid in accept and alive(s, s + r / delta0):
                 cfg.add(pid, x)
@@ -393,7 +392,7 @@ def two_path_bracket(model, space, lookback, stream):
     for pid, x, s, r, u in rows(proposals):
         for path in paths:
             path.flush_deaths(s, inclusive=False)
-        lams = engine._sandwich_rates(model, space, x, *states)
+        lams = engine.sandwich_rates(model, space, x, *states)
         accepted = [u <= lam for lam in lams]
         engine._contained(s, pid, lams, accepted, states)
         for path, acc in zip(paths, accepted):
@@ -431,6 +430,32 @@ def test_merged_pass_keeps_the_two_path_trajectories(model, intensity):
     assert merged > 0  # the merge happened, so the comparison covers it
 
 
+@pytest.mark.parametrize("model,intensity", BRACKET_MODELS, ids=BRACKET_IDS)
+def test_a_pass_calls_the_public_sandwich_rates(model, intensity, monkeypatch):
+    # the bracket rule the pass runs is models.sandwich_rates itself: a
+    # wrapper bound in every sbdsim module that imported the name, as a
+    # profiler binds it, counts one call per proposal before the merge
+    space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=intensity)
+    original, calls = models.sandwich_rates, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sbdsim") and vars(module).get("sandwich_rates") is original:
+            monkeypatch.setattr(module, "sandwich_rates", counted)
+    assert engine.sandwich_rates is counted
+    split = 0
+    for i in range(6):
+        stream = NoiseStream.for_model(model, space, replicate_seed(SEED + 13, i))
+        calls.clear()
+        state = sandwich_run(model, space, 4.0, stream)
+        assert len(calls) == state.proposals - state.merged
+        split += len(calls)
+    assert split > 0
+
+
 def test_merged_pass_scans_one_grid_per_proposal(monkeypatch):
     # before the merge every proposal costs one bracket rule, which reads both
     # rates from one scan of the upper state's neighbour grid; after it, one
@@ -438,7 +463,7 @@ def test_merged_pass_scans_one_grid_per_proposal(monkeypatch):
     model = PairwiseRate(theta=0.7, interaction_range=0.2)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=5.0)
     calls = {"rule": 0, "scan": 0}
-    rule, scan = engine._sandwich_rates, NeighbourGrid.near
+    rule, scan = engine.sandwich_rates, NeighbourGrid.near
 
     def counted_rule(*args):
         calls["rule"] += 1
@@ -448,7 +473,7 @@ def test_merged_pass_scans_one_grid_per_proposal(monkeypatch):
         calls["scan"] += 1
         return scan(self, x)
 
-    monkeypatch.setattr(engine, "_sandwich_rates", counted_rule)
+    monkeypatch.setattr(engine, "sandwich_rates", counted_rule)
     monkeypatch.setattr(NeighbourGrid, "near", counted_scan)
     merged = split = 0
     for i in range(10):
@@ -509,7 +534,7 @@ def test_bracket_rule_with_crossed_rates_raises(monkeypatch):
     def crossed(model, space, x, eta_low, eta_up):
         return 1.0, 0.0
 
-    monkeypatch.setattr(engine, "_sandwich_rates", crossed)
+    monkeypatch.setattr(engine, "sandwich_rates", crossed)
     with pytest.raises(RuntimeError, match="containment violated"):
         sandwich_run(model, space, 5.0, stream)
     with pytest.raises(RuntimeError, match="containment violated"):

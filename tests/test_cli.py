@@ -525,6 +525,19 @@ NAN, INF = float("nan"), float("inf")
                             "value_at_infinity": 1.0}}, [], "model.breakpoints must be a list"),
     ("simulate", {"model": {"type": "nearest_neighbor", "breakpoints": [0.1], "values": 0.1,
                             "value_at_infinity": 1.0}}, [], "model.values must be a list"),
+    ("simulate", {"space.lengths": [INF]}, [], "window lengths must be finite"),
+    ("simulate", {"model": {"type": "pairwise", "theta": 0.5, "range": INF}}, [],
+     "model.range must be finite"),
+    ("simulate", {"model": {"type": "nearest_neighbor", "breakpoints": [0.1, INF],
+                            "values": [0.5, 0.7], "value_at_infinity": 1.0}}, [],
+     "model.breakpoints entry must be finite"),
+    ("simulate", {"model": {"type": "nearest_neighbor", "breakpoints": [0.1], "values": [INF],
+                            "value_at_infinity": 1.0}}, [], "model.values entry must be finite"),
+    ("simulate", {"model": {"type": "nearest_neighbor", "breakpoints": [0.1], "values": [0.5],
+                            "value_at_infinity": INF}}, [],
+     "model.value_at_infinity must be finite"),
+    ("simulate", {"model": {"type": "cell_occupancy", "cell_counts": [1], "theta": [[0.5]],
+                            "base_rate": INF}}, [], "model.base_rate must be finite"),
 ], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
         "simulate-snapshot-time-nan", "simulate-snapshot-times-number",
         "simulate-snapshot-times-text", "simulate-snapshot-time-null",
@@ -544,7 +557,8 @@ NAN, INF = float("nan"), float("inf")
         "space-dimension-fraction", "slab-length-text", "slab-length-null",
         "model-rate-text", "model-rate-null", "death-rate-text", "cell-counts-fraction",
         "model-block-list", "death-block-text", "cell-counts-number", "breakpoints-number",
-        "values-number"])
+        "values-number", "space-lengths-inf", "range-inf", "breakpoints-inf", "values-inf",
+        "value-at-infinity-inf", "base-rate-inf"])
 def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command, patch, flags,
                                                        message):
     # patch sets the config fields at its dotted paths; json writes NaN and

@@ -129,7 +129,7 @@ def test_zero_horizon_is_identity():
     traj = simulate(model, SPACE, init, 0.0, make_stream(model))
     assert traj.events == []
     assert snapshot(traj, 0.0) == init
-    assert {pid: traj.final.entry(pid).clock for pid in traj.final.ids()} == {"a": 1.0, "b": 3.0}
+    assert {pid: mark for pid, (_, mark, _) in traj.final.rows()} == {"a": 1.0, "b": 3.0}
 
 
 def test_negative_horizon_rejected():
@@ -159,8 +159,8 @@ def test_snapshot_at_end_matches_final_state():
     traj = simulate(model, SPACE, init, 25.0, make_stream(model))
     assert snapshot(traj, traj.end_time) == traj.final
     timed = snapshot(traj, traj.end_time)
-    assert {pid: timed.entry(pid).clock for pid in timed.ids()} == \
-        {pid: traj.final.entry(pid).clock for pid in traj.final.ids()}
+    assert {pid: mark for pid, (_, mark, _) in timed.rows()} == \
+        {pid: mark for pid, (_, mark, _) in traj.final.rows()}
 
 
 def test_snapshot_interpolates_event_log():
@@ -219,9 +219,10 @@ def test_timed_snapshot_advances_clocks_by_hazard():
     init = timed_from([("a", 0.2, 3.0)])
     traj = simulate(model, SPACE, init, 1.0, make_stream(model))
     mid = snapshot(traj, 0.75)
-    e = mid.entry("a")
-    assert (e.clock, e.birth_time) == (3.0, 0.0)
-    assert (traj.final.entry("a").clock, traj.final.entry("a").birth_time) == (3.0, 0.0)
+    _, mark, born = dict(mid.rows())["a"]
+    assert (mark, born) == (3.0, 0.0)
+    _, mark, born = dict(traj.final.rows())["a"]
+    assert (mark, born) == (3.0, 0.0)
 
 
 @pytest.mark.parametrize("delta0", [1.0, 1.7])
@@ -246,6 +247,21 @@ def test_restart_from_timed_snapshot_continues_exactly(delta0):
         if restart != whole_tail or snapshot(tail, 30.0) != snapshot(whole, 30.0):
             broken.append(seed)
     assert broken == []
+
+
+def test_restart_applies_tied_deaths_in_the_order_of_the_whole_run():
+    # two points die at exactly 0.6; a restart's state holds them in another
+    # row order ("n0:10" sorts before "n0:9"), and must log the two deaths in
+    # the order of the uninterrupted run
+    model = ConstantRate(rate=1.0)
+    proposals = ((0.1, 0.5, 0.0, "n0:9", 0.3), (0.25, 0.35, 0.0, "n0:10", 0.7))
+    whole = run_paths(model, SPACE, [TimedConfiguration()], 1.0, proposals).trajectories()[0]
+    head = run_paths(model, SPACE, [TimedConfiguration()], 0.4, proposals).trajectories()[0]
+    mid = snapshot(head, 0.4)
+    tail = run_paths(model, SPACE, [mid], 0.6, proposals[2:], start_time=0.4).trajectories()[0]
+    deaths = [ev for ev in whole.events if ev.kind == "death"]
+    assert [ev.time for ev in deaths] == [0.6, 0.6]
+    assert tail.events == deaths
 
 
 def test_unmarked_initial_state_rejected():
@@ -277,7 +293,7 @@ def test_initial_point_dead_at_start_rejected():
 # ---------------------------------------------------------------------------
 
 def test_a_run_copies_its_initial_states_and_a_bracket_run_takes_them():
-    # a run's paths start from sorted-id copies, so the caller's states keep
+    # a run's paths start from copies, so the caller's states keep
     # their rows and the same state can start two paths; a bracket run's
     # paths start from the states themselves
     model = PairwiseRate(theta=0.5, interaction_range=0.2)
@@ -371,7 +387,7 @@ def test_a_logged_event_costs_no_numpy_call(monkeypatch):
                 inside.pop()
         return wrapper
 
-    monkeypatch.setattr(engine, "np", CountingNumpy())
+    assert "np" not in vars(engine)  # the engine imports no numpy
     monkeypatch.setattr(geometry, "np", CountingNumpy())
     for name in calls:
         monkeypatch.setattr(engine._Path, name, watched(name, getattr(engine._Path, name)))

@@ -187,7 +187,7 @@ def test_configuration_store_matches_dict_reference(dim, data):
             cfg = cfg.copy()
         if ref:
             pid = data.draw(st.sampled_from(list(ref)))
-            held.append((cfg.coords(pid), ref[pid]))
+            held.append((dict(cfg.rows())[pid][0], ref[pid]))
 
         check(cfg, ref)
         for old, old_ref in copied:
@@ -196,10 +196,11 @@ def test_configuration_store_matches_dict_reference(dim, data):
             assert tuple(x) == value
 
         # equality and containment read the multiset, not ids or row order
-        same = Configuration({f"r{i}": np.array(x) for i, x in enumerate(reversed(ref.values()))})
+        same = Configuration.from_columns([f"r{i}" for i in range(len(ref))],
+                                          list(reversed(ref.values())))
         assert cfg == same
         half = dict(list(ref.items())[::2])
-        sub = Configuration({pid: np.array(x) for pid, x in half.items()})
+        sub = Configuration.from_columns(list(half), list(half.values()))
         assert configuration_contains(cfg, sub)
         assert (sub == cfg) == (len(half) == len(ref))
         covered = not (Counter(ref.values()) - Counter(half.values()))
@@ -268,7 +269,7 @@ def test_containment_and_symmetric_difference():
     small = Configuration.from_points(np.array([[0.5], [0.1]]))
     assert configuration_contains(big, small)
     assert not configuration_contains(small, big)
-    delta = symmetric_difference(big, small, dimension=1)
+    delta = symmetric_difference(big, small)
     assert delta.shape == (1, 1)
     assert delta[0, 0] == 0.9
 
@@ -276,7 +277,7 @@ def test_containment_and_symmetric_difference():
 def test_symmetric_difference_counts_multiplicity():
     a = Configuration.from_points(np.array([[0.3], [0.3]]))
     b = Configuration.from_points(np.array([[0.3]]))
-    assert symmetric_difference(a, b, dimension=1).shape == (1, 1)
+    assert symmetric_difference(a, b).shape == (1, 1)
 
 
 def test_symmetric_difference_lists_each_surplus_in_row_order():
@@ -285,10 +286,10 @@ def test_symmetric_difference_lists_each_surplus_in_row_order():
     # the process's string-hash seed
     a = Configuration.from_points(np.array([[0.7], [0.2], [0.2], [0.5], [0.9], [0.3]]))
     b = Configuration.from_points(np.array([[0.9], [0.4], [0.2], [0.1], [0.6], [0.8]]))
-    delta = symmetric_difference(a, b, dimension=1)
+    delta = symmetric_difference(a, b)
     assert delta[:, 0].tolist() == [0.7, 0.2, 0.5, 0.3, 0.4, 0.1, 0.6, 0.8]
-    assert symmetric_difference(b, a, dimension=1)[:, 0].tolist() == [0.4, 0.1, 0.6, 0.8,
-                                                                        0.7, 0.2, 0.5, 0.3]
+    assert symmetric_difference(b, a)[:, 0].tolist() == [0.4, 0.1, 0.6, 0.8,
+                                                          0.7, 0.2, 0.5, 0.3]
 
 
 def test_nearest_distance():
@@ -313,10 +314,10 @@ def test_timed_projection_and_restrict():
     tc.add("a", np.array([0.3]), mark=1.0)
     tc.add("b", np.array([0.6]), mark=2.0)
     proj = tc  # marks are columns of the state, which is its own projection
-    assert len(proj) == 2 and proj.coords("a")[0] == 0.3
+    assert len(proj) == 2 and dict(proj.rows())["a"][0][0] == 0.3
     sub = tc.restrict(["b"])
     assert list(sub.ids()) == ["b"]
-    assert sub.entry("b").clock == 2.0
+    assert dict(sub.rows())["b"][1] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +351,7 @@ def test_snapshot_text_matches_the_sorted_tuple_form(dimension):
     for n in [0, 1, 2, 50]:
         for _ in range(10):
             cfg = Configuration.from_points(rng.uniform(0.0, 1.0, size=(n, dimension)))
-            cfg.add("tie", cfg.coords("p0") if n else np.zeros(dimension))
+            cfg.add("tie", dict(cfg.rows())["p0"][0] if n else np.zeros(dimension))
             pts = sorted(tuple(x) for _, x in cfg.items())
             expect = json.dumps({"time": 0.5, "points": [list(p) for p in pts]})
             assert snapshot_to_json(0.5, cfg) == expect

@@ -179,12 +179,6 @@ def test_marks_have_the_right_marginals():
     assert max(us) <= 6.0 and min(us) >= 0.0
 
 
-def test_envelope_sup_value_constant_case():
-    s = NoiseStream(SEED, SPACE2, envelope_total=6.0)
-    # total 6 over a window of volume 1.0 at intensity 3 -> beta_total = 3
-    assert s.envelope_sup_value() == pytest.approx(2.0)
-
-
 def test_for_model_matches_manual_stream():
     model = PairwiseRate(theta=0.5, interaction_range=0.2)
     via_model = NoiseStream.for_model(model, SPACE, SEED)
@@ -371,7 +365,7 @@ def test_present_points_follow_the_stationary_law():
             assert bits(again) == bits(present)
         assert x.shape == (len(b), 2) and len(r) == len(u) == len(b)
         assert np.all((x >= 0) & (x < SPACE2.lengths_array()))
-        assert np.all((u >= 0) & (u <= s.envelope_sup_value()))
+        assert np.all((u >= 0) & (u <= s.envelope_total / s.space.beta_total))
         assert np.all(b <= 0) and np.all(b + r / delta0 > 0)
         counts.append(len(b))
         ages.append(-b * delta0)
@@ -389,7 +383,7 @@ def reference_present_points(s, death_rate):
     n = int(rng.poisson(mean)) if mean > 0 else 0
     d = s.space.dimension
     xs = s.space.lengths_array() * rng.random(n * d).reshape(n, d)
-    us = s.envelope_sup_value() * rng.random(n)
+    us = s.envelope_total / s.space.beta_total * rng.random(n)
     ages = rng.exponential(1.0, size=n)
     residuals = rng.exponential(1.0, size=n)
     return -ages / death_rate, xs, ages + residuals, us
@@ -427,7 +421,7 @@ def reference_slab(s, k):
     times = s.slab_length * draws[:n]
     xs = s.space.lengths_array() * draws[n:].reshape(n, d)
     rs = rng.exponential(1.0, size=n)
-    us = s.envelope_sup_value() * rng.random(n)
+    us = s.envelope_total / s.space.beta_total * rng.random(n)
     order = times.argsort(kind="stable")
     return k * s.slab_length + times[order], xs[order], rs[order], us[order]
 
@@ -467,14 +461,14 @@ def test_poisson_configuration_constant_intensity():
 def test_initial_clocks_exponential():
     eta = poisson_configuration(SPACE, 600.0, SEED)
     timed = initial_clocks(eta, SEED + 1, birth_time=-2.0)
-    clocks = [timed.entry(pid).clock for pid in timed.ids()]
+    clocks = [mark for _, (_, mark, _) in timed.rows()]
     assert min(clocks) > 0
     assert stats.kstest(clocks, "expon").pvalue > 0.01
-    assert all(timed.entry(pid).birth_time == -2.0 for pid in timed.ids())
+    assert all(born == -2.0 for _, (_, _, born) in timed.rows())
     # same ids and coordinates as the untimed configuration
     assert set(timed.ids()) == set(eta.ids())
     redo = initial_clocks(eta, SEED + 1, birth_time=-2.0)
-    assert [redo.entry(pid).clock for pid in redo.ids()] == clocks
+    assert [mark for _, (_, mark, _) in redo.rows()] == clocks
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -498,8 +492,9 @@ def test_initial_state_draws_match_the_per_point_loops(dimension):
         clocks = {pid: float(rng.exponential(1.0)) for pid in sorted(eta.ids())}
         timed = initial_clocks(eta, seed + 1)
         assert list(timed.ids()) == list(clocks)
-        assert [timed.entry(pid).clock for pid in timed.ids()] == list(clocks.values())
-        assert all(np.array_equal(timed.entry(pid).coords, eta.coords(pid)) for pid in timed.ids())
+        assert [mark for _, (_, mark, _) in timed.rows()] == list(clocks.values())
+        points = dict(eta.rows())
+        assert all(p == points[pid][0] for pid, (p, _, _) in timed.rows())
 
 
 if __name__ == "__main__":

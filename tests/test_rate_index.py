@@ -32,7 +32,6 @@ from sbdsim.models import (
     CellOccupancyRate,
     NearestNeighborRate,
     PairwiseRate,
-    _sandwich_rates,
     sandwich_rates,
 )
 from sbdsim.noise import NoiseStream, replicate_seed
@@ -203,7 +202,7 @@ def bracket_models(radius):
 @given(dim=st.sampled_from([1, 2]), boundary=st.sampled_from(["periodic", "free"]),
        data=st.data())
 def test_bracket_rates_from_one_scan_equal_the_two_birth_rates(dim, boundary, data):
-    # _sandwich_rates reads the lower state's neighbours off the upper
+    # sandwich_rates reads the lower state's neighbours off the upper
     # state's grid by id; the ordered pair of the two states' own birth
     # rates (each from its own grid) is the reference, bit for bit
     lengths = tuple(data.draw(st.sampled_from([1.0, 0.7, 2.5])) for _ in range(dim))
@@ -236,8 +235,7 @@ def test_bracket_rates_from_one_scan_equal_the_two_birth_rates(dim, boundary, da
                 rate_up, rate_low = m.birth_rate(space, x, up), m.birth_rate(space, x, low)
                 want = ((rate_up, rate_low) if m.monotone == "nonincreasing"
                         else (rate_low, rate_up))
-                assert _sandwich_rates(m, space, x, low, up) == want, (type(m).__name__, x)
-                assert sandwich_rates(m, space, x, low, up) == want
+                assert sandwich_rates(m, space, x, low, up) == want, (type(m).__name__, x)
 
 
 # ---------------------------------------------------------------------------
