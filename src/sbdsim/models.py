@@ -512,10 +512,10 @@ class CellOccupancyRate(RateModel):
         n = self._n_cells = math.prod(self.cell_counts)
         if th.shape != (n, n):
             raise SimulationConfigError(f"theta must be {n}x{n} for {n} cells")
+        if not np.all((th >= 0) & (th < math.inf)):
+            raise SimulationConfigError("theta entries must be finite and >= 0")
         if not np.allclose(th, th.T):
             raise SimulationConfigError("theta must be symmetric")
-        if np.any(th < 0):
-            raise SimulationConfigError("theta entries must be >= 0")
         if not (self.base_rate > 0) or not math.isfinite(self.base_rate):
             raise SimulationConfigError(f"base_rate must be finite and > 0, got {self.base_rate}")
         object.__setattr__(self, "theta", th)
@@ -800,6 +800,8 @@ def _window_contraction(model: RateModel, space: SpaceSpec, n: int) -> Contracti
     elif isinstance(model, NearestNeighborRate):
         kernel = np.abs(model.value_at_infinity - model._table)  # 0 past the last breakpoint
         radii, jumps = model._breaks, np.abs(np.diff(kernel))
+    finite = np.isfinite(radii)  # a jump at an infinite radius cuts no cell
+    radii, jumps = radii[finite], np.broadcast_to(jumps, finite.shape)[finite]
     h, d = math.hypot(*space.lengths) / (2 * n), space.dimension
     step = space.intensity * unit_ball_volume(d) * float(
         np.sum(jumps * ((radii + h) ** d - np.maximum(radii - h, 0.0) ** d)))

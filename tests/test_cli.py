@@ -538,6 +538,8 @@ NAN, INF = float("nan"), float("inf")
      "model.value_at_infinity must be finite"),
     ("simulate", {"model": {"type": "cell_occupancy", "cell_counts": [1], "theta": [[0.5]],
                             "base_rate": INF}}, [], "model.base_rate must be finite"),
+    ("simulate", {"model": {"type": "cell_occupancy", "cell_counts": [1], "theta": [[INF]]}},
+     [], "theta entries must be finite"),
 ], ids=["simulate-horizon-nan", "simulate-horizon-inf", "simulate-horizon-text",
         "simulate-snapshot-time-nan", "simulate-snapshot-times-number",
         "simulate-snapshot-times-text", "simulate-snapshot-time-null",
@@ -558,7 +560,7 @@ NAN, INF = float("nan"), float("inf")
         "model-rate-text", "model-rate-null", "death-rate-text", "cell-counts-fraction",
         "model-block-list", "death-block-text", "cell-counts-number", "breakpoints-number",
         "values-number", "space-lengths-inf", "range-inf", "breakpoints-inf", "values-inf",
-        "value-at-infinity-inf", "base-rate-inf"])
+        "value-at-infinity-inf", "base-rate-inf", "cell-theta-inf"])
 def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command, patch, flags,
                                                        message):
     # patch sets the config fields at its dotted paths; json writes NaN and

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -648,6 +649,23 @@ def test_window_grid_error_bounds_a_step_kernel():
         grid = models._window_contraction(model, space, n)
         assert (exact.resolution, exact.error, grid.resolution) == (0, 0.0, 2 * n)
         assert abs(grid.value - exact.value) <= grid.error
+
+
+def test_window_grid_step_bound_skips_an_infinite_radius():
+    # a pairwise range or a last breakpoint at infinity cuts no cell: its
+    # jump adds nothing to the step bound, and the jumps at finite radii
+    # stay in it (an infinite radius made the bound NaN, and max() then
+    # fell back to the grids' difference)
+    line = SpaceSpec(dimension=1, lengths=(1.0,))
+    nn = NearestNeighborRate(breakpoints=(0.1, math.inf), values=(0.2, 0.6),
+                             value_at_infinity=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = contraction_constant(nn, line, resolution=64)
+        pair = contraction_constant(PairwiseRate(theta=0.5, interaction_range=math.inf), line)
+    # the jump of 0.4 at 0.1, over the shell 0.1 -/+ h, h = 1 / 128
+    assert est.error == pytest.approx(2 * 0.4 * 2 / 128)
+    assert pair.error == 0.0 and pair.value == pytest.approx(1 - math.exp(-0.5))
 
 
 @pytest.mark.parametrize("d,n,n_area", [(1, 20000, 20000), (2, 256, 16), (3, 32, 6)])
