@@ -109,8 +109,8 @@ class OracleModel:
         n = len(self.masses)
         if self.theta.shape != (n, n):
             raise SimulationConfigError("theta must be square over the cells")
-        if not np.allclose(self.theta, self.theta.T):
-            raise SimulationConfigError("theta must be symmetric")
+        if not np.array_equal(self.theta, self.theta.T):
+            raise SimulationConfigError("theta must be exactly symmetric")
         if np.any(self.masses < 0) or self.base_rate < 0 or self.death_rate <= 0:
             raise SimulationConfigError("oracle rates must be nonnegative, death positive")
         self.caps = tuple(int(c) for c in self.caps)

@@ -376,20 +376,32 @@ class NeighbourGrid:
     cells around the query's cell, as flat keys in the order of _flat_block
     (cached across grids of one shape), each cell at most once (an axis with
     three cells or fewer is visited whole), which holds every point within
-    the radius. Its distances repeat the float operations of distances_to, so
-    a model that compares them with its radius counts exactly the points a
-    full scan counts. Points must lie in the window; a point on the upper face
-    of a free window falls in the last cell. Built by Configuration.index
-    through neighbour_grid.
+    the radius, and returns exactly those. Its distances repeat the float
+    operations of distances_to, so the points it returns are the points a
+    full scan finds at distance <= radius. Points must lie in the window; a
+    point on the upper face of a free window falls in the last cell. Built by
+    Configuration.index through neighbour_grid.
+
+    _cell and near have one body written out per axis for 1-D and 2-D
+    windows, picked by the window's dimension; a window of 3 or more
+    dimensions takes the loop over the axes. Each body does the same float
+    operations in the same order (a 2-D sum starts at d0 * d0, which equals
+    the loop's 0.0 + d0 * d0).
     """
 
-    __slots__ = ("_lengths", "_counts", "_periodic", "_blocks", "_cells", "_home")
+    __slots__ = ("_lengths", "_counts", "_periodic", "_wrap", "_radius", "_dim", "_blocks",
+                 "_cells", "_home")
 
     def __init__(self, space: SpaceSpec, radius: float):
         self._lengths = space.lengths
         self._counts = tuple(max(1, int(min(L / (radius * _CELL_SLACK), _MAX_CELLS_PER_AXIS)))
                              for L in self._lengths)
         self._periodic = space.periodic
+        # the length across which an axis wraps; inf on a free window, where
+        # the test L - d < d of a wrapped distance never holds
+        self._wrap = self._lengths if self._periodic else (math.inf,) * space.dimension
+        self._radius = radius
+        self._dim = space.dimension
         # the cached blocks of this shape; a dict of the grid's own, left
         # empty, until _block stores the first block of a new shape
         self._blocks = _BLOCKS.get((self._counts, self._periodic), {})
@@ -399,6 +411,16 @@ class NeighbourGrid:
     def _cell(self, p) -> int:
         """The flat key of p's cell, from min(floor(v / L * c), c - 1) per axis
         (the min as a comparison, which costs less than a call of min)."""
+        dim = self._dim
+        if dim == 2:
+            (L0, L1), (c0, c1) = self._lengths, self._counts
+            i = math.floor(p[0] / L0 * c0)
+            j = math.floor(p[1] / L1 * c1)
+            return (i if i < c0 else c0 - 1) * c1 + (j if j < c1 else c1 - 1)
+        if dim == 1:
+            c = self._counts[0]
+            i = math.floor(p[0] / self._lengths[0] * c)
+            return i if i < c else c - 1
         key = 0
         for v, L, c in zip(p, self._lengths, self._counts):
             i = math.floor(v / L * c)
@@ -432,26 +454,63 @@ class NeighbourGrid:
             del self._cells[key]
 
     def near(self, x) -> list[tuple[float, str, tuple[float, ...]]]:
-        """(distance, pid, point) for every point in the cells around x:
-        every point within the radius of x, and possibly some farther ones."""
+        """(distance, pid, point) for exactly the points within the radius of
+        x (distance <= radius), each once, cell by cell in block order."""
         if type(x) is not tuple:
             x = np.asarray(x, dtype=float).tolist()
-        cells, lengths, periodic = self._cells, self._lengths, self._periodic
         key = self._cell(x)
         block = self._blocks.get(key) or self._block(key)
+        cells, r, sqrt = self._cells, self._radius, math.sqrt
         out = []
-        for key in block:
-            members = cells.get(key)
-            if members is None:
-                continue
-            for pid, p in members.items():
-                s = 0.0
-                for pv, xv, L in zip(p, x, lengths):
-                    d = abs(pv - xv)
-                    if periodic and L - d < d:
-                        d = L - d
-                    s += d * d
-                out.append((math.sqrt(s), pid, p))
+        push = out.append
+        dim = self._dim
+        if dim == 2:
+            x0, x1 = x
+            W0, W1 = self._wrap
+            for key in block:
+                members = cells.get(key)
+                if members is None:
+                    continue
+                for pid, p in members.items():
+                    d0 = abs(p[0] - x0)
+                    if W0 - d0 < d0:
+                        d0 = W0 - d0
+                    d1 = abs(p[1] - x1)
+                    if W1 - d1 < d1:
+                        d1 = W1 - d1
+                    t = sqrt(d0 * d0 + d1 * d1)
+                    if t <= r:
+                        push((t, pid, p))
+        elif dim == 1:
+            x0 = x[0]
+            W0 = self._wrap[0]
+            for key in block:
+                members = cells.get(key)
+                if members is None:
+                    continue
+                for pid, p in members.items():
+                    d0 = abs(p[0] - x0)
+                    if W0 - d0 < d0:
+                        d0 = W0 - d0
+                    t = sqrt(d0 * d0)
+                    if t <= r:
+                        push((t, pid, p))
+        else:
+            wrap = self._wrap
+            for key in block:
+                members = cells.get(key)
+                if members is None:
+                    continue
+                for pid, p in members.items():
+                    s = 0.0
+                    for pv, xv, W in zip(p, x, wrap):
+                        d = abs(pv - xv)
+                        if W - d < d:
+                            d = W - d
+                        s += d * d
+                    t = sqrt(s)
+                    if t <= r:
+                        push((t, pid, p))
         return out
 
 

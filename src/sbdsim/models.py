@@ -26,6 +26,7 @@ bracket reads both its rates from one scan of the upper grid (sandwich_rates).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,7 +239,8 @@ class RateModel:
     def increment_kernel(self, space: SpaceSpec, x, Y) -> NDArray[np.float64]:
         """Bound on |lambda(x, eta + y) - lambda(x, eta)|, one value per row of Y.
         a(x, y) == a(y, x) bit for bit for every model here (the cell model
-        with an exactly symmetric theta) but area interaction in d >= 2, whose
+        refuses a theta that is not exactly symmetric) but area interaction in
+        d >= 2, whose
         grain nodes are not symmetric: its two sides differ by at most
         2 envelope_sup |log gamma| error_bound()."""
         raise NotImplementedError
@@ -253,14 +255,17 @@ class RateModel:
 
 class NeighbourRate(RateModel):
     """A rate of the points of eta within support_radius() of x: birth_rate
-    scans eta's neighbour grid and rate_of_neighbours filters what it visits."""
+    scans eta's neighbour grid, which returns exactly the points at distance
+    <= support_radius() from x, and rate_of_neighbours reads the rate off
+    them."""
 
     def birth_rate(self, space, x, eta) -> float:
         near = neighbour_grid(space, eta, self.support_radius()).near(x)
         return self.rate_of_neighbours(space, x, near)
 
     def rate_of_neighbours(self, space: SpaceSpec, x, near) -> float:
-        """The rate at x on the points of near, an iterable of (distance, pid, point)."""
+        """The rate at x on the points of near, a list of (distance, pid,
+        point), one for each point at distance <= support_radius() from x."""
         raise NotImplementedError
 
 
@@ -310,8 +315,7 @@ class PairwiseRate(NeighbourRate):
             raise SimulationConfigError("interaction range must be > 0")
 
     def rate_of_neighbours(self, space, x, near) -> float:
-        r = self.interaction_range
-        return math.exp(-self.theta * sum(t <= r for t, _, _ in near))
+        return math.exp(-self.theta * len(near))
 
     def envelope_sup(self, space) -> float:
         return 1.0
@@ -458,6 +462,9 @@ class NearestNeighborRate(NeighbourRate):
             raise SimulationConfigError("nearest-neighbor profile must be monotone")
         self._breaks = b
         self._table = full
+        # profile()'s breakpoints and table as Python floats, for one query
+        self._break_floats = tuple(b.tolist())
+        self._table_floats = full.tolist()
 
     @property
     def monotone(self) -> str:  # type: ignore[override]
@@ -468,9 +475,11 @@ class NearestNeighborRate(NeighbourRate):
         return self._table[np.searchsorted(self._breaks, t, side="right")]
 
     def rate_of_neighbours(self, space, x, near) -> float:
-        # A point at or beyond support_radius() gives value_at_infinity, like
-        # no point at all, so the grid only needs to reach that far.
-        return float(self.profile(min((t for t, _, _ in near), default=math.inf)))
+        # A point at support_radius() gives value_at_infinity, like no point
+        # at all, so the grid only needs to reach that far. bisect_right is
+        # profile()'s searchsorted(side="right"), without numpy per query.
+        t = min((t for t, _, _ in near), default=math.inf)
+        return self._table_floats[bisect_right(self._break_floats, t)]
 
     def envelope_sup(self, space) -> float:
         return float(max(max(self.values), self.value_at_infinity))
@@ -514,8 +523,8 @@ class CellOccupancyRate(RateModel):
             raise SimulationConfigError(f"theta must be {n}x{n} for {n} cells")
         if not np.all((th >= 0) & (th < math.inf)):
             raise SimulationConfigError("theta entries must be finite and >= 0")
-        if not np.allclose(th, th.T):
-            raise SimulationConfigError("theta must be symmetric")
+        if not np.array_equal(th, th.T):
+            raise SimulationConfigError("theta must be exactly symmetric")
         if not (self.base_rate > 0) or not math.isfinite(self.base_rate):
             raise SimulationConfigError(f"base_rate must be finite and > 0, got {self.base_rate}")
         object.__setattr__(self, "theta", th)
@@ -622,8 +631,9 @@ def sandwich_rates(model: RateModel, space: SpaceSpec, x,
     UnsupportedModelError. The states must be nested by id: every id of
     eta_low is an id of eta_up, at the same coordinates. That is not checked
     here: the sandwich pass keeps its pair so by construction. A
-    NeighbourRate scans eta_up's grid once, and eta_low's neighbours are
-    those whose ids eta_low holds.
+    NeighbourRate scans eta_up's grid once: the scan returns eta_up's points
+    within the model's radius, and eta_low's are those whose ids eta_low
+    holds.
     """
     mono = model.monotone
     if mono not in ("nonincreasing", "nondecreasing", "constant"):

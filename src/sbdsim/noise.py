@@ -183,8 +183,9 @@ class NoiseStream:
         rs = rng.exponential(1.0, size=n)
         us = self._sup * rng.random(n)
         order = s_local.argsort(kind="stable")
+        pre = f"n{k}:"
         return tuple(zip((k * self.slab_length + s_local[order]).tolist(), rs[order].tolist(),
-                         us[order].tolist(), [f"n{k}:{i}" for i in range(n)],
+                         us[order].tolist(), [pre + str(i) for i in range(n)],
                          *xs[order].T.tolist()))
 
     def present_points(self, death_rate: float) -> Proposals:
@@ -213,7 +214,7 @@ class NoiseStream:
         ages = rng.exponential(1.0, size=n)
         residuals = rng.exponential(1.0, size=n)
         present = tuple(zip((-ages / death_rate).tolist(), (ages + residuals).tolist(),
-                            us.tolist(), [f"d{i}" for i in range(n)], *xs.T.tolist()))
+                            us.tolist(), ["d" + str(i) for i in range(n)], *xs.T.tolist()))
         self._present[death_rate] = present
         return present
 

@@ -6,12 +6,14 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from sbdsim import cli, engine
+from sbdsim.analysis import OracleModel
 from sbdsim.cli import load_config, main, run_validation_battery
-from sbdsim.geometry import snapshot_to_json
-from sbdsim.models import UnsupportedModelError
+from sbdsim.geometry import SimulationConfigError, snapshot_to_json
+from sbdsim.models import CellOccupancyRate, UnsupportedModelError
 from sbdsim.noise import NoiseStream
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -575,6 +577,24 @@ def test_bad_run_parameters_are_refused_before_writing(tmp_path, capsys, command
     out = str(tmp_path / "o")
     assert main([command, "--config", write_config(tmp_path, body), "--out", out, *flags]) == 2
     assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_theta_off_symmetry_in_one_entry_is_refused(tmp_path, capsys):
+    # the per-point kernel sums of the coupling distance need a(x, y) == a(y, x)
+    # bit for bit, so theta must equal its transpose exactly, not to rounding
+    theta = [[0.6, 0.3, 0.0], [0.3, 0.6, 0.3], [0.0, 0.3, 0.6]]
+    theta[0][1] += 1e-12
+    assert theta[0][1] != theta[1][0]
+    with pytest.raises(SimulationConfigError, match="symmetric"):
+        CellOccupancyRate(cell_counts=(3,), theta=np.array(theta))
+    with pytest.raises(SimulationConfigError, match="symmetric"):
+        OracleModel(masses=np.ones(3), caps=(2, 2, 2), theta=np.array(theta))
+    body = json.load(open(CONSTANT))
+    body["model"] = {"type": "cell_occupancy", "cell_counts": [3], "theta": theta}
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", write_config(tmp_path, body), "--out", out]) == 2
+    assert "symmetric" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

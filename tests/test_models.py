@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -291,6 +292,29 @@ def test_nearest_neighbor_step_profile():
     assert np.allclose(m.increment_kernel(SPACE, np.array([0.0]),
                                           np.array([[0.05], [0.15], [0.5]])),
                        [1.5, 0.5, 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_nearest_neighbor_scalar_lookup_equals_profile(data):
+    # a query looks the nearest distance up with bisect_right over Python
+    # floats; profile() with numpy's searchsorted(side="right")
+    gaps = data.draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=5), label="gaps")
+    breaks = tuple(itertools.accumulate(gaps))
+    levels = list(itertools.accumulate(data.draw(
+        st.lists(st.floats(0.0, 1.0), min_size=len(breaks) + 1, max_size=len(breaks) + 1),
+        label="steps")))
+    if data.draw(st.booleans(), label="decreasing"):
+        levels.reverse()
+    m = NearestNeighborRate(breakpoints=breaks, values=tuple(levels[:-1]),
+                            value_at_infinity=levels[-1])
+    ts = [0.0, math.inf, *data.draw(st.lists(st.floats(0.0, 10.0), max_size=10), label="t")]
+    for b in breaks:
+        ts += [b, math.nextafter(b, 0.0), math.nextafter(b, math.inf)]
+    for t in ts:
+        got = m.rate_of_neighbours(SPACE, (0.0,), [(t, "y", (0.0,))])
+        assert type(got) is float and got == m.profile(t), t
+    assert m.rate_of_neighbours(SPACE, (0.0,), []) == m.profile(math.inf)
 
 
 def test_nearest_neighbor_validation():

@@ -460,10 +460,11 @@ def test_cached_blocks_follow_the_product_rule_with_each_cell_once(dim, periodic
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_grid_scan_visits_the_product_rule_cells_and_each_point_once(data):
-    # a window of 1 to 8 cells per axis around a random radius; the scan must
-    # return exactly the points whose cell lies in the query cell's
-    # product-rule block, each once, cell by cell in that block's order, at
-    # distances_to's distance
+    # a window of 1 to 8 cells per axis around a random radius, in 1-D and
+    # 2-D (the scans written out per axis) and 3-D (the loop over the axes);
+    # the scan must return exactly the points of the query cell's
+    # product-rule block at distances_to's distance <= radius, each once,
+    # cell by cell in that block's order, at that distance bit for bit
     dim = data.draw(st.integers(1, 3), label="dim")
     periodic = data.draw(st.booleans(), label="periodic")
     radius = data.draw(st.floats(0.01, 1.0), label="radius")
@@ -475,6 +476,19 @@ def test_grid_scan_visits_the_product_rule_cells_and_each_point_once(data):
     coordinates = st.tuples(*[st.floats(0.0, L, exclude_max=True) for L in lengths])
     points = data.draw(st.lists(coordinates, max_size=25), label="points")
     queries = data.draw(st.lists(coordinates, min_size=1, max_size=4), label="queries")
+
+    def inside(v, L):
+        if not periodic:
+            return min(max(v, 0.0), L)
+        v %= L
+        return 0.0 if v >= L else v
+
+    # points up to a radius away from the first query along every axis, so
+    # that some lie within the radius and some in the block beyond it
+    offsets = data.draw(st.lists(st.tuples(*[st.floats(-radius, radius)] * dim), max_size=10),
+                        label="offsets")
+    points += [tuple(inside(v + o, L) for v, o, L in zip(queries[0], off, lengths))
+               for off in offsets]
     if not periodic:  # a point on the upper face falls in the last cell
         axis = data.draw(st.integers(0, dim - 1), label="face")
         face = tuple(L if k == axis else L / 2 for k, L in enumerate(lengths))
@@ -489,26 +503,27 @@ def test_grid_scan_visits_the_product_rule_cells_and_each_point_once(data):
                      if points else st.just(set()), label="removed")
     for pid in gone:
         eta.remove(pid)
+    live = {pid: p for pid, (p, _, _) in eta.rows()}
 
     def cell(p):
         return tuple(min(math.floor(v / L * c), c - 1) for v, L, c in zip(p, lengths, counts))
 
     for x in queries:
         block = {c: k for k, c in enumerate(product_rule_block(cell(x), counts, periodic))}
+        dist = {pid: distances_to(space, np.array(x), np.array([p]))[0]
+                for pid, p in live.items()}
+        within = {pid for pid, t in dist.items() if t <= radius}
         found = grid.near(x)
         pids = [pid for _, pid, _ in found]
         assert len(pids) == len(set(pids))
-        assert set(pids) == {pid for pid, (p, _, _) in eta.rows() if cell(p) in block}
+        # the block points within the radius, which are all points within it
+        assert set(pids) == {pid for pid in within if cell(live[pid]) in block} == within
         # cells in product-rule order
         order = [block[cell(p)] for _, _, p in found]
         assert order == sorted(order)
         for d, pid, p in found:
-            assert p == eta.rows().mapping[pid][0]
-            assert d == distances_to(space, np.array(x), np.array([p]))[0]
-        # which holds every point within the radius
-        if len(eta):
-            close = distances_to(space, np.array(x), eta.points_array()) <= radius
-            assert {pid for pid, c in zip(eta.ids(), close) if c} <= set(pids)
+            assert p == live[pid]
+            assert d == dist[pid]
 
 
 def test_block_cache_stays_within_its_bound(monkeypatch):
