@@ -492,7 +492,7 @@ class NeighbourGrid:
                     d0 = abs(p[0] - x0)
                     if W0 - d0 < d0:
                         d0 = W0 - d0
-                    t = sqrt(d0 * d0)
+                    t = sqrt(d0 * d0)  # not d0: d0 * d0 may underflow, as in distances_to
                     if t <= r:
                         push((t, pid, p))
         else:

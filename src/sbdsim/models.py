@@ -239,10 +239,9 @@ class RateModel:
     def increment_kernel(self, space: SpaceSpec, x, Y) -> NDArray[np.float64]:
         """Bound on |lambda(x, eta + y) - lambda(x, eta)|, one value per row of Y.
         a(x, y) == a(y, x) bit for bit for every model here (the cell model
-        refuses a theta that is not exactly symmetric) but area interaction in
-        d >= 2, whose
-        grain nodes are not symmetric: its two sides differ by at most
-        2 envelope_sup |log gamma| error_bound()."""
+        refuses a theta that is not exactly symmetric) but area interaction
+        in d >= 2, whose grain nodes are not symmetric: its two sides differ
+        by at most 2 envelope_sup |log gamma| error_bound()."""
         raise NotImplementedError
 
     def support_radius(self) -> float:
