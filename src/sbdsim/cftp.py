@@ -222,7 +222,8 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
     across doublings, only older slabs are added, so the first coalesced
     bracket reads off the stationary state at 0. The draw is exact, with no
     truncation. Returns status NotCoalesced (with configuration None) once
-    the lookback would exceed max_lookback. A model that is not monotone has
+    the lookback would exceed max_lookback. A lookback that is not finite is
+    refused (SimulationConfigError). A model that is not monotone has
     no bracket and is refused (UnsupportedModelError) before any lookback.
 
     A lookback with -T after the birth of a point of D(0) that dies after 0
@@ -234,6 +235,9 @@ def perfect_sample(model: RateModel, space: SpaceSpec, master_seed: int,
     if model.monotone not in ("nonincreasing", "nondecreasing", "constant"):
         raise UnsupportedModelError(f"perfect_sample needs a monotone rate model; "
                                     f"{type(model).__name__} is {model.monotone}")
+    for name, value in (("initial_lookback", initial_lookback), ("max_lookback", max_lookback)):
+        if not math.isfinite(value):
+            raise SimulationConfigError(f"{name} must be finite, got {value}")
     stream = NoiseStream.for_model(model, space, master_seed, slab_length)
     delta0 = model.death.rate
     present = stream.present_points(delta0)

@@ -241,7 +241,8 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
     for i, row in enumerate(proposals):
         s, r, u, pid, x = row[0], row[1], row[2], row[3], row[4:]
         for path in active:
-            path.flush_deaths(s, inclusive=False)
+            if path.deaths and path.deaths[0][0] < s:
+                path.flush_deaths(s, inclusive=False)
         if split and len(states[0]) == len(states[1]):
             split, merged_at = False, i
             active = paths[:1] + paths[2:]
@@ -249,15 +250,15 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
         if split:
             lams = [*sandwich_rates(model, space, x, states[0], states[1]),
                     *[birth_rate(space, x, live) for live in states[2:]]]
+            if u <= lams[0] and not u <= lams[1]:
+                _contained(s, pid, lams, [u <= lam for lam in lams], states)
         else:
             lams = [birth_rate(space, x, live) for live in states]
-        accepted = [u <= lam for lam in lams]
-        if split:
-            _contained(s, pid, lams, accepted, states)
-        for path, acc in zip(active, accepted):
-            if acc:
+        for path, lam in zip(active, lams):
+            if u <= lam:
                 path.birth(pid, x, s, r, delta0)
         if observe is not None:
+            accepted = [u <= lam for lam in lams]
             if active is paths:
                 observe(s, pid, lams, accepted, states)
             else:

@@ -66,8 +66,10 @@ class SpaceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(self.lengths))  # hashable index keys
-        # neighbour_grid's index key per radius; not a field, so never compared
-        object.__setattr__(self, "_grid_makers", {})
+        # index keys of the window, each the maker of its index: neighbour_grid's
+        # per radius, the cell model's occupancy per cell counts; not a field,
+        # so never compared
+        object.__setattr__(self, "_index_makers", {})
         if self.dimension < 1:
             raise SimulationConfigError(f"dimension must be >= 1, got {self.dimension}")
         if len(self.lengths) != self.dimension:
@@ -519,9 +521,9 @@ def neighbour_grid(space: SpaceSpec, eta: Configuration, radius: float) -> Neigh
     space, built on first use and kept up to date by eta's add and remove.
     Its key in eta is a maker of the grid kept on space per radius, so a
     lookup hashes one float and one object identity and builds nothing."""
-    make = space._grid_makers.get(radius)
+    make = space._index_makers.get(radius)
     if make is None:
-        make = space._grid_makers[radius] = functools.partial(NeighbourGrid, space, radius)
+        make = space._index_makers[radius] = functools.partial(NeighbourGrid, space, radius)
     return eta.index(make, make)
 
 

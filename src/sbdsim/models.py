@@ -25,6 +25,7 @@ bracket reads both its rates from one scan of the upper grid (sandwich_rates).
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -527,6 +528,7 @@ class CellOccupancyRate(RateModel):
         if not (self.base_rate > 0) or not math.isfinite(self.base_rate):
             raise SimulationConfigError(f"base_rate must be finite and > 0, got {self.base_rate}")
         object.__setattr__(self, "theta", th)
+        self._theta_rows = list(th)  # row views, as self.theta[cell] reads them
 
     @property
     def n_cells(self) -> int:
@@ -544,8 +546,14 @@ class CellOccupancyRate(RateModel):
         return np.ravel_multi_index(idx.T, counts)
 
     def _occupancy(self, space: SpaceSpec, eta: Configuration) -> "_Occupancy":
-        counts, lengths = self.cell_counts, space.lengths
-        return eta.index((_Occupancy, counts, lengths), lambda: _Occupancy(counts, lengths))
+        """eta's occupancy counts, kept by eta under a maker that space keeps
+        per cell counts, so a lookup hashes a tuple of ints and an identity."""
+        counts = self.cell_counts
+        make = space._index_makers.get(counts)
+        if make is None:
+            make = space._index_makers[counts] = functools.partial(_Occupancy, counts,
+                                                                   space.lengths)
+        return eta.index(make, make)
 
     def occupancy(self, space: SpaceSpec, eta: Configuration) -> NDArray[np.int_]:
         return self._occupancy(space, eta).k.astype(int)
@@ -558,7 +566,11 @@ class CellOccupancyRate(RateModel):
         return np.full(self.n_cells, space.beta_total / self.n_cells)
 
     def birth_rate(self, space, x, eta) -> float:
-        return self.rate_for_occupancy(self.cell_index(space, x), self._occupancy(space, eta).k)
+        # rate_for_occupancy's operations, the same numpy dot included
+        cell = _cell_index(self.cell_counts, space.lengths,
+                           x if type(x) is tuple else np.asarray(x, dtype=float).tolist())
+        return self.base_rate * math.exp(
+            -float(self._theta_rows[cell] @ self._occupancy(space, eta).k))
 
     def envelope_sup(self, space) -> float:
         return self.base_rate

@@ -6,10 +6,11 @@ time s; a unit-exponential death mark r; and a thinning level u, uniform on
 [0, Lambda] for the model's constant envelope Lambda. Proposals with u above
 Lambda would be rejected by every configuration, so they are never drawn.
 Time is split into slabs [k L, (k+1) L). The atoms of slab k are a pure
-function of (master_seed, k): a stream owns one Philox generator and re-keys
-it to (mix64(seed ^ TAG_SLAB), mix64(k)) with counter 0 for each slab, the
-state keyed_generator(seed, TAG_SLAB, k) starts from, so any slab can be
-regenerated and hashes identically every time.
+function of (master_seed, k): a stream re-keys a Philox generator to
+(mix64(seed ^ TAG_SLAB), mix64(k)) with counter 0 for each slab, the state
+keyed_generator(seed, TAG_SLAB, k) starts from, so any slab can be
+regenerated and hashes identically every time. A small slab's rows are built
+from Python floats, a large one's with numpy, by the same IEEE operations.
 
 Forward runs read s as the proposal time (atoms_between). Coupling from the
 past reads the slabs at negative k by death time: its dominating process
@@ -35,12 +36,13 @@ import math
 from bisect import bisect_left
 from collections import OrderedDict
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .geometry import Configuration, SimulationConfigError, SpaceSpec
+from .models import envelope_total as _model_envelope_total
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,24 +84,36 @@ def replicate_seed(master_seed: int, index: int) -> int:
 Proposals = tuple[tuple, ...]
 _time = itemgetter(0)
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+_MIX0 = mix64(0)  # the second key word of D(0)'s generator
+
+# Rows of a slab or of D(0) with fewer atoms than this are built from Python
+# floats, larger ones with numpy; both give the same bits. Below it the
+# per-call cost of numpy dominates, above it the per-atom cost of Python
+# (crossover measured near 10 atoms in 1-D and 2-D, timeit pinned to one core).
+_NUMPY_ROWS = 10
 
 
-def _fresh_philox_state(key: NDArray[np.uint64]) -> dict:
-    """The state a Philox generator keyed on `key` starts from (counter 0)."""
-    return {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
-            "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _fresh_philox_state(key: list[int]) -> dict:
+    """The state a Philox generator keyed on the two words of `key` starts
+    from (counter 0). The dict holds `key` itself, so a write to key[0] or
+    key[1] re-keys every later use of the dict."""
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 @functools.lru_cache(maxsize=16)
 def _stream_parts(space: SpaceSpec, envelope_total: float, slab_length: float):
-    """A stream's slab mean, side lengths, thinning bound and Philox generator
+    """A stream's slab mean, side lengths (an array and a tuple), thinning
+    bound, Philox generator and the key words and state dict that re-key it
     (every read sets its state in full): none needs the seed."""
     lengths = space.lengths_array()
     lengths.setflags(write=False)
     vol = space.beta_total
-    return (envelope_total * slab_length, lengths, envelope_total / vol if vol > 0 else 0.0,
-            np.random.Generator(np.random.Philox(key=_ZERO4[:2])))
+    key = [0, 0]
+    return (envelope_total * slab_length, lengths, tuple(lengths.tolist()),
+            float(envelope_total / vol) if vol > 0 else 0.0,
+            np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64))),
+            key, _fresh_philox_state(key))
 
 
 class NoiseStream:
@@ -110,15 +124,17 @@ class NoiseStream:
     length). The envelope is constant, so locations are uniform under the
     reference measure and thinning levels uniform below the envelope,
     envelope_total / beta_total.
-    Streams of one (space, envelope_total, slab length) share one generator,
-    which each re-keys for every slab and D(0) it draws, so streams must not
-    be used from more than one thread.
+    Streams of one (space, envelope_total, slab length) share one generator
+    and one key (two words in one list, held by one state dict), which each
+    stream rewrites to its own key words and loads into the generator for
+    every slab and D(0) it draws, so streams must not be used from more than
+    one thread.
     """
 
     def __init__(self, master_seed: int, space: SpaceSpec, envelope_total: float,
                  slab_length: float = 1.0):
-        if not (slab_length > 0):
-            raise SimulationConfigError(f"slab length must be > 0, got {slab_length}")
+        if not (0 < slab_length < math.inf):
+            raise SimulationConfigError(f"slab_length must be finite and > 0, got {slab_length}")
         if not (envelope_total >= 0) or not math.isfinite(envelope_total):
             raise SimulationConfigError(f"envelope_total must be finite and >= 0, got {envelope_total}")
         self.master_seed = int(master_seed)
@@ -126,21 +142,18 @@ class NoiseStream:
         self.envelope_total = float(envelope_total)
         self.slab_length = float(slab_length)
         self._cache: OrderedDict[int, Proposals] = OrderedDict()
-        self._mean, self._lengths, self._sup, self._rng = _stream_parts(
-            space, self.envelope_total, self.slab_length)
+        (self._mean, self._lengths, self._lengths_t, self._sup, self._rng, self._key,
+         self._state) = _stream_parts(space, self.envelope_total, self.slab_length)
         self._bitgen = self._rng.bit_generator
-        self._key = _philox_key(self.master_seed, TAG_SLAB, 0)
-        # the state of a freshly keyed Philox; _slab_generator sets _key[1]
-        self._fresh_state = _fresh_philox_state(self._key)
-        self._present_state = _fresh_philox_state(
-            _philox_key(self.master_seed, TAG_PRESENT, 0))
+        # the first key words of this seed's slabs and of its D(0)
+        self._slab_word = mix64((self.master_seed ^ TAG_SLAB) & _MASK64)
+        self._present_word = mix64((self.master_seed ^ TAG_PRESENT) & _MASK64)
         self._present: dict[float, Proposals] = {}
 
     @classmethod
     def for_model(cls, model, space: SpaceSpec, master_seed: int,
                   slab_length: float = 1.0) -> "NoiseStream":
-        from .models import envelope_total as _env_total
-        total = _env_total(model, space)
+        total = _model_envelope_total(model, space)
         if not math.isfinite(total):
             raise SimulationConfigError("model envelope is not integrable over the window")
         return cls(master_seed, space, total, slab_length)
@@ -164,8 +177,9 @@ class NoiseStream:
     def _slab_generator(self, k: int) -> np.random.Generator:
         """The stream's generator in the state keyed_generator(seed, TAG_SLAB, k)
         starts from."""
-        self._key[1] = mix64(k & _MASK64)
-        self._bitgen.state = self._fresh_state
+        key = self._key
+        key[0], key[1] = self._slab_word, mix64(k & _MASK64)
+        self._bitgen.state = self._state
         return self._rng
 
     def _generate_slab(self, k: int) -> Proposals:
@@ -177,15 +191,27 @@ class NoiseStream:
         if n == 0:
             return ()
         d = self.space.dimension
+        h = self.slab_length
         draws = rng.random(n * (1 + d))
-        s_local = self.slab_length * draws[:n]
-        xs = self._lengths * draws[n:].reshape(n, d)
         rs = rng.exponential(1.0, size=n)
-        us = self._sup * rng.random(n)
-        order = s_local.argsort(kind="stable")
+        us = rng.random(n)
         pre = f"n{k}:"
-        return tuple(zip((k * self.slab_length + s_local[order]).tolist(), rs[order].tolist(),
-                         us[order].tolist(), [pre + str(i) for i in range(n)],
+        if n < _NUMPY_ROWS:
+            # the float operations of the numpy path below, one atom at a time
+            draws, rs, us = draws.tolist(), rs.tolist(), us.tolist()
+            kh, sup, lengths = k * h, self._sup, self._lengths_t
+            s_local = [h * v for v in draws[:n]]
+            rows = []
+            for i in sorted(range(n), key=s_local.__getitem__):
+                j = n + i * d
+                rows.append((kh + s_local[i], rs[i], sup * us[i], pre + str(len(rows)),
+                             *map(mul, lengths, draws[j:j + d])))
+            return tuple(rows)
+        s_local = h * draws[:n]
+        xs = self._lengths * draws[n:].reshape(n, d)
+        order = s_local.argsort(kind="stable")
+        return tuple(zip((k * h + s_local[order]).tolist(), rs[order].tolist(),
+                         (self._sup * us[order]).tolist(), [pre + str(i) for i in range(n)],
                          *xs[order].T.tolist()))
 
     def present_points(self, death_rate: float) -> Proposals:
@@ -204,17 +230,32 @@ class NoiseStream:
         cached = self._present.get(death_rate)
         if cached is not None:
             return cached
-        self._bitgen.state = self._present_state
+        key = self._key
+        key[0], key[1] = self._present_word, _MIX0
+        self._bitgen.state = self._state
         rng = self._rng
-        mean = self.envelope_total / death_rate
+        delta = float(death_rate)
+        mean = self.envelope_total / delta
         n = int(rng.poisson(mean)) if mean > 0 else 0
         d = self.space.dimension
-        xs = self._lengths * rng.random(n * d).reshape(n, d)
-        us = self._sup * rng.random(n)
+        xs = rng.random(n * d)
+        us = rng.random(n)
         ages = rng.exponential(1.0, size=n)
         residuals = rng.exponential(1.0, size=n)
-        present = tuple(zip((-ages / death_rate).tolist(), (ages + residuals).tolist(),
-                            us.tolist(), ["d" + str(i) for i in range(n)], *xs.T.tolist()))
+        if n < _NUMPY_ROWS:
+            # the float operations of the numpy path below, one point at a time
+            xs, sup, lengths = xs.tolist(), self._sup, self._lengths_t
+            rows = []
+            for a, e, u in zip(ages.tolist(), residuals.tolist(), us.tolist()):
+                j = len(rows) * d
+                rows.append((-a / delta, a + e, sup * u, "d" + str(len(rows)),
+                             *map(mul, lengths, xs[j:j + d])))
+            present = tuple(rows)
+        else:
+            xs = self._lengths * xs.reshape(n, d)
+            present = tuple(zip((-ages / delta).tolist(), (ages + residuals).tolist(),
+                                (self._sup * us).tolist(), ["d" + str(i) for i in range(n)],
+                                *xs.T.tolist()))
         self._present[death_rate] = present
         return present
 

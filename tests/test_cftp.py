@@ -509,6 +509,11 @@ def test_sandwich_rounds_lookback_to_whole_slabs():
         sandwich_run(model, SPACE, 0.0, stream)
     with pytest.raises(SimulationConfigError):
         funnel_violations(model, SPACE, 0.0, stream)
+    # a NaN lookback once gave NotCoalesced after no lookback at all
+    for name in ("initial_lookback", "max_lookback"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(SimulationConfigError, match=name):
+                perfect_sample(model, SPACE, SEED, **{name: bad})
 
 
 @pytest.mark.parametrize("model", [

@@ -188,8 +188,9 @@ def test_for_model_matches_manual_stream():
 
 
 def test_stream_validation():
-    with pytest.raises(SimulationConfigError):
-        NoiseStream(SEED, SPACE, envelope_total=1.0, slab_length=0.0)
+    for slab_length in (0.0, math.inf, math.nan):
+        with pytest.raises(SimulationConfigError, match="slab_length"):
+            NoiseStream(SEED, SPACE, envelope_total=1.0, slab_length=slab_length)
     with pytest.raises(SimulationConfigError):
         NoiseStream(SEED, SPACE, envelope_total=-1.0)
 
@@ -234,7 +235,9 @@ GOLDEN_SPACES = {
 # (dimension, envelope_total, slab_length, seed, k, atom count, slab_hash):
 # slab hashes recorded from the per-atom generator (a fresh keyed Philox per
 # slab). Covers both Poisson samplers (mean below and above 10), negative k,
-# slab length 0.37 and empty slabs, including a zero envelope.
+# slab length 0.37 and empty slabs, including a zero envelope, and rows built
+# both ways (from Python floats below noise._NUMPY_ROWS atoms, with numpy
+# from there on): the last slab holds 963 atoms.
 GOLDEN_SLABS = [
     (1, 4.0, 1.0, 123456789, -45, 6,
      "1bc5e86e99bbd18bd78b36211d0fc4fcf2d387b852f16473f5e2cf5184a856cb"),
@@ -312,6 +315,8 @@ GOLDEN_SLABS = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (2, 0.0, 1.0, 11, 0, 0,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 1000.0, 1.0, 27182818, -1, 963,
+     "46188a74691db5489270f8a942ac8c643d30c5b7ad51ce61757986779f83c85e"),
 ]
 
 @pytest.mark.parametrize("dim,env,slab,seed,k,n,digest", GOLDEN_SLABS)
@@ -393,22 +398,25 @@ def reference_present_points(s, death_rate):
 def test_present_points_match_a_freshly_keyed_generator(dimension):
     # the stream re-keys its own Philox for D(0); the bits must be those of
     # keyed_generator(seed, TAG_PRESENT), and the slabs drawn before and
-    # after from the same generator must not move
+    # after from the same generator must not move. A small and a large
+    # envelope: rows from Python floats and rows from numpy.
     space = SpaceSpec(dimension=dimension, lengths=(1.0, 2.0, 0.5)[:dimension],
                       intensity=2.0)
-    for i in range(12):
-        seed = replicate_seed(SEED, i)
-        s = stream(env=7.0, seed=seed, space=space)
-        before = [s.slab_hash(k) for k in (-2, -1)]
-        for delta0 in (1.0, 1.7):
-            got = columns(s.present_points(delta0), dimension)
-            want = reference_present_points(s, delta0)
-            assert all(np.array_equal(p, q) for p, q in zip((got.s, got.x, got.r, got.u), want))
-            assert got.s.dtype == want[0].dtype and got.x.shape == want[1].shape
-        after = [s.slab_hash(k) for k in (-2, -1, 0, 3)]
-        fresh = stream(env=7.0, seed=seed, space=space)
-        assert after[:2] == before
-        assert after == [fresh.slab_hash(k) for k in (-2, -1, 0, 3)]
+    for env, seeds in ((7.0, 12), (900.0, 3)):
+        for i in range(seeds):
+            seed = replicate_seed(SEED, i)
+            s = stream(env=env, seed=seed, space=space)
+            before = [s.slab_hash(k) for k in (-2, -1)]
+            for delta0 in (1.0, 1.7):
+                got = columns(s.present_points(delta0), dimension)
+                want = reference_present_points(s, delta0)
+                assert all(np.array_equal(p, q)
+                           for p, q in zip((got.s, got.x, got.r, got.u), want))
+                assert got.s.dtype == want[0].dtype and got.x.shape == want[1].shape
+            after = [s.slab_hash(k) for k in (-2, -1, 0, 3)]
+            fresh = stream(env=env, seed=seed, space=space)
+            assert after[:2] == before
+            assert after == [fresh.slab_hash(k) for k in (-2, -1, 0, 3)]
 
 
 def reference_slab(s, k):
@@ -427,21 +435,25 @@ def reference_slab(s, k):
 
 
 def test_streams_sharing_a_generator_draw_as_if_alone():
-    # streams of one (space, envelope, slab length) share their generator;
-    # reads interleaved across seeds must each give the bits of a freshly
-    # keyed generator, and a stream of other parts has a generator of its own
-    a, b = stream(env=5.0, seed=SEED, space=SPACE2), stream(env=5.0, seed=SEED + 1, space=SPACE2)
-    assert a._rng is b._rng
-    assert stream(env=5.5, space=SPACE2)._rng is not a._rng
-    for i, (s, k) in enumerate([(a, 0), (b, 0), (a, -3), (b, 2), (a, 2), (b, -3)]):
-        got = columns(s.slab_points(k), 2)
-        assert all(np.array_equal(p, q) for p, q in
-                   zip((got.s, got.x, got.r, got.u), reference_slab(s, k)))
-        other, delta0 = (b if s is a else a), 1.0 + 0.1 * i  # a new D(0) each time
-        present = columns(other.present_points(delta0), 2)
-        assert all(np.array_equal(p, q) for p, q in
-                   zip((present.s, present.x, present.r, present.u),
-                       reference_present_points(other, delta0)))
+    # streams of one (space, envelope, slab length) share their generator
+    # and its key; reads interleaved across seeds must each give the bits of
+    # a freshly keyed generator, and a stream of other parts has a generator
+    # of its own. A small and a large envelope: rows from Python floats and
+    # rows from numpy.
+    for env in (5.0, 900.0):
+        a, b = stream(env=env, seed=SEED, space=SPACE2), stream(env=env, seed=SEED + 1,
+                                                                space=SPACE2)
+        assert a._rng is b._rng and a._key is b._key
+        assert stream(env=env + 0.5, space=SPACE2)._rng is not a._rng
+        for i, (s, k) in enumerate([(a, 0), (b, 0), (a, -3), (b, 2), (a, 2), (b, -3)]):
+            got = columns(s.slab_points(k), 2)
+            assert all(np.array_equal(p, q) for p, q in
+                       zip((got.s, got.x, got.r, got.u), reference_slab(s, k)))
+            other, delta0 = (b if s is a else a), 1.0 + 0.1 * i  # a new D(0) each time
+            present = columns(other.present_points(delta0), 2)
+            assert all(np.array_equal(p, q) for p, q in
+                       zip((present.s, present.x, present.r, present.u),
+                           reference_present_points(other, delta0)))
 
 
 # ---------------------------------------------------------------------------

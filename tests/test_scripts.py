@@ -14,6 +14,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 @pytest.mark.parametrize("script,args", [
     ("coupling_decay.py", ["--replicates", "3", "--horizon", "1"]),
     ("coalescence_profile.py", ["--intensities", "1", "2", "--replicates", "5"]),
+    # an A/A run: the tree against itself, every layer
+    ("ab.py", ["--a", ROOT, "--b", ROOT, "--pairs", "3"]),
 ])
 def test_script_runs_and_writes_rows(tmp_path, script, args):
     out = tmp_path / "out.csv"
