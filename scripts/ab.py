@@ -3,11 +3,12 @@
 
 The src/sbdsim of each tree is imported as a package of its own (sbdsim_a and
 sbdsim_b), so the two sides share the process, the core and the moment. For
-every layer the script makes PAIRS inputs; input i is built on both sides
-outside the clock, then run on both, A first for even i and B first for odd
-i, and the two results must be equal (an AssertionError stops the script
-otherwise: a speed figure of code that computes something else counts for
-nothing). The layers:
+every layer the script makes PAIRS inputs; input i runs on both sides, A
+first for even i and B first for odd i, each side's copy built outside the
+clock right before that side runs (so neither finds its input fresher in
+the caches), and the two results must be equal (an AssertionError stops the
+script otherwise: a speed figure of code that computes something else counts
+for nothing). The layers:
 
   slab-small    32 slabs of a fresh stream, 1.5 atoms each (1-D)
   slab-large    one slab of a fresh stream, 1000 atoms (2-D)
@@ -181,15 +182,15 @@ def compare(probe, a, b, pairs: int) -> dict:
     """Time `pairs` inputs on both sides, alternating which runs first."""
     for pkg in (a, b):  # warm-up on an input of its own
         probe(pkg, 1 << 40)()
-    ta, tb = [], []
+    pkgs, times = {"a": a, "b": b}, {"a": [], "b": []}
     for i in range(pairs):
-        thunks = {"a": probe(a, i), "b": probe(b, i)}
         got = {}
-        for side in (("a", "b") if i % 2 == 0 else ("b", "a")):
-            t, got[side] = timed(thunks[side])
-            (ta if side == "a" else tb).append(t)
+        for side in ("ab" if i % 2 == 0 else "ba"):
+            t, got[side] = timed(probe(pkgs[side], i))
+            times[side].append(t)
         if repr(got["a"]) != repr(got["b"]):
             raise AssertionError(f"{probe.__name__}: input {i} differs between the trees")
+    ta, tb = times["a"], times["b"]
     ratios = [y / x for x, y in zip(ta, tb)]
     blocks = min(10, pairs)
     edges = [round(j * pairs / blocks) for j in range(blocks + 1)]
