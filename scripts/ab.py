@@ -26,11 +26,10 @@ ratios: the sum of B's times over the sum of A's over each tenth of the
 pairs, in input order, so a drift of the machine shows as a trend. A run of
 a tree against itself (A/A) shows the resolution: how far from 1 the ratios
 of identical code read. The script pins its own process to one core (the
-last it may run on, or --cpu) and changes no other process or setting.
+last it may run on) and changes no other process or setting.
 
 Usage:
-  python scripts/ab.py --a PARENT_TREE --b CHANGE_TREE [--pairs 200]
-                       [--layers slab-small draw-cells ...] [--cpu N] [--out ab.csv]
+  python scripts/ab.py --a PARENT_TREE --b CHANGE_TREE [--pairs 200] [--out ab.csv]
 """
 
 from __future__ import annotations
@@ -219,13 +218,11 @@ def main(argv=None) -> int:
     ap.add_argument("--a", required=True, help="source tree of side A (the parent)")
     ap.add_argument("--b", required=True, help="source tree of side B (the change)")
     ap.add_argument("--pairs", type=int, default=200, help="inputs per layer")
-    ap.add_argument("--layers", nargs="+", choices=list(LAYERS), default=list(LAYERS))
-    ap.add_argument("--cpu", type=int, default=None, help="core to pin to")
     ap.add_argument("--out", default=None, help="CSV file for the per-layer results")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    cpu = max(os.sched_getaffinity(0)) if args.cpu is None else args.cpu
+    cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     a, b = load_tree(args.a, "sbdsim_a"), load_tree(args.b, "sbdsim_b")
     print(f"# cpu {cpu_model()}, pinned to core {cpu}; Python {platform.python_version()}, "
@@ -234,8 +231,8 @@ def main(argv=None) -> int:
     print(f"{'layer':14s} {'pairs':>5s} {'B/A':>6s} {'B wins':>7s} {'A us':>9s} {'B us':>9s}"
           "  block ratios")
     results = []
-    for name in args.layers:
-        res = {"layer": name, **compare(LAYERS[name], a, b, args.pairs)}
+    for name, probe in LAYERS.items():
+        res = {"layer": name, **compare(probe, a, b, args.pairs)}
         results.append(res)
         print(f"{name:14s} {res['pairs']:5d} {res['median_ratio']:6.3f} "
               f"{res['wins']:4d}/{res['pairs']:<3d}{res['a_median_us']:9.1f} "

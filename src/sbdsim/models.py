@@ -559,18 +559,15 @@ class CellOccupancyRate(RateModel):
         return self._occupancy(space, eta).k.astype(int)
 
     def rate_for_occupancy(self, cell: int, k: NDArray) -> float:
-        return self.base_rate * math.exp(-float(self.theta[cell] @ np.asarray(k, dtype=float)))
+        k = np.asarray(k, dtype=float)
+        return self.base_rate * math.exp(-float(self._theta_rows[cell] @ k))
 
     def cell_masses(self, space: SpaceSpec) -> NDArray[np.float64]:
         """Reference-measure mass of each cell."""
         return np.full(self.n_cells, space.beta_total / self.n_cells)
 
     def birth_rate(self, space, x, eta) -> float:
-        # rate_for_occupancy's operations, the same numpy dot included
-        cell = _cell_index(self.cell_counts, space.lengths,
-                           x if type(x) is tuple else np.asarray(x, dtype=float).tolist())
-        return self.base_rate * math.exp(
-            -float(self._theta_rows[cell] @ self._occupancy(space, eta).k))
+        return self.rate_for_occupancy(self.cell_index(space, x), self._occupancy(space, eta).k)
 
     def envelope_sup(self, space) -> float:
         return self.base_rate
