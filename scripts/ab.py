@@ -18,7 +18,9 @@ for nothing). The layers:
   sandwich      one sandwich pass of the cell model on [-2, 0], fresh stream
   draw-cells    8 perfect_sample draws of the cftp-cells model
   draw-pairwise 1 perfect_sample draw of the cftp-pairwise model
-  simulate      engine.simulate, pairwise, 2-D, 700 points, horizon 0.1
+  simulate      engine.simulate, pairwise, 2-D, 700 points, horizon 1.0 (the
+                forward-dense window: ~1000 proposals, so the event loop, not
+                the set-up over 700 points, dominates)
 
 Per layer it prints the median of the paired ratios B/A, the number of pairs
 in which B was faster out of PAIRS, each side's median time, and ten block
@@ -152,7 +154,7 @@ def probe_simulate(pkg, i):
     stream = pkg.noise.NoiseStream.for_model(model, space, i)
 
     def run():
-        traj = pkg.engine.simulate(model, space, eta0, 0.1, stream)
+        traj = pkg.engine.simulate(model, space, eta0, 1.0, stream)
         return [tuple(ev) for ev in traj.events], rows(traj.final)
     return run
 

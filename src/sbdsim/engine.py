@@ -6,24 +6,33 @@ all deaths strictly before s applied). An accepted point carries its death
 mark r and, at the constant death rate delta0, dies at s + r / delta0. No
 time discretization enters anywhere.
 
-One loop, run_paths, solves these equations forward in time for any number
-of paths on the same proposals, rows (s, r, u, id, x_1, ..., x_d) that it
-reads in time order, the coordinates as the tuple row[4:]: the plain
-forward run (stream.atoms_between), the coupled pair, and the lower/upper
-bracket of coupling from the past (cftp.dominating_window) differ only in
-the rule that turns the states before s into one rate per path. A path's
-own birth rate is the rule unless run_paths(bracket=True) makes paths 0 and
-1 the bracket, whose rates are the infimum and supremum over the states
-between them (for a neighbour-grid model, both from one scan of the upper
-state's grid). Since every path reads the same proposals, two
-paths that are equal stay equal: a bracket runs as one path from the first
-proposal at which its two sizes agree. A bracket run keeps no event log;
-every other run logs every event.
+One entry point, run_paths, solves these equations forward in time for any
+number of paths on the same proposals, rows (s, r, u, id, x_1, ..., x_d)
+that it reads in time order, the coordinates as the tuple row[4:]: the
+plain forward run (stream.atoms_between), the coupled pair, and the
+lower/upper bracket of coupling from the past (cftp.dominating_window)
+differ only in the rule that turns the states before s into one rate per
+path. A path's own birth rate is the rule unless run_paths(bracket=True)
+makes paths 0 and 1 the bracket, whose rates are the infimum and supremum
+over the states between them (for a neighbour-grid model, both from one
+scan of the upper state's grid). Since every path reads the same
+proposals, two paths that are equal stay equal: a bracket runs as one path
+from the first proposal at which its two sizes agree. A bracket run keeps
+no event log; every other run logs every event.
+
+run_paths has two bodies with the same decisions, event for event. A run
+with one active path and no observer (every forward run, and a bracket
+without further paths from its merge on) takes _one_path, which binds the
+path's state, heap and methods once and builds nothing per proposal; every
+other run (a split bracket, a coupled run, a funnel, an observed run) takes
+the N-path loop, which hands a merged bracket's remaining proposals to
+_one_path when no observer and no further path is left.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,6 +114,11 @@ def snapshot(trajectory: Trajectory, t: float) -> Configuration:
     return snapshots(trajectory, [t])[0]
 
 
+# Event's generated __new__ is tuple.__new__(Event, fields); _Path calls it
+# directly, with every field (mark None for a death) given
+_new_event = tuple.__new__
+
+
 def _death_time(birth_time: float, clock: float, delta0: float) -> float:
     """Death time of a point holding death mark `clock` at `birth_time`. Every
     death time, initial points included, is computed here."""
@@ -137,7 +151,7 @@ class _Path:
         self.live.add(pid, x, r, s)
         heapq.heappush(self.deaths, (_death_time(s, r, delta0), pid))
         if self.events is not None:
-            self.events.append(Event(s, "birth", pid, x, r))
+            self.events.append(_new_event(Event, (s, "birth", pid, x, r)))
 
     def flush_deaths(self, up_to: float, inclusive: bool) -> None:
         """Apply the deaths before up_to (at up_to too when inclusive)."""
@@ -146,7 +160,7 @@ class _Path:
             dt, pid = heapq.heappop(deaths)
             x = live.remove(pid)
             if events is not None:
-                events.append(Event(dt, "death", pid, x))
+                events.append(_new_event(Event, (dt, "death", pid, x, None)))
 
 
 @dataclass
@@ -191,12 +205,37 @@ def _contained(s, pid, lams, accepted, states) -> None:
             f"{lams[0]!r}, path 1 rejected it at rate {lams[1]!r} (internal bug)")
 
 
+def _check_window(start_time: float, horizon: float) -> None:
+    """Refuse a window [start_time, start_time + horizon] that is not a finite
+    start and a finite horizon >= 0 (NaN fails both tests)."""
+    if not math.isfinite(start_time):
+        raise SimulationConfigError(f"start_time must be finite, got {start_time}")
+    if not 0 <= horizon < math.inf:
+        raise SimulationConfigError(f"horizon must be finite and >= 0, got {horizon}")
+
+
+def _one_path(path: _Path, birth_rate, space: SpaceSpec, proposals, delta0: float) -> None:
+    """run_paths' loop for one path and no observer: the decisions of the
+    N-path loop, with the path's state, death heap, birth and flush_deaths
+    bound once and nothing built per proposal."""
+    live, deaths = path.live, path.deaths
+    birth, flush_deaths = path.birth, path.flush_deaths
+    for row in proposals:
+        s = row[0]
+        if deaths and deaths[0][0] < s:
+            flush_deaths(s, False)
+        x = row[4:]
+        if row[2] <= birth_rate(space, x, live):
+            birth(row[3], x, s, row[1], delta0)
+
+
 def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
               horizon: float, proposals: Proposals, start_time: float = 0.0,
               observe=None, bracket: bool = False) -> PathRun:
     """Drive one path per initial state through the same proposals on
-    [start_time, start_time + horizon]. Every initial point must hold a death
-    mark > 0 and die after start_time (SimulationConfigError otherwise).
+    [start_time, start_time + horizon]. start_time must be finite, horizon
+    finite and >= 0, and every initial point must hold a death mark > 0 and
+    die after start_time (SimulationConfigError otherwise).
 
     proposals are the window's proposals in time order: the forward runs
     pass stream.atoms_between(start_time, start_time + horizon), coupling
@@ -227,9 +266,14 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
     the final states. Its paths start from the initial states themselves,
     which it changes; any other run starts from copies and leaves its
     initial states as they were.
+
+    A run of one path without observe, and a merged bracket with no further
+    path and no observe from its merge on, takes _one_path; every other run
+    takes the N-path loop. Both make the same decisions and log the same
+    events in the same order (tests/test_engine.py pins them to each other
+    on every model).
     """
-    if horizon < 0:
-        raise SimulationConfigError(f"horizon must be >= 0, got {horizon}")
+    _check_window(start_time, horizon)
     delta0 = model.death.rate
     t_end = start_time + horizon
     birth_rate = model.birth_rate
@@ -238,7 +282,10 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
     active, states = paths, [path.live for path in paths]
     split = bracket  # a bracket pair not merged yet
     merged_at = None  # proposals before the merge
-    for i, row in enumerate(proposals):
+    # the N-path loop runs unless one path and no observer start the run; a
+    # merge that leaves one path and no observer hands proposals[rest:] on
+    one_path, rest = observe is None and len(paths) == 1, 0
+    for i, row in enumerate(() if one_path else proposals):
         s, r, u, pid, x = row[0], row[1], row[2], row[3], row[4:]
         for path in active:
             if path.deaths and path.deaths[0][0] < s:
@@ -247,6 +294,9 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
             split, merged_at = False, i
             active = paths[:1] + paths[2:]
             states = [path.live for path in active]
+            if observe is None and len(active) == 1:
+                one_path, rest = True, i
+                break
         if split:
             lams = [*sandwich_rates(model, space, x, states[0], states[1]),
                     *[birth_rate(space, x, live) for live in states[2:]]]
@@ -263,6 +313,8 @@ def run_paths(model: RateModel, space: SpaceSpec, initials: list[Configuration],
                 observe(s, pid, lams, accepted, states)
             else:
                 observe(s, pid, lams[:1] + lams, accepted[:1] + accepted, states[:1] + states)
+    if one_path:
+        _one_path(active[0], birth_rate, space, proposals[rest:], delta0)
     for path in active:
         path.flush_deaths(t_end, inclusive=True)
 
@@ -283,6 +335,7 @@ def simulate(model: RateModel, space: SpaceSpec, initial: Configuration,
     every event strictly before s applied. Deaths occurring at exactly the end
     of the horizon are recorded as events and excluded from the final state.
     """
+    _check_window(start_time, horizon)
     proposals = stream.atoms_between(start_time, start_time + horizon)
     return run_paths(model, space, [initial], horizon, proposals, start_time).trajectories()[0]
 
@@ -300,6 +353,7 @@ def coupled_simulate(model: RateModel, space: SpaceSpec,
     inside the upper path for all time; that containment is asserted at every
     decision, and a violation is reported as a bug, not a statistics failure.
     """
+    _check_window(start_time, horizon)
     up = dict(initial_up.rows())
     for pid, row in initial_low.rows():
         if pid not in up:

@@ -384,6 +384,12 @@ class NeighbourGrid:
     point on the upper face of a free window falls in the last cell. Built by
     Configuration.index through neighbour_grid.
 
+    A scan keeps its point and that point's key, and add reads the key back
+    when it is given the very tuple last scanned (`is`, so only the same
+    immutable coordinates): the event loop adds the proposal's tuple that
+    its rate query has just scanned for, so an admitted point costs one cell
+    computation, not two.
+
     _cell and near have one body written out per axis for 1-D and 2-D
     windows, picked by the window's dimension; a window of 3 or more
     dimensions takes the loop over the axes. Each body does the same float
@@ -392,7 +398,7 @@ class NeighbourGrid:
     """
 
     __slots__ = ("_lengths", "_counts", "_periodic", "_wrap", "_radius", "_dim", "_blocks",
-                 "_cells", "_home")
+                 "_cells", "_home", "_scanned", "_scanned_key")
 
     def __init__(self, space: SpaceSpec, radius: float):
         self._lengths = space.lengths
@@ -409,6 +415,7 @@ class NeighbourGrid:
         self._blocks = _BLOCKS.get((self._counts, self._periodic), {})
         self._cells: dict[int, dict[str, tuple[float, ...]]] = {}
         self._home: dict[str, int] = {}
+        self._scanned, self._scanned_key = None, 0  # the last scan's point and key
 
     def _cell(self, p) -> int:
         """The flat key of p's cell, from min(floor(v / L * c), c - 1) per axis
@@ -442,7 +449,7 @@ class NeighbourGrid:
         return block
 
     def add(self, pid: str, p: tuple[float, ...]) -> None:
-        key = self._home[pid] = self._cell(p)
+        key = self._home[pid] = self._scanned_key if p is self._scanned else self._cell(p)
         members = self._cells.get(key)
         if members is None:
             members = self._cells[key] = {}
@@ -461,6 +468,7 @@ class NeighbourGrid:
         if type(x) is not tuple:
             x = np.asarray(x, dtype=float).tolist()
         key = self._cell(x)
+        self._scanned, self._scanned_key = x, key
         block = self._blocks.get(key) or self._block(key)
         cells, r, sqrt = self._cells, self._radius, math.sqrt
         out = []

@@ -535,8 +535,7 @@ class CellOccupancyRate(RateModel):
         return self._n_cells
 
     def cell_index(self, space: SpaceSpec, x) -> int:
-        return _cell_index(self.cell_counts, space.lengths,
-                           x if type(x) is tuple else np.asarray(x, dtype=float).tolist())
+        return _cell_index(self.cell_counts, space.lengths, x)
 
     def cell_indices(self, space: SpaceSpec, X) -> NDArray[np.int_]:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -567,7 +566,8 @@ class CellOccupancyRate(RateModel):
         return np.full(self.n_cells, space.beta_total / self.n_cells)
 
     def birth_rate(self, space, x, eta) -> float:
-        return self.rate_for_occupancy(self.cell_index(space, x), self._occupancy(space, eta).k)
+        occupancy = self._occupancy(space, eta)
+        return self.rate_for_occupancy(occupancy.cell(x), occupancy.k)
 
     def envelope_sup(self, space) -> float:
         return self.base_rate
@@ -591,6 +591,8 @@ def _cell_index(counts: tuple[int, ...], lengths: tuple[float, ...], x) -> int:
     """Flat (C-order) index of the cell holding x, by the float operations of
     cell_indices (x / L * c, floor, then the clamp that puts a point on the
     upper face in the last cell) in scalar arithmetic."""
+    if type(x) is not tuple:
+        x = np.asarray(x, dtype=float).tolist()
     cell = 0
     for v, L, c in zip(x, lengths, counts):
         i = math.floor(v / L * c)
@@ -603,18 +605,30 @@ def _cell_index(counts: tuple[int, ...], lengths: tuple[float, ...], x) -> int:
 class _Occupancy:
     """Points per cell of one configuration, as floats (exact integers), kept
     by Configuration.index for CellOccupancyRate. Each id's cell is kept from
-    its add, so remove(pid) reads no coordinates."""
+    its add, so remove(pid) reads no coordinates. cell(x), the rate query's
+    cell lookup, keeps x and its cell, and add reads that cell back when it
+    is given the very tuple x (`is`): the event loop adds the proposal's
+    tuple just after its rate query, so an admitted point costs one cell
+    computation, not two."""
 
-    __slots__ = ("k", "_counts", "_lengths", "_home")
+    __slots__ = ("k", "_counts", "_lengths", "_home", "_queried", "_queried_cell")
 
     def __init__(self, counts: tuple[int, ...], lengths: tuple[float, ...]):
         self.k = np.zeros(math.prod(counts))
         self._counts = counts
         self._lengths = lengths
         self._home: dict[str, int] = {}
+        self._queried, self._queried_cell = None, 0
+
+    def cell(self, x) -> int:
+        """The cell of x, kept with x for an add of the same tuple."""
+        cell = self._queried_cell = _cell_index(self._counts, self._lengths, x)
+        self._queried = x
+        return cell
 
     def add(self, pid: str, p: tuple[float, ...]) -> None:
-        cell = self._home[pid] = _cell_index(self._counts, self._lengths, p)
+        cell = self._home[pid] = (self._queried_cell if p is self._queried
+                                  else _cell_index(self._counts, self._lengths, p))
         self.k[cell] += 1.0
 
     def remove(self, pid: str) -> None:

@@ -22,8 +22,10 @@ from sbdsim.geometry import (
 )
 from sbdsim.models import (
     AreaInteractionRate,
+    CellOccupancyRate,
     ConstantDeath,
     ConstantRate,
+    NearestNeighborRate,
     PairwiseRate,
 )
 from sbdsim.noise import NoiseStream, initial_clocks, poisson_configuration
@@ -132,10 +134,31 @@ def test_zero_horizon_is_identity():
     assert {pid: mark for pid, (_, mark, _) in traj.final.rows()} == {"a": 1.0, "b": 3.0}
 
 
-def test_negative_horizon_rejected():
+class UnreadNoise:
+    """A stream that must not be read."""
+
+    def atoms_between(self, t0, t1):
+        raise AssertionError(f"noise read on [{t0}, {t1})")
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf], ids=["-1", "nan", "inf"])
+def test_negative_horizon_rejected(horizon):
+    # a window is a finite start and a finite horizon >= 0, refused by name
+    # before any noise is read (NaN once ran a window it never closed)
     model = ConstantRate(rate=1.0)
-    with pytest.raises(SimulationConfigError):
-        simulate(model, SPACE, TimedConfiguration(), -1.0, make_stream(model))
+    initial = timed_from([("a", 0.2, 1.0), ("b", 0.6, 3.0)])
+    proposals = make_stream(model).atoms_between(0.0, 2.0)
+    with pytest.raises(SimulationConfigError, match="horizon"):
+        simulate(model, SPACE, initial, horizon, UnreadNoise())
+    with pytest.raises(SimulationConfigError, match="horizon"):
+        coupled_simulate(model, SPACE, initial, initial, horizon, UnreadNoise())
+    with pytest.raises(SimulationConfigError, match="horizon"):
+        run_paths(model, SPACE, [initial], horizon, proposals)
+    if not math.isfinite(horizon):
+        with pytest.raises(SimulationConfigError, match="start_time"):
+            simulate(model, SPACE, initial, 1.0, UnreadNoise(), start_time=horizon)
+        with pytest.raises(SimulationConfigError, match="start_time"):
+            run_paths(model, SPACE, [initial], 1.0, proposals, start_time=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +373,66 @@ def test_coupled_attractive_paths_stay_nested():
         assert not (c_low.multiset() - c_up.multiset())
 
 
-def test_coupled_side_equals_single_run_on_same_noise():
-    model = ConstantRate(rate=5.0)
-    stream = make_stream(model)
-    solo = simulate(model, SPACE, TimedConfiguration(), 20.0, stream)
-    low, up = coupled_simulate(model, SPACE, TimedConfiguration(),
-                               TimedConfiguration(), 20.0, stream)
-    assert canonical_json(low) == canonical_json(solo)
-    assert canonical_json(up) == canonical_json(solo)
+LINE = SpaceSpec(dimension=1, lengths=(1.0,), intensity=10.0)
+PLANE = SpaceSpec(dimension=2, lengths=(1.0, 1.0), intensity=40.0)
+ONE_PATH_MODELS = [
+    (ConstantRate(rate=5.0), LINE),
+    (PairwiseRate(theta=0.5, interaction_range=0.15), LINE),
+    (PairwiseRate(theta=0.5, interaction_range=0.1), PLANE),
+    (NearestNeighborRate(breakpoints=(0.05, 0.1), values=(0.3, 0.7), value_at_infinity=1.0),
+     LINE),
+    (AreaInteractionRate(rho=3.0, gamma=1.5, grain_radius=0.08), LINE),
+    (CellOccupancyRate(cell_counts=(3,), theta=np.array(
+        [[0.6, 0.3, 0.0], [0.3, 0.6, 0.3], [0.0, 0.3, 0.6]])), LINE),
+]
+
+
+@pytest.mark.parametrize("model,space", ONE_PATH_MODELS,
+                         ids=["constant", "pairwise-1d", "pairwise-2d", "nearest", "area-1d",
+                              "cells"])
+def test_one_path_loop_equals_each_path_of_the_n_path_loop(monkeypatch, model, space):
+    # a run of one path takes run_paths' one-path loop, a run of two paths
+    # the N-path loop; on identical copies of one state each of the two paths
+    # must log the one-path run's events, bit for bit and in order, and end
+    # with its rows in its order. The hand-made rows put the tie rules in
+    # play: two initial points and a birth at 0.5 with mark 0.25 all die at
+    # 0.75, applied in id order; a proposal sits at exactly 0.75, and deaths
+    # at a proposal's time come after its decision; a point dies at the end
+    # of the window, logged and not in the final state; a proposal with u at
+    # the envelope is accepted exactly where the rate reaches it
+    horizon, d = 3.0, space.dimension
+    assert model.death.rate == 1.0  # a death time is then birth time + mark, exactly
+    initial = initial_clocks(poisson_configuration(space, 15.0, 5), 6)
+    for pid, mark in (("tie-b", 0.75), ("tie-a", 0.75), ("edge", horizon)):
+        initial.add(pid, (0.3,) * d, mark, 0.0)
+    hand = ((0.5, 0.25, 0.0, "h0", *(0.31,) * d), (0.75, 1.0, 0.0, "h1", *(0.7,) * d),
+            (1.5, 1.0, model.envelope_sup(space), "h2", *(0.9,) * d))  # u <= rate at the top
+    stream = NoiseStream.for_model(model, space, SEED)
+    proposals = tuple(sorted(stream.atoms_between(0.0, horizon) + hand))
+    one_path_runs = []
+    one_path = engine._one_path
+    monkeypatch.setattr(engine, "_one_path",
+                        lambda *args: one_path_runs.append(1) or one_path(*args))
+
+    solo = run_paths(model, space, [initial], horizon, proposals).trajectories()[0]
+    assert len(one_path_runs) == 1
+    pair = run_paths(model, space, [initial, initial], horizon, proposals).trajectories()
+    assert len(one_path_runs) == 1
+    at = [(ev.kind, ev.point_id) for ev in solo.events if ev.time in (0.75, horizon)]
+    assert at[:4] == [("birth", "h1"), ("death", "h0"), ("death", "tie-a"), ("death", "tie-b")]
+    assert ("death", "edge") in at and "edge" not in solo.final
+    assert sum(ev.kind == "birth" for ev in solo.events) > 5
+    for traj in pair:
+        assert repr(traj.events) == repr(solo.events)
+        assert list(traj.final.rows()) == list(solo.final.rows())
+
+    # the same on a stream's window, through simulate and coupled_simulate,
+    # whose attractive models take the N-path loop with an observer
+    solo = simulate(model, space, initial, horizon, stream)
+    for traj in coupled_simulate(model, space, initial, initial, horizon, stream):
+        assert canonical_json(traj) == canonical_json(solo)
+        assert list(traj.final.rows()) == list(solo.final.rows())
+    assert len(one_path_runs) == 2
 
 
 # ---------------------------------------------------------------------------

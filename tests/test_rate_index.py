@@ -314,18 +314,30 @@ def test_two_spaces_or_two_radii_keep_separate_indexes():
 # ---------------------------------------------------------------------------
 
 def test_index_upkeep_reads_no_coordinates_on_removal(monkeypatch):
-    # a grid computes a point's cell once when the point is added and once
-    # per scan, never on a removal; the occupancy counts likewise drop a
-    # point by its id alone
-    calls = {"cell": 0, "add": 0, "scan": 0, "remove": 0}
+    # a grid computes a point's cell once per scan and once per add of a
+    # tuple other than the one its last scan was for, never on a removal: the
+    # event loop adds the proposal's tuple just scanned for, whose key the
+    # scan kept. The occupancy counts likewise compute one cell per rate
+    # query and none for an add of the tuple just queried, and drop a point
+    # by its id alone
+    calls = {"cell": 0, "add": 0, "foreign": 0, "scan": 0, "remove": 0}
+    scanned = {}  # grid -> the point of its last scan
     cell, add, near, remove = (NeighbourGrid._cell, NeighbourGrid.add, NeighbourGrid.near,
                                NeighbourGrid.remove)
 
-    def counted(name, method):
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-        return wrapper
+    def counted_cell(self, *args):
+        calls["cell"] += 1
+        return cell(self, *args)
+
+    def counted_near(self, x):
+        calls["scan"] += 1
+        scanned[self] = x
+        return near(self, x)
+
+    def counted_add(self, pid, p):
+        calls["add"] += 1
+        calls["foreign"] += p is not scanned.get(self)
+        add(self, pid, p)
 
     def checked_remove(self, *args):
         before = calls["cell"]
@@ -333,19 +345,38 @@ def test_index_upkeep_reads_no_coordinates_on_removal(monkeypatch):
         assert calls["cell"] == before and len(args) == 1
         calls["remove"] += 1
 
-    for name, method in (("_cell", counted("cell", cell)), ("add", counted("add", add)),
-                         ("near", counted("scan", near)), ("remove", checked_remove)):
+    for name, method in (("_cell", counted_cell), ("add", counted_add), ("near", counted_near),
+                         ("remove", checked_remove)):
         monkeypatch.setattr(NeighbourGrid, name, method)
     model = PairwiseRate(theta=0.7, interaction_range=0.05)
     space = SpaceSpec(dimension=1, lengths=(1.0,), intensity=10.0)
     for i in range(6):
         sandwich_run(model, space, 4.0, NoiseStream.for_model(model, space,
                                                               replicate_seed(20260816, i)))
-    assert calls["remove"] > 0 and calls["scan"] > 0
-    assert calls["cell"] == calls["add"] + calls["scan"]
+    assert calls["remove"] > 0 and calls["scan"] > 0 and 0 < calls["foreign"] < calls["add"]
+    assert calls["cell"] == calls["scan"] + calls["foreign"]
 
     lookups = []
-    cell_index, occupancy_remove = models._cell_index, models._Occupancy.remove
+    queried = {}  # occupancy counts -> the point of their last rate query
+    queries = {"rate": 0, "add": 0, "foreign": 0}
+    cell_index, occupancy_add, occupancy_remove, cell_rate = (
+        models._cell_index, models._Occupancy.add, models._Occupancy.remove,
+        CellOccupancyRate.birth_rate)
+
+    def counted_rate(self, space, x, eta):
+        queries["rate"] += 1
+        rate = cell_rate(self, space, x, eta)
+        queried[self._occupancy(space, eta)] = x
+        return rate
+
+    def checked_occupancy_add(self, pid, p):
+        before = len(lookups)
+        occupancy_add(self, pid, p)
+        queries["add"] += 1
+        if p is queried.get(self):
+            assert len(lookups) == before
+        else:
+            queries["foreign"] += 1
 
     def checked_occupancy_remove(self, *args):
         before = len(lookups)
@@ -354,12 +385,15 @@ def test_index_upkeep_reads_no_coordinates_on_removal(monkeypatch):
         lookups.append("remove")
 
     monkeypatch.setattr(models, "_cell_index", lambda *a: lookups.append("cell") or cell_index(*a))
+    monkeypatch.setattr(models._Occupancy, "add", checked_occupancy_add)
     monkeypatch.setattr(models._Occupancy, "remove", checked_occupancy_remove)
+    monkeypatch.setattr(CellOccupancyRate, "birth_rate", counted_rate)
     cells = CellOccupancyRate(cell_counts=(3,), theta=0.3 * np.eye(3) + 0.1)
     for i in range(6):
         sandwich_run(cells, space, 4.0, NoiseStream.for_model(cells, space,
                                                               replicate_seed(20260816, i)))
-    assert "remove" in lookups
+    assert "remove" in lookups and 0 < queries["foreign"] < queries["add"]
+    assert lookups.count("cell") == queries["rate"] + queries["foreign"]
 
 
 @pytest.mark.parametrize("model", [PairwiseRate(theta=0.7, interaction_range=0.05),
